@@ -7,8 +7,14 @@
 //! clone). The gap between the two is the amortisation the service
 //! exists for; a regression in "warm" (e.g. an accidental O(n) scan in
 //! the LRU) shows up here long before it shows up in p99.
+//!
+//! "Central" is the bare centralized solve of the same instance
+//! (`LocalSolver::solve`, no body rendering): the same-run reference
+//! `trajectory_gate` holds "cold" to, so a slower solver path on the
+//! serve side fails on any host.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mmlp_core::LocalSolver;
 use mmlp_gen::catalog;
 use mmlp_instance::hash::instance_hash;
 use mmlp_serve::engine::{execute, CacheKey, Engine};
@@ -28,6 +34,10 @@ fn bench_serve_cache(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("cold_solve", size), &size, |b, _| {
             b.iter(|| std::hint::black_box(execute(Op::Solve, &inst, 3, 1).unwrap()));
+        });
+
+        group.bench_with_input(BenchmarkId::new("central_solve", size), &size, |b, _| {
+            b.iter(|| std::hint::black_box(LocalSolver::new(3).solve(&inst)));
         });
 
         group.bench_with_input(BenchmarkId::new("warm_hit", size), &size, |b, _| {

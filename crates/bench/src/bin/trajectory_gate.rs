@@ -35,6 +35,12 @@
 //! 6. `serve_cache/warm_hit/64` ≤ 4 × `serve_cache/warm_hit/16` — the
 //!    hit path is a key probe, O(1) in instance size;
 //!
+//! 6a. `serve_cache/cold_solve/n` ≤ 1.5 × `serve_cache/central_solve/n`
+//! at every benchmarked size — a cold `SOLVE` costs the centralized
+//! solve of its instance plus rendering, measured in the same run, so
+//! the rule holds on any host and fails if serve ever runs a slower
+//! solver path (the flat network path costs about 9× here);
+//!
 //! 6b. `serve_throughput/reactor/64` must exist, and whenever the
 //! retired thread-per-connection baseline entry
 //! (`serve_throughput/thread_per_conn/64`) is also present — as it is
@@ -203,6 +209,15 @@ fn gate_serve(g: &mut Gate) {
     }
     // The hit path is a key build + LRU probe: O(1) in instance size.
     g.check_ratio("serve_cache/warm_hit/64", "serve_cache/warm_hit/16", 4, 1);
+    // A cold solve is the centralized solve plus rendering.
+    for size in [16u32, 64] {
+        g.check_ratio(
+            &format!("serve_cache/cold_solve/{size}"),
+            &format!("serve_cache/central_solve/{size}"),
+            3,
+            2,
+        );
+    }
     // The event-driven front-end must serve the 64-client closed-loop
     // burst strictly faster than the retired thread-per-connection
     // server. The committed file carries both entries; a freshly

@@ -25,6 +25,7 @@
 use crate::special::SpecialForm;
 use crate::tree_bound::TreeBound;
 use mmlp_instance::{AgentId, CommGraph, Solution};
+use std::time::Instant;
 
 /// The `g±` tables: `g_plus[d][v]` and `g_minus[d][v]` for `d = 0..=r`.
 #[derive(Clone, Debug)]
@@ -134,12 +135,83 @@ pub struct SpecialRun {
 /// Runs the complete special-form algorithm (§5) with locality parameter
 /// `R ≥ 2`, optionally computing the `t_u` in parallel.
 pub fn solve_special(sf: &SpecialForm, big_r: usize, threads: usize) -> SpecialRun {
+    solve_special_impl(sf, big_r, threads, None)
+}
+
+/// [`solve_special`] plus its [`SpecialTrace`]: the same solve —
+/// bit-identical outputs — with per-phase wall times filled in.
+pub fn solve_special_traced(
+    sf: &SpecialForm,
+    big_r: usize,
+    threads: usize,
+) -> (SpecialRun, SpecialTrace) {
+    let mut trace = SpecialTrace::default();
+    let run = solve_special_impl(sf, big_r, threads, Some(&mut trace));
+    (run, trace)
+}
+
+/// Per-phase wall times of one centralized §5 solve.
+///
+/// Phases are measured with the monotonic clock and cover disjoint,
+/// back-to-back intervals, so `t_eval_ns + flood_ns + g_ns ≤ total_ns`.
+/// Tracing is opt-in per call: the untraced [`solve_special`] takes no
+/// timestamps at all.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SpecialTrace {
+    /// Phase 1: the tree bounds `t_u` (§5.2).
+    pub t_eval_ns: u64,
+    /// Phase 2: the smoothing min-flood `s_v` (§5.3).
+    pub flood_ns: u64,
+    /// Phase 3: the `g±` tables and the output rule (18).
+    pub g_ns: u64,
+    /// Whole-solve wall time.
+    pub total_ns: u64,
+}
+
+impl SpecialTrace {
+    /// The phase breakdown as `(name, nanoseconds)` pairs in execution
+    /// order, named like the flat path's matching phases.
+    pub fn phase_spans(&self) -> [(&'static str, u64); 3] {
+        [
+            ("t_eval", self.t_eval_ns),
+            ("flood", self.flood_ns),
+            ("g", self.g_ns),
+        ]
+    }
+}
+
+fn solve_special_impl(
+    sf: &SpecialForm,
+    big_r: usize,
+    threads: usize,
+    mut trace: Option<&mut SpecialTrace>,
+) -> SpecialRun {
+    // One monotonic timestamp per phase boundary, taken only when the
+    // caller asked for a trace.
+    let mut last_tick = trace.as_ref().map(|_| Instant::now());
+    let t0 = last_tick;
+    let mut lap = move || -> u64 {
+        let now = Instant::now();
+        let ns = now.duration_since(last_tick.unwrap()).as_nanos() as u64;
+        last_tick = Some(now);
+        ns
+    };
     let tb = TreeBound::new(sf, big_r);
     let t = tb.all_parallel(threads);
+    if let Some(tr) = trace.as_deref_mut() {
+        tr.t_eval_ns = lap();
+    }
     let r = big_r - 2;
     let s = smooth(sf, &t, r);
+    if let Some(tr) = trace.as_deref_mut() {
+        tr.flood_ns = lap();
+    }
     let g = g_tables(sf, &s, r);
     let x = output(sf, &g, big_r);
+    if let Some(tr) = trace {
+        tr.g_ns = lap();
+        tr.total_ns = t0.unwrap().elapsed().as_nanos() as u64;
+    }
     SpecialRun { x, t, s, g }
 }
 

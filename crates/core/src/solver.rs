@@ -10,13 +10,11 @@
 //! assert!(out.solution.is_feasible(&inst, 1e-9));
 //! ```
 
-use crate::distributed;
 use crate::ratio;
-use crate::smoothing::{self, SpecialRun};
+use crate::smoothing::{self, SpecialRun, SpecialTrace};
 use crate::special::SpecialForm;
 use crate::transform::{to_special_form, StageInfo};
 use mmlp_instance::{DegreeStats, Instance, Solution};
-use mmlp_net::RunStats;
 
 /// The paper's local algorithm, configured by the locality parameter
 /// `R ≥ 2` (local horizon Θ(R); guarantee `ΔI(1−1/ΔK)(1+1/(R−1))`).
@@ -24,7 +22,6 @@ use mmlp_net::RunStats;
 pub struct LocalSolver {
     big_r: usize,
     threads: usize,
-    via_network: bool,
 }
 
 /// Everything one solve produces.
@@ -41,17 +38,6 @@ pub struct LocalSolverOutput {
     pub trace: Vec<StageInfo>,
     /// The locality parameter used.
     pub big_r: usize,
-    /// Protocol accounting when the solve ran over the flat network
-    /// path ([`LocalSolver::via_network`]): rounds, logical message
-    /// bytes, and the view arena's dedup counters (`interned_nodes`,
-    /// `arena_bytes`, `peak_arena_bytes`, [`RunStats::dedup_ratio`]).
-    /// `None` for the centralized path.
-    pub net_stats: Option<RunStats>,
-    /// Per-phase wall times and memo/chunk telemetry of the flat solve
-    /// ([`distributed::FlatSolveTrace`]). `Some` only on the network
-    /// path — the solve is then run through the traced entry point,
-    /// which is bit-identical to the untraced one.
-    pub flat_trace: Option<distributed::FlatSolveTrace>,
 }
 
 impl LocalSolverOutput {
@@ -79,11 +65,7 @@ impl LocalSolver {
     /// Creates a solver with locality parameter `R ≥ 2`.
     pub fn new(big_r: usize) -> Self {
         assert!(big_r >= 2, "the paper requires R ≥ 2");
-        LocalSolver {
-            big_r,
-            threads: 1,
-            via_network: false,
-        }
+        LocalSolver { big_r, threads: 1 }
     }
 
     /// Chooses the smallest `R` achieving ratio `threshold + ε` for the
@@ -96,24 +78,9 @@ impl LocalSolver {
 
     /// Sets the worker-thread **upper bound** for the per-agent `t_u`
     /// batch (bit-identical results at every count; see
-    /// `tree_bound::all_parallel` for the centralized path). On the flat
-    /// network path the batch additionally caps workers at the host's
-    /// available parallelism and stays scalar below
-    /// [`distributed::FLAT_T_PARALLEL_MIN_WORK`] units of subtree work,
-    /// so asking for more threads than the work supports never costs.
+    /// `tree_bound::all_parallel`).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Runs the §5 phase over the **flat network path**
-    /// ([`distributed::solve_special_flat`]): the faithful distributed
-    /// semantics on the hash-consed view arena, with protocol round /
-    /// byte accounting and view-dedup counters attached to the output
-    /// (`net_stats`). Outputs are bit-identical to the centralized path
-    /// — only the accounting is extra.
-    pub fn via_network(mut self, on: bool) -> Self {
-        self.via_network = on;
         self
     }
 
@@ -128,32 +95,42 @@ impl LocalSolver {
         ratio::guarantee(delta_i.max(2), delta_k.max(2), self.big_r)
     }
 
-    /// Solves a general max-min LP: transform (§4), run the special-form
-    /// algorithm (§5) — centralized, or over the flat network path when
-    /// [`LocalSolver::via_network`] is set — map back.
+    /// Solves a general max-min LP: transform (§4), run the centralized
+    /// special-form algorithm (§5), map back. The message-passing
+    /// reference for the same outputs is [`crate::distributed`].
     pub fn solve(&self, inst: &Instance) -> LocalSolverOutput {
+        self.solve_with(inst, |sf| {
+            smoothing::solve_special(sf, self.big_r, self.threads)
+        })
+    }
+
+    /// [`LocalSolver::solve`] plus the per-phase wall times of its §5
+    /// solve ([`smoothing::solve_special_traced`]); bit-identical output.
+    pub fn solve_traced(&self, inst: &Instance) -> (LocalSolverOutput, SpecialTrace) {
+        let mut trace = SpecialTrace::default();
+        let out = self.solve_with(inst, |sf| {
+            let (run, t) = smoothing::solve_special_traced(sf, self.big_r, self.threads);
+            trace = t;
+            run
+        });
+        (out, trace)
+    }
+
+    fn solve_with(
+        &self,
+        inst: &Instance,
+        special: impl FnOnce(&SpecialForm) -> SpecialRun,
+    ) -> LocalSolverOutput {
         let transformed = to_special_form(inst);
         let sf = SpecialForm::new(transformed.instance.clone())
             .expect("§4 pipeline produces special form");
-        let (run, net_stats, flat_trace) = if self.via_network {
-            let (run, stats, trace) =
-                distributed::solve_special_flat_traced(&sf, self.big_r, self.threads);
-            (run, Some(stats), Some(trace))
-        } else {
-            (
-                smoothing::solve_special(&sf, self.big_r, self.threads),
-                None,
-                None,
-            )
-        };
+        let run = special(&sf);
         let solution = transformed.map_back(&run.x);
         LocalSolverOutput {
             solution,
             special_run: run,
             trace: transformed.trace,
             big_r: self.big_r,
-            net_stats,
-            flat_trace,
         }
     }
 
@@ -260,32 +237,44 @@ mod tests {
     }
 
     #[test]
-    fn network_path_is_bit_identical_and_accounts() {
+    fn flat_network_path_is_bit_identical() {
         let inst = random_general(&cfg(), 7);
+        let transformed = to_special_form(&inst);
+        let sf = SpecialForm::new(transformed.instance.clone()).unwrap();
         for big_r in [2, 3] {
             let central = LocalSolver::new(big_r).solve(&inst);
-            let net = LocalSolver::new(big_r).via_network(true).solve(&inst);
+            let (flat, _) = crate::distributed::solve_special_flat(&sf, big_r, 1);
+            let flat_x = transformed.map_back(&flat.x);
             for v in inst.agents() {
                 assert_eq!(
                     central.solution.value(v).to_bits(),
-                    net.solution.value(v).to_bits(),
+                    flat_x.value(v).to_bits(),
                     "R {big_r} agent {v}"
                 );
             }
+            let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&central.special_run.t), bits(&flat.t), "R {big_r}");
+            let flat_min_s = flat.s.iter().copied().fold(f64::INFINITY, f64::min);
             assert_eq!(
                 central.optimum_upper_bound().to_bits(),
-                net.optimum_upper_bound().to_bits()
+                flat_min_s.to_bits()
             );
-            assert!(central.net_stats.is_none());
-            assert!(central.flat_trace.is_none());
-            let stats = net.net_stats.expect("network path accounts");
-            assert!(stats.messages > 0 && stats.interned_nodes > 0);
-            assert!(stats.dedup_ratio() > 0.0);
-            let trace = net.flat_trace.expect("network path is traced");
-            assert!(trace.total_ns > 0);
-            let phase_sum = trace.gather_ns + trace.t_eval_ns + trace.flood_ns + trace.g_ns;
-            assert!(phase_sum <= trace.total_ns);
         }
+    }
+
+    #[test]
+    fn traced_centralized_solve_is_bit_identical_and_timed() {
+        let inst = random_general(&cfg(), 3);
+        let plain = LocalSolver::new(3).solve(&inst);
+        let (traced, trace) = LocalSolver::new(3).solve_traced(&inst);
+        for v in inst.agents() {
+            assert_eq!(
+                plain.solution.value(v).to_bits(),
+                traced.solution.value(v).to_bits()
+            );
+        }
+        assert!(trace.total_ns > 0);
+        assert!(trace.t_eval_ns + trace.flood_ns + trace.g_ns <= trace.total_ns);
     }
 
     #[test]

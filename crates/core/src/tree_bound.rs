@@ -30,11 +30,11 @@
 //! only on `(v, d)` and the recursion direction — a node's children in
 //! `A_u` are determined by its agent and role, never by the walk history.
 //! The evaluation therefore memoises on `(v, d)` and runs on the folded
-//! graph `G` directly.
+//! graph `G` directly, in dense per-agent, per-level tables (see
+//! [`Scratch`]).
 
 use crate::special::SpecialForm;
 use mmlp_instance::{AgentId, Instance, InstanceBuilder};
-use std::collections::HashMap;
 
 /// Relative bisection tolerance for `t_u` (the returned value is the
 /// feasible lower end, so `t_u` is never overestimated).
@@ -47,17 +47,67 @@ pub struct TreeBound<'a> {
     r: u32,
 }
 
-/// Reusable memo tables for one `(u, ω)` evaluation.
+/// One generation-stamped memo slot: live iff `gen` is the owning
+/// [`Scratch`]'s current generation.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    gen: u32,
+    val: f64,
+}
+
+/// Reusable memo tables for the `(u, ω)` evaluations of a [`TreeBound`].
+///
+/// `f±_{u,v,d}` depends only on `(v, d)`, so each table is **dense**:
+/// one slot per agent and level, at index `v·(r+1) + d`. The tables are
+/// laid out once per `(n_agents, r)` and reused across roots, ω probes
+/// and instances of the same shape; starting a probe is a generation
+/// bump (the `distributed::FlatScratch` pattern), so the hot loop does
+/// no hashing and no table wipes.
 #[derive(Default)]
 pub struct Scratch {
-    fp: HashMap<(u32, u32), f64>,
-    fm: HashMap<(u32, u32), f64>,
+    /// Agents the tables are laid out for.
+    n: usize,
+    /// Levels per agent (`r + 1`); the slot stride.
+    levels: usize,
+    /// Current probe generation; slots are live iff stamped with it.
+    gen: u32,
+    fp: Vec<Slot>,
+    fm: Vec<Slot>,
 }
 
 impl Scratch {
-    fn clear(&mut self) {
+    /// Lays the tables out for `n` agents × `levels` levels (no-op when
+    /// already laid out so). Fresh slots carry generation 0, which is
+    /// stale by construction: [`Scratch::clear`] always bumps past it.
+    fn prepare(&mut self, n: usize, levels: usize) {
+        if self.n == n && self.levels == levels {
+            return;
+        }
+        self.n = n;
+        self.levels = levels;
+        self.gen = 0;
         self.fp.clear();
+        self.fp.resize(n * levels, Slot::default());
         self.fm.clear();
+        self.fm.resize(n * levels, Slot::default());
+    }
+
+    /// Starts a new ω probe: previous entries become stale in O(1).
+    fn clear(&mut self) {
+        if self.gen == u32::MAX {
+            // Generation wrap: re-zero the stamps so entries from 4
+            // billion probes ago cannot alias the fresh generation.
+            self.fp.fill(Slot::default());
+            self.fm.fill(Slot::default());
+            self.gen = 0;
+        }
+        self.gen += 1;
+    }
+
+    /// Memo slot of `(v, d)`.
+    #[inline]
+    fn slot(&self, v: u32, d: u32) -> usize {
+        v as usize * self.levels + d as usize
     }
 }
 
@@ -79,34 +129,40 @@ impl<'a> TreeBound<'a> {
     /// `f⁺_{u,v,d}(ω)` for a down-type agent `v` (level `4(r−d)+1`).
     /// `None` when a negative `f⁺` was encountered (condition (8) fails).
     fn f_plus(&self, v: u32, d: u32, omega: f64, sc: &mut Scratch) -> Option<f64> {
-        if let Some(&val) = sc.fp.get(&(v, d)) {
+        let agent = AgentId::new(v);
+        if d == 0 {
+            // (5): the deepest agents take the largest single-constraint-
+            // feasible value — ω-independent, so it bypasses the memo.
+            let val = self.sf.cap(agent);
+            return if val < 0.0 { None } else { Some(val) };
+        }
+        let slot = sc.slot(v, d);
+        let Slot { gen, val } = sc.fp[slot];
+        if gen == sc.gen {
             return Some(val);
         }
-        let agent = AgentId::new(v);
-        let val = if d == 0 {
-            // (5): the deepest agents take the largest single-constraint-
-            // feasible value.
-            self.sf.cap(agent)
-        } else {
-            // (7): largest value not violating any constraint below,
-            // given the partners' minimal needs.
-            let mut m = f64::INFINITY;
-            for cv in self.sf.cons(agent) {
-                let fm = self.f_minus(cv.partner.raw(), d - 1, omega, sc)?;
-                m = m.min((1.0 - cv.a_partner * fm) / cv.a_own);
-            }
-            m
-        };
-        if val < 0.0 {
+        // (7): largest value not violating any constraint below, given
+        // the partners' minimal needs.
+        let mut m = f64::INFINITY;
+        for cv in self.sf.cons(agent) {
+            let fm = self.f_minus(cv.partner.raw(), d - 1, omega, sc)?;
+            m = m.min((1.0 - cv.a_partner * fm) / cv.a_own);
+        }
+        if m < 0.0 {
             return None;
         }
-        sc.fp.insert((v, d), val);
-        Some(val)
+        sc.fp[slot] = Slot {
+            gen: sc.gen,
+            val: m,
+        };
+        Some(m)
     }
 
     /// `f⁻_{u,v,d}(ω)` for an up-type agent `v` (level `4(r−d)−1`).
     fn f_minus(&self, v: u32, d: u32, omega: f64, sc: &mut Scratch) -> Option<f64> {
-        if let Some(&val) = sc.fm.get(&(v, d)) {
+        let slot = sc.slot(v, d);
+        let Slot { gen, val } = sc.fm[slot];
+        if gen == sc.gen {
             return Some(val);
         }
         // (6): the smallest value for which the objective below still
@@ -116,12 +172,13 @@ impl<'a> TreeBound<'a> {
             sum += self.f_plus(w.raw(), d, omega, sc)?;
         }
         let val = (omega - sum).max(0.0);
-        sc.fm.insert((v, d), val);
+        sc.fm[slot] = Slot { gen: sc.gen, val };
         Some(val)
     }
 
     /// Conditions (8) and (9) at `ω` for root `u`.
     pub fn feasible(&self, u: AgentId, omega: f64, sc: &mut Scratch) -> bool {
+        sc.prepare(self.sf.n_agents(), self.r as usize + 1);
         sc.clear();
         match self.f_minus(u.raw(), self.r, omega, sc) {
             None => false,
@@ -454,6 +511,61 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "bit-identical results");
             }
         }
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_across_instances_and_r() {
+        let cfg = SpecialFormConfig::default();
+        let a = sf(random_special_form(&cfg, 21));
+        // Same agent count as `a`: its tables keep `a`'s layout, so only
+        // the generation stamps separate its entries from `a`'s.
+        let b = (22..)
+            .map(|seed| sf(random_special_form(&cfg, seed)))
+            .find(|b| b.n_agents() == a.n_agents())
+            .unwrap();
+        let c = sf(random_special_form(
+            &SpecialFormConfig {
+                n_objectives: 31,
+                ..cfg
+            },
+            3,
+        ));
+        assert_ne!(c.n_agents(), a.n_agents());
+        let run = |s: &SpecialForm, big_r: usize, sc: &mut Scratch| -> Vec<u64> {
+            let tb = TreeBound::new(s, big_r);
+            s.instance()
+                .agents()
+                .map(|u| tb.t(u, sc).to_bits())
+                .collect()
+        };
+        let mut sc = Scratch::default();
+        // (instance, R, whether the previous step's layout is kept)
+        for (s, big_r, kept) in [
+            (&a, 3, false),
+            (&b, 3, true),
+            (&a, 3, true),
+            (&a, 4, false), // r changed
+            (&c, 4, false), // n changed
+            (&b, 2, false),
+            (&a, 2, true),
+        ] {
+            // A fresh scratch starts at generation 0 and bumps once per
+            // ω probe, so its final generation counts the probes.
+            let mut fresh = Scratch::default();
+            let want = run(s, big_r, &mut fresh);
+            let before = sc.gen;
+            assert_eq!(run(s, big_r, &mut sc), want, "R={big_r} kept={kept}");
+            assert_eq!((sc.n, sc.levels), (s.n_agents(), big_r - 1));
+            let expect_gen = if kept { before + fresh.gen } else { fresh.gen };
+            assert_eq!(sc.gen, expect_gen, "R={big_r}: layout kept = {kept}");
+        }
+        // A generation wrap mid-pass re-zeroes the stamps instead of
+        // letting entries from before the wrap alias fresh ones.
+        run(&a, 3, &mut sc);
+        sc.gen = u32::MAX - 5;
+        let mut fresh = Scratch::default();
+        assert_eq!(run(&b, 3, &mut sc), run(&b, 3, &mut fresh));
+        assert!(sc.gen < fresh.gen, "the pass wrapped");
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::cache::{ShardKey, ShardedLru, SHARDS};
 use crate::delta::{DeltaCoordinator, DeltaSolveInfo};
 use crate::protocol::{ErrorCode, Op, LINEAGE_OP_CODE};
 use mmlp_core::safe::safe_solution;
+use mmlp_core::smoothing::SpecialTrace;
 use mmlp_core::solver::LocalSolver;
 use mmlp_instance::delta::{Delta, Lineage};
 use mmlp_instance::hash::{hash_hex, instance_hash};
@@ -365,44 +366,22 @@ impl Engine {
     }
 }
 
-/// Per-solve view-arena accounting, reported by the flat network path
-/// for `SOLVE` and aggregated into the `STATS` dedup counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SolveInfo {
-    /// Unique view nodes interned during the solve.
-    pub interned_nodes: u64,
-    /// Logical protocol payload bytes (tree accounting).
-    pub logical_bytes: u64,
-    /// Deduped arena bytes actually materialised.
-    pub arena_bytes: u64,
-    /// Peak arena footprint during the solve.
-    pub peak_arena_bytes: u64,
-    /// Per-phase wall times and memo/chunk telemetry of the flat solve
-    /// (all-zero only if the network path ever stopped tracing).
-    pub trace: mmlp_core::distributed::FlatSolveTrace,
-}
-
-/// [`execute`] plus the view-arena accounting of `SOLVE` requests
-/// (`None` for ops that build no views). The reply body is unchanged —
-/// the accounting travels beside it so caching stays body-only.
+/// [`execute`] plus the §5 phase timings of `SOLVE` requests (`None`
+/// for ops that run no §5 solve). The reply body is unchanged — the
+/// timings travel beside it so caching stays body-only.
 pub fn execute_traced(
     op: Op,
     inst: &Instance,
     big_r: usize,
     threads: usize,
-) -> Result<(String, Option<SolveInfo>), String> {
+) -> Result<(String, Option<SpecialTrace>), String> {
     let mut out = String::new();
-    let mut info = None;
+    let mut phases = None;
     match op {
         Op::Solve => {
             let stats = DegreeStats::of(inst);
-            // Cold solves run over the flat network path: bit-identical
-            // bodies to the centralized path (asserted in tests), plus
-            // the dedup accounting STATS surfaces.
-            let solver = LocalSolver::new(big_r.max(2))
-                .with_threads(threads.max(1))
-                .via_network(true);
-            let run = solver.solve(inst);
+            let solver = LocalSolver::new(big_r.max(2)).with_threads(threads.max(1));
+            let (run, trace) = solver.solve_traced(inst);
             let utility = run.solution.utility(inst);
             let _ = writeln!(out, "utility {utility}");
             let _ = writeln!(
@@ -414,13 +393,7 @@ pub fn execute_traced(
             for v in inst.agents() {
                 let _ = writeln!(out, "x {} {}", v.raw(), run.solution.value(v));
             }
-            info = run.net_stats.map(|s| SolveInfo {
-                interned_nodes: s.interned_nodes,
-                logical_bytes: s.bytes,
-                arena_bytes: s.arena_bytes,
-                peak_arena_bytes: s.peak_arena_bytes,
-                trace: run.flat_trace.unwrap_or_default(),
-            });
+            phases = Some(trace);
         }
         Op::Optimum => {
             let opt = solve_maxmin(inst).map_err(|e| e.to_string())?;
@@ -462,7 +435,7 @@ pub fn execute_traced(
             }
         }
     }
-    Ok((out, info))
+    Ok((out, phases))
 }
 
 /// Executes one solver op against an instance and renders the reply
@@ -535,22 +508,17 @@ mod tests {
     }
 
     #[test]
-    fn solve_reports_view_dedup_info() {
+    fn solve_reports_its_phase_timings() {
         let i = inst();
-        let (body, info) = execute_traced(Op::Solve, &i, 3, 1).unwrap();
-        let info = info.expect("SOLVE runs the flat network path");
-        assert!(info.interned_nodes > 0 && info.arena_bytes > 0);
-        assert!(
-            info.logical_bytes > info.arena_bytes,
-            "bandwidth ladders are non-tree: dedup ratio must exceed 1"
-        );
-        assert!(info.trace.total_ns > 0, "the network path is traced");
-        assert!(
-            info.trace.batch.memo_hits + info.trace.batch.memo_misses + info.trace.batch.memo_skips
-                > 0
-        );
+        let (body, phases) = execute_traced(Op::Solve, &i, 3, 1).unwrap();
+        let t = phases.expect("SOLVE times its §5 phases");
+        assert!(t.total_ns > 0 && t.t_eval_ns > 0, "{t:?}");
+        let names: Vec<&str> = t.phase_spans().iter().map(|&(name, _)| name).collect();
+        assert_eq!(names, ["t_eval", "flood", "g"]);
+        let sum: u64 = t.phase_spans().iter().map(|&(_, ns)| ns).sum();
+        assert!(sum <= t.total_ns, "{t:?}");
         assert_eq!(body, execute(Op::Solve, &i, 3, 1).unwrap());
-        // Ops that build no views report no info.
+        // Ops that run no §5 solve report no phases.
         let (_, none) = execute_traced(Op::Info, &i, 3, 1).unwrap();
         assert_eq!(none, None);
     }

@@ -141,26 +141,15 @@ pub enum Command {
     Shutdown,
 }
 
-impl Command {
-    /// Length of the raw body that follows this command's line, if it
-    /// declares one (`PUT`, `PUT_DELTA`, and `inline:` run sources).
-    /// Commands pipeline: the body starts at the byte after the line's
-    /// `\n`, and the next command line starts at the byte after the
-    /// body — no separator, no padding.
-    pub fn body_len(&self) -> Option<usize> {
-        match self {
-            Command::Put { nbytes } | Command::PutDelta { nbytes } => Some(*nbytes),
-            Command::Run {
-                src: Source::Inline(nbytes),
-                ..
-            } => Some(*nbytes),
-            _ => None,
-        }
-    }
-}
-
 /// Default locality parameter when `R=` is omitted.
 pub const DEFAULT_R: usize = 3;
+/// Largest `R=` a request may ask for. A solve's work and memory grow
+/// with `R`: the flat arena behind `SOLVE_DELTA` interns every agent's
+/// view to depth `4(R−2)+2` and memoises `R−1` levels per interned
+/// view, so its memory grows about as `R²` (specs/PROTOCOL.md gives
+/// measured sizes). Unbounded, one request can exhaust the server; 16
+/// is twice the deepest horizon any solver test runs.
+pub const MAX_R: usize = 16;
 /// Default solver thread count when `THREADS=` is omitted.
 pub const DEFAULT_THREADS: usize = 1;
 
@@ -286,6 +275,28 @@ fn parse_source(tok: &str) -> Result<Source, String> {
     }
 }
 
+/// Length of the raw body that follows a command line, if the line
+/// declares one (`PUT <n>`, `PUT_DELTA <n>`, and `inline:<n>` run
+/// sources). Commands pipeline: the body starts at the byte after the
+/// line's `\n`, and the next command line starts at the byte after the
+/// body — no separator, no padding.
+///
+/// The length is read off the first two tokens alone, so a line that
+/// [`parse_command`] rejects for a later parameter
+/// (`SOLVE inline:9 R=99`) still reports its body: the server reads and
+/// drops it, and the next command starts where the client put it.
+pub fn declared_body_len(line: &str) -> Option<usize> {
+    let mut tokens = line.split_ascii_whitespace();
+    match (tokens.next()?, tokens.next()?) {
+        ("PUT" | "PUT_DELTA", n) => n.parse().ok(),
+        ("SOLVE" | "SOLVE_DELTA" | "OPTIMUM" | "SAFE" | "INFO", src) => match parse_source(src) {
+            Ok(Source::Inline(n)) => Some(n),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// Parses one command line (without its body). Errors are the
 /// human-readable part of a `BADREQ` reply.
 pub fn parse_command(line: &str) -> Result<Command, String> {
@@ -319,16 +330,17 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             let src = parse_source(tokens.next().ok_or(format!("{verb} needs a source"))?)?;
             let mut big_r = DEFAULT_R;
             let mut threads = DEFAULT_THREADS;
-            // Both parameters are bounded to u32 so the persisted
-            // result key (`mmlp_store::ResultKey`, u32 fields) can
-            // never truncate-collide two distinct requests.
+            // THREADS is bounded to u32 so the persisted result key
+            // (`mmlp_store::ResultKey`, u32 fields) can never
+            // truncate-collide two distinct requests; R's bound is
+            // tighter still.
             for tok in tokens.by_ref() {
                 if let Some(v) = tok.strip_prefix("R=") {
                     big_r = v
                         .parse()
                         .ok()
-                        .filter(|r| *r >= 2 && *r <= u32::MAX as usize)
-                        .ok_or_else(|| format!("bad R '{v}' (need an integer ≥ 2, ≤ 2^32−1)"))?;
+                        .filter(|r| (2..=MAX_R).contains(r))
+                        .ok_or_else(|| format!("bad R '{v}' (need an integer ≥ 2, ≤ {MAX_R})"))?;
                 } else if let Some(v) = tok.strip_prefix("THREADS=") {
                     threads = v
                         .parse()
@@ -405,6 +417,10 @@ mod tests {
                 threads: 2,
             })
         );
+        assert!(matches!(
+            parse_command("SOLVE_DELTA inline:8 R=16"),
+            Ok(Command::Run { big_r: MAX_R, .. })
+        ));
         assert_eq!(
             parse_command("OPTIMUM inline:64"),
             Ok(Command::Run {
@@ -444,6 +460,7 @@ mod tests {
             "SOLVE nope",
             "SOLVE hash:123",              // not 16 hex digits
             "SOLVE inline:3 R=1",          // R < 2
+            "SOLVE inline:3 R=17",         // R > MAX_R
             "SOLVE inline:3 R=4294967296", // R > u32::MAX would truncate the persisted key
             "SOLVE inline:3 THREADS=4294967296",
             "SOLVE inline:3 BAD=1", // unknown param
@@ -453,6 +470,33 @@ mod tests {
             "SLEEP soon",
         ] {
             assert!(parse_command(bad).is_err(), "accepted: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn declared_body_len_reads_through_rejected_parameters() {
+        for (line, want) in [
+            // Accepted lines.
+            ("PUT 12", Some(12)),
+            ("PUT_DELTA 7", Some(7)),
+            ("SOLVE inline:9 R=3", Some(9)),
+            ("SOLVE_DELTA inline:33", Some(33)),
+            ("INFO inline:10", Some(10)),
+            ("SOLVE hash:0000000000000000", None),
+            ("PING", None),
+            // Rejected lines that still declare a body the server skips.
+            ("SOLVE inline:9 R=17", Some(9)),
+            ("SOLVE_DELTA inline:33 R=1000", Some(33)),
+            ("OPTIMUM inline:5 BAD=1", Some(5)),
+            ("PUT 4 extra", Some(4)),
+            // No length can be read off these: nothing to skip.
+            ("", None),
+            ("PUT x", None),
+            ("SOLVE inline:x", None),
+            ("SOLVE", None),
+            ("FROBNICATE inline:3", None),
+        ] {
+            assert_eq!(declared_body_len(line), want, "{line:?}");
         }
     }
 

@@ -35,7 +35,9 @@
 
 use crate::delta::DeltaMode;
 use crate::engine::{self, CacheKey, Engine, EngineError};
-use crate::protocol::{parse_command, parse_trace_line, Command, ErrorCode, Op, Reply, Source};
+use crate::protocol::{
+    declared_body_len, parse_command, parse_trace_line, Command, ErrorCode, Op, Reply, Source,
+};
 use crate::stats::ServeMetrics;
 use mmlp_instance::hash::hash_hex;
 use mmlp_lab::pool::{Outcome, SubmitError, TaskPool, TaskPoolConfig};
@@ -388,10 +390,13 @@ struct RequestCtx {
 enum ParseState {
     /// Waiting for (the rest of) a command line.
     Line,
-    /// A parsed command is waiting for `need` body bytes.
+    /// A command line is waiting for its `need` body bytes. A rejected
+    /// line that declares a body carries its `BADREQ` message: the body
+    /// is read and dropped before the reply, keeping the stream
+    /// request-aligned.
     Body {
         ctx: RequestCtx,
-        cmd: Command,
+        cmd: Result<Command, String>,
         need: usize,
     },
 }
@@ -831,9 +836,18 @@ fn process_input(shared: &Arc<Shared>, me: &Arc<LoopHandle>, token: usize, conn:
                 else {
                     unreachable!("matched Body above")
                 };
-                match String::from_utf8(raw) {
-                    Ok(body) => execute_command(shared, me, token, conn, ctx, cmd, Some(body)),
-                    Err(_) => finalize_inline(
+                match (cmd, String::from_utf8(raw)) {
+                    (Ok(cmd), Ok(body)) => {
+                        execute_command(shared, me, token, conn, ctx, cmd, Some(body))
+                    }
+                    (Err(msg), _) => finalize_inline(
+                        shared,
+                        conn,
+                        ctx,
+                        Reply::Err(ErrorCode::BadReq, msg),
+                        false,
+                    ),
+                    (Ok(_), Err(_)) => finalize_inline(
                         shared,
                         conn,
                         ctx,
@@ -890,6 +904,9 @@ fn handle_line(
     let span = (trace_id != 0).then(|| Arc::new(SpanRecorder::new(trace_id, line.clone())));
     let parsed = parse_command(&line);
     let op_label = parsed.as_ref().ok().map(command_label);
+    // Read off the line itself, so a rejected line's body is skipped
+    // too and the stream stays request-aligned.
+    let body_len = declared_body_len(&line);
     let ctx = RequestCtx {
         started,
         trace_id,
@@ -897,34 +914,30 @@ fn handle_line(
         op_label,
         line,
     };
-    match parsed {
-        Err(msg) => finalize_inline(shared, conn, ctx, Reply::Err(ErrorCode::BadReq, msg), false),
-        Ok(cmd) => match cmd.body_len() {
-            Some(nbytes) if nbytes > shared.cfg.max_body_bytes => {
-                // Rejected without consuming the body: the stream is no
-                // longer request-aligned, so close after the reply.
-                finalize_inline(
-                    shared,
-                    conn,
-                    ctx,
-                    Reply::Err(
-                        ErrorCode::BadReq,
-                        format!(
-                            "body of {nbytes} bytes exceeds the limit of {}",
-                            shared.cfg.max_body_bytes
-                        ),
-                    ),
-                    true,
-                );
+    match body_len {
+        Some(nbytes) if nbytes > shared.cfg.max_body_bytes => {
+            // Rejected without consuming the body: the stream is no
+            // longer request-aligned, so close after the reply.
+            let msg = parsed.err().unwrap_or_else(|| {
+                format!(
+                    "body of {nbytes} bytes exceeds the limit of {}",
+                    shared.cfg.max_body_bytes
+                )
+            });
+            finalize_inline(shared, conn, ctx, Reply::Err(ErrorCode::BadReq, msg), true);
+        }
+        Some(nbytes) => {
+            conn.parse = ParseState::Body {
+                ctx,
+                cmd: parsed,
+                need: nbytes,
+            };
+        }
+        None => match parsed {
+            Err(msg) => {
+                finalize_inline(shared, conn, ctx, Reply::Err(ErrorCode::BadReq, msg), false)
             }
-            Some(nbytes) => {
-                conn.parse = ParseState::Body {
-                    ctx,
-                    cmd,
-                    need: nbytes,
-                };
-            }
-            None => execute_command(shared, me, token, conn, ctx, cmd, None),
+            Ok(cmd) => execute_command(shared, me, token, conn, ctx, cmd, None),
         },
     }
 }
@@ -1037,13 +1050,12 @@ fn execute_command(
             let label = format!("{} {} R={big_r}", op.tag(), hash_hex(hash));
             let span_rec = ctx.span.clone();
             submit_pooled(shared, me, token, conn, ctx, Some((key, op)), move || {
-                let (body, info) = engine::execute_traced(op, &inst, big_r, threads)
+                let (body, phases) = engine::execute_traced(op, &inst, big_r, threads)
                     .map_err(|msg| (ErrorCode::Internal, msg))?;
-                if let Some(i) = info {
-                    metrics.observe_solve(&i);
-                    let t = i.trace;
+                if let Some(t) = phases {
+                    metrics.observe_solve(&t);
                     if let Some(rec) = &span_rec {
-                        record_phase_spans(rec, &t);
+                        record_phase_spans(rec, &t.phase_spans());
                     }
                     ring.push(SolveTrace {
                         // A traced request keeps its wire trace id so
@@ -1054,12 +1066,11 @@ fn execute_command(
                             .map_or_else(next_trace_id, |rec| rec.trace_id()),
                         label,
                         total_ns: t.total_ns,
-                        phases: vec![
-                            ("gather".into(), t.gather_ns),
-                            ("t_eval".into(), t.t_eval_ns),
-                            ("flood".into(), t.flood_ns),
-                            ("g".into(), t.g_ns),
-                        ],
+                        phases: t
+                            .phase_spans()
+                            .iter()
+                            .map(|&(name, ns)| (name.into(), ns))
+                            .collect(),
                     });
                 }
                 Ok(body)
@@ -1445,14 +1456,13 @@ fn sample_trace_id(shared: &Shared) -> u64 {
 /// published anchor (the `execute` span). The phases just finished, so
 /// their shared timeline ends "now"; offsets are reconstructed
 /// backwards from their summed lengths.
-fn record_phase_spans(rec: &SpanRecorder, t: &mmlp_core::distributed::FlatSolveTrace) {
-    let phases = t.phase_spans();
+fn record_phase_spans(rec: &SpanRecorder, phases: &[(&'static str, u64)]) {
     let total: u64 = phases.iter().map(|(_, ns)| *ns).sum();
     let now = Instant::now();
     let base = now.checked_sub(Duration::from_nanos(total)).unwrap_or(now);
     let parent = rec.anchor();
     let mut off = Duration::ZERO;
-    for (name, ns) in phases {
+    for &(name, ns) in phases {
         rec.add(parent, name, base + off, Duration::from_nanos(ns));
         off += Duration::from_nanos(ns);
     }
@@ -1543,13 +1553,6 @@ fn render_stats(shared: &Shared) -> String {
     let _ = writeln!(out, "warm_instances {}", warm.instances);
     let _ = writeln!(out, "warm_results {}", warm.results);
     let _ = writeln!(out, "persist_errors {}", shared.engine.persist_errors());
-    // View-arena dedup aggregates over the flat-path cold solves.
-    let _ = writeln!(out, "flat_solves {}", m.flat_solves.get());
-    let _ = writeln!(out, "view_interned_nodes {}", m.interned_nodes.get());
-    let _ = writeln!(out, "view_logical_bytes {}", m.logical_bytes.get());
-    let _ = writeln!(out, "view_arena_bytes {}", m.arena_bytes.get());
-    let _ = writeln!(out, "view_peak_arena_bytes {}", m.peak_arena_bytes.get());
-    let _ = writeln!(out, "view_dedup_ratio {:.3}", m.dedup_ratio());
     let _ = writeln!(out, "latency_samples {}", lat.total());
     let _ = writeln!(out, "latency_mean_us {}", lat.mean_us());
     let _ = writeln!(out, "p50_us {}", lat.percentile(0.50));

@@ -17,8 +17,8 @@ pub use mmlp_obs::Histogram;
 
 use crate::cache::SHARDS;
 use crate::delta::{DeltaMode, DeltaSolveInfo};
-use crate::engine::SolveInfo;
 use crate::protocol::Op;
+use mmlp_core::smoothing::SpecialTrace;
 use mmlp_obs::{Counter, Gauge, HistogramHandle, Registry};
 use std::sync::Arc;
 
@@ -57,22 +57,9 @@ pub struct ServeMetrics {
     /// Time a pooled task spent executing on a worker, µs.
     pub execute: HistogramHandle,
 
-    /// Cold solves that ran the flat network path.
-    pub flat_solves: Counter,
-    /// Sum of unique interned view nodes across those solves.
-    pub interned_nodes: Counter,
-    /// Sum of logical protocol payload bytes (tree accounting).
-    pub logical_bytes: Counter,
-    /// Sum of deduped arena bytes actually materialised.
-    pub arena_bytes: Counter,
-    /// Largest single-solve arena footprint seen.
-    pub peak_arena_bytes: Gauge,
-
-    /// Cumulative flat-solve phase wall time, one counter per phase
-    /// (`gather`, `t_eval`, `flood`, `g`), nanoseconds.
-    phase_ns: [Counter; 4],
-    /// Memo-table lookups by outcome (`hit`, `miss`, `skip`).
-    memo: [Counter; 3],
+    /// Cumulative cold-solve phase wall time, one counter per §5 phase
+    /// (`t_eval`, `flood`, `g`), nanoseconds.
+    phase_ns: [Counter; 3],
 
     /// `PUT_DELTA` registrations accepted.
     pub delta_puts: Counter,
@@ -116,9 +103,6 @@ pub struct ServeMetrics {
     /// Instance-store resident bytes (scrape-time).
     pub store_bytes: Gauge,
 }
-
-/// Phase names, in [`mmlp_core::distributed::FlatSolveTrace`] order.
-pub const PHASES: [&str; 4] = ["gather", "t_eval", "flood", "g"];
 
 const OPS: [Op; 5] = [Op::Solve, Op::Optimum, Op::Safe, Op::Info, Op::SolveDelta];
 
@@ -188,18 +172,13 @@ impl ServeMetrics {
                 "Cacheable requests that had to run a solver",
             )
         });
-        let phase_ns = PHASES.map(|p| {
+        // Labelled from the trace's own phase list, so `observe_solve`
+        // pairs each counter with its phase by construction.
+        let phase_ns = SpecialTrace::default().phase_spans().map(|(p, _)| {
             reg.counter_with(
                 "mmlp_solver_phase_ns_total",
                 &[("phase", p)],
-                "Cumulative flat-solve phase wall time in nanoseconds",
-            )
-        });
-        let memo = ["hit", "miss", "skip"].map(|r| {
-            reg.counter_with(
-                "mmlp_solver_memo_lookups_total",
-                &[("result", r)],
-                "Flat-solve memo-table lookups by outcome",
+                "Cumulative cold-solve phase wall time in nanoseconds",
             )
         });
         let op_latency = OP_LABELS.map(|l| {
@@ -250,28 +229,7 @@ impl ServeMetrics {
                 "mmlp_serve_execute_us",
                 "Worker execution time per pooled task, microseconds",
             ),
-            flat_solves: reg.counter(
-                "mmlp_solver_flat_solves_total",
-                "Cold solves that ran the flat network path",
-            ),
-            interned_nodes: reg.counter(
-                "mmlp_solver_view_interned_nodes_total",
-                "Unique view nodes interned across flat solves",
-            ),
-            logical_bytes: reg.counter(
-                "mmlp_solver_view_logical_bytes_total",
-                "Logical protocol payload bytes (tree accounting)",
-            ),
-            arena_bytes: reg.counter(
-                "mmlp_solver_view_arena_bytes_total",
-                "Deduped arena bytes actually materialised",
-            ),
-            peak_arena_bytes: reg.gauge(
-                "mmlp_solver_view_peak_arena_bytes",
-                "Largest single-solve arena footprint seen",
-            ),
             phase_ns,
-            memo,
             delta_puts: reg.counter(
                 "mmlp_serve_delta_puts_total",
                 "PUT_DELTA registrations accepted",
@@ -370,28 +328,11 @@ impl ServeMetrics {
         self.cache_misses.iter().map(Counter::get).sum()
     }
 
-    /// Folds one flat solve's accounting — arena dedup counters, phase
-    /// wall times, memo outcomes — into the aggregates.
-    pub fn observe_solve(&self, info: &SolveInfo) {
-        self.flat_solves.inc();
-        self.interned_nodes.add(info.interned_nodes);
-        self.logical_bytes.add(info.logical_bytes);
-        self.arena_bytes.add(info.arena_bytes);
-        self.peak_arena_bytes.set_max(info.peak_arena_bytes);
-        let t = &info.trace;
-        for (c, ns) in self
-            .phase_ns
-            .iter()
-            .zip([t.gather_ns, t.t_eval_ns, t.flood_ns, t.g_ns])
-        {
+    /// Folds one cold solve's phase wall times into the per-phase
+    /// counters.
+    pub fn observe_solve(&self, trace: &SpecialTrace) {
+        for (c, (_, ns)) in self.phase_ns.iter().zip(trace.phase_spans()) {
             c.add(ns);
-        }
-        for (c, n) in
-            self.memo
-                .iter()
-                .zip([t.batch.memo_hits, t.batch.memo_misses, t.batch.memo_skips])
-        {
-            c.add(n);
         }
     }
 
@@ -416,17 +357,6 @@ impl ServeMetrics {
     pub fn delta_solves_total(&self) -> u64 {
         self.delta_solves.iter().map(Counter::get).sum()
     }
-
-    /// Aggregate dedup ratio: logical bytes per arena byte (0 before
-    /// the first flat solve).
-    pub fn dedup_ratio(&self) -> f64 {
-        let arena = self.arena_bytes.get();
-        if arena == 0 {
-            0.0
-        } else {
-            self.logical_bytes.get() as f64 / arena as f64
-        }
-    }
 }
 
 impl Default for ServeMetrics {
@@ -438,31 +368,6 @@ impl Default for ServeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmlp_core::distributed::{BatchTelemetry, FlatSolveTrace};
-
-    fn sample_info() -> SolveInfo {
-        SolveInfo {
-            interned_nodes: 10,
-            logical_bytes: 300,
-            arena_bytes: 100,
-            peak_arena_bytes: 64,
-            trace: FlatSolveTrace {
-                gather_ns: 5,
-                t_eval_ns: 7,
-                flood_ns: 3,
-                g_ns: 2,
-                total_ns: 20,
-                batch: BatchTelemetry {
-                    memo_hits: 4,
-                    memo_misses: 2,
-                    memo_skips: 1,
-                    workers: 1,
-                    chunks: 1,
-                    max_chunk_pulls: 1,
-                },
-            },
-        }
-    }
 
     #[test]
     fn cache_counters_are_per_op_and_sum() {
@@ -489,26 +394,34 @@ mod tests {
     }
 
     #[test]
-    fn observe_solve_feeds_arena_phase_and_memo_series() {
+    fn observe_solve_feeds_the_phase_series() {
         let m = ServeMetrics::new();
-        m.observe_solve(&sample_info());
-        m.observe_solve(&sample_info());
-        assert_eq!(m.flat_solves.get(), 2);
-        assert_eq!(m.interned_nodes.get(), 20);
-        assert!((m.dedup_ratio() - 3.0).abs() < 1e-12);
+        let trace = SpecialTrace {
+            t_eval_ns: 7,
+            flood_ns: 3,
+            g_ns: 2,
+            total_ns: 20,
+        };
+        m.observe_solve(&trace);
+        m.observe_solve(&trace);
         let text = m.render_prometheus();
-        assert!(
-            text.contains("mmlp_solver_phase_ns_total{phase=\"gather\"} 10"),
-            "{text}"
-        );
-        assert!(
-            text.contains("mmlp_solver_memo_lookups_total{result=\"hit\"} 8"),
-            "{text}"
-        );
-        assert!(
-            text.contains("mmlp_solver_view_peak_arena_bytes 64"),
-            "{text}"
-        );
+        for (phase, ns) in [("t_eval", 14), ("flood", 6), ("g", 4)] {
+            assert!(
+                text.contains(&format!(
+                    "mmlp_solver_phase_ns_total{{phase=\"{phase}\"}} {ns}"
+                )),
+                "{text}"
+            );
+        }
+        // The flat network path's accounting is not part of serve.
+        for gone in [
+            "phase=\"gather\"",
+            "mmlp_solver_flat_solves_total",
+            "mmlp_solver_view_",
+            "mmlp_solver_memo_lookups_total",
+        ] {
+            assert!(!text.contains(gone), "{gone} in {text}");
+        }
     }
 
     #[test]
@@ -608,12 +521,6 @@ mod tests {
             text.contains("mmlp_serve_cache_shard_evictions{shard=\"0\"} 0"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn dedup_ratio_is_zero_before_any_solve() {
-        let m = ServeMetrics::new();
-        assert_eq!(m.dedup_ratio(), 0.0);
     }
 
     #[test]

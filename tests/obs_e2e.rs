@@ -4,11 +4,12 @@
 //!   counters are monotone across requests,
 //! * solve traces land in the server's ring and keep the phase-sum ≤
 //!   span-total invariant,
-//! * the overhead guard: the traced flat solver is **bit-identical** to
-//!   the untraced one across the whole generator catalogue (tracing may
-//!   cost nanoseconds, never ULPs).
+//! * the overhead guard: the traced flat and centralized solvers are
+//!   **bit-identical** to the untraced ones across the whole generator
+//!   catalogue (tracing may cost nanoseconds, never ULPs).
 
 use maxmin_lp::core::distributed::{solve_special_flat, solve_special_flat_traced};
+use maxmin_lp::core::smoothing::{solve_special, solve_special_traced};
 use maxmin_lp::core::transform::to_special_form;
 use maxmin_lp::core::SpecialForm;
 use maxmin_lp::gen::catalog;
@@ -156,24 +157,28 @@ fn metrics_op_is_valid_prometheus_and_monotone_across_requests() {
     }
 
     // The required coverage: request latency histogram, per-op cache
-    // hit/miss, solver phase timings, memo hit rate inputs.
+    // hit/miss, and the cold solve's §5 phase timings.
     assert!(after["mmlp_serve_requests_total"] >= 5.0, "{after:?}");
     assert!(after["mmlp_serve_request_latency_us_count"] >= 4.0);
     assert!(after["mmlp_serve_queue_wait_us_count"] >= 1.0);
     assert!(after["mmlp_serve_execute_us_count"] >= 1.0);
     assert_eq!(after["mmlp_serve_cache_misses_total{op=\"solve\"}"], 1.0);
     assert!(after["mmlp_serve_cache_hits_total{op=\"solve\"}"] >= 1.0);
-    let phase_sum: f64 = ["gather", "t_eval", "flood", "g"]
-        .iter()
-        .map(|p| after[&format!("mmlp_solver_phase_ns_total{{phase=\"{p}\"}}")])
-        .sum();
+    let phase = |p: &str| after[&format!("mmlp_solver_phase_ns_total{{phase=\"{p}\"}}")];
+    let phase_sum: f64 = ["t_eval", "flood", "g"].iter().map(|p| phase(p)).sum();
+    assert!(phase("t_eval") > 0.0, "solver phase timings missing");
     assert!(phase_sum > 0.0, "solver phase timings missing");
-    let memo: f64 = ["hit", "miss", "skip"]
-        .iter()
-        .map(|r| after[&format!("mmlp_solver_memo_lookups_total{{result=\"{r}\"}}")])
-        .sum();
-    assert!(memo > 0.0, "memo telemetry missing");
-    assert!(after["mmlp_solver_flat_solves_total"] >= 1.0);
+    // Serve solves on the centralized path: the flat network path's
+    // gather phase, memo and view-arena series are not exported.
+    for key in after.keys() {
+        assert!(
+            !key.contains("phase=\"gather\"")
+                && !key.starts_with("mmlp_solver_flat_solves_total")
+                && !key.starts_with("mmlp_solver_view_")
+                && !key.starts_with("mmlp_solver_memo_lookups_total"),
+            "flat-path series {key:?} is exported"
+        );
+    }
     assert!(after["mmlp_serve_uptime_ms"] >= before["mmlp_serve_uptime_ms"]);
 
     c.shutdown().unwrap();
@@ -185,6 +190,8 @@ fn metrics_op_is_valid_prometheus_and_monotone_across_requests() {
     for tr in &summary.slowest {
         assert!(tr.label.contains("solve"), "{:?}", tr.label);
         assert!(tr.total_ns > 0);
+        let names: Vec<&str> = tr.phases.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["t_eval", "flood", "g"]);
         assert!(
             tr.phase_sum_ns() <= tr.total_ns,
             "phase sum {} exceeds span total {}",
@@ -227,6 +234,22 @@ fn traced_flat_solve_is_bit_identical_to_untraced_catalog_wide() {
                 "{}: memo telemetry empty",
                 fam.name
             );
+
+            // The centralized entry point serve runs, under the same
+            // contract.
+            let plain = solve_special(&sf, 3, threads);
+            let (traced, trace) = solve_special_traced(&sf, 3, threads);
+            assert_eq!(
+                bits(plain.x.as_slice()),
+                bits(traced.x.as_slice()),
+                "{}: centralized x diverged under tracing",
+                fam.name
+            );
+            assert_eq!(bits(&plain.t), bits(&traced.t), "{}: central t", fam.name);
+            assert_eq!(bits(&plain.s), bits(&traced.s), "{}: central s", fam.name);
+            let phases = trace.t_eval_ns + trace.flood_ns + trace.g_ns;
+            assert!(trace.t_eval_ns > 0, "{}", fam.name);
+            assert!(phases <= trace.total_ns, "{}", fam.name);
         }
     }
 }

@@ -3,7 +3,7 @@
 //! deterministic `BUSY` backpressure under a saturated queue, per-
 //! request timeouts, and clean `SHUTDOWN` drain of in-flight work.
 
-use maxmin_lp::instance::textfmt;
+use maxmin_lp::instance::{textfmt, ConstraintId};
 use maxmin_lp::serve::client::{stat, Client, ClientReply};
 use maxmin_lp::serve::protocol::{ErrorCode, Op};
 use maxmin_lp::serve::server::{ServeConfig, Server, ServerSummary};
@@ -271,6 +271,79 @@ fn protocol_errors_are_typed_and_nonfatal() {
         big.request("PING", None).is_err(),
         "connection must be closed after an unsynchronising request"
     );
+
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn oversized_r_is_badreq_and_the_connection_keeps_solving() {
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut c = Client::connect(&addr).unwrap();
+    let fams = maxmin_lp::gen::catalog();
+    let fam = fams.iter().find(|f| f.name == "special-form").unwrap();
+    let base = fam.instance(16, 1);
+    let hash = c.put(&textfmt::write_instance(&base)).unwrap().unwrap();
+    let row = base.constraint_row(ConstraintId::new(0))[0];
+    let delta = format!(
+        "mmlpdelta 1\nbase {hash}\nset c 0 {}:{}\n",
+        row.agent.raw(),
+        row.coef * 1.5
+    );
+    let (_, _, revision) = c.put_delta(&delta).unwrap().unwrap();
+
+    // Each would make the solver's work (and, for SOLVE_DELTA, its
+    // arena) explode: refused at parse time, before any solver runs.
+    // An inline body is read and dropped with the refusal, so the
+    // instance text is never parsed as commands and the replies stay
+    // one per request.
+    let text = textfmt::write_instance(&base);
+    for (line, body) in [
+        (format!("SOLVE hash:{hash} R=1000"), None),
+        (format!("SOLVE_DELTA hash:{revision} R=1000"), None),
+        (format!("SOLVE inline:{} R=17", text.len()), Some(&text)),
+        (
+            format!("SOLVE_DELTA inline:{} R=1000", delta.len()),
+            Some(&delta),
+        ),
+    ] {
+        match c.request(&line, body.map(|b| b.as_bytes())).unwrap() {
+            ClientReply::Err(ErrorCode::BadReq, msg) => assert!(msg.contains("bad R"), "{msg}"),
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+
+    // The same connection then solves normally, and the delta solve is
+    // still bit-identical to a SOLVE of its revision.
+    let solved = c
+        .run_hash(Op::Solve, &revision, 3, 1)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    let delta_solved = c
+        .solve_delta_hash(&revision, 3, 1)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(solved, delta_solved);
+    c.run_hash(Op::Solve, &hash, 16, 1)
+        .unwrap()
+        .into_ok()
+        .expect("R = MAX_R is accepted");
+    let inline = c
+        .run_inline(Op::Solve, &text, 3, 1)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(
+        inline,
+        c.run_hash(Op::Solve, &hash, 3, 1)
+            .unwrap()
+            .into_ok()
+            .unwrap()
+    );
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "errors"), 4, "{stats:?}");
 
     c.shutdown().unwrap();
     handle.join().unwrap();

@@ -144,18 +144,22 @@ fn kill_nine_mid_load_then_restart_serves_warm_bit_identical_replies() {
         .into_ok()
         .unwrap();
 
-    // Load thread: a stream of distinct cold solves (R sweep), each of
-    // which appends a result record — so the kill lands between, or
-    // inside, store appends.
+    // Load thread: a stream of distinct cold solves (fresh seeds sent
+    // inline, never repeating), each of which appends an instance and a
+    // result record — so the kill lands between, or inside, store
+    // appends. The stream outlasts the 300 ms before the kill.
     let load_addr = addr.clone();
-    let load_hash = hash.clone();
     let load = std::thread::spawn(move || {
         let Ok(mut c) = Client::connect(&load_addr) else {
             return;
         };
-        for big_r in 2..2000usize {
-            if c.run_hash(Op::Solve, &load_hash, big_r, 1).is_err() {
-                return; // the kill landed
+        let fams = catalog();
+        let fam = fams.iter().find(|f| f.name == "bandwidth").unwrap();
+        for seed in 100u64.. {
+            let text = textfmt::write_instance(&fam.instance(32, seed));
+            match c.run_inline(Op::Solve, &text, 3, 1) {
+                Ok(reply) => assert!(reply.is_ok(), "seed {seed}: {reply:?}"),
+                Err(_) => return, // the kill landed
             }
         }
     });

@@ -102,7 +102,6 @@ fn client_minted_trace_id_round_trips_into_a_full_span_tree() {
         "queue",
         "execute",
         "cache:miss",
-        "gather",
         "t_eval",
         "flood",
         "g",
@@ -113,10 +112,22 @@ fn client_minted_trace_id_round_trips_into_a_full_span_tree() {
             "missing span {expect:?} in {names:?}"
         );
     }
-    // Phase spans hang off the execute span, not the root.
+    // Serve solves on the centralized path: no view gathering.
+    assert!(!names.contains(&"gather"), "flat-path span in {names:?}");
+    // Every phase span hangs off the execute span, not the root, and
+    // the phases fit inside it.
     let exec = tree.spans.iter().find(|s| s.name == "execute").unwrap();
-    let flood = tree.spans.iter().find(|s| s.name == "flood").unwrap();
-    assert_eq!(flood.parent, exec.id, "solve phases nest under execute");
+    let mut phase_ns = 0;
+    for phase in ["t_eval", "flood", "g"] {
+        let span = tree.spans.iter().find(|s| s.name == phase).unwrap();
+        assert_eq!(span.parent, exec.id, "{phase} nests under execute");
+        phase_ns += span.dur_ns;
+    }
+    assert!(
+        phase_ns <= exec.dur_ns,
+        "phases {phase_ns} > execute {}",
+        exec.dur_ns
+    );
 
     // The rendered tree is what `maxmin-lp obs trace <id>` prints.
     let rendered = maxmin_lp::obs::render_span_tree(tree);
