@@ -3,21 +3,31 @@
 //!
 //! For each `(R, size)` the bench pairs an incremental repair
 //! (`edit-rR/size` — [`DynamicSolver::update_constraint_coefs`]
-//! toggling one constraint coefficient, arena and memo warm) with a
+//! toggling one constraint coefficient, memo tables warm, the edited
+//! row of the maintained text re-rendered) with a
 //! from-scratch solve of the same special form (`scratch-rR/size`).
-//! Two claims, both gated by `trajectory_gate` on the committed
+//! `request-r2/size` measures the whole `SOLVE_DELTA inline:` request
+//! the server runs for such an edit against a parked solver
+//! ([`Engine::solve_delta_inline`]: parse, repair, revision hash, body
+//! render, registration and cache insert), with a fresh revision every
+//! iteration so nothing is a cache hit, timed once the engine's byte
+//! budgets are full — the state a long-running server is in. The
+//! claims, gated by `trajectory_gate` on the committed
 //! `BENCH_delta.json`:
 //!
 //! - the repair beats starting over at every grid point;
 //! - repair cost grows with the edit ball (R) and stays near-flat in
-//!   the instance size, while the from-scratch cost grows with it.
+//!   the instance size, while the from-scratch cost grows with it;
+//! - from 256 agents up, the whole request beats a from-scratch solve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmlp_core::dynamic::DynamicSolver;
 use mmlp_core::smoothing::solve_special;
 use mmlp_core::SpecialForm;
 use mmlp_gen::catalog;
-use mmlp_instance::ConstraintId;
+use mmlp_instance::hash::hash_hex;
+use mmlp_instance::{textfmt, ConstraintId};
+use mmlp_serve::engine::Engine;
 
 fn bench_delta_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("delta-solve");
@@ -58,6 +68,60 @@ fn bench_delta_solve(c: &mut Criterion) {
                 },
             );
         }
+    }
+
+    // The request next to the kernel, and the from-scratch solve it has
+    // to beat, up to delta-edit's ~1000-agent bases.
+    let big_r = 2;
+    for &size in &[64usize, 256, 1024] {
+        let inst = fam.instance(size, 1);
+        if size == 1024 {
+            let sf = SpecialForm::new(inst.clone()).expect("special form");
+            group.bench_with_input(
+                BenchmarkId::new(format!("scratch-r{big_r}"), size),
+                &size,
+                |b, _| {
+                    b.iter(|| std::hint::black_box(solve_special(&sf, big_r, 1).x.as_slice()[0]));
+                },
+            );
+        }
+        group.bench_with_input(
+            BenchmarkId::new(format!("request-r{big_r}"), size),
+            &size,
+            |b, _| {
+                // The server's default budgets; one solver parked at the
+                // base, as after a `SOLVE_DELTA hash:` of it.
+                let engine = Engine::new(64 << 20, 64 << 20);
+                let mut revision = engine.put(&textfmt::write_instance(&inst)).unwrap();
+                engine.solve_delta(revision, big_r, 1).unwrap();
+                let entry = inst.constraint_row(ConstraintId::new(0))[0];
+                let mut k = 0u64;
+                let mut request = || {
+                    // A coefficient no earlier request used: every
+                    // request lands on a new revision.
+                    k += 1;
+                    let coef = entry.coef * (1.0 + k as f64 * 1e-9);
+                    let text = format!(
+                        "mmlpdelta 1\nbase {}\nset c 0 {}:{coef}\n",
+                        hash_hex(revision),
+                        entry.agent.raw()
+                    );
+                    let (new, body) = engine.solve_delta_inline(&text, big_r, 1).unwrap();
+                    revision = new;
+                    body.len()
+                };
+                // Time the steady state a sustained edit stream keeps a
+                // server in: the result cache full and evicting (and the
+                // instance store, charged more per revision, before it),
+                // so each stored revision and cached body reuses memory
+                // an eviction freed. Until then every request faults in
+                // fresh heap pages, a one-off cost of filling the budgets.
+                while engine.cache_stats().2 == 0 {
+                    request();
+                }
+                b.iter(|| std::hint::black_box(request()));
+            },
+        );
     }
 
     group.finish();

@@ -55,7 +55,15 @@
 //!    grows with the edit ball;
 //! 9. edit cost grows strictly slower than scratch cost across the
 //!    size axis (`edit·256 / edit·64 < scratch·256 / scratch·64`,
-//!    cross-multiplied) — delta cost tracks the ball, not the instance.
+//!    cross-multiplied) — delta cost tracks the ball, not the instance;
+//! 10. `delta-solve/request-r2/n` < `delta-solve/scratch-r2/n` at
+//!     n ∈ {256, 1024} — the whole `SOLVE_DELTA inline:` request
+//!     (repair, one revision hash, render, registration) must beat a
+//!     from-scratch solve, not just the repair kernel. Size 64 is
+//!     reported but not gated: a from-scratch R=2 solve there costs
+//!     about a request. Rule 9 is not applied to `request-*`: its one
+//!     FNV pass keeps it linear in n like `scratch-r2`, and a
+//!     growth-ratio test between two linear costs flips on noise.
 //!
 //! CI runs this against the **committed** files (not a fresh run), so
 //! the gate is deterministic: it catches a PR committing numbers that
@@ -282,6 +290,14 @@ fn gate_delta(g: &mut Gate) {
             &format!("delta-solve/edit-r2/{size}"),
             &format!("delta-solve/edit-r3/{size}"),
             false,
+            true,
+        );
+    }
+    for size in [256u32, 1024] {
+        g.check(
+            &format!("delta-solve/request-r2/{size}"),
+            &format!("delta-solve/scratch-r2/{size}"),
+            true,
             true,
         );
     }

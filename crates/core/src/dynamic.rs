@@ -11,38 +11,41 @@
 //! | state | dirty radius around the edited constraint | why |
 //! |-------|-------------------------------------------|-----|
 //! | `t_u` | `4r+3` | `t_u` reads the depth-`4r+2` view of `u` |
-//! | `s_v` | `(4r+3) + (4r+2)` | `s_v` mins `t` over a `4r+2` ball |
+//! | `s_v` | `(4r+3) + (4r+2)` | `s_v` mins `t` over a `4r+2` ball (a local flood) |
 //! | `g±`, `x_v` | `+ 2(r+1) + 2` more | the depth-`r` recursion reads `s` two hops per level |
 //!
 //! Everything is repaired **in place** — the instance CSR, the
-//! special-form partner tables, the interner's network and the solution
-//! state all mutate without O(n) rebuilds — so one update costs
-//! O(Δ^O(R)), *constant in the network size*, which is what the
-//! `delta_solve` bench gates on.
+//! special-form partner tables and the solution state all mutate
+//! without O(n) rebuilds — so one update costs O(Δ^O(R)), *constant in
+//! the network size*, which is what the `delta_solve` bench gates on.
 //!
-//! The recomputed state is **bit-identical** to a from-scratch solve
-//! (asserted across the generator catalogue and thread counts in tests).
+//! Dirty agents get `t_u` from the centralized [`TreeBound::t`] — the
+//! function [`solve_special`] evaluates for every agent — with one
+//! dense-memo [`Scratch`] reused across updates, so the recomputed
+//! state is **bit-identical** to a from-scratch solve by construction
+//! (and asserted across the generator catalogue and thread counts in
+//! tests).
 //!
-//! Views of dirty agents are re-interned into a persistent hash-consed
-//! [`ViewArena`]: subtrees untouched by the edit re-intern to their
-//! existing ids (no allocation), the generation-stamped
-//! [`FlatScratch`] memo extends in O(new ids), and [`UpdateReport`]
-//! carries the arena-reuse counters so callers can observe the §1.3
-//! locality claim directly.
+//! The solver also maintains its revision's identity: the canonical
+//! text ([`CanonicalText`]) and its content hash
+//! ([`mmlp_instance::instance_hash`]). A coefficient edit re-renders its
+//! row in place (the row plus one `memmove`); the next
+//! [`DynamicSolver::revision`] re-hashes the text in one FNV pass —
+//! never a full re-render — and [`DynamicSolver::apply_delta`]'s base
+//! check is O(1) between edits.
 //!
 //! Structural edits (edge/agent/row changes, from
 //! [`mmlp_instance::delta`]) are handled by [`DynamicSolver::apply_delta`]
 //! with a from-scratch re-solve — the paper's dynamic model covers
 //! coefficient changes; structure changes re-validate the special form
-//! and rebuild, still reusing the arena.
+//! and rebuild.
 
-use crate::distributed::{t_from_arena, FlatScratch};
 use crate::smoothing::{solve_special, SpecialRun};
 use crate::special::{SpecialForm, SpecialFormError};
-use crate::unfold::ViewInterner;
+use crate::tree_bound::{Scratch, TreeBound};
 use mmlp_instance::delta::{Delta, DeltaError, Edit, RowKind};
-use mmlp_instance::{instance_hash, AgentId, CommGraph, ConstraintId, Node};
-use mmlp_net::{ViewArena, ViewId};
+use mmlp_instance::textfmt::CanonicalText;
+use mmlp_instance::{AgentId, CommGraph, ConstraintId};
 
 /// Incremental maintainer of a special-form solution under edits.
 pub struct DynamicSolver {
@@ -51,22 +54,20 @@ pub struct DynamicSolver {
     big_r: usize,
     threads: usize,
     run: SpecialRun,
-    /// Persistent hash-consed store of every view interned so far, across
-    /// all revisions — unchanged subtrees re-intern to existing ids.
-    arena: ViewArena,
-    /// Ball-local view builder bound to the *current* revision's network.
-    interner: ViewInterner,
-    /// Persistent flat evaluator tables; extended (not rebuilt) as the
-    /// arena grows.
-    scratch: FlatScratch,
-    /// Current interned root view per agent.
-    roots: Vec<ViewId>,
-    /// BFS buffers (dirty-ball marking / smoothing balls), reused across
-    /// updates so an update allocates nothing O(n).
+    /// Canonical text of the maintained revision.
+    text: CanonicalText,
+    /// Content hash of `text`; `None` until first asked for after a
+    /// change.
+    revision: Option<u64>,
+    /// Dense `f±` memo tables for the `t_u` repairs, laid out once.
+    scratch: Scratch,
+    /// Buffers reused across updates so an update allocates nothing
+    /// O(n): BFS distances from the edit and its visit list, and the two
+    /// rounds of the local smoothing flood (one value per graph node).
     dist: Vec<u32>,
     dist_queue: Vec<u32>,
-    ball: Vec<u32>,
-    ball_queue: Vec<u32>,
+    flood: Vec<f64>,
+    flood_next: Vec<f64>,
 }
 
 /// What one update touched — the observable form of the §1.3 claim.
@@ -78,14 +79,6 @@ pub struct UpdateReport {
     pub recomputed_s: usize,
     /// Agents whose `g±`/output was recomputed.
     pub recomputed_x: usize,
-    /// Interned nodes in the persistent arena before the update.
-    pub arena_before: usize,
-    /// Interned nodes the update added — the subtrees actually changed
-    /// by the edit; everything else hash-consed to existing ids.
-    pub arena_added: usize,
-    /// Re-interned dirty roots that resolved to their previous id (the
-    /// agent's whole view was outside the edit's reach).
-    pub roots_reused: usize,
 }
 
 /// Why a delta could not be applied to a [`DynamicSolver`].
@@ -120,37 +113,28 @@ impl From<DeltaError> for DynamicError {
 }
 
 impl DynamicSolver {
-    /// Solves from scratch with `threads` workers on the flat path and
-    /// retains the state (plus the interned views of every agent, so the
-    /// first update already reuses the arena).
+    /// Solves from scratch with `threads` workers and retains the state,
+    /// plus the revision's canonical text and hash.
     pub fn new(sf: SpecialForm, big_r: usize, threads: usize) -> Self {
         assert!(big_r >= 2);
         let threads = threads.max(1);
         let run = solve_special(&sf, big_r, threads);
         let graph = CommGraph::new(sf.instance());
-        let mut arena = ViewArena::new();
-        let mut interner = ViewInterner::new(sf.instance());
-        let depth = 4 * (big_r - 2) + 2;
-        let roots: Vec<ViewId> = sf
-            .instance()
-            .agents()
-            .map(|v| interner.intern(&mut arena, Node::Agent(v), depth))
-            .collect();
+        let text = CanonicalText::render(sf.instance());
         let n_nodes = graph.n_nodes();
         DynamicSolver {
+            text,
+            revision: None,
             sf,
             graph,
             big_r,
             threads,
             run,
-            arena,
-            interner,
-            scratch: FlatScratch::default(),
-            roots,
+            scratch: Scratch::default(),
             dist: vec![u32::MAX; n_nodes],
             dist_queue: Vec::new(),
-            ball: vec![u32::MAX; n_nodes],
-            ball_queue: Vec::new(),
+            flood: vec![f64::INFINITY; n_nodes],
+            flood_next: vec![f64::INFINITY; n_nodes],
         }
     }
 
@@ -174,19 +158,19 @@ impl DynamicSolver {
         self.threads
     }
 
-    /// Interned nodes currently held by the persistent arena.
-    pub fn arena_len(&self) -> usize {
-        self.arena.len()
+    /// Content hash of the maintained revision — equal to
+    /// [`mmlp_instance::instance_hash`] of the current instance. Costs
+    /// nothing unless the text changed since the last call; then it is
+    /// one FNV pass over the text.
+    pub fn revision(&mut self) -> u64 {
+        *self.revision.get_or_insert_with(|| self.text.hash())
     }
 
-    /// Flat-evaluator memo counters `(hits, misses, skips)` accumulated
-    /// by incremental `t` repairs since construction.
-    pub fn memo_stats(&self) -> (u64, u64, u64) {
-        (
-            self.scratch.memo_hits(),
-            self.scratch.memo_misses(),
-            self.scratch.memo_skips(),
-        )
+    /// The maintained revision's canonical text
+    /// ([`mmlp_instance::textfmt::write_instance`] of the current
+    /// instance).
+    pub fn canonical_text(&self) -> &str {
+        self.text.as_str()
     }
 
     /// Applies a content-addressed [`Delta`] to the maintained instance.
@@ -198,7 +182,7 @@ impl DynamicSolver {
     /// from-scratch solve of the new revision, and the delta is
     /// all-or-nothing: on `Err` the solver state is unchanged.
     pub fn apply_delta(&mut self, delta: &Delta) -> Result<UpdateReport, DynamicError> {
-        let actual = instance_hash(self.sf.instance());
+        let actual = self.revision();
         if delta.base != actual {
             return Err(DeltaError::BaseMismatch {
                 expected: delta.base,
@@ -206,20 +190,12 @@ impl DynamicSolver {
             }
             .into());
         }
-        let coef_only = delta.edits.iter().all(|e| {
-            matches!(
-                e,
-                Edit::SetCoef {
-                    row: RowKind::Constraint,
-                    ..
-                }
-            )
-        });
-        if !coef_only {
+        if !delta.is_constraint_coefs() {
             // Structural (or objective-side) edits: apply on a copy —
-            // all-or-nothing by construction — and re-solve.
+            // all-or-nothing by construction — and re-solve. The base
+            // was checked above.
             let new_inst = delta
-                .apply(self.sf.instance())
+                .apply_unchecked(self.sf.instance())
                 .map_err(DynamicError::Delta)?;
             let sf = SpecialForm::new(new_inst).map_err(DynamicError::NotSpecialForm)?;
             return Ok(self.rebuild(sf));
@@ -235,7 +211,7 @@ impl DynamicSolver {
                 ..
             } = e
             else {
-                unreachable!("checked coef_only");
+                unreachable!("checked is_constraint_coefs");
             };
             if *row_id as usize >= self.sf.instance().n_constraints() {
                 return Err(DeltaError::UnknownRow {
@@ -260,7 +236,7 @@ impl DynamicSolver {
                 return Err(DeltaError::BadCoefficient { value: *coef }.into());
             }
         }
-        let mut total: Option<UpdateReport> = None;
+        let mut total = UpdateReport::default();
         for e in &delta.edits {
             let Edit::SetCoef {
                 row_id,
@@ -269,7 +245,7 @@ impl DynamicSolver {
                 ..
             } = e
             else {
-                unreachable!("checked coef_only");
+                unreachable!("checked is_constraint_coefs");
             };
             let i = ConstraintId::new(*row_id);
             let row = self.sf.instance().constraint_row(i);
@@ -280,22 +256,11 @@ impl DynamicSolver {
                 .expect("validated above");
             new_coefs[slot] = *coef;
             let rep = self.repair_coef_edit(i, new_coefs);
-            total = Some(match total {
-                None => rep,
-                Some(t) => UpdateReport {
-                    recomputed_t: t.recomputed_t + rep.recomputed_t,
-                    recomputed_s: t.recomputed_s + rep.recomputed_s,
-                    recomputed_x: t.recomputed_x + rep.recomputed_x,
-                    arena_before: t.arena_before,
-                    arena_added: t.arena_added + rep.arena_added,
-                    roots_reused: t.roots_reused + rep.roots_reused,
-                },
-            });
+            total.recomputed_t += rep.recomputed_t;
+            total.recomputed_s += rep.recomputed_s;
+            total.recomputed_x += rep.recomputed_x;
         }
-        Ok(total.unwrap_or(UpdateReport {
-            arena_before: self.arena.len(),
-            ..UpdateReport::default()
-        }))
+        Ok(total)
     }
 
     /// Replaces the two coefficients of constraint `i` (the constraint
@@ -316,70 +281,76 @@ impl DynamicSolver {
     /// and finite.
     fn repair_coef_edit(&mut self, i: ConstraintId, new_coefs: [f64; 2]) -> UpdateReport {
         let r = self.big_r - 2;
-        let depth = 4 * r + 2;
         // Invalidation radii around the edited constraint node (see the
         // module table).
         let r_t = (4 * r + 3) as u32;
-        let r_s = r_t + (4 * r + 2) as u32;
+        let r_flood = (4 * r + 2) as u32;
+        let r_s = r_t + r_flood;
         let r_x = r_s + (2 * (r + 1) + 2) as u32;
         let n_agents = self.sf.n_agents();
 
-        // Mark the dirty ball (the topology is untouched by a
-        // coefficient edit, so the retained graph and BFS buffers apply).
+        // Mark the dirty ball — far enough out for the smoothing flood
+        // to be exact on the dirty-s ball (the topology is untouched by
+        // a coefficient edit, so the retained graph and BFS buffers
+        // apply). The BFS visit list is the ball, in order of distance:
+        // every pass below walks it, never the whole instance. Agents
+        // are flat indices below `n_agents`.
+        let r_ball = r_x.max(r_s + r_flood);
         let src = self.graph.constraint_index(i);
         self.graph
-            .bfs_into(src, r_x, &mut self.dist, &mut self.dist_queue);
+            .bfs_into(src, r_ball, &mut self.dist, &mut self.dist_queue);
+        let within = |dist: &[u32], x: u32, radius: u32| {
+            (x as usize) < n_agents && dist[x as usize] <= radius
+        };
 
         // Mutate the maintained inputs in place: instance CSR + partner
-        // tables (special form) and the interner's agent-known ports.
-        let edited = {
-            let row = self.sf.instance().constraint_row(i);
-            [row[0].agent, row[1].agent]
-        };
+        // tables (special form) and the row's canonical text.
         self.sf.set_constraint_coefs(i, new_coefs);
-        self.interner
-            .set_constraint_coef(i, edited[0], new_coefs[0]);
-        self.interner
-            .set_constraint_coef(i, edited[1], new_coefs[1]);
+        self.text.rerender_constraint(self.sf.instance(), i);
+        self.revision = None;
 
-        // t: re-intern each dirty agent's view — subtrees the edit cannot
-        // reach hash-cons straight back to their existing ids — and
-        // re-evaluate from the arena with the persistent memo tables.
-        let arena_before = self.arena.len();
+        // t: re-evaluate each dirty agent's bound on the folded graph.
+        let tb = TreeBound::new(&self.sf, self.big_r);
         let mut recomputed_t = 0;
-        let mut roots_reused = 0;
-        for v in self.sf.instance().agents() {
-            if self.dist[v.idx()] <= r_t {
-                let root = self.interner.intern(&mut self.arena, Node::Agent(v), depth);
-                if root == self.roots[v.idx()] {
-                    roots_reused += 1;
-                } else {
-                    self.roots[v.idx()] = root;
-                }
-                self.run.t[v.idx()] =
-                    t_from_arena(&self.arena, root, self.big_r, &mut self.scratch);
+        for &x in &self.dist_queue {
+            if within(&self.dist, x, r_t) {
+                self.run.t[x as usize] = tb.t(AgentId::new(x), &mut self.scratch);
                 recomputed_t += 1;
             }
         }
-        let arena_added = self.arena.len() - arena_before;
 
-        // s_v = min t over the radius-(4r+2) ball, for v near the edit.
-        let mut recomputed_s = 0;
-        for v in self.sf.instance().agents() {
-            if self.dist[v.idx()] <= r_s {
-                self.graph.bfs_into(
-                    v.raw(),
-                    (4 * r + 2) as u32,
-                    &mut self.ball,
-                    &mut self.ball_queue,
-                );
-                let mut m = f64::INFINITY;
-                for &x in &self.ball_queue {
-                    if (x as usize) < n_agents && self.ball[x as usize] != u32::MAX {
-                        m = m.min(self.run.t[x as usize]);
-                    }
+        // s_v = min t over the radius-(4r+2) ball, for v near the edit:
+        // `smoothing::smooth`'s neighbour-min flood, run over the ball
+        // only. Round j updates the nodes within r_s + 4r+2 − j of the
+        // edit, reading only nodes one hop further out that the previous
+        // round (or the initial fill) left exact, so after 4r+2 rounds
+        // every agent of the dirty-s ball holds the minimum over the same
+        // set a whole-instance flood takes.
+        for &x in &self.dist_queue {
+            self.flood[x as usize] = if (x as usize) < n_agents {
+                self.run.t[x as usize]
+            } else {
+                f64::INFINITY
+            };
+        }
+        for round in 1..=r_flood {
+            let reach = r_s + r_flood - round;
+            let exact = self
+                .dist_queue
+                .partition_point(|&x| self.dist[x as usize] <= reach);
+            for &x in &self.dist_queue[..exact] {
+                let mut m = self.flood[x as usize];
+                for adj in self.graph.neighbors(x) {
+                    m = m.min(self.flood[adj.to as usize]);
                 }
-                self.run.s[v.idx()] = m;
+                self.flood_next[x as usize] = m;
+            }
+            std::mem::swap(&mut self.flood, &mut self.flood_next);
+        }
+        let mut recomputed_s = 0;
+        for &v in &self.dist_queue {
+            if within(&self.dist, v, r_s) {
+                self.run.s[v as usize] = self.flood[v as usize];
                 recomputed_s += 1;
             }
         }
@@ -391,10 +362,10 @@ impl DynamicSolver {
         // influence at level d is within r_s + 2d < r_x — so the merged
         // tables equal a from-scratch `g_tables` bit for bit.
         let dirty: Vec<AgentId> = self
-            .sf
-            .instance()
-            .agents()
-            .filter(|v| self.dist[v.idx()] <= r_x)
+            .dist_queue
+            .iter()
+            .filter(|&&x| within(&self.dist, x, r_x))
+            .map(|&x| AgentId::new(x))
             .collect();
         for d in 0..=r {
             if d == 0 {
@@ -439,48 +410,21 @@ impl DynamicSolver {
             recomputed_t,
             recomputed_s,
             recomputed_x: dirty.len(),
-            arena_before,
-            arena_added,
-            roots_reused,
         }
     }
 
     /// Structural fallback: adopt `sf` as the new revision, re-solve from
-    /// scratch, and re-intern every agent view into the persistent arena
-    /// (unchanged regions still hash-cons to their old ids).
+    /// scratch and re-render its text.
     fn rebuild(&mut self, sf: SpecialForm) -> UpdateReport {
-        let run = solve_special(&sf, self.big_r, self.threads);
-        let graph = CommGraph::new(sf.instance());
-        let mut interner = ViewInterner::new(sf.instance());
-        let depth = 4 * (self.big_r - 2) + 2;
-        let arena_before = self.arena.len();
         let n = sf.n_agents();
-        let mut roots = Vec::with_capacity(n);
-        let mut roots_reused = 0;
-        for v in sf.instance().agents() {
-            let root = interner.intern(&mut self.arena, Node::Agent(v), depth);
-            if self.roots.get(v.idx()) == Some(&root) {
-                roots_reused += 1;
-            }
-            roots.push(root);
-        }
-        let n_nodes = graph.n_nodes();
-        self.sf = sf;
-        self.graph = graph;
-        self.run = run;
-        self.interner = interner;
-        self.roots = roots;
-        self.dist = vec![u32::MAX; n_nodes];
-        self.dist_queue = Vec::new();
-        self.ball = vec![u32::MAX; n_nodes];
-        self.ball_queue = Vec::new();
+        *self = DynamicSolver {
+            scratch: std::mem::take(&mut self.scratch),
+            ..DynamicSolver::new(sf, self.big_r, self.threads)
+        };
         UpdateReport {
             recomputed_t: n,
             recomputed_s: n,
             recomputed_x: n,
-            arena_before,
-            arena_added: self.arena.len() - arena_before,
-            roots_reused,
         }
     }
 
@@ -496,7 +440,7 @@ mod tests {
     use super::*;
     use crate::smoothing::solve_special;
     use mmlp_gen::special::{cycle_special, random_special_form, SpecialFormConfig};
-    use mmlp_instance::InstanceBuilder;
+    use mmlp_instance::{instance_hash, InstanceBuilder};
 
     fn fixture(n_obj: usize, seed: u64) -> SpecialForm {
         SpecialForm::new(random_special_form(
@@ -576,8 +520,7 @@ mod tests {
     #[test]
     fn update_work_is_constant_in_network_size() {
         // On a cycle the horizon ball has constant size, so the work per
-        // update — including what the arena had to grow by — must not
-        // grow with the cycle length.
+        // update must not grow with the cycle length.
         let mut reports = Vec::new();
         for n_obj in [32, 128] {
             let sf = SpecialForm::new(cycle_special(n_obj, 1.0)).unwrap();
@@ -590,26 +533,34 @@ mod tests {
             "update work must be independent of n on the cycle"
         );
         assert!(reports[0].recomputed_x < 64, "a constant-size ball");
-        assert!(
-            reports[0].arena_added > 0,
-            "an edit must intern some changed subtree"
-        );
     }
 
     #[test]
-    fn arena_reuse_shows_up_in_reports() {
-        let sf = fixture(40, 2);
+    fn revision_tracks_the_content_hash_through_every_kind_of_edit() {
+        let sf = fixture(24, 4);
         let mut dynamic = DynamicSolver::new(sf, 3, 1);
-        let first = dynamic.update_constraint_coefs(ConstraintId::new(5), [1.5, 1.5]);
-        assert!(first.arena_before > 0, "construction interned all views");
-        // Re-apply the identical coefficients: every dirty subtree was
-        // already interned by the previous update, so the arena must not
-        // grow at all.
-        let again = dynamic.update_constraint_coefs(ConstraintId::new(5), [1.5, 1.5]);
-        assert_eq!(again.arena_added, 0, "identical revision re-interns fully");
-        assert_eq!(again.arena_before, first.arena_before + first.arena_added);
-        let (hits, misses, _) = dynamic.memo_stats();
-        assert!(hits + misses > 0, "t repairs went through the flat memo");
+        let inst_hash = |d: &DynamicSolver| instance_hash(d.special_form().instance());
+        assert_eq!(dynamic.revision(), inst_hash(&dynamic));
+        // The bare kernel keeps the text current, including a row
+        // edited twice in a row.
+        for cons in [3u32, 3, 0, 11] {
+            dynamic.update_constraint_coefs(ConstraintId::new(cons), [0.1 + 0.2, 1.75]);
+        }
+        assert_eq!(dynamic.revision(), inst_hash(&dynamic));
+        let fresh = mmlp_instance::textfmt::write_instance(dynamic.special_form().instance());
+        assert_eq!(dynamic.canonical_text(), fresh);
+        // A structural delta rebuilds, text included.
+        let base = dynamic.revision();
+        let d = Delta::single(
+            base,
+            Edit::AddRow {
+                row: RowKind::Constraint,
+                entries: vec![(AgentId::new(0), 0.8), (AgentId::new(1), 1.2)],
+            },
+        );
+        dynamic.apply_delta(&d).unwrap();
+        assert_ne!(dynamic.revision(), base);
+        assert_eq!(dynamic.revision(), inst_hash(&dynamic));
     }
 
     #[test]
@@ -780,6 +731,7 @@ mod proptests {
     use super::*;
     use crate::smoothing::solve_special;
     use mmlp_gen::catalog::catalog;
+    use mmlp_instance::instance_hash;
     use proptest::prelude::*;
 
     proptest! {
@@ -789,7 +741,8 @@ mod proptests {
         /// special-form instance, a random sequence of k coefficient
         /// edits applied incrementally is bit-identical to a
         /// from-scratch solve of the final revision — across thread
-        /// counts.
+        /// counts — and the maintained revision hash stays the content
+        /// hash of the edited instance after every edit.
         #[test]
         fn k_incremental_edits_match_scratch_solve(
             size in 16usize..40,
@@ -825,9 +778,16 @@ mod proptests {
                         coef,
                     });
                     dynamic.apply_delta(&d).expect("validated edit");
+                    let revision = dynamic.revision();
+                    prop_assert_eq!(
+                        revision,
+                        instance_hash(dynamic.special_form().instance()),
+                        "family {} step {}: revision() is the content hash",
+                        fam.name, step
+                    );
                     prop_assert_ne!(
                         base,
-                        instance_hash(dynamic.special_form().instance()),
+                        revision,
                         "family {} step {}: the edit must change the revision",
                         fam.name, step
                     );

@@ -102,34 +102,6 @@ impl ViewInterner {
         self.rec_canon(arena, flat, u32::MAX, depth as u32)
     }
 
-    /// Applies a §1.3 dynamic coefficient edit in place: the agent-known
-    /// coefficient of the edge `{v, i}` becomes `coef` and both memos are
-    /// dropped (cached ids may describe views containing the old value;
-    /// re-interning is ball-local, so the next [`ViewInterner::intern`]
-    /// pass over the dirty agents rebuilds only what the edit reaches —
-    /// no O(n) [`Network`] reconstruction).
-    ///
-    /// Panics when `{v, i}` is not an edge of the underlying instance.
-    pub fn set_constraint_coef(
-        &mut self,
-        i: mmlp_instance::ConstraintId,
-        v: mmlp_instance::AgentId,
-        coef: f64,
-    ) {
-        let vf = self.net.graph().agent_index(v);
-        let cf = self.net.graph().constraint_index(i);
-        let port = self
-            .net
-            .graph()
-            .neighbors(vf)
-            .iter()
-            .position(|adj| adj.to == cf)
-            .expect("{v, i} must be an edge");
-        self.net.set_agent_coef(vf, port, coef);
-        self.memo.clear();
-        self.canon_memo.clear();
-    }
-
     /// Ties both memos to `arena`, dropping them when it changed.
     fn bind(&mut self, arena: &ViewArena) {
         if self.arena_token != Some(arena.token()) {

@@ -644,6 +644,27 @@ impl Delta {
                 actual,
             });
         }
+        self.apply_unchecked(base)
+    }
+
+    /// Whether every edit is a constraint-coefficient `set` — the edits
+    /// that keep the structure, which a dynamic solver repairs in place.
+    pub fn is_constraint_coefs(&self) -> bool {
+        self.edits.iter().all(|e| {
+            matches!(
+                e,
+                Edit::SetCoef {
+                    row: RowKind::Constraint,
+                    ..
+                }
+            )
+        })
+    }
+
+    /// [`Delta::apply`] without the base check, for callers that already
+    /// know `base` hashes to [`Delta::base`] — it came out of a store
+    /// addressed by that hash. Every edit is still validated.
+    pub fn apply_unchecked(&self, base: &Instance) -> Result<Instance, DeltaError> {
         let mut n_agents = base.n_agents() as u32;
         let mut cons: Vec<Vec<(AgentId, f64)>> = base
             .constraints()

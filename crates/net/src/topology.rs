@@ -99,23 +99,6 @@ impl Network {
         &self.infos[flat as usize]
     }
 
-    /// Replaces the agent-known coefficient on one port of an agent node,
-    /// in place.
-    ///
-    /// This is the network half of a dynamic coefficient edit (§1.3): the
-    /// topology, port numbering and every other local input are
-    /// unchanged, so view re-gathering after the call sees exactly the
-    /// network of the edited instance without an O(n) rebuild. Panics if
-    /// `flat` is not an agent node or the port carried no coefficient
-    /// (both would mean the caller's edit refers to a non-edge).
-    pub fn set_agent_coef(&mut self, flat: u32, port: usize, coef: f64) {
-        let info = &mut self.infos[flat as usize];
-        assert_eq!(info.kind, NodeKind::Agent, "only agents know coefficients");
-        let slot = &mut info.ports[port].coef;
-        assert!(slot.is_some(), "port {port} carries no coefficient");
-        *slot = Some(coef);
-    }
-
     /// The underlying communication graph — engine-side bookkeeping for
     /// message delivery and for building flat views directly from the
     /// topology (`mmlp-core`'s view interner). Protocols never see it:

@@ -1,7 +1,8 @@
 //! The delta-solve coordinator behind `PUT_DELTA`/`SOLVE_DELTA`: the
 //! in-memory revision graph (content-hashed lineage `base → new` per
 //! registered delta) plus a byte-budgeted LRU of live
-//! [`DynamicSolver`]s, each parked at the revision it last solved.
+//! [`DynamicSolver`]s, each parked at the revision it last solved
+//! together with the rendered `x` lines of its reply body.
 //!
 //! `SOLVE_DELTA hash:<rev>` resolves in one of three ways, cheapest
 //! first:
@@ -18,29 +19,43 @@
 //!    persisted through `mmlp-store`, so the chain replays from
 //!    segments.
 //!
+//! Every replayed edge is checked against the revision it was recorded
+//! under (the solver's maintained hash: one FNV pass of its text, no
+//! render); a mismatch is `ERR INTERNAL` and parks nothing.
+//!
+//! `SOLVE_DELTA inline:` of a coefficient delta whose base has a parked
+//! solver skips the revision graph walk: the server checks the solver
+//! out ([`DeltaCoordinator::checkout`]), advances it in place on the
+//! worker pool ([`DeltaCoordinator::advance`]) and, back on the event
+//! loop, registers the new revision from it and parks it there
+//! (`Engine::commit_inline`).
+//!
 //! In every case the rendered body is **bit-identical** to a `SOLVE` of
 //! the same revision: the dynamic solver's state is bitwise equal to a
-//! from-scratch solve (asserted catalogue-wide in `mmlp-core`), and on
-//! special-form instances the §4 pipeline is the exact identity, so the
-//! two code paths format identical floats.
+//! from-scratch solve (asserted catalogue-wide in `mmlp-core`), on
+//! special-form instances the §4 pipeline is the exact identity, and
+//! both paths format through the same renderer
+//! ([`crate::engine::write_solve_header`], [`crate::engine::write_x_line`]).
 
 use crate::cache::Lru;
+use crate::engine::{write_solve_header, write_x_line, EngineError};
 use crate::protocol::ErrorCode;
-use mmlp_core::dynamic::{DynamicSolver, UpdateReport};
+use mmlp_core::dynamic::{DynamicError, DynamicSolver, UpdateReport};
 use mmlp_core::special::SpecialForm;
 use mmlp_instance::delta::Delta;
 use mmlp_instance::hash::hash_hex;
 use mmlp_instance::{DegreeStats, Instance};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-// Lock order: `solvers` before `lineage`. The `solvers` mutex doubles
-// as the coordinator's operation gate — it is held across a whole
-// resolve (including a boot solve), which serialises concurrent
-// `SOLVE_DELTA`s but makes the park/advance/render lifecycle race-free
-// by construction: a parked solver can never be observed mid-replay or
-// rendered for a revision it has already left.
+// Lock order: `resolve`, then `solvers`, then `lineage`. `resolve` is
+// held across a whole lineage resolve (including a boot solve), which
+// serialises concurrent resolves (`SOLVE_DELTA hash:`, and inline
+// deltas off the in-place path). `solvers` and `lineage` are held only
+// for map operations and renders, so the event loop can park a solver
+// while a resolve runs: a solver being advanced is checked *out* of the
+// LRU, so it can never be observed mid-replay or rendered for a
+// revision it has already left.
 
 /// Solvers are keyed by the revision they are parked at **and** the
 /// request shape: a different `R` needs a different horizon, and the
@@ -68,7 +83,8 @@ pub struct LineageEdge {
 pub enum DeltaMode {
     /// A solver was already parked at the requested revision.
     Warm,
-    /// An ancestor's solver was advanced by replaying lineage deltas.
+    /// A parked solver was advanced: by replaying lineage deltas, or in
+    /// place by an inline delta against its revision.
     Advanced,
     /// A fresh solver was booted from a stored instance (plus replay).
     Booted,
@@ -94,10 +110,6 @@ pub struct DeltaSolveInfo {
     pub replayed: u64,
     /// Agents whose output the replays recomputed (the dirty balls).
     pub recomputed_x: u64,
-    /// View-arena nodes the replays added (changed subtrees only).
-    pub arena_added: u64,
-    /// Dirty roots that re-interned to their previous id.
-    pub roots_reused: u64,
     /// Agents in the revision (denominator for the dirty fraction).
     pub n_agents: u64,
 }
@@ -106,17 +118,185 @@ pub struct DeltaSolveInfo {
 /// short of an FNV collision, but a walk must still terminate.
 const CHAIN_CAP: usize = 100_000;
 
+/// A solver parked (or checked out) at its current revision, with the
+/// `x` lines of its reply body already rendered.
+pub struct Parked {
+    solver: DynamicSolver,
+    xlines: XLines,
+    /// The body's `guarantee` line: a function of the degrees and `R`,
+    /// which coefficient edits leave alone.
+    guarantee: f64,
+}
+
+/// The `x <agent> <value>` lines of a `SOLVE` body, one per agent, kept
+/// in step with a solver's output: after a repair only the lines whose
+/// value bits changed are re-formatted, the rest are copied.
+struct XLines {
+    text: String,
+    /// `off[v]` is where agent `v`'s line starts; one trailing entry.
+    off: Vec<usize>,
+    /// The value bits each line was rendered from.
+    bits: Vec<u64>,
+    /// The previous text's buffer, reused by the next refresh so a
+    /// steady stream of edits allocates nothing here.
+    spare: String,
+}
+
+impl XLines {
+    fn render(x: &[f64]) -> XLines {
+        let mut text = String::new();
+        let mut off = Vec::with_capacity(x.len() + 1);
+        for (v, &val) in x.iter().enumerate() {
+            off.push(text.len());
+            write_x_line(&mut text, v as u32, val);
+        }
+        off.push(text.len());
+        XLines {
+            text,
+            off,
+            bits: x.iter().map(|v| v.to_bits()).collect(),
+            spare: String::new(),
+        }
+    }
+
+    /// Brings the lines up to date with `x` (same agents): unchanged
+    /// runs are copied, changed lines re-formatted.
+    fn refresh(&mut self, x: &[f64]) {
+        let Some(first) = x
+            .iter()
+            .zip(&self.bits)
+            .position(|(v, &bits)| v.to_bits() != bits)
+        else {
+            return;
+        };
+        let mut out = std::mem::take(&mut self.spare);
+        out.clear();
+        out.push_str(&self.text[..self.off[first]]);
+        // Old-text start of the unchanged run not yet copied.
+        let mut run = self.off[first];
+        for (v, &val) in x.iter().enumerate().skip(first) {
+            let (start, end) = (self.off[v], self.off[v + 1]);
+            if val.to_bits() == self.bits[v] {
+                // Lands where the pending run will put it.
+                self.off[v] = out.len() + (start - run);
+                continue;
+            }
+            out.push_str(&self.text[run..start]);
+            self.off[v] = out.len();
+            write_x_line(&mut out, v as u32, val);
+            self.bits[v] = val.to_bits();
+            run = end;
+        }
+        out.push_str(&self.text[run..]);
+        self.off[x.len()] = out.len();
+        self.spare = std::mem::replace(&mut self.text, out);
+    }
+}
+
+impl Parked {
+    fn new(solver: DynamicSolver) -> Parked {
+        Parked {
+            xlines: XLines::render(solver.run().x.as_slice()),
+            guarantee: guarantee(&solver),
+            solver,
+        }
+    }
+
+    /// The parked solver.
+    pub fn solver(&self) -> &DynamicSolver {
+        &self.solver
+    }
+
+    /// Length of the revision's canonical text — what the instance
+    /// store charges for it.
+    pub(crate) fn canonical_len(&self) -> usize {
+        self.solver.canonical_text().len()
+    }
+
+    /// Applies `delta` and re-renders the changed `x` lines.
+    fn apply(&mut self, delta: &Delta) -> Result<UpdateReport, DynamicError> {
+        let rep = self.solver.apply_delta(delta)?;
+        let x = self.solver.run().x.as_slice();
+        if delta.is_constraint_coefs() {
+            self.xlines.refresh(x);
+        } else {
+            // A structural edit rebuilt the solver: the agents and the
+            // degrees may have changed.
+            self.xlines = XLines::render(x);
+            self.guarantee = guarantee(&self.solver);
+        }
+        Ok(rep)
+    }
+
+    /// The `SOLVE`-format reply body of the current revision: the
+    /// summary lines computed from the solver's state, then the
+    /// rendered `x` lines.
+    fn body(&self) -> String {
+        let inst = self.solver.special_form().instance();
+        let run = self.solver.run();
+        let mut out = String::with_capacity(self.xlines.text.len() + 128);
+        write_solve_header(
+            &mut out,
+            run.x.utility(inst),
+            self.guarantee,
+            run.s.iter().copied().fold(f64::INFINITY, f64::min),
+        );
+        out.push_str(&self.xlines.text);
+        out
+    }
+
+    /// Approximate resident bytes: per agent `t`/`s`/`x`, the `g±`
+    /// tables (`2(R−1)` levels of 8 bytes), the dense `f±` memo (two
+    /// 16-byte slots per level) and the x-line offset and bits; per
+    /// graph node the BFS distance and visit slot and two flood values;
+    /// per constraint row its text offset; then the canonical text and
+    /// both x-line buffers.
+    fn cost(&self) -> u64 {
+        let text = self.solver.canonical_text().len() as u64;
+        let inst = self.solver.special_form().instance();
+        let (n, rows) = (inst.n_agents() as u64, inst.n_constraints() as u64);
+        let nodes = self.solver.graph().n_nodes() as u64;
+        let levels = (self.solver.big_r() - 1) as u64;
+        let xlines = (self.xlines.text.capacity() + self.xlines.spare.capacity()) as u64;
+        n * (24 + 48 * levels + 16) + nodes * 24 + rows * 8 + text + xlines
+    }
+}
+
+/// A `SOLVE_DELTA inline:` coefficient delta and the solver checked out
+/// at its base, on its way to a pool worker.
+pub struct InlineDelta {
+    pub(crate) parked: Parked,
+    pub(crate) delta: Delta,
+    pub(crate) big_r: usize,
+    pub(crate) threads: usize,
+}
+
+/// An inline delta applied in place: the solver now sits at `new`, and
+/// `body` is that revision's reply. The event loop registers the
+/// revision from the solver before replying (`Engine::commit_inline`).
+pub struct Advanced {
+    pub(crate) parked: Parked,
+    pub(crate) delta: Delta,
+    pub(crate) new: u64,
+    pub(crate) big_r: usize,
+    pub(crate) threads: usize,
+    pub(crate) body: String,
+    pub(crate) info: DeltaSolveInfo,
+}
+
 /// The revision graph + parked-solver cache. All methods are `&self`;
-/// locks are never held across a solve.
+/// only the `resolve` gate is held across a solve.
 pub struct DeltaCoordinator {
+    resolve: Mutex<()>,
     lineage: Mutex<HashMap<u64, LineageEdge>>,
-    solvers: Mutex<Lru<SolverKey, DynamicSolver>>,
+    solvers: Mutex<Lru<SolverKey, Parked>>,
 }
 
 impl DeltaCoordinator {
     /// An empty coordinator whose parked solvers share `budget` bytes.
     pub fn new(budget: u64) -> Self {
         DeltaCoordinator {
+            resolve: Mutex::new(()),
             lineage: Mutex::new(HashMap::new()),
             solvers: Mutex::new(Lru::new(budget)),
         }
@@ -143,6 +323,72 @@ impl DeltaCoordinator {
         (s.len(), s.used())
     }
 
+    /// Takes the solver parked at `revision` for `(R, threads)` out of
+    /// the cache, if there is one.
+    pub fn checkout(&self, revision: u64, big_r: usize, threads: usize) -> Option<Parked> {
+        self.solvers
+            .lock()
+            .expect("solver lock")
+            .remove(&SolverKey {
+                revision,
+                big_r,
+                threads,
+            })
+    }
+
+    /// Parks `parked` at its current revision.
+    pub fn park(&self, mut parked: Parked, big_r: usize, threads: usize) {
+        let key = SolverKey {
+            revision: parked.solver.revision(),
+            big_r,
+            threads,
+        };
+        let cost = parked.cost();
+        self.solvers
+            .lock()
+            .expect("solver lock")
+            .insert(key, parked, cost);
+    }
+
+    /// Worker half of an inline delta: applies it to the checked-out
+    /// solver in place — one repair of the dirty ball, one hash of the
+    /// maintained text — and renders the new revision's body. An invalid
+    /// delta leaves the solver untouched and parks it back.
+    pub fn advance(&self, job: InlineDelta) -> Result<Advanced, EngineError> {
+        let InlineDelta {
+            mut parked,
+            delta,
+            big_r,
+            threads,
+        } = job;
+        let rep = match parked.apply(&delta) {
+            Ok(rep) => rep,
+            Err(e) => {
+                self.park(parked, big_r, threads);
+                return Err(match e {
+                    DynamicError::Delta(e) => (ErrorCode::BadDelta, format!("delta apply: {e}")),
+                    e => (ErrorCode::BadDelta, e.to_string()),
+                });
+            }
+        };
+        let new = parked.solver.revision();
+        let info = DeltaSolveInfo {
+            mode: DeltaMode::Advanced,
+            replayed: 1,
+            recomputed_x: rep.recomputed_x as u64,
+            n_agents: parked.solver.special_form().n_agents() as u64,
+        };
+        Ok(Advanced {
+            body: parked.body(),
+            parked,
+            delta,
+            new,
+            big_r,
+            threads,
+            info,
+        })
+    }
+
     /// Resolves `revision` to a solver (warm / advanced / booted, see
     /// the module docs), renders the `SOLVE`-format body from its
     /// state, and re-parks it. `fetch` resolves a revision hash to its
@@ -153,7 +399,7 @@ impl DeltaCoordinator {
         big_r: usize,
         threads: usize,
         fetch: F,
-    ) -> Result<(String, DeltaSolveInfo), (ErrorCode, String)>
+    ) -> Result<(String, DeltaSolveInfo), EngineError>
     where
         F: Fn(u64) -> Option<Arc<Instance>>,
     {
@@ -162,26 +408,27 @@ impl DeltaCoordinator {
             big_r,
             threads,
         };
-        let mut solvers = self.solvers.lock().expect("solver lock");
+        // The gate guards no data, so a resolve that panicked leaves
+        // nothing torn: ignore the poison.
+        let _resolve = self.resolve.lock().unwrap_or_else(|e| e.into_inner());
         // Fast path: a solver parked at exactly this revision.
-        if let Some(solver) = solvers.get(&key) {
+        if let Some(parked) = self.solvers.lock().expect("solver lock").get(&key) {
             let info = DeltaSolveInfo {
                 mode: DeltaMode::Warm,
                 replayed: 0,
                 recomputed_x: 0,
-                arena_added: 0,
-                roots_reused: 0,
-                n_agents: solver.special_form().n_agents() as u64,
+                n_agents: parked.solver.special_form().n_agents() as u64,
             };
-            return Ok((render_solve_body(solver), info));
+            return Ok((parked.body(), info));
         }
 
         // Walk lineage back from the revision until an ancestor with a
         // parked solver or a stored instance turns up. `pending` ends
-        // up newest-first; replay consumes it from the back.
-        let mut pending: Vec<String> = Vec::new();
+        // up newest-first — each edge's delta text under the revision
+        // it must produce — and replay consumes it from the back.
+        let mut pending: Vec<(u64, String)> = Vec::new();
         let mut cursor = revision;
-        let (mut solver, mode) = loop {
+        let (mut parked, mode) = loop {
             if pending.len() > CHAIN_CAP {
                 return Err((
                     ErrorCode::Internal,
@@ -192,12 +439,8 @@ impl DeltaCoordinator {
                 // Taking the ancestor's solver out (rather than
                 // cloning) keeps one canonical solver per chain tip; a
                 // later request for the old revision just re-boots.
-                if let Some(solver) = solvers.remove(&SolverKey {
-                    revision: cursor,
-                    big_r,
-                    threads,
-                }) {
-                    break (solver, DeltaMode::Advanced);
+                if let Some(parked) = self.checkout(cursor, big_r, threads) {
+                    break (parked, DeltaMode::Advanced);
                 }
             }
             let edge = self
@@ -208,7 +451,7 @@ impl DeltaCoordinator {
                 .cloned();
             match edge {
                 Some(e) => {
-                    pending.push(e.delta_text);
+                    pending.push((cursor, e.delta_text));
                     cursor = e.base;
                 }
                 None => {
@@ -233,45 +476,51 @@ impl DeltaCoordinator {
                             ),
                         )
                     })?;
-                    break (DynamicSolver::new(sf, big_r, threads), DeltaMode::Booted);
+                    let solver = DynamicSolver::new(sf, big_r, threads);
+                    break (Parked::new(solver), DeltaMode::Booted);
                 }
             }
         };
 
-        // Replay oldest-first up to the requested revision.
-        let mut totals = UpdateReport::default();
+        // Replay oldest-first up to the requested revision, checking
+        // each step lands on the revision its edge was recorded under.
+        let mut recomputed_x = 0;
         let replayed = pending.len() as u64;
-        while let Some(text) = pending.pop() {
+        while let Some((expect, text)) = pending.pop() {
             let delta = Delta::parse_text(&text).map_err(|e| {
                 (
                     ErrorCode::Internal,
                     format!("recorded lineage delta fails to re-parse: {e}"),
                 )
             })?;
-            let rep = solver.apply_delta(&delta).map_err(|e| {
+            let rep = parked.apply(&delta).map_err(|e| {
                 (
                     ErrorCode::BadDelta,
                     format!("lineage replay toward {}: {e}", hash_hex(revision)),
                 )
             })?;
-            totals.recomputed_t += rep.recomputed_t;
-            totals.recomputed_s += rep.recomputed_s;
-            totals.recomputed_x += rep.recomputed_x;
-            totals.arena_added += rep.arena_added;
-            totals.roots_reused += rep.roots_reused;
+            recomputed_x += rep.recomputed_x as u64;
+            let got = parked.solver.revision();
+            if got != expect {
+                return Err((
+                    ErrorCode::Internal,
+                    format!(
+                        "lineage edge {} replays to revision {}",
+                        hash_hex(expect),
+                        hash_hex(got)
+                    ),
+                ));
+            }
         }
 
-        let body = render_solve_body(&solver);
+        let body = parked.body();
         let info = DeltaSolveInfo {
             mode,
             replayed,
-            recomputed_x: totals.recomputed_x as u64,
-            arena_added: totals.arena_added as u64,
-            roots_reused: totals.roots_reused as u64,
-            n_agents: solver.special_form().n_agents() as u64,
+            recomputed_x,
+            n_agents: parked.solver.special_form().n_agents() as u64,
         };
-        let cost = solver_cost(&solver);
-        solvers.insert(key, solver, cost);
+        self.park(parked, big_r, threads);
         Ok((body, info))
     }
 
@@ -286,44 +535,10 @@ impl DeltaCoordinator {
     }
 }
 
-/// Approximate resident bytes of a parked solver: per-agent state
-/// (`t`/`s`/`x` plus `2(R−1)` g-table levels at 8 bytes each, roots,
-/// BFS buffers) plus the interned arena.
-fn solver_cost(s: &DynamicSolver) -> u64 {
-    let n = s.special_form().n_agents() as u64;
-    let levels = (s.big_r() - 1) as u64;
-    n * (16 * levels + 96) + s.arena_len() as u64 * 48
-}
-
-/// Renders the `SOLVE`-format reply body from a dynamic solver's state.
-///
-/// This mirrors `engine::execute_traced`'s `Op::Solve` arm line for
-/// line. For special-form instances the §4 transform is the identity
-/// (every stage passes through and the back-map multiplies by exactly
-/// `1.0`), so `utility`/`guarantee`/`optimum_upper_bound`/`x` here are
-/// computed by the same functions on the same bits — bodies are
-/// byte-identical, which the e2e suite and the loadgen `--mutate` probe
-/// both assert.
-pub fn render_solve_body(solver: &DynamicSolver) -> String {
-    let inst = solver.special_form().instance();
-    let run = solver.run();
-    let stats = DegreeStats::of(inst);
-    let mut out = String::new();
-    let _ = writeln!(out, "utility {}", run.x.utility(inst));
-    let _ = writeln!(
-        out,
-        "guarantee {}",
-        mmlp_core::ratio::guarantee(stats.delta_i.max(2), stats.delta_k.max(2), solver.big_r())
-    );
-    let _ = writeln!(
-        out,
-        "optimum_upper_bound {}",
-        run.s.iter().copied().fold(f64::INFINITY, f64::min)
-    );
-    for v in inst.agents() {
-        let _ = writeln!(out, "x {} {}", v.raw(), run.x.value(v));
-    }
-    out
+/// The guarantee `SOLVE` reports for the solver's instance and `R`.
+fn guarantee(solver: &DynamicSolver) -> f64 {
+    let stats = DegreeStats::of(solver.special_form().instance());
+    mmlp_core::ratio::guarantee(stats.delta_i.max(2), stats.delta_k.max(2), solver.big_r())
 }
 
 #[cfg(test)]
@@ -364,7 +579,7 @@ mod tests {
             let sf = SpecialForm::new(inst.clone()).unwrap();
             for big_r in [2, 3] {
                 let solver = DynamicSolver::new(sf.clone(), big_r, 1);
-                let via_delta = render_solve_body(&solver);
+                let via_delta = Parked::new(solver).body();
                 let via_solve = execute(Op::Solve, &inst, big_r, 1).unwrap();
                 assert_eq!(
                     via_delta, via_solve,
@@ -421,6 +636,39 @@ mod tests {
     }
 
     #[test]
+    fn structural_replays_re_render_the_whole_body() {
+        // A new constraint raises some agents' degree (and can change
+        // the guarantee line); the parked x lines must follow.
+        let coordinator = DeltaCoordinator::new(1 << 20);
+        let v0 = special_instance(20, 3);
+        let h0 = instance_hash(&v0);
+        let v0 = Arc::new(v0);
+        let fetch = |h: u64| (h == h0).then(|| Arc::clone(&v0));
+        coordinator.solve(h0, 3, 1, fetch).unwrap();
+        let d = Delta::single(
+            h0,
+            Edit::AddRow {
+                row: RowKind::Constraint,
+                entries: vec![
+                    (mmlp_instance::AgentId::new(0), 0.8),
+                    (mmlp_instance::AgentId::new(5), 1.2),
+                ],
+            },
+        );
+        let (v1, lin) = d.apply_hashed(&v0).unwrap();
+        coordinator.record(lin.new, h0, d.to_text());
+        let (body, info) = coordinator.solve(lin.new, 3, 1, fetch).unwrap();
+        assert_eq!(info.mode, DeltaMode::Advanced);
+        assert_eq!(body, execute(Op::Solve, &v1, 3, 1).unwrap());
+        // And a coefficient edit on top refreshes from there.
+        let d2 = coef_delta(&v1, 3, 1.3);
+        let (v2, lin2) = d2.apply_hashed(&v1).unwrap();
+        coordinator.record(lin2.new, lin.new, d2.to_text());
+        let (body, _) = coordinator.solve(lin2.new, 3, 1, fetch).unwrap();
+        assert_eq!(body, execute(Op::Solve, &v2, 3, 1).unwrap());
+    }
+
+    #[test]
     fn unknown_root_is_nobase_and_non_special_is_baddelta() {
         let coordinator = DeltaCoordinator::new(1 << 20);
         let err = coordinator.solve(0xdead, 3, 1, |_| None).unwrap_err();
@@ -438,6 +686,97 @@ mod tests {
             .solve(h, 3, 1, |q| (q == h).then(|| Arc::clone(&general)))
             .unwrap_err();
         assert_eq!(err.0, ErrorCode::BadDelta);
+    }
+
+    #[test]
+    fn a_replayed_edge_must_land_on_the_revision_it_was_recorded_under() {
+        let coordinator = DeltaCoordinator::new(1 << 20);
+        let v0 = special_instance(20, 3);
+        let h0 = instance_hash(&v0);
+        let d = coef_delta(&v0, 0, 1.5);
+        let v0 = Arc::new(v0);
+        let fetch = |h: u64| (h == h0).then(|| Arc::clone(&v0));
+        // An edge whose key is not the content hash its delta replays
+        // to: serving it would cache the wrong revision's body under it.
+        let bogus = 0x0123_4567_89ab_cdef;
+        coordinator.record(bogus, h0, d.to_text());
+        let err = coordinator.solve(bogus, 3, 1, fetch).unwrap_err();
+        assert_eq!(err.0, ErrorCode::Internal, "{err:?}");
+        assert_eq!(coordinator.solver_stats().0, 0, "nothing parked");
+        // The honest edge still resolves.
+        let (_, lin) = d.apply_hashed(&v0).unwrap();
+        coordinator.record(lin.new, h0, d.to_text());
+        assert!(coordinator.solve(lin.new, 3, 1, fetch).is_ok());
+    }
+
+    #[test]
+    fn refreshed_x_lines_equal_a_fresh_render() {
+        let mut x = vec![0.5, 1.0 / 3.0, 2.0, 0.0, 7.25];
+        let mut lines = XLines::render(&x);
+        for (v, val) in [
+            (1, 0.25),
+            (4, 1e-300),
+            (0, 0.5),
+            (1, 123456.0),
+            (3, 0.1 + 0.2),
+        ] {
+            x[v] = val;
+            lines.refresh(&x);
+            let fresh = XLines::render(&x);
+            assert_eq!(lines.text, fresh.text, "after x[{v}] = {val}");
+            assert_eq!(lines.off, fresh.off);
+        }
+    }
+
+    #[test]
+    fn inline_advance_registers_nothing_until_committed() {
+        let coordinator = DeltaCoordinator::new(1 << 20);
+        let v0 = special_instance(20, 3);
+        let h0 = instance_hash(&v0);
+        let v0 = Arc::new(v0);
+        let (_, info) = coordinator
+            .solve(h0, 3, 1, |h| (h == h0).then(|| Arc::clone(&v0)))
+            .unwrap();
+        assert_eq!(info.mode, DeltaMode::Booted);
+        let d = coef_delta(&v0, 2, 0.75);
+        let (v1, lin) = d.apply_hashed(&v0).unwrap();
+        let parked = coordinator.checkout(h0, 3, 1).expect("parked at the base");
+        assert_eq!(coordinator.solver_stats().0, 0, "checked out");
+        let adv = coordinator
+            .advance(InlineDelta {
+                parked,
+                delta: d,
+                big_r: 3,
+                threads: 1,
+            })
+            .unwrap();
+        assert_eq!(adv.new, lin.new);
+        assert_eq!(adv.info.mode, DeltaMode::Advanced);
+        assert_eq!(adv.body, execute(Op::Solve, &v1, 3, 1).unwrap());
+        assert_eq!(coordinator.lineage_len(), 0, "registration is the loop's");
+        // A bad delta leaves the solver as it was and parks it back.
+        let bad = Delta::single(
+            lin.new,
+            Edit::SetCoef {
+                row: RowKind::Constraint,
+                row_id: 9999,
+                agent: mmlp_instance::AgentId::new(0),
+                coef: 1.0,
+            },
+        );
+        coordinator.park(adv.parked, 3, 1);
+        let parked = coordinator.checkout(lin.new, 3, 1).unwrap();
+        let err = coordinator
+            .advance(InlineDelta {
+                parked,
+                delta: bad,
+                big_r: 3,
+                threads: 1,
+            })
+            .err()
+            .unwrap();
+        assert_eq!(err.0, ErrorCode::BadDelta);
+        assert!(coordinator.checkout(lin.new, 3, 1).is_some(), "parked back");
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //! asserts exactly that over real sockets.
 
 use crate::cache::{ShardKey, ShardedLru, SHARDS};
-use crate::delta::{DeltaCoordinator, DeltaSolveInfo};
+use crate::delta::{Advanced, DeltaCoordinator, DeltaSolveInfo, InlineDelta};
 use crate::protocol::{ErrorCode, Op, LINEAGE_OP_CODE};
 use mmlp_core::safe::safe_solution;
 use mmlp_core::smoothing::SpecialTrace;
 use mmlp_core::solver::LocalSolver;
 use mmlp_instance::delta::{Delta, Lineage};
-use mmlp_instance::hash::{hash_hex, instance_hash};
+use mmlp_instance::hash::{fnv1a64, hash_hex, instance_hash};
 use mmlp_instance::{textfmt, DegreeStats, Instance};
 use mmlp_lp::solve_maxmin;
 use mmlp_store::{ResultKey, Store};
@@ -74,6 +74,16 @@ impl CacheKey {
 
 /// A request failure, mapped onto a wire error code.
 pub type EngineError = (ErrorCode, String);
+
+/// How a `SOLVE_DELTA inline:` continues after [`Engine::start_inline`].
+pub enum InlineStart {
+    /// A solver was parked at the delta's base and is checked out:
+    /// advance it on a worker ([`Engine::advance_inline`]).
+    Parked(Box<InlineDelta>),
+    /// The delta was registered like `PUT_DELTA`; serve its new revision
+    /// from the cache or [`Engine::solve_delta`].
+    Registered(Lineage),
+}
 
 /// What a warm start loaded from the persistent store at boot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -186,6 +196,9 @@ impl Engine {
                 let Ok(delta) = Delta::parse_text(&text) else {
                     continue; // tolerate a damaged record; chains re-boot
                 };
+                if delta.base == rkey.instance {
+                    continue; // a no-op delta's self-edge would loop the walk
+                }
                 engine.delta.record(rkey.instance, delta.base, text);
                 warm.lineage += 1;
             }
@@ -227,7 +240,7 @@ impl Engine {
         let inst = textfmt::parse_instance(text)
             .map_err(|e| (ErrorCode::BadReq, format!("parse: {e}")))?;
         let canonical = textfmt::write_instance(&inst);
-        let h = mmlp_instance::hash::fnv1a64(canonical.as_bytes());
+        let h = fnv1a64(canonical.as_bytes());
         let cost = canonical.len() as u64;
         let inst = Arc::new(inst);
         if self.store.get(&h).is_none() && !self.store.insert(h, Arc::clone(&inst), cost) {
@@ -300,10 +313,14 @@ impl Engine {
     /// instance, records the lineage edge, and persists both when a
     /// store is mounted. Returns the content-hashed lineage triple.
     pub fn put_delta(&self, text: &str) -> Result<Lineage, EngineError> {
-        let delta = Delta::parse_text(text)
-            .map_err(|e| (ErrorCode::BadDelta, format!("delta parse: {e}")))?;
-        let base = self.store.get(&delta.base);
-        let base = base.ok_or_else(|| {
+        self.register_delta(&parse_delta(text)?)
+    }
+
+    /// [`Engine::put_delta`] of a parsed delta. The base comes out of
+    /// the content-addressed store under `delta.base`, so it is not
+    /// re-hashed; the new revision is rendered and hashed once.
+    fn register_delta(&self, delta: &Delta) -> Result<Lineage, EngineError> {
+        let base = self.store.get(&delta.base).ok_or_else(|| {
             (
                 ErrorCode::NoBase,
                 format!(
@@ -312,30 +329,63 @@ impl Engine {
                 ),
             )
         })?;
-        let (new_inst, lineage) = delta
-            .apply_hashed(&base)
+        let new_inst = delta
+            .apply_unchecked(&base)
             .map_err(|e| (ErrorCode::BadDelta, format!("delta apply: {e}")))?;
-        // Store the new revision exactly like a PUT of its text would,
-        // so SOLVE/INFO by the new hash work immediately.
         let canonical = textfmt::write_instance(&new_inst);
-        let cost = canonical.len() as u64;
-        let new_inst = Arc::new(new_inst);
-        if self.store.get(&lineage.new).is_none()
-            && !self.store.insert(lineage.new, Arc::clone(&new_inst), cost)
-        {
-            return Err((
-                ErrorCode::BadReq,
-                format!("revision ({cost} bytes) exceeds the store budget"),
-            ));
-        }
         let canonical_delta = delta.to_text();
-        self.delta
-            .record(lineage.new, lineage.base, canonical_delta.clone());
+        let lineage = Lineage {
+            base: delta.base,
+            delta: fnv1a64(canonical_delta.as_bytes()),
+            new: fnv1a64(canonical.as_bytes()),
+        };
+        self.register_revision(
+            lineage.base,
+            lineage.new,
+            canonical_delta,
+            canonical.len() as u64,
+            move || new_inst,
+        )?;
+        Ok(lineage)
+    }
+
+    /// Stores revision `new` exactly like a `PUT` of its text would (so
+    /// SOLVE/INFO by the new hash work immediately), records the lineage
+    /// edge `base → new`, and persists both. `inst` is only called when
+    /// the store does not hold the revision yet; `cost` is its canonical
+    /// text length. A no-op delta (`new == base`) records no edge: a
+    /// self-edge would send lineage walks round in a circle.
+    fn register_revision(
+        &self,
+        base: u64,
+        new: u64,
+        canonical_delta: String,
+        cost: u64,
+        inst: impl FnOnce() -> Instance,
+    ) -> Result<(), EngineError> {
+        let stored = match self.store.get(&new) {
+            Some(stored) => stored,
+            None => {
+                let stored = Arc::new(inst());
+                if !self.store.insert(new, Arc::clone(&stored), cost) {
+                    return Err((
+                        ErrorCode::BadReq,
+                        format!("revision ({cost} bytes) exceeds the store budget"),
+                    ));
+                }
+                stored
+            }
+        };
         if let Some(p) = &self.persist {
-            self.note_persist(p.put_instance(&new_inst));
+            self.note_persist(p.put_instance(&stored));
+        }
+        if new == base {
+            return Ok(());
+        }
+        if let Some(p) = &self.persist {
             self.note_persist(p.put_result(
                 ResultKey {
-                    instance: lineage.new,
+                    instance: new,
                     op: LINEAGE_OP_CODE,
                     big_r: 0,
                     threads: 0,
@@ -343,7 +393,107 @@ impl Engine {
                 &canonical_delta,
             ));
         }
-        Ok(lineage)
+        self.delta.record(new, base, canonical_delta);
+        Ok(())
+    }
+
+    /// Loop side of `SOLVE_DELTA inline:`. A delta that only sets
+    /// constraint coefficients, against a base with a parked solver for
+    /// `(R, threads)`, checks that solver out for
+    /// [`Engine::advance_inline`]. Anything else is registered like
+    /// `PUT_DELTA`, and its revision is then served by the cache or
+    /// [`Engine::solve_delta`].
+    pub fn start_inline(
+        &self,
+        text: &str,
+        big_r: usize,
+        threads: usize,
+    ) -> Result<InlineStart, EngineError> {
+        let delta = parse_delta(text)?;
+        if delta.is_constraint_coefs() {
+            if let Some(parked) = self.delta.checkout(delta.base, big_r, threads) {
+                return Ok(InlineStart::Parked(Box::new(InlineDelta {
+                    parked,
+                    delta,
+                    big_r,
+                    threads,
+                })));
+            }
+        }
+        self.register_delta(&delta).map(InlineStart::Registered)
+    }
+
+    /// Worker side of an inline delta: advances the checked-out solver
+    /// in place and renders the new revision's body (see
+    /// [`DeltaCoordinator::advance`]).
+    pub fn advance_inline(&self, job: InlineDelta) -> Result<Advanced, EngineError> {
+        self.delta.advance(job)
+    }
+
+    /// Loop side, after [`Engine::advance_inline`]: registers the new
+    /// revision from the solver — store entry, lineage edge and
+    /// persistence, the long-lived copies made here rather than on a
+    /// worker — and parks the solver there. Returns the reply's cache
+    /// key, the body and the work done.
+    pub fn commit_inline(
+        &self,
+        adv: Advanced,
+    ) -> Result<(CacheKey, String, DeltaSolveInfo), EngineError> {
+        let Advanced {
+            parked,
+            delta,
+            new,
+            big_r,
+            threads,
+            body,
+            info,
+        } = adv;
+        let cost = parked.canonical_len() as u64;
+        self.register_revision(delta.base, new, delta.to_text(), cost, || {
+            parked.solver().special_form().instance().clone()
+        })?;
+        self.delta.park(parked, big_r, threads);
+        Ok((
+            CacheKey::new(new, Op::SolveDelta, big_r, threads),
+            body,
+            info,
+        ))
+    }
+
+    /// Parks a checked-out solver back, unchanged (its inline delta
+    /// never reached a worker).
+    pub fn abandon_inline(&self, job: InlineDelta) {
+        self.delta.park(job.parked, job.big_r, job.threads);
+    }
+
+    /// `SOLVE_DELTA inline:` in one call, the way the server runs it in
+    /// three ([`Engine::start_inline`], [`Engine::advance_inline`],
+    /// [`Engine::commit_inline`]) — or through the cache and
+    /// [`Engine::solve_delta`] when no solver is parked at the base.
+    /// The body is cached under the new revision, which is returned
+    /// with it.
+    pub fn solve_delta_inline(
+        &self,
+        text: &str,
+        big_r: usize,
+        threads: usize,
+    ) -> Result<(u64, Arc<String>), EngineError> {
+        let (key, body) = match self.start_inline(text, big_r, threads)? {
+            InlineStart::Parked(job) => {
+                let (key, body, _) = self.commit_inline(self.advance_inline(*job)?)?;
+                (key, body)
+            }
+            InlineStart::Registered(lin) => {
+                let key = CacheKey::new(lin.new, Op::SolveDelta, big_r, threads);
+                if let Some(body) = self.cached(&key) {
+                    return Ok((lin.new, body));
+                }
+                (key, self.solve_delta(lin.new, big_r, threads)?.0)
+            }
+        };
+        let body = Arc::new(body);
+        self.insert(key, Arc::clone(&body));
+        Ok((key.instance, body))
     }
 
     /// Incrementally solves a registered revision via the delta
@@ -382,16 +532,14 @@ pub fn execute_traced(
             let stats = DegreeStats::of(inst);
             let solver = LocalSolver::new(big_r.max(2)).with_threads(threads.max(1));
             let (run, trace) = solver.solve_traced(inst);
-            let utility = run.solution.utility(inst);
-            let _ = writeln!(out, "utility {utility}");
-            let _ = writeln!(
-                out,
-                "guarantee {}",
-                solver.guarantee(stats.delta_i.max(2), stats.delta_k.max(2))
+            write_solve_header(
+                &mut out,
+                run.solution.utility(inst),
+                solver.guarantee(stats.delta_i.max(2), stats.delta_k.max(2)),
+                run.optimum_upper_bound(),
             );
-            let _ = writeln!(out, "optimum_upper_bound {}", run.optimum_upper_bound());
             for v in inst.agents() {
-                let _ = writeln!(out, "x {} {}", v.raw(), run.solution.value(v));
+                write_x_line(&mut out, v.raw(), run.solution.value(v));
             }
             phases = Some(trace);
         }
@@ -399,14 +547,14 @@ pub fn execute_traced(
             let opt = solve_maxmin(inst).map_err(|e| e.to_string())?;
             let _ = writeln!(out, "optimum {}", opt.omega);
             for v in inst.agents() {
-                let _ = writeln!(out, "x {} {}", v.raw(), opt.solution.value(v));
+                write_x_line(&mut out, v.raw(), opt.solution.value(v));
             }
         }
         Op::Safe => {
             let x = safe_solution(inst);
             let _ = writeln!(out, "utility {}", x.utility(inst));
             for v in inst.agents() {
-                let _ = writeln!(out, "x {} {}", v.raw(), x.value(v));
+                write_x_line(&mut out, v.raw(), x.value(v));
             }
         }
         // SOLVE_DELTA never reaches the stateless executor: the server
@@ -438,6 +586,25 @@ pub fn execute_traced(
     Ok((out, phases))
 }
 
+/// The summary lines of a `SOLVE` body. Every `SOLVE`-shaped body —
+/// [`execute`]'s and the delta coordinator's — is these three lines and
+/// then one [`write_x_line`] per agent, so equal values give equal bytes.
+pub fn write_solve_header(out: &mut String, utility: f64, guarantee: f64, upper_bound: f64) {
+    let _ = writeln!(out, "utility {utility}");
+    let _ = writeln!(out, "guarantee {guarantee}");
+    let _ = writeln!(out, "optimum_upper_bound {upper_bound}");
+}
+
+/// One `x <agent> <value>` line of a reply body.
+pub fn write_x_line(out: &mut String, agent: u32, value: f64) {
+    let _ = writeln!(out, "x {agent} {value}");
+}
+
+/// Parses a delta text, mapping failures onto `BADDELTA`.
+fn parse_delta(text: &str) -> Result<Delta, EngineError> {
+    Delta::parse_text(text).map_err(|e| (ErrorCode::BadDelta, format!("delta parse: {e}")))
+}
+
 /// Executes one solver op against an instance and renders the reply
 /// body. Pure compute: no cache, no locks — this is what the server
 /// submits to the worker pool, and what the bench calls "cold".
@@ -450,6 +617,7 @@ pub fn execute(op: Op, inst: &Instance, big_r: usize, threads: usize) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::DeltaMode;
     use mmlp_gen::catalog;
 
     fn inst() -> Instance {
@@ -653,6 +821,70 @@ mod tests {
         // Re-registering the same delta is idempotent.
         assert_eq!(e.put_delta(&delta_text).unwrap(), lin);
         assert_eq!(e.delta_stats().0, 1);
+    }
+
+    #[test]
+    fn inline_deltas_advance_the_parked_solver_and_register_the_revision() {
+        let e = Engine::new(1 << 20, 1 << 20);
+        let mut cur = special_inst();
+        let base = e.put(&textfmt::write_instance(&cur)).unwrap();
+        // Park a solver at the base.
+        e.solve_delta(base, 3, 1).unwrap();
+        for step in 0..4 {
+            let text = bump_delta(&cur);
+            let delta = Delta::parse_text(&text).unwrap();
+            let Ok(InlineStart::Parked(job)) = e.start_inline(&text, 3, 1) else {
+                panic!("step {step}: a solver is parked at the base");
+            };
+            let (key, body, info) = e.commit_inline(e.advance_inline(*job).unwrap()).unwrap();
+            let (next, lin) = delta.apply_hashed(&cur).unwrap();
+            assert_eq!(key, CacheKey::new(lin.new, Op::SolveDelta, 3, 1));
+            assert_eq!(body, execute(Op::Solve, &next, 3, 1).unwrap());
+            assert_eq!((info.mode, info.replayed), (DeltaMode::Advanced, 1));
+            // Registered like PUT_DELTA: stored, with its lineage edge,
+            // and a re-registration lands on the same revision.
+            assert_eq!(
+                textfmt::write_instance(&e.fetch(lin.new).unwrap()),
+                textfmt::write_instance(&next)
+            );
+            assert_eq!(e.delta_stats().0, step + 1);
+            assert_eq!(e.put_delta(&text).unwrap(), lin);
+            assert_eq!(e.delta_stats().0, step + 1);
+            cur = next;
+        }
+        // The one-call entry takes the same path and caches the body.
+        let text = bump_delta(&cur);
+        let (rev, body) = e.solve_delta_inline(&text, 3, 1).unwrap();
+        let (next, lin) = Delta::parse_text(&text)
+            .unwrap()
+            .apply_hashed(&cur)
+            .unwrap();
+        assert_eq!(rev, lin.new);
+        assert_eq!(*body, execute(Op::Solve, &next, 3, 1).unwrap());
+        let key = CacheKey::new(rev, Op::SolveDelta, 3, 1);
+        assert_eq!(e.cached(&key).unwrap(), body);
+        // Against a base with no parked solver it registers instead.
+        let stale = bump_delta(&cur);
+        assert!(matches!(
+            e.start_inline(&stale, 3, 1),
+            Ok(InlineStart::Registered(_))
+        ));
+    }
+
+    #[test]
+    fn a_no_op_delta_records_no_lineage_edge() {
+        let e = Engine::new(1 << 20, 1 << 20);
+        let base = special_inst();
+        let h = e.put(&textfmt::write_instance(&base)).unwrap();
+        let empty = format!("mmlpdelta 1\nbase {}\n", hash_hex(h));
+        assert_eq!(e.put_delta(&empty).unwrap().new, h);
+        e.solve_delta(h, 3, 1).unwrap();
+        let (rev, body) = e.solve_delta_inline(&empty, 3, 1).unwrap();
+        assert_eq!(rev, h);
+        assert_eq!(*body, execute(Op::Solve, &base, 3, 1).unwrap());
+        assert_eq!(e.delta_stats().0, 0, "no self-edge");
+        // The base still resolves (a self-edge would walk in a circle).
+        assert!(e.solve_delta(h, 2, 1).is_ok());
     }
 
     #[test]

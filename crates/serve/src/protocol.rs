@@ -275,25 +275,38 @@ fn parse_source(tok: &str) -> Result<Source, String> {
     }
 }
 
-/// Length of the raw body that follows a command line, if the line
-/// declares one (`PUT <n>`, `PUT_DELTA <n>`, and `inline:<n>` run
-/// sources). Commands pipeline: the body starts at the byte after the
-/// line's `\n`, and the next command line starts at the byte after the
-/// body — no separator, no padding.
+/// What a command line declares about the raw body that follows it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BodyDecl {
+    /// No body follows the line.
+    None,
+    /// `n` body bytes follow the line.
+    Len(usize),
+    /// A body-carrying command (`PUT`, `PUT_DELTA`, an `inline:` run
+    /// source) whose length cannot be read (`PUT x`, `SOLVE inline:x`):
+    /// where the next command starts is unknown.
+    Unreadable,
+}
+
+/// The body a command line declares (`PUT <n>`, `PUT_DELTA <n>`, and
+/// `inline:<n>` run sources). Commands pipeline: the body starts at the
+/// byte after the line's `\n`, and the next command line starts at the
+/// byte after the body — no separator, no padding.
 ///
 /// The length is read off the first two tokens alone, so a line that
 /// [`parse_command`] rejects for a later parameter
 /// (`SOLVE inline:9 R=99`) still reports its body: the server reads and
 /// drops it, and the next command starts where the client put it.
-pub fn declared_body_len(line: &str) -> Option<usize> {
+pub fn declared_body(line: &str) -> BodyDecl {
     let mut tokens = line.split_ascii_whitespace();
-    match (tokens.next()?, tokens.next()?) {
-        ("PUT" | "PUT_DELTA", n) => n.parse().ok(),
-        ("SOLVE" | "SOLVE_DELTA" | "OPTIMUM" | "SAFE" | "INFO", src) => match parse_source(src) {
-            Ok(Source::Inline(n)) => Some(n),
-            _ => None,
-        },
-        _ => None,
+    let len = |n: &str| n.parse().map_or(BodyDecl::Unreadable, BodyDecl::Len);
+    match (tokens.next(), tokens.next()) {
+        (Some("PUT" | "PUT_DELTA"), None) => BodyDecl::Unreadable,
+        (Some("PUT" | "PUT_DELTA"), Some(n)) => len(n),
+        (Some("SOLVE" | "SOLVE_DELTA" | "OPTIMUM" | "SAFE" | "INFO"), Some(src)) => {
+            src.strip_prefix("inline:").map_or(BodyDecl::None, len)
+        }
+        _ => BodyDecl::None,
     }
 }
 
@@ -474,29 +487,37 @@ mod tests {
     }
 
     #[test]
-    fn declared_body_len_reads_through_rejected_parameters() {
+    fn declared_body_reads_through_rejected_parameters() {
+        use BodyDecl::{Len, None as NoBody, Unreadable};
         for (line, want) in [
             // Accepted lines.
-            ("PUT 12", Some(12)),
-            ("PUT_DELTA 7", Some(7)),
-            ("SOLVE inline:9 R=3", Some(9)),
-            ("SOLVE_DELTA inline:33", Some(33)),
-            ("INFO inline:10", Some(10)),
-            ("SOLVE hash:0000000000000000", None),
-            ("PING", None),
+            ("PUT 12", Len(12)),
+            ("PUT_DELTA 7", Len(7)),
+            ("SOLVE inline:9 R=3", Len(9)),
+            ("SOLVE_DELTA inline:33", Len(33)),
+            ("INFO inline:10", Len(10)),
+            ("SOLVE hash:0000000000000000", NoBody),
+            ("PING", NoBody),
             // Rejected lines that still declare a body the server skips.
-            ("SOLVE inline:9 R=17", Some(9)),
-            ("SOLVE_DELTA inline:33 R=1000", Some(33)),
-            ("OPTIMUM inline:5 BAD=1", Some(5)),
-            ("PUT 4 extra", Some(4)),
-            // No length can be read off these: nothing to skip.
-            ("", None),
-            ("PUT x", None),
-            ("SOLVE inline:x", None),
-            ("SOLVE", None),
-            ("FROBNICATE inline:3", None),
+            ("SOLVE inline:9 R=17", Len(9)),
+            ("SOLVE_DELTA inline:33 R=1000", Len(33)),
+            ("OPTIMUM inline:5 BAD=1", Len(5)),
+            ("PUT 4 extra", Len(4)),
+            // A body-carrying command without a readable length: the
+            // stream cannot be re-aligned.
+            ("PUT", Unreadable),
+            ("PUT x", Unreadable),
+            ("PUT_DELTA -3", Unreadable),
+            ("SOLVE inline:x", Unreadable),
+            ("SOLVE_DELTA inline:", Unreadable),
+            // No body declared at all.
+            ("", NoBody),
+            ("SOLVE", NoBody),
+            ("SOLVE hash:zz", NoBody),
+            ("SOLVE nonsense", NoBody),
+            ("FROBNICATE inline:3", NoBody),
         ] {
-            assert_eq!(declared_body_len(line), want, "{line:?}");
+            assert_eq!(declared_body(line), want, "{line:?}");
         }
     }
 

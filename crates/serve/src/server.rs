@@ -33,10 +33,10 @@
 //! runs every accepted task; then [`Server::run`] returns a final
 //! [`ServerSummary`]. In-flight work is never dropped.
 
-use crate::delta::DeltaMode;
-use crate::engine::{self, CacheKey, Engine, EngineError};
+use crate::delta::{Advanced, DeltaMode, DeltaSolveInfo, InlineDelta};
+use crate::engine::{self, CacheKey, Engine, EngineError, InlineStart};
 use crate::protocol::{
-    declared_body_len, parse_command, parse_trace_line, Command, ErrorCode, Op, Reply, Source,
+    declared_body, parse_command, parse_trace_line, BodyDecl, Command, ErrorCode, Op, Reply, Source,
 };
 use crate::stats::ServeMetrics;
 use mmlp_instance::hash::hash_hex;
@@ -181,7 +181,16 @@ struct Inbox {
 struct Completion {
     token: usize,
     seq: u64,
-    outcome: Outcome<Result<String, EngineError>>,
+    outcome: Outcome<Result<Done, EngineError>>,
+}
+
+/// What a pooled task hands back to its event loop.
+enum Done {
+    /// A reply body.
+    Body(String),
+    /// An inline delta that advanced a parked solver in place: the loop
+    /// registers the new revision before the body goes out.
+    Advanced(Box<Advanced>),
 }
 
 /// The shareable half of an event loop: anyone holding it can hand the
@@ -432,6 +441,10 @@ struct Conn {
     pending_trace: Option<u64>,
     replies: VecDeque<Slot>,
     next_seq: u64,
+    /// The `seq` of an in-place `SOLVE_DELTA inline:` whose revision is
+    /// registered only when it completes: later commands wait for that,
+    /// so commands still take effect in order (specs/PROTOCOL.md).
+    hold_for: Option<u64>,
     /// Stop reading; close once every queued reply is flushed.
     close_after_flush: bool,
     /// Drop the connection now, without a reply (unrecoverable input).
@@ -455,6 +468,7 @@ impl Conn {
             pending_trace: None,
             replies: VecDeque::new(),
             next_seq: 0,
+            hold_for: None,
             close_after_flush: false,
             hard_close: false,
             peer_eof: false,
@@ -642,8 +656,19 @@ impl EventLoop {
         } in completions
         {
             if let Some(conn) = self.conns.get_mut(&token) {
+                let held = conn.hold_for.is_some();
                 apply_completion(&self.shared, conn, seq, outcome);
+                if held && conn.hold_for.is_none() {
+                    // Commands held behind an inline delta run now
+                    // that its revision is registered.
+                    process_input(&self.shared, &self.me, token, conn);
+                }
                 self.service(token);
+            } else if let Outcome::Done(Ok(Done::Advanced(adv))) = outcome {
+                // The client left while its inline delta ran: the
+                // revision is still registered and the solver parked,
+                // as if the delta had been `PUT_DELTA`ed first.
+                let _ = self.shared.engine.commit_inline(*adv);
             }
             // else: the connection died while its request ran; the
             // result is dropped, exactly like a thread writing to a
@@ -767,7 +792,7 @@ fn read_into(conn: &mut Conn) -> io::Result<()> {
 /// stalled-read clock is armed exactly while such a partial exists.
 fn process_input(shared: &Arc<Shared>, me: &Arc<LoopHandle>, token: usize, conn: &mut Conn) {
     loop {
-        if conn.close_after_flush || conn.hard_close {
+        if conn.close_after_flush || conn.hard_close || conn.hold_for.is_some() {
             break;
         }
         match &conn.parse {
@@ -862,7 +887,9 @@ fn process_input(shared: &Arc<Shared>, me: &Arc<LoopHandle>, token: usize, conn:
         conn.rbuf.drain(..conn.rpos);
         conn.rpos = 0;
     }
-    let mid_command = matches!(conn.parse, ParseState::Body { .. }) || !conn.rbuf.is_empty();
+    // Held commands are complete, not stalled.
+    let mid_command = conn.hold_for.is_none()
+        && (matches!(conn.parse, ParseState::Body { .. }) || !conn.rbuf.is_empty());
     if mid_command {
         conn.stall_since.get_or_insert_with(Instant::now);
     } else {
@@ -906,7 +933,7 @@ fn handle_line(
     let op_label = parsed.as_ref().ok().map(command_label);
     // Read off the line itself, so a rejected line's body is skipped
     // too and the stream stays request-aligned.
-    let body_len = declared_body_len(&line);
+    let body = declared_body(&line);
     let ctx = RequestCtx {
         started,
         trace_id,
@@ -914,8 +941,16 @@ fn handle_line(
         op_label,
         line,
     };
-    match body_len {
-        Some(nbytes) if nbytes > shared.cfg.max_body_bytes => {
+    match body {
+        BodyDecl::Unreadable => {
+            // A body may follow, of unknown length: the stream cannot
+            // be re-aligned, so close after the reply.
+            let msg = parsed
+                .err()
+                .unwrap_or_else(|| "unreadable body length".into());
+            finalize_inline(shared, conn, ctx, Reply::Err(ErrorCode::BadReq, msg), true);
+        }
+        BodyDecl::Len(nbytes) if nbytes > shared.cfg.max_body_bytes => {
             // Rejected without consuming the body: the stream is no
             // longer request-aligned, so close after the reply.
             let msg = parsed.err().unwrap_or_else(|| {
@@ -926,14 +961,14 @@ fn handle_line(
             });
             finalize_inline(shared, conn, ctx, Reply::Err(ErrorCode::BadReq, msg), true);
         }
-        Some(nbytes) => {
+        BodyDecl::Len(nbytes) => {
             conn.parse = ParseState::Body {
                 ctx,
                 cmd: parsed,
                 need: nbytes,
             };
         }
-        None => match parsed {
+        BodyDecl::None => match parsed {
             Err(msg) => {
                 finalize_inline(shared, conn, ctx, Reply::Err(ErrorCode::BadReq, msg), false)
             }
@@ -973,10 +1008,12 @@ fn execute_command(
             conn.close_after_flush = true;
             finalize_inline(shared, conn, ctx, Reply::Ok("bye\n".into()), false)
         }
-        Command::Sleep { ms } => submit_pooled(shared, me, token, conn, ctx, None, move || {
-            std::thread::sleep(Duration::from_millis(ms));
-            Ok(format!("slept {ms}\n"))
-        }),
+        Command::Sleep { ms } => {
+            submit_pooled(shared, me, token, conn, ctx, None, move || {
+                std::thread::sleep(Duration::from_millis(ms));
+                Ok(Done::Body(format!("slept {ms}\n")))
+            });
+        }
         Command::Put { .. } => {
             let body = body.expect("PUT body read by the state machine");
             let reply = match shared.engine.put(&body) {
@@ -1073,18 +1110,21 @@ fn execute_command(
                             .collect(),
                     });
                 }
-                Ok(body)
-            })
+                Ok(Done::Body(body))
+            });
         }
     }
 }
 
 /// The `SOLVE_DELTA` half of the run path. `hash:` names a registered
-/// revision; `inline:` carries a delta text body, registered exactly
-/// like `PUT_DELTA` before solving — one round trip for the common
-/// edit-then-resolve loop. The incremental solve itself runs on the
-/// worker pool and is cached under `SOLVE_DELTA`'s own namespace, so a
-/// repeat of the same revision is a hit without touching a solver.
+/// revision; `inline:` carries a delta text body. An inline coefficient
+/// delta against a base with a parked solver advances that solver in
+/// place on the worker pool ([`advance_inline`]); any other inline
+/// delta is registered exactly like `PUT_DELTA` first — one round trip
+/// for the common edit-then-resolve loop either way. The incremental
+/// solve runs on the worker pool and is cached under `SOLVE_DELTA`'s
+/// own namespace, so a repeat of the same revision is a hit without
+/// touching a solver.
 #[allow(clippy::too_many_arguments)]
 fn solve_delta(
     shared: &Arc<Shared>,
@@ -1101,8 +1141,11 @@ fn solve_delta(
         Source::Hash(h) => h,
         Source::Inline(_) => {
             let body = body.expect("inline delta body read by the state machine");
-            match shared.engine.put_delta(&body) {
-                Ok(lin) => {
+            match shared.engine.start_inline(&body, big_r, threads) {
+                Ok(InlineStart::Parked(job)) => {
+                    return advance_inline(shared, me, token, conn, ctx, *job)
+                }
+                Ok(InlineStart::Registered(lin)) => {
                     shared.metrics.delta_puts.inc();
                     lin.new
                 }
@@ -1124,7 +1167,6 @@ fn solve_delta(
     if let Some(rec) = &ctx.span {
         rec.add(ROOT_SPAN, "cache:miss", probe, probe.elapsed());
     }
-    let metrics = shared.metrics.clone();
     let worker_shared = Arc::clone(shared);
     let span_rec = ctx.span.clone();
     submit_pooled(
@@ -1136,33 +1178,81 @@ fn solve_delta(
         Some((key, Op::SolveDelta)),
         move || {
             let (body, info) = worker_shared.engine.solve_delta(revision, big_r, threads)?;
-            metrics.observe_delta(&info);
-            if let Some(rec) = &span_rec {
-                // Zero-length marker naming the resolution path taken.
-                rec.open(rec.anchor(), info.mode.tag());
-            }
-            // The lineage resolution is the delta workload's key event:
-            // which path ran, and how local the dirty ball actually was.
-            if let Some(j) = &worker_shared.journal {
-                j.emit(JournalRecord {
-                    kind: EV_DELTA,
-                    trace_id: span_rec.as_ref().map_or(0, |rec| rec.trace_id()),
-                    text: format!(
-                        "delta {} revision={} replayed={} recomputed_x={} agents={} \
-                         arena_added={} roots_reused={}",
-                        info.mode.tag(),
-                        hash_hex(revision),
-                        info.replayed,
-                        info.recomputed_x,
-                        info.n_agents,
-                        info.arena_added,
-                        info.roots_reused
-                    ),
-                });
-            }
-            Ok(body)
+            observe_delta(&worker_shared, span_rec.as_ref(), revision, &info);
+            Ok(Done::Body(body))
         },
-    )
+    );
+}
+
+/// The in-place path of `SOLVE_DELTA inline:`: a pool worker applies
+/// the delta to the checked-out solver and renders the body; the
+/// completion registers the new revision on this loop
+/// ([`Engine::commit_inline`]) before the reply is framed. The new
+/// revision is unknown until the worker has hashed it, so its cache
+/// lookup — always a miss, the revision is new — is booked at
+/// completion. Until then the connection's later commands are held
+/// (`Conn::hold_for`): they may name the new revision. A request
+/// refused at submission parks the solver back.
+fn advance_inline(
+    shared: &Arc<Shared>,
+    me: &Arc<LoopHandle>,
+    token: usize,
+    conn: &mut Conn,
+    ctx: RequestCtx,
+    job: InlineDelta,
+) {
+    let job = Arc::new(Mutex::new(Some(job)));
+    let task_job = Arc::clone(&job);
+    let worker_shared = Arc::clone(shared);
+    let span_rec = ctx.span.clone();
+    let seq = submit_pooled(shared, me, token, conn, ctx, None, move || {
+        let job = task_job
+            .lock()
+            .expect("inline job")
+            .take()
+            .expect("an accepted task runs once");
+        let adv = worker_shared.engine.advance_inline(job)?;
+        observe_delta(&worker_shared, span_rec.as_ref(), adv.new, &adv.info);
+        Ok(Done::Advanced(Box::new(adv)))
+    });
+    match seq {
+        Some(seq) => conn.hold_for = Some(seq),
+        None => {
+            if let Some(job) = job.lock().expect("inline job").take() {
+                shared.engine.abandon_inline(job);
+            }
+        }
+    }
+}
+
+/// Books one delta resolution: the metrics, a zero-length span marker
+/// naming the path taken, and the journal record — the delta
+/// workload's key event: which path ran, and how local the dirty ball
+/// actually was.
+fn observe_delta(
+    shared: &Shared,
+    span: Option<&Arc<SpanRecorder>>,
+    revision: u64,
+    info: &DeltaSolveInfo,
+) {
+    shared.metrics.observe_delta(info);
+    if let Some(rec) = span {
+        rec.open(rec.anchor(), info.mode.tag());
+    }
+    if let Some(j) = &shared.journal {
+        j.emit(JournalRecord {
+            kind: EV_DELTA,
+            trace_id: span.map_or(0, |rec| rec.trace_id()),
+            text: format!(
+                "delta {} revision={} replayed={} recomputed_x={} agents={}",
+                info.mode.tag(),
+                hash_hex(revision),
+                info.replayed,
+                info.recomputed_x,
+                info.n_agents,
+            ),
+        });
+    }
 }
 
 /// Submits a closure to the worker pool and parks a [`Slot::Pending`]
@@ -1173,7 +1263,9 @@ fn solve_delta(
 /// The closure returns typed [`EngineError`]s so pooled work can
 /// surface precise codes (e.g. `NOBASE` from a delta solve), not just
 /// `INTERNAL`. The completion is routed back to the owning loop's
-/// inbox; timeouts and panics are mapped at that point.
+/// inbox; timeouts and panics are mapped at that point. Returns the
+/// pending slot's `seq`, or `None` when the pool refused the task (the
+/// refusal has already been answered).
 fn submit_pooled<F>(
     shared: &Arc<Shared>,
     me: &Arc<LoopHandle>,
@@ -1182,17 +1274,19 @@ fn submit_pooled<F>(
     ctx: RequestCtx,
     cache: Option<(CacheKey, Op)>,
     f: F,
-) where
-    F: FnOnce() -> Result<String, EngineError> + Send + 'static,
+) -> Option<u64>
+where
+    F: FnOnce() -> Result<Done, EngineError> + Send + 'static,
 {
     if shared.shutting_down.load(Ordering::SeqCst) {
-        return finalize_inline(
+        finalize_inline(
             shared,
             conn,
             ctx,
             Reply::Err(ErrorCode::Shutdown, "server is draining".into()),
             false,
         );
+        return None;
     }
     let queue_wait = shared.metrics.queue_wait.clone();
     let execute = shared.metrics.execute.clone();
@@ -1238,26 +1332,19 @@ fn submit_pooled<F>(
         }
         let _ = loop_handle.waker.wake();
     };
-    match shared.pool.submit_with(task, complete) {
-        Ok(()) => conn.replies.push_back(Slot::Pending { seq, ctx, cache }),
-        Err(SubmitError::Busy) => finalize_inline(
-            shared,
-            conn,
-            ctx,
-            Reply::Err(
-                ErrorCode::Busy,
-                format!("queue full ({} deep); retry", shared.cfg.queue_cap),
-            ),
-            false,
+    let refusal = match shared.pool.submit_with(task, complete) {
+        Ok(()) => {
+            conn.replies.push_back(Slot::Pending { seq, ctx, cache });
+            return Some(seq);
+        }
+        Err(SubmitError::Busy) => Reply::Err(
+            ErrorCode::Busy,
+            format!("queue full ({} deep); retry", shared.cfg.queue_cap),
         ),
-        Err(SubmitError::Closed) => finalize_inline(
-            shared,
-            conn,
-            ctx,
-            Reply::Err(ErrorCode::Shutdown, "server is draining".into()),
-            false,
-        ),
-    }
+        Err(SubmitError::Closed) => Reply::Err(ErrorCode::Shutdown, "server is draining".into()),
+    };
+    finalize_inline(shared, conn, ctx, refusal, false);
+    None
 }
 
 /// Lands a pooled outcome in its pipeline slot: maps it onto the wire,
@@ -1267,7 +1354,7 @@ fn apply_completion(
     shared: &Shared,
     conn: &mut Conn,
     seq: u64,
-    outcome: Outcome<Result<String, EngineError>>,
+    outcome: Outcome<Result<Done, EngineError>>,
 ) {
     let Some(idx) = conn
         .replies
@@ -1276,13 +1363,24 @@ fn apply_completion(
     else {
         return;
     };
-    let Slot::Pending { ctx, cache, .. } =
+    let Slot::Pending { ctx, mut cache, .. } =
         std::mem::replace(&mut conn.replies[idx], Slot::Ready(Vec::new()))
     else {
         unreachable!("position matched a Pending slot")
     };
+    if conn.hold_for == Some(seq) {
+        conn.hold_for = None;
+    }
     let reply = match outcome {
-        Outcome::Done(Ok(body)) => Reply::Ok(body),
+        Outcome::Done(Ok(Done::Body(body))) => Reply::Ok(body),
+        Outcome::Done(Ok(Done::Advanced(adv))) => match shared.engine.commit_inline(*adv) {
+            Ok((key, body, _)) => {
+                shared.metrics.delta_puts.inc();
+                cache = Some((key, Op::SolveDelta));
+                Reply::Ok(body)
+            }
+            Err((code, msg)) => Reply::Err(code, msg),
+        },
         Outcome::Done(Err((code, msg))) => Reply::Err(code, msg),
         Outcome::Panicked(msg) => Reply::Err(ErrorCode::Panic, msg),
         Outcome::TimedOut => Reply::Err(
@@ -1410,7 +1508,10 @@ fn flush_conn(conn: &mut Conn) -> io::Result<()> {
 /// exactly while flushable bytes remain.
 fn update_interest(poll: &Poll, token: usize, conn: &mut Conn) -> io::Result<()> {
     let backlog = conn.wbuf.len() - conn.wpos;
-    let want_read = !conn.close_after_flush && !conn.peer_eof && backlog < WRITE_BACKLOG_PAUSE;
+    let want_read = !conn.close_after_flush
+        && !conn.peer_eof
+        && conn.hold_for.is_none()
+        && backlog < WRITE_BACKLOG_PAUSE;
     let want_write = backlog > 0;
     let desired = match (want_read, want_write) {
         (true, true) => Interest::READABLE | Interest::WRITABLE,
@@ -1590,8 +1691,6 @@ fn render_stats(shared: &Shared) -> String {
     let _ = writeln!(out, "delta_replayed {}", m.delta_replayed.get());
     let _ = writeln!(out, "delta_recomputed_x {}", m.delta_recomputed_x.get());
     let _ = writeln!(out, "delta_agents {}", m.delta_agents.get());
-    let _ = writeln!(out, "delta_arena_added {}", m.delta_arena_added.get());
-    let _ = writeln!(out, "delta_roots_reused {}", m.delta_roots_reused.get());
     let _ = writeln!(out, "lineage_entries {lineage_entries}");
     let _ = writeln!(out, "delta_solvers {delta_solvers}");
     let _ = writeln!(out, "delta_solver_bytes {delta_solver_bytes}");

@@ -73,10 +73,6 @@ pub struct ServeMetrics {
     pub delta_recomputed_x: Counter,
     /// Agents in the instances those solves covered (the denominator).
     pub delta_agents: Counter,
-    /// View-arena nodes added across delta solves.
-    pub delta_arena_added: Counter,
-    /// Agent view roots reused unchanged across delta solves.
-    pub delta_roots_reused: Counter,
     /// Dirty-ball size per delta solve (recomputed x per request).
     pub delta_dirty_x: HistogramHandle,
 
@@ -247,14 +243,6 @@ impl ServeMetrics {
                 "mmlp_serve_delta_agents_total",
                 "Agents in the instances delta solves covered",
             ),
-            delta_arena_added: reg.counter(
-                "mmlp_serve_delta_arena_added_total",
-                "View-arena nodes added across delta solves",
-            ),
-            delta_roots_reused: reg.counter(
-                "mmlp_serve_delta_roots_reused_total",
-                "Agent view roots reused unchanged across delta solves",
-            ),
             delta_dirty_x: reg.histogram(
                 "mmlp_serve_delta_dirty_x",
                 "Recomputed x per SOLVE_DELTA request (dirty-ball size)",
@@ -343,8 +331,6 @@ impl ServeMetrics {
         self.delta_replayed.add(info.replayed);
         self.delta_recomputed_x.add(info.recomputed_x);
         self.delta_agents.add(info.n_agents);
-        self.delta_arena_added.add(info.arena_added);
-        self.delta_roots_reused.add(info.roots_reused);
         self.delta_dirty_x.record(info.recomputed_x);
     }
 
@@ -431,16 +417,12 @@ mod tests {
             mode: DeltaMode::Booted,
             replayed: 2,
             recomputed_x: 9,
-            arena_added: 4,
-            roots_reused: 3,
             n_agents: 100,
         });
         m.observe_delta(&DeltaSolveInfo {
             mode: DeltaMode::Warm,
             replayed: 0,
             recomputed_x: 5,
-            arena_added: 0,
-            roots_reused: 10,
             n_agents: 100,
         });
         assert_eq!(m.delta_solves_total(), 2);
@@ -455,6 +437,12 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("mmlp_serve_delta_dirty_x"), "{text}");
+        for gone in [
+            "mmlp_serve_delta_arena_added_total",
+            "mmlp_serve_delta_roots_reused_total",
+        ] {
+            assert!(!text.contains(gone), "{gone} in {text}");
+        }
     }
 
     #[test]

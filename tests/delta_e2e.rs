@@ -8,7 +8,7 @@ use maxmin_lp::instance::delta::{Delta, Edit, RowKind};
 use maxmin_lp::instance::hash::instance_hash;
 use maxmin_lp::instance::ids::ConstraintId;
 use maxmin_lp::instance::{textfmt, Instance};
-use maxmin_lp::serve::client::{stat, Client, ClientReply};
+use maxmin_lp::serve::client::{stat, Client, ClientReply, PipelinedClient};
 use maxmin_lp::serve::loadgen::{self, LoadConfig};
 use maxmin_lp::serve::protocol::{ErrorCode, Op};
 use maxmin_lp::serve::server::{ServeConfig, Server, ServerSummary};
@@ -330,4 +330,169 @@ fn restart_replays_lineage_from_segments() {
     c.shutdown().unwrap();
     assert_eq!(handle.join().unwrap().errors, 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn inline_chain_advances_the_parked_solver_in_place() {
+    let dir = std::env::temp_dir().join(format!(
+        "mmlp-delta-inline-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_cfg = || ServeConfig {
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let base = base_instance();
+    let hex = |inst: &Instance| maxmin_lp::instance::hash::hash_hex(instance_hash(inst));
+
+    let (addr, handle) = spawn_server(store_cfg());
+    let mut c = Client::connect(&addr).unwrap();
+    let base_hex = c.put(&textfmt::write_instance(&base)).unwrap().unwrap();
+    // Park a solver at the base; every inline edit below finds one at
+    // its base and advances it in place.
+    c.solve_delta_hash(&base_hex, 3, 1)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+
+    let mut cur = base.clone();
+    let mut revisions = vec![cur.clone()];
+    let mut tip_body = String::new();
+    for (i, factor) in [1.5, 0.5, 2.0, 0.8, 1.25].into_iter().enumerate() {
+        let delta = bump(&cur, i as u32, factor);
+        let body = c
+            .solve_delta_inline(&delta.to_text(), 3, 1)
+            .unwrap()
+            .into_ok()
+            .unwrap();
+        cur = delta.apply(&cur).unwrap();
+        revisions.push(cur.clone());
+        // The revision is registered by the time its reply arrives, and
+        // the incremental body is SOLVE's, byte for byte.
+        let scratch = c
+            .run_hash(Op::Solve, &hex(&cur), 3, 1)
+            .unwrap()
+            .into_ok()
+            .unwrap();
+        assert_eq!(body.as_bytes(), scratch.as_bytes(), "edit {i}");
+        // PUT_DELTA of the same text names the same revision and adds
+        // no lineage entry.
+        let (_, _, new_hex) = c.put_delta(&delta.to_text()).unwrap().unwrap();
+        assert_eq!(new_hex, hex(&cur), "edit {i}");
+        let stats = c.stats().unwrap();
+        assert_eq!(stat(&stats, "lineage_entries"), i as u64 + 1, "{stats:?}");
+        tip_body = body;
+    }
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "delta_solves_booted"), 1, "{stats:?}");
+    assert_eq!(stat(&stats, "delta_solves_advanced"), 5, "{stats:?}");
+    assert_eq!(stat(&stats, "delta_solvers"), 1, "{stats:?}");
+    assert_eq!(stat(&stats, "delta_puts"), 10, "5 inline + 5 explicit");
+
+    // A branch off an older revision: its solver has moved on to the
+    // tip, so the edit is registered and the chain re-derived — still
+    // SOLVE's bytes.
+    let fork = bump(&revisions[2], 7, 3.0);
+    let forked = fork.apply(&revisions[2]).unwrap();
+    let body = c
+        .solve_delta_inline(&fork.to_text(), 3, 1)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    let scratch = c
+        .run_hash(Op::Solve, &hex(&forked), 3, 1)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(body.as_bytes(), scratch.as_bytes(), "fork");
+    c.shutdown().unwrap();
+    assert_eq!(handle.join().unwrap().errors, 0);
+
+    // A restart on the same store replays the whole chain from disk.
+    let (addr, handle) = spawn_server(store_cfg());
+    let mut c = Client::connect(&addr).unwrap();
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "warm_lineage"), 6, "{stats:?}");
+    let replayed = c
+        .solve_delta_hash(&hex(&cur), 3, 2)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(replayed.as_bytes(), tip_body.as_bytes());
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "delta_replayed"), 5, "{stats:?}");
+    c.shutdown().unwrap();
+    assert_eq!(handle.join().unwrap().errors, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pipelined_inline_deltas_take_effect_in_order() {
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut c = Client::connect(&addr).unwrap();
+    let base = base_instance();
+    let hex = |inst: &Instance| maxmin_lp::instance::hash::hash_hex(instance_hash(inst));
+    let base_hex = c.put(&textfmt::write_instance(&base)).unwrap().unwrap();
+    // Park a solver at the base, so the first inline edit advances it
+    // in place on the worker pool.
+    c.solve_delta_hash(&base_hex, 3, 1)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+
+    let d1 = bump(&base, 2, 1.5);
+    let new1 = d1.apply(&base).unwrap();
+    let d2 = bump(&new1, 4, 0.5);
+    let new2 = d2.apply(&new1).unwrap();
+    // One write: the second command names the revision the first one
+    // creates, and the third edits it. Effects are sequential, so all
+    // three see their predecessors' revisions.
+    let mut p = PipelinedClient::connect(&addr).unwrap();
+    let inline = |d: &Delta| {
+        let text = d.to_text();
+        (
+            format!("SOLVE_DELTA inline:{} R=3 THREADS=1", text.len()),
+            text,
+        )
+    };
+    let (line1, text1) = inline(&d1);
+    let (line2, text2) = inline(&d2);
+    p.send(&line1, Some(text1.as_bytes())).unwrap();
+    p.send_run_hash(Op::Solve, &hex(&new1), 3, 1).unwrap();
+    p.send(&line2, Some(text2.as_bytes())).unwrap();
+    p.flush().unwrap();
+    let replies: Vec<String> = (0..3)
+        .map(|i| {
+            p.recv()
+                .unwrap()
+                .into_ok()
+                .unwrap_or_else(|e| panic!("reply {i}: {e}"))
+        })
+        .collect();
+    assert_eq!(replies[0].as_bytes(), replies[1].as_bytes());
+    let scratch2 = c
+        .run_hash(Op::Solve, &hex(&new2), 3, 1)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(replies[2].as_bytes(), scratch2.as_bytes());
+    // A bad edit that reaches the parked solver fails on the worker;
+    // the command held behind it runs all the same.
+    let (line3, text3) = inline(&bump(&new2, 0, -1.0));
+    p.send(&line3, Some(text3.as_bytes())).unwrap();
+    p.send_run_hash(Op::Solve, &hex(&new2), 3, 1).unwrap();
+    match p.recv().unwrap() {
+        ClientReply::Err(ErrorCode::BadDelta, _) => {}
+        other => panic!("expected BADDELTA, got {other:?}"),
+    }
+    let again = p.recv().unwrap().into_ok().unwrap();
+    assert_eq!(again.as_bytes(), scratch2.as_bytes());
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "delta_solves_advanced"), 2, "{stats:?}");
+    assert_eq!(stat(&stats, "lineage_entries"), 2, "{stats:?}");
+
+    c.shutdown().unwrap();
+    assert_eq!(handle.join().unwrap().errors, 1, "the one bad edit");
 }

@@ -349,6 +349,56 @@ fn oversized_r_is_badreq_and_the_connection_keeps_solving() {
     handle.join().unwrap();
 }
 
+#[test]
+fn unreadable_body_length_is_badreq_then_close() {
+    use std::io::{Read, Write};
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let text = instance_text();
+    for line in [
+        "SOLVE inline:x R=3",
+        "PUT x",
+        "PUT_DELTA",
+        "SOLVE_DELTA inline:",
+    ] {
+        // Whatever follows the line may be the body the client meant to
+        // send: it must never be parsed as commands.
+        let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // One write: the server may close before a later one lands.
+        raw.write_all(format!("{line}\n{text}PING\n").as_bytes())
+            .unwrap();
+        // Read to the close: a FIN, or a reset when the server closed
+        // with part of the body still unread in its socket buffer.
+        let mut got = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match raw.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => got.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+                Err(e) => panic!("{line}: the server must close the connection: {e}"),
+            }
+        }
+        let got = String::from_utf8(got).unwrap();
+        assert!(got.starts_with("ERR BADREQ "), "{line}: {got:?}");
+        assert_eq!(
+            got.lines().count(),
+            1,
+            "{line}: one reply, then EOF: {got:?}"
+        );
+    }
+    // A fresh connection solves normally.
+    let mut c = Client::connect(&addr).unwrap();
+    let solved = c
+        .run_inline(Op::Solve, &text, 3, 1)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert!(solved.starts_with("utility "), "{solved}");
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 /// Polls `STATS` until `pred` holds (5 s cap — the conditions are
 /// server-local state transitions, not timing races).
 fn wait_until(c: &mut Client, pred: impl Fn(&[(String, u64)]) -> bool) {
