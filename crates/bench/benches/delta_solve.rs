@@ -11,23 +11,56 @@
 //! ([`Engine::solve_delta_inline`]: parse, repair, revision hash, body
 //! render, registration and cache insert), with a fresh revision every
 //! iteration so nothing is a cache hit, timed once the engine's byte
-//! budgets are full — the state a long-running server is in. The
-//! claims, gated by `trajectory_gate` on the committed
-//! `BENCH_delta.json`:
+//! budgets are full — the state a long-running server is in.
+//! `hash/size` is one FNV pass over the base's canonical text: the
+//! revision hash every request must pay. The claims, gated by
+//! `trajectory_gate` on the committed `BENCH_delta.json`:
 //!
 //! - the repair beats starting over at every grid point;
 //! - repair cost grows with the edit ball (R) and stays near-flat in
 //!   the instance size, while the from-scratch cost grows with it;
-//! - from 256 agents up, the whole request beats a from-scratch solve.
+//! - from 256 agents up, the whole request costs at most its repair
+//!   plus three revision hashes (`request-r2 ≤ edit-r2 + 3 × hash`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use mmlp_core::dynamic::DynamicSolver;
 use mmlp_core::smoothing::solve_special;
 use mmlp_core::SpecialForm;
 use mmlp_gen::catalog;
-use mmlp_instance::hash::hash_hex;
+use mmlp_instance::hash::{fnv1a64, hash_hex};
 use mmlp_instance::{textfmt, ConstraintId};
 use mmlp_serve::engine::Engine;
+
+/// `scratch-rR/size` and `edit-rR/size` on one special form.
+fn bench_scratch_and_edit(group: &mut BenchmarkGroup, sf: &SpecialForm, big_r: usize, size: usize) {
+    group.bench_with_input(
+        BenchmarkId::new(format!("scratch-r{big_r}"), size),
+        &size,
+        |b, _| {
+            b.iter(|| std::hint::black_box(solve_special(sf, big_r, 1).x.as_slice()[0]));
+        },
+    );
+
+    group.bench_with_input(
+        BenchmarkId::new(format!("edit-r{big_r}"), size),
+        &size,
+        |b, _| {
+            let mut dynamic = DynamicSolver::new(sf.clone(), big_r, 1);
+            let i = ConstraintId::new(0);
+            let row = dynamic.special_form().instance().constraint_row(i);
+            let coefs = [row[0].coef, row[1].coef];
+            let mut flip = false;
+            b.iter(|| {
+                // Alternate the coefficient so every iteration
+                // is a real change with a non-empty dirty ball.
+                flip = !flip;
+                let scale = if flip { 1.5 } else { 1.0 };
+                let rep = dynamic.update_constraint_coefs(i, [coefs[0] * scale, coefs[1]]);
+                std::hint::black_box(rep.recomputed_x)
+            });
+        },
+    );
+}
 
 fn bench_delta_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("delta-solve");
@@ -39,51 +72,25 @@ fn bench_delta_solve(c: &mut Criterion) {
     for &big_r in &[2usize, 3] {
         for &size in &[64usize, 256] {
             let sf = SpecialForm::new(fam.instance(size, 1)).expect("special form");
-
-            group.bench_with_input(
-                BenchmarkId::new(format!("scratch-r{big_r}"), size),
-                &size,
-                |b, _| {
-                    b.iter(|| std::hint::black_box(solve_special(&sf, big_r, 1).x.as_slice()[0]));
-                },
-            );
-
-            group.bench_with_input(
-                BenchmarkId::new(format!("edit-r{big_r}"), size),
-                &size,
-                |b, _| {
-                    let mut dynamic = DynamicSolver::new(sf.clone(), big_r, 1);
-                    let i = ConstraintId::new(0);
-                    let row = dynamic.special_form().instance().constraint_row(i);
-                    let coefs = [row[0].coef, row[1].coef];
-                    let mut flip = false;
-                    b.iter(|| {
-                        // Alternate the coefficient so every iteration
-                        // is a real change with a non-empty dirty ball.
-                        flip = !flip;
-                        let scale = if flip { 1.5 } else { 1.0 };
-                        let rep = dynamic.update_constraint_coefs(i, [coefs[0] * scale, coefs[1]]);
-                        std::hint::black_box(rep.recomputed_x)
-                    });
-                },
-            );
+            bench_scratch_and_edit(&mut group, &sf, big_r, size);
         }
     }
 
-    // The request next to the kernel, and the from-scratch solve it has
-    // to beat, up to delta-edit's ~1000-agent bases.
+    // The request next to its repair kernel and its revision hash, up
+    // to delta-edit's ~1000-agent bases, plus the from-scratch solve
+    // at that size.
     let big_r = 2;
     for &size in &[64usize, 256, 1024] {
         let inst = fam.instance(size, 1);
         if size == 1024 {
             let sf = SpecialForm::new(inst.clone()).expect("special form");
-            group.bench_with_input(
-                BenchmarkId::new(format!("scratch-r{big_r}"), size),
-                &size,
-                |b, _| {
-                    b.iter(|| std::hint::black_box(solve_special(&sf, big_r, 1).x.as_slice()[0]));
-                },
-            );
+            bench_scratch_and_edit(&mut group, &sf, big_r, size);
+        }
+        if size >= 256 {
+            let text = textfmt::write_instance(&inst);
+            group.bench_with_input(BenchmarkId::new("hash", size), &size, |b, _| {
+                b.iter(|| fnv1a64(text.as_bytes()));
+            });
         }
         group.bench_with_input(
             BenchmarkId::new(format!("request-r{big_r}"), size),

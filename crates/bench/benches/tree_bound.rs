@@ -1,5 +1,9 @@
 //! Per-agent tree bound `t_u`: cost vs the locality parameter R
-//! (the tree `A_u` — and so the per-node work — grows with R).
+//! (the tree `A_u` — and so the per-node work — grows with R), and the
+//! replayed search ([`TreeBound::t`]) against the plain bisection it
+//! reproduces bit for bit ([`TreeBound::t_bisect`]) over every agent,
+//! measured in the same run. `trajectory_gate` requires
+//! `t_u-all-agents/replay/3 ≤ 0.5 × t_u-all-agents/bisect/3`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmlp_core::tree_bound::{Scratch, TreeBound};
@@ -30,6 +34,22 @@ fn bench_tree_bound(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("t_u-all-agents");
     group.sample_size(10);
+    for big_r in [2, 3, 4] {
+        let tb = TreeBound::new(&sf, big_r);
+        let agents = || sf.instance().agents();
+        group.bench_with_input(BenchmarkId::new("bisect", big_r), &big_r, |b, _| {
+            let mut sc = Scratch::default();
+            b.iter(|| {
+                agents()
+                    .map(|u| tb.t_bisect(u, &mut sc))
+                    .fold(0.0, f64::max)
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("replay", big_r), &big_r, |b, _| {
+            let mut sc = Scratch::default();
+            b.iter(|| agents().map(|u| tb.t(u, &mut sc)).fold(0.0, f64::max));
+        });
+    }
     for threads in [1usize, 4] {
         let tb = TreeBound::new(&sf, 3);
         group.bench_with_input(

@@ -1,15 +1,18 @@
 //! The experiment harness: regenerates every table and figure recorded
-//! in EXPERIMENTS.md.
+//! in `EXPERIMENTS.md` at the repository root, which is this binary's
+//! complete output. Regenerate it with
 //!
 //! ```text
-//! cargo run --release -p mmlp-bench --bin experiments           # all
-//! cargo run --release -p mmlp-bench --bin experiments -- t1 t5  # some
+//! cargo run --release -p mmlp-bench --bin experiments > EXPERIMENTS.md
 //! ```
+//!
+//! or run some experiments only (`-- t1 t5`). The output is
+//! deterministic — no timing columns — and CI regenerates the file and
+//! fails on any diff.
 //!
 //! The paper (SPAA'09) is a theory paper: its "evaluation" is Theorem 1
 //! and Lemmas 1–12, and Figures 1–3 are structural. Each experiment
-//! below measures one of those claims; the mapping is recorded in
-//! DESIGN.md §5 and the narrative in EXPERIMENTS.md.
+//! below measures one of those claims; its doc comment names the claim.
 
 use mmlp_bench::Table;
 use mmlp_core::distributed::{rounds_needed, solve_distributed};
@@ -54,6 +57,10 @@ fn main() {
     let all = args.is_empty();
     let want = |id: &str| all || args.iter().any(|a| a.eq_ignore_ascii_case(id));
 
+    println!("# Experiments\n");
+    println!("The output of `crates/bench/src/bin/experiments.rs`. Regenerate with");
+    println!("`cargo run --release -p mmlp-bench --bin experiments > EXPERIMENTS.md`.\n");
+    println!("```text");
     println!("== max-min LP local approximation: experiment suite ==");
     println!("   (Floréen–Kaasinen–Kaski–Suomela, SPAA 2009 reproduction)\n");
 
@@ -99,6 +106,7 @@ fn main() {
     if want("f3") {
         f3_figure3();
     }
+    println!("```");
 }
 
 /// T1 — Theorem 1 (upper bound): measured approximation ratio vs the
@@ -377,7 +385,14 @@ fn t7_applications() {
     }
     assert!(report::violations(&records).is_empty());
     println!("{}", report::ratio_vs_guarantee(&records).render());
-    println!("{}", report::scaling(&records).render());
+    // Without the wall-time column, so the output is the same on
+    // every run.
+    println!(
+        "{}",
+        report::scaling(&records)
+            .without_column("mean wall ms")
+            .render()
+    );
     println!();
 }
 

@@ -28,6 +28,11 @@
 //!    iteration of each variant — is the honest basis for a tight
 //!    same-workload ratio.
 //!
+//! 4a. `t_u-all-agents/replay/3` ≤ 0.5 × `t_u-all-agents/bisect/3` — the
+//!     replayed `t_u` search (`TreeBound::t`) must cost at most half the
+//!     plain bisection whose bits it reproduces, both timed over every
+//!     agent of the same instance in the same run.
+//!
 //! `BENCH_serve.json`:
 //!
 //! 5. `serve_cache/warm_hit/n` < `serve_cache/cold_solve/n` at every
@@ -56,14 +61,18 @@
 //! 9. edit cost grows strictly slower than scratch cost across the
 //!    size axis (`edit·256 / edit·64 < scratch·256 / scratch·64`,
 //!    cross-multiplied) — delta cost tracks the ball, not the instance;
-//! 10. `delta-solve/request-r2/n` < `delta-solve/scratch-r2/n` at
-//!     n ∈ {256, 1024} — the whole `SOLVE_DELTA inline:` request
-//!     (repair, one revision hash, render, registration) must beat a
-//!     from-scratch solve, not just the repair kernel. Size 64 is
-//!     reported but not gated: a from-scratch R=2 solve there costs
-//!     about a request. Rule 9 is not applied to `request-*`: its one
-//!     FNV pass keeps it linear in n like `scratch-r2`, and a
-//!     growth-ratio test between two linear costs flips on noise.
+//! 10. `delta-solve/request-r2/n` ≤ `delta-solve/edit-r2/n` + 3 ×
+//!     `delta-solve/hash/n` at n ∈ {256, 1024} — the whole
+//!     `SOLVE_DELTA inline:` request (parse, repair, revision hash,
+//!     render, registration) costs its dirty ball plus one hash, with
+//!     two more hashes of headroom for rendering and registration. A
+//!     request can never go below one FNV pass over the revision's
+//!     canonical text (`hash/n`, the v1 content hash that names it), so
+//!     the rule gates the request against its own unavoidable parts,
+//!     measured in the same run. Size 64 is reported but not gated.
+//!     Rule 9 is not applied to `request-*`: its FNV pass keeps it
+//!     linear in n, and a growth-ratio test on a linear cost flips on
+//!     noise.
 //!
 //! CI runs this against the **committed** files (not a fresh run), so
 //! the gate is deterministic: it catches a PR committing numbers that
@@ -152,6 +161,26 @@ impl Gate<'_> {
         }
     }
 
+    /// `name` ≤ `base` + k × `extra`; all three entries required.
+    fn check_sum(&mut self, name: &str, base: &str, extra: &str, k: u64) {
+        match (
+            self.medians.get(name),
+            self.medians.get(base),
+            self.medians.get(extra),
+        ) {
+            (Some(&n), Some(&b), Some(&e)) => {
+                if n > b + k * e {
+                    self.failures.push(format!(
+                        "{name} ({n} ns) must be ≤ {base} ({b} ns) + {k} × {extra} ({e} ns)"
+                    ));
+                }
+            }
+            _ => self
+                .failures
+                .push(format!("missing entries: need {name}, {base} and {extra}")),
+        }
+    }
+
     /// Like [`Gate::check_ratio`], but over **min** per-iteration time
     /// — the basis for margins tighter than median machine jitter.
     fn check_ratio_min(&mut self, name: &str, base: &str, num: u64, den: u64) {
@@ -204,6 +233,8 @@ fn gate_core(g: &mut Gate) {
             );
         }
     }
+    // The replayed t_u search against the bisection it reproduces.
+    g.check_ratio("t_u-all-agents/replay/3", "t_u-all-agents/bisect/3", 1, 2);
 }
 
 fn gate_serve(g: &mut Gate) {
@@ -294,11 +325,11 @@ fn gate_delta(g: &mut Gate) {
         );
     }
     for size in [256u32, 1024] {
-        g.check(
+        g.check_sum(
             &format!("delta-solve/request-r2/{size}"),
-            &format!("delta-solve/scratch-r2/{size}"),
-            true,
-            true,
+            &format!("delta-solve/edit-r2/{size}"),
+            &format!("delta-solve/hash/{size}"),
+            3,
         );
     }
 }

@@ -201,7 +201,7 @@ fn f_minus_view(n: &ViewTree, d: usize, omega: f64) -> Option<f64> {
 }
 
 /// Computes `t_u` from the agent's radius-`(4r+2)` view — the same
-/// bisection as `tree_bound::TreeBound::t`, evaluated on the view.
+/// bisection as `tree_bound::TreeBound::t_bisect`, evaluated on the view.
 ///
 /// Legacy tree path: available to tests and under the `legacy-tree`
 /// feature only (ViewTree deprecation step 2; see ROADMAP.md).
@@ -235,7 +235,9 @@ pub fn t_from_view(view: &ViewTree, big_r: usize) -> f64 {
     let (mut lo, mut hi) = (0.0f64, hi0);
     let tol = crate::tree_bound::BISECT_REL_TOL * hi0.max(1.0);
     while hi - lo > tol {
-        let mid = 0.5 * (lo + hi);
+        // Halving each end first keeps `lo + hi` from overflowing when
+        // `hi0` nears f64::MAX; below that it is the same midpoint.
+        let mid = 0.5 * lo + 0.5 * hi;
         if feasible(mid) {
             lo = mid;
         } else {
@@ -636,7 +638,9 @@ pub fn t_from_arena(arena: &ViewArena, root: ViewId, big_r: usize, sc: &mut Flat
     let (mut lo, mut hi) = (0.0f64, hi0);
     let tol = crate::tree_bound::BISECT_REL_TOL * hi0.max(1.0);
     while hi - lo > tol {
-        let mid = 0.5 * (lo + hi);
+        // Halving each end first keeps `lo + hi` from overflowing when
+        // `hi0` nears f64::MAX; below that it is the same midpoint.
+        let mid = 0.5 * lo + 0.5 * hi;
         if feasible(mid) {
             lo = mid;
         } else {
@@ -759,9 +763,9 @@ pub fn t_batch_flat_telemetry(
             rest = tail;
         }
         let queue = std::sync::Mutex::new(tasks);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     // One scratch per worker thread, laid out once and
                     // reused across every chunk the worker pulls.
                     let mut sc = FlatScratch::default();
@@ -780,8 +784,7 @@ pub fn t_batch_flat_telemetry(
                     ));
                 });
             }
-        })
-        .expect("flat t workers");
+        });
     }
     let mut tel = BatchTelemetry {
         workers: workers as u32,

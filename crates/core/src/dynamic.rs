@@ -158,6 +158,13 @@ impl DynamicSolver {
         self.threads
     }
 
+    /// Heap bytes the `t_u` repair memo holds: per agent and level, two
+    /// 16-byte `f±` slots and two 8-byte slopes, laid out by the first
+    /// coefficient repair (none before it).
+    pub fn scratch_bytes(&self) -> usize {
+        self.scratch.heap_bytes()
+    }
+
     /// Content hash of the maintained revision — equal to
     /// [`mmlp_instance::instance_hash`] of the current instance. Costs
     /// nothing unless the text changed since the last call; then it is
@@ -742,7 +749,8 @@ mod proptests {
         /// edits applied incrementally is bit-identical to a
         /// from-scratch solve of the final revision — across thread
         /// counts — and the maintained revision hash stays the content
-        /// hash of the edited instance after every edit.
+        /// hash of the edited instance after every edit, and every
+        /// agent's `t_u` is the plain bisection's after every edit.
         #[test]
         fn k_incremental_edits_match_scratch_solve(
             size in 16usize..40,
@@ -791,6 +799,17 @@ mod proptests {
                         "family {} step {}: the edit must change the revision",
                         fam.name, step
                     );
+                    // The repaired t_u are the plain bisection's bits.
+                    let tb = TreeBound::new(dynamic.special_form(), 3);
+                    let mut sc = Scratch::default();
+                    for u in dynamic.special_form().instance().agents() {
+                        prop_assert_eq!(
+                            dynamic.run().t[u.idx()].to_bits(),
+                            tb.t_bisect(u, &mut sc).to_bits(),
+                            "family {} step {} agent {}: t differs from t_bisect",
+                            fam.name, step, u
+                        );
+                    }
                 }
                 let reference = solve_special(dynamic.special_form(), 3, 1);
                 for v in 0..dynamic.special_form().n_agents() {

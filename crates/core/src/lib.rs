@@ -12,7 +12,7 @@
 //! | §3 | [`unfold`] | unfolding / universal covers, view equality, the port-numbering indistinguishability the algorithm exploits |
 //! | §4 | [`transform`] | the five local transformations to *special form* with composable back-maps and ratio accounting |
 //! | §5 | [`special`] | the special-form wrapper (`|Vi| = 2`, `|Kv| = 1`, `c_kv = 1`) |
-//! | §5.1–5.2 | [`tree_bound`] | alternating trees `A_u`, the `f±` recursions, the per-agent upper bound `t_u` via bisection |
+//! | §5.1–5.2 | [`tree_bound`] | alternating trees `A_u`, the `f±` recursions, the per-agent upper bound `t_u` (the bisection, replayed bit for bit in a few probes) |
 //! | §5.3 | [`smoothing`] | smoothed bounds `s_v`, the `g±` recursions, the output (18) |
 //! | §5 | [`solver`] | the end-to-end [`solver::LocalSolver`] |
 //! | §5 | [`distributed`] | the same algorithm as an actual message-passing protocol on `mmlp-net`, with round/byte accounting |

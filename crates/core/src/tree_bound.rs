@@ -22,8 +22,30 @@
 //! and `t_u` is the largest `ω ≥ 0` keeping all `f⁺ ≥ 0` (8) and
 //! `f⁻_{u,u,r}(ω) ≤ min_i 1/a_iu` (9). Every `f±` is monotone in `ω`, so
 //! the feasible set is an interval `[0, t_u]` and — as §5.2 remarks — a
-//! **binary search** suffices; we bisect and return the certified
-//! feasible lower end.
+//! **binary search** suffices. [`TreeBound::t_bisect`] is that search:
+//! it bisects to [`BISECT_REL_TOL`] and returns the certified feasible
+//! lower end.
+//!
+//! [`TreeBound::t`] returns the same bits in a few probes. Every step of
+//! the computed recursions is a monotone IEEE operation in a fixed
+//! order: a sum of `f⁺` values left to right, `max(0, ω − Σ)`, and a
+//! `min` over `(1 − a'·f⁻)/a` with positive coefficients. So the
+//! *computed* predicate `feasible(u, ω)` is monotone in `ω` bit for bit,
+//! and the bisection's output depends only on where it flips. `t` finds
+//! the flip with Newton steps on the margin
+//! `m(ω) = max(f⁻_{u,u,r}(ω) − cap(u), max −f⁺(ω))` — convex, increasing
+//! and piecewise linear, so Newton from the infeasible end never
+//! overshoots in exact arithmetic — and keeps a bracket: a point known
+//! feasible and one known infeasible. It then replays the bisection
+//! loop, answering every midpoint outside the bracket from it and
+//! probing only the midpoints inside. The result equals the bisection's
+//! because the predicate is monotone, not because of any tolerance. The
+//! margin walk must compute the plain walk's values by the same
+//! operations in the same order: a fused multiply-add or a reassociated
+//! sum in one walk but not the other breaks the argument. The unit tests
+//! check that both walks answer alike on either side of each agent's
+//! flip, and the integration tests compare `t` with `t_bisect` bitwise
+//! catalog-wide.
 //!
 //! Key implementation point: although `A_u` lives in the unfolding (an
 //! infinite tree when `G` has cycles), the value `f±_{u,v,d}` depends
@@ -39,6 +61,10 @@ use mmlp_instance::{AgentId, Instance, InstanceBuilder};
 /// Relative bisection tolerance for `t_u` (the returned value is the
 /// feasible lower end, so `t_u` is never overestimated).
 pub const BISECT_REL_TOL: f64 = 1e-12;
+
+/// Most margin walks one [`TreeBound::t`] spends on Newton steps before
+/// it falls back to replaying the bisection on its bracket so far.
+const NEWTON_STEPS: u32 = 16;
 
 /// Evaluator of the `f±` recursions and the bound `t_u` for a fixed
 /// locality parameter `R` (the paper's `R ≥ 2`; `r = R − 2`).
@@ -62,7 +88,8 @@ struct Slot {
 /// laid out once per `(n_agents, r)` and reused across roots, ω probes
 /// and instances of the same shape; starting a probe is a generation
 /// bump (the `distributed::FlatScratch` pattern), so the hot loop does
-/// no hashing and no table wipes.
+/// no hashing and no table wipes. A margin walk also stores each slot's
+/// slope `d f±/dω` at the same index, live under the slot's stamp.
 #[derive(Default)]
 pub struct Scratch {
     /// Agents the tables are laid out for.
@@ -73,6 +100,8 @@ pub struct Scratch {
     gen: u32,
     fp: Vec<Slot>,
     fm: Vec<Slot>,
+    dfp: Vec<f64>,
+    dfm: Vec<f64>,
 }
 
 impl Scratch {
@@ -90,6 +119,17 @@ impl Scratch {
         self.fp.resize(n * levels, Slot::default());
         self.fm.clear();
         self.fm.resize(n * levels, Slot::default());
+        self.dfp.clear();
+        self.dfp.resize(n * levels, 0.0);
+        self.dfm.clear();
+        self.dfm.resize(n * levels, 0.0);
+    }
+
+    /// Heap bytes the tables hold: `n·(r+1)` levels of two 16-byte
+    /// slots and two 8-byte slopes once laid out.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.fp.capacity() + self.fm.capacity()) * std::mem::size_of::<Slot>()
+            + (self.dfp.capacity() + self.dfm.capacity()) * std::mem::size_of::<f64>()
     }
 
     /// Starts a new ω probe: previous entries become stale in O(1).
@@ -176,6 +216,79 @@ impl<'a> TreeBound<'a> {
         Some(val)
     }
 
+    /// `(f⁺, d f⁺/dω)` for the margin walk: [`TreeBound::f_plus`]'s
+    /// value, computed by the same operations in the same order but
+    /// without the early exit, so a negative `f⁺` propagates instead of
+    /// ending the walk. `worst` keeps the largest `−f⁺` met and its
+    /// slope (level 0 is skipped: a capacity is never negative).
+    fn f_plus_slope(
+        &self,
+        v: u32,
+        d: u32,
+        omega: f64,
+        sc: &mut Scratch,
+        worst: &mut (f64, f64),
+    ) -> (f64, f64) {
+        let agent = AgentId::new(v);
+        if d == 0 {
+            return (self.sf.cap(agent), 0.0);
+        }
+        let slot = sc.slot(v, d);
+        let Slot { gen, val } = sc.fp[slot];
+        if gen == sc.gen {
+            return (val, sc.dfp[slot]);
+        }
+        let mut m = f64::INFINITY;
+        let mut dm = 0.0;
+        for cv in self.sf.cons(agent) {
+            let (fm, dfm) = self.f_minus_slope(cv.partner.raw(), d - 1, omega, sc, worst);
+            let x = (1.0 - cv.a_partner * fm) / cv.a_own;
+            if x < m {
+                dm = -(cv.a_partner * dfm) / cv.a_own;
+            }
+            m = m.min(x);
+        }
+        if -m > worst.0 {
+            *worst = (-m, -dm);
+        }
+        sc.fp[slot] = Slot {
+            gen: sc.gen,
+            val: m,
+        };
+        sc.dfp[slot] = dm;
+        (m, dm)
+    }
+
+    /// `(f⁻, d f⁻/dω)` for the margin walk (see
+    /// [`TreeBound::f_plus_slope`]).
+    fn f_minus_slope(
+        &self,
+        v: u32,
+        d: u32,
+        omega: f64,
+        sc: &mut Scratch,
+        worst: &mut (f64, f64),
+    ) -> (f64, f64) {
+        let slot = sc.slot(v, d);
+        let Slot { gen, val } = sc.fm[slot];
+        if gen == sc.gen {
+            return (val, sc.dfm[slot]);
+        }
+        let mut sum = 0.0;
+        let mut dsum = 0.0;
+        for w in self.sf.others(AgentId::new(v)) {
+            let (fp, dfp) = self.f_plus_slope(w.raw(), d, omega, sc, worst);
+            sum += fp;
+            dsum += dfp;
+        }
+        let gap = omega - sum;
+        let val = gap.max(0.0);
+        let dval = if gap > 0.0 { 1.0 - dsum } else { 0.0 };
+        sc.fm[slot] = Slot { gen: sc.gen, val };
+        sc.dfm[slot] = dval;
+        (val, dval)
+    }
+
     /// Conditions (8) and (9) at `ω` for root `u`.
     pub fn feasible(&self, u: AgentId, omega: f64, sc: &mut Scratch) -> bool {
         sc.prepare(self.sf.n_agents(), self.r as usize + 1);
@@ -186,30 +299,117 @@ impl<'a> TreeBound<'a> {
         }
     }
 
+    /// One margin walk at `ω`: whether [`TreeBound::feasible`] holds,
+    /// plus the margin `m(ω) = max(f⁻_{u,u,r} − cap(u), max −f⁺)` and its
+    /// slope, positive whenever `ω` is infeasible.
+    ///
+    /// Up to the first negative `f⁺` it computes, this walk computes the
+    /// plain walk's values in the plain walk's order. So "no `f⁺` was
+    /// negative and `f⁻_{u,u,r} ≤ cap(u)`" is exactly the plain answer,
+    /// whatever the rounding of `m` itself.
+    fn margin(&self, u: AgentId, omega: f64, sc: &mut Scratch) -> (bool, f64, f64) {
+        sc.prepare(self.sf.n_agents(), self.r as usize + 1);
+        sc.clear();
+        let mut worst = (f64::NEG_INFINITY, 0.0);
+        let (fm, dfm) = self.f_minus_slope(u.raw(), self.r, omega, sc, &mut worst);
+        let cap = self.sf.cap(u);
+        let feasible = worst.0 <= 0.0 && fm <= cap;
+        let over = fm - cap;
+        let (m, dm) = if over > worst.0 { (over, dfm) } else { worst };
+        (feasible, m, dm)
+    }
+
     /// A trivial upper bound on `t_u`: every agent of `k(u)` is capped by
     /// its own constraints, so `t_u ≤ Σ_{w∈Vk(u)} cap(w)`.
     pub fn upper_hint(&self, u: AgentId) -> f64 {
         self.sf.cap(u) + self.sf.others(u).map(|w| self.sf.cap(w)).sum::<f64>()
     }
 
-    /// `t_u` by bisection (the paper's suggested implementation).
+    /// `t_u`, bit for bit [`TreeBound::t_bisect`]'s value, in a few
+    /// probes: the bisection replayed on a bracket of the flip of
+    /// `feasible(u, ·)` (see the module docs).
     pub fn t(&self, u: AgentId, sc: &mut Scratch) -> f64 {
         let hi0 = self.upper_hint(u);
         if hi0 == 0.0 || self.feasible(u, hi0, sc) {
             return hi0;
         }
-        let mut lo = 0.0f64;
-        let mut hi = hi0;
         let tol = BISECT_REL_TOL * hi0.max(1.0);
-        while hi - lo > tol {
-            let mid = 0.5 * (lo + hi);
-            if self.feasible(u, mid, sc) {
-                lo = mid;
+        let (mut a, mut b) = self.bracket(u, hi0, tol, sc);
+        bisect(hi0, tol, |mid| {
+            if mid <= a {
+                return true;
+            }
+            if mid >= b {
+                return false;
+            }
+            let ok = self.feasible(u, mid, sc);
+            if ok {
+                a = mid;
             } else {
-                hi = mid;
+                b = mid;
+            }
+            ok
+        })
+    }
+
+    /// `t_u` by plain bisection, the paper's suggested search. This is
+    /// the reference [`TreeBound::t`] must equal bit for bit, kept for
+    /// the tests and the `tree_bound` bench; no solver path calls it.
+    pub fn t_bisect(&self, u: AgentId, sc: &mut Scratch) -> f64 {
+        let hi0 = self.upper_hint(u);
+        if hi0 == 0.0 || self.feasible(u, hi0, sc) {
+            return hi0;
+        }
+        bisect(hi0, BISECT_REL_TOL * hi0.max(1.0), |mid| {
+            self.feasible(u, mid, sc)
+        })
+    }
+
+    /// A bracket `(a, b)` of the flip of `feasible(u, ·)` — `a` known
+    /// feasible, `b` known infeasible — given that `hi0` is infeasible.
+    ///
+    /// Newton steps on the margin run down from `hi0`. Each walk's exact
+    /// answer moves one end of the bracket; since the margin is convex,
+    /// increasing and piecewise linear, the steps reach the root's
+    /// linear piece in a few walks. One plain probe half a tolerance
+    /// past the last walk then usually leaves a bracket narrower than
+    /// the tolerance. A zero or non-finite slope, a step that makes no
+    /// progress, or [`NEWTON_STEPS`] walks end the search with the
+    /// bracket as it stands, so the replay costs at most the
+    /// bisection's own probes.
+    fn bracket(&self, u: AgentId, hi0: f64, tol: f64, sc: &mut Scratch) -> (f64, f64) {
+        let half = 0.5 * tol;
+        let (mut a, mut b) = (0.0, hi0);
+        let mut omega = hi0;
+        let mut walks = 0;
+        let nudge = loop {
+            let (ok, m, dm) = self.margin(u, omega, sc);
+            walks += 1;
+            if ok {
+                a = omega;
+                break omega + half;
+            }
+            b = omega;
+            let step = m / dm;
+            if !(step > 0.0 && step.is_finite()) || walks == NEWTON_STEPS {
+                return (a, b);
+            }
+            if step <= half {
+                break omega - half;
+            }
+            omega -= step;
+            if omega <= a {
+                return (a, b);
+            }
+        };
+        if a < nudge && nudge < b {
+            if self.feasible(u, nudge, sc) {
+                a = nudge;
+            } else {
+                b = nudge;
             }
         }
-        lo
+        (a, b)
     }
 
     /// `t_u` for every agent, sequentially.
@@ -222,7 +422,7 @@ impl<'a> TreeBound<'a> {
             .collect()
     }
 
-    /// `t_u` for every agent using `threads` crossbeam workers; identical
+    /// `t_u` for every agent using `threads` scoped workers; identical
     /// output to [`TreeBound::all`] (each `t_u` is independent).
     pub fn all_parallel(&self, threads: usize) -> Vec<f64> {
         let n = self.sf.n_agents();
@@ -232,17 +432,16 @@ impl<'a> TreeBound<'a> {
         }
         let mut out = vec![0.0f64; n];
         let chunk = n.div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (shard, slot) in out.chunks_mut(chunk).enumerate() {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut sc = Scratch::default();
                     for (off, val) in slot.iter_mut().enumerate() {
                         *val = self.t(AgentId::new((shard * chunk + off) as u32), &mut sc);
                     }
                 });
             }
-        })
-        .expect("t_u workers");
+        });
         out
     }
 
@@ -303,6 +502,29 @@ impl<'a> TreeBound<'a> {
     }
 }
 
+/// The bisection loop: halves `[0, hi0]` until it is at most `tol` wide
+/// and returns the lower end, the last midpoint `feasible` accepted (or
+/// 0).
+///
+/// The midpoint halves each end before adding. In the loop both ends
+/// are 0 or at least `tol / 2`, so the halving is exact and the result
+/// is the correctly rounded `(lo + hi) / 2` — the same bits as
+/// `0.5 * (lo + hi)`, except that it cannot overflow to +∞ (where
+/// that form, infeasible at +∞, would never shrink `hi`).
+fn bisect(hi0: f64, tol: f64, mut feasible: impl FnMut(f64) -> bool) -> f64 {
+    let mut lo = 0.0f64;
+    let mut hi = hi0;
+    while hi - lo > tol {
+        let mid = 0.5 * lo + 0.5 * hi;
+        if feasible(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 struct Materializer<'a, 'b> {
     tb: &'b TreeBound<'a>,
     b: InstanceBuilder,
@@ -357,6 +579,36 @@ mod tests {
         SpecialForm::new(inst).expect("special form")
     }
 
+    /// Checks `t` against `t_bisect` bit for bit on every agent, and
+    /// returns each agent's `(replay, bisection)` probe counts, read off
+    /// the scratch's generation counter (one bump per ω probe).
+    fn replay_vs_bisect(s: &SpecialForm, big_r: usize, label: &str) -> Vec<(u32, u32)> {
+        let tb = TreeBound::new(s, big_r);
+        let mut sc = Scratch::default();
+        s.instance()
+            .agents()
+            .map(|u| {
+                let before = sc.gen;
+                let t = tb.t(u, &mut sc);
+                let replay = sc.gen - before;
+                let before = sc.gen;
+                let want = tb.t_bisect(u, &mut sc);
+                let bisect = sc.gen - before;
+                assert_eq!(
+                    t.to_bits(),
+                    want.to_bits(),
+                    "{label} R={big_r} {u}: replay {t:e} vs bisection {want:e}"
+                );
+                (replay, bisect)
+            })
+            .collect()
+    }
+
+    /// The special form the §4 pipeline makes of `inst`.
+    fn transformed(inst: &Instance) -> SpecialForm {
+        sf(crate::transform::to_special_form(inst).instance)
+    }
+
     #[test]
     fn cycle_t_values_match_closed_form() {
         // On the unit-coefficient cycle, A_u is a path and
@@ -372,6 +624,141 @@ mod tests {
                     (t - expect).abs() < 1e-9,
                     "R={big_r}: t = {t}, expected {expect}"
                 );
+            }
+            replay_vs_bisect(&s, big_r, "cycle");
+        }
+    }
+
+    /// The last ω at which `feasible(u, ·)` holds, by bisection over the
+    /// bit patterns of `[0, hi]` (non-negative floats order like their
+    /// bits); `None` when `hi` itself is feasible.
+    fn last_feasible(tb: &TreeBound, u: AgentId, hi: f64, sc: &mut Scratch) -> Option<f64> {
+        if tb.feasible(u, hi, sc) {
+            return None;
+        }
+        let (mut lo, mut hi) = (0u64, hi.to_bits());
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if tb.feasible(u, f64::from_bits(mid), sc) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(f64::from_bits(lo))
+    }
+
+    #[test]
+    fn margin_walks_answer_like_the_plain_walk_at_the_flip() {
+        // The replay trusts every margin walk's feasibility answer, so it
+        // must be the plain walk's. A rounding difference between the
+        // walks (a fused multiply-add, a reordered sum) moves the flip of
+        // one by a float or more for some agent, and shows on one side.
+        for fam in mmlp_gen::catalog::catalog() {
+            let s = transformed(&fam.instance(16, 1));
+            for big_r in 2..=5 {
+                let tb = TreeBound::new(&s, big_r);
+                let mut sc = Scratch::default();
+                for u in s.instance().agents() {
+                    let Some(flip) = last_feasible(&tb, u, tb.upper_hint(u), &mut sc) else {
+                        continue;
+                    };
+                    let above = f64::from_bits(flip.to_bits() + 1);
+                    let at = format!("{} R={big_r} {u}", fam.name);
+                    assert!(tb.margin(u, flip, &mut sc).0, "{at}: {flip:e} is feasible");
+                    assert!(!tb.margin(u, above, &mut sc).0, "{at}: {above:e} is not");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replay_takes_a_few_probes_catalog_wide() {
+        // Size 64, R = 3: the bisection takes ~41 probes per agent.
+        let mut probes = 0u64;
+        let mut agents = 0u64;
+        for fam in mmlp_gen::catalog::catalog() {
+            for seed in 0..3 {
+                let s = transformed(&fam.instance(64, seed));
+                for (replay, bisect) in replay_vs_bisect(&s, 3, fam.name) {
+                    assert!(
+                        replay <= bisect + NEWTON_STEPS + 2,
+                        "{}: {replay} probes vs bisection {bisect}",
+                        fam.name
+                    );
+                    probes += replay as u64;
+                    agents += 1;
+                }
+            }
+        }
+        let mean = probes as f64 / agents as f64;
+        assert!(mean <= 6.0, "{mean} probes per agent");
+    }
+
+    #[test]
+    fn replay_is_exact_on_extreme_coefficients() {
+        // Log-uniform coefficients over 1e-300..1e300, then a mix of
+        // subnormal and ordinary ones: capacities overflow to +∞, slopes
+        // overflow or vanish, and the replay must still land on the
+        // bisection's bits.
+        let spreads: [fn(f64) -> f64; 2] = [
+            |x| 10f64.powf(600.0 * x - 300.0),
+            |x| match (x * 4.0) as u32 {
+                0 => 5e-324,
+                1 => f64::MIN_POSITIVE * x,
+                2 => 1e-310,
+                _ => 0.5 + x,
+            },
+        ];
+        for (which, spread) in spreads.iter().enumerate() {
+            for seed in 0..4 {
+                let mut s = sf(random_special_form(&SpecialFormConfig::default(), seed));
+                let mut mix = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                let mut draw = || {
+                    mix ^= mix << 13;
+                    mix ^= mix >> 7;
+                    mix ^= mix << 17;
+                    spread((mix >> 11) as f64 / (1u64 << 53) as f64)
+                };
+                for i in s.instance().constraints() {
+                    s.set_constraint_coefs(i, [draw(), draw()]);
+                }
+                for big_r in 2..=5 {
+                    replay_vs_bisect(&s, big_r, &format!("spread {which} seed {seed}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_upper_hint_near_f64_max_does_not_overflow_the_midpoint() {
+        // Capacities of 8e307: t_u ≈ 1.2e308 at R = 3, so after the
+        // first feasible midpoint `lo + hi` exceeds f64::MAX.
+        let coef = 1.25e-308;
+        let s = sf(cycle_special(8, coef));
+        for big_r in 2..=4 {
+            replay_vs_bisect(&s, big_r, "near-max");
+            let expect = (1.0 + 1.0 / (big_r as f64 - 1.0)) / coef;
+            let flat = crate::distributed::solve_special_flat(&s, big_r, 1).0.t;
+            for (t, f) in TreeBound::new(&s, big_r).all().iter().zip(&flat) {
+                assert!(
+                    (t / expect - 1.0).abs() < 1e-9,
+                    "R={big_r}: {t:e} vs {expect:e}"
+                );
+                assert_eq!(t.to_bits(), f.to_bits(), "flat path, R={big_r}");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_is_exact_on_the_lower_bound_gadgets() {
+        use mmlp_gen::lower_bound::{regular_gadget, tree_gadget};
+        let (regular, _) = regular_gadget(12, 3, 3, 3, 5);
+        let (tree, _) = tree_gadget(3, 3, 3);
+        for (name, inst) in [("regular_gadget", regular), ("tree_gadget", tree)] {
+            let s = transformed(&inst);
+            for big_r in 2..=5 {
+                replay_vs_bisect(&s, big_r, name);
             }
         }
     }

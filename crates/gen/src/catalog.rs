@@ -1,6 +1,7 @@
 //! A named catalogue of workload families, shared by the test-suite, the
 //! criterion benches and the experiment harness so that every table in
-//! EXPERIMENTS.md draws from the same distributions.
+//! `EXPERIMENTS.md` (the harness's committed output) draws from the same
+//! distributions.
 
 use crate::apps::{bandwidth_ladder, sensor_grid, BandwidthConfig, SensorGridConfig};
 use crate::lower_bound::regular_gadget;

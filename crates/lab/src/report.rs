@@ -33,6 +33,19 @@ impl Table {
         self.rows.len()
     }
 
+    /// The table without the column headed `header` (unchanged if there
+    /// is none): e.g. a timing column, for output that must be the same
+    /// on every run.
+    pub fn without_column(mut self, header: &str) -> Table {
+        if let Some(at) = self.headers.iter().position(|h| h == header) {
+            self.headers.remove(at);
+            for row in &mut self.rows {
+                row.remove(at);
+            }
+        }
+        self
+    }
+
     /// Renders with right-aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
@@ -515,6 +528,22 @@ mod tests {
         let report = render_report(&records);
         assert!(report.contains("1 ok, 1 failed"));
         assert!(!report.contains("NaN"), "{report}");
+    }
+
+    #[test]
+    fn a_column_can_be_dropped_by_header() {
+        let records = vec![record("cycle", SolverKind::Local, 2, 0, 1.1)];
+        let full = scaling(&records).render();
+        assert!(
+            full.contains("mean wall ms") && full.contains("1.50"),
+            "{full}"
+        );
+        let rest = scaling(&records).without_column("mean wall ms").render();
+        assert!(
+            !rest.contains("mean wall ms") && !rest.contains("1.50"),
+            "{rest}"
+        );
+        assert!(rest.contains("mean rounds"), "{rest}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! * [`topology::Network`] — the communication graph of an instance plus
 //!   each node's (anonymous) local input.
-//! * [`engine`] — sequential and crossbeam-parallel round executors for
+//! * [`engine`] — sequential and scoped-thread parallel round executors for
 //!   any [`engine::Protocol`]; both produce bit-identical results.
 //! * [`view`] — full-information *view gathering*: after `D` rounds
 //!   every node holds its radius-`D` view of the **unfolding** (universal

@@ -246,11 +246,12 @@ impl Parked {
     }
 
     /// Approximate resident bytes: per agent `t`/`s`/`x`, the `g±`
-    /// tables (`2(R−1)` levels of 8 bytes), the dense `f±` memo (two
-    /// 16-byte slots per level) and the x-line offset and bits; per
-    /// graph node the BFS distance and visit slot and two flood values;
-    /// per constraint row its text offset; then the canonical text and
-    /// both x-line buffers.
+    /// tables (`2(R−1)` levels of 8 bytes) and the x-line offset and
+    /// bits; per graph node the BFS distance and visit slot and two
+    /// flood values; per constraint row its text offset; then the
+    /// canonical text, both x-line buffers and the `t_u` repair memo as
+    /// laid out (per agent and level, two 16-byte `f±` slots and two
+    /// 8-byte slopes once the first repair has run).
     fn cost(&self) -> u64 {
         let text = self.solver.canonical_text().len() as u64;
         let inst = self.solver.special_form().instance();
@@ -258,7 +259,8 @@ impl Parked {
         let nodes = self.solver.graph().n_nodes() as u64;
         let levels = (self.solver.big_r() - 1) as u64;
         let xlines = (self.xlines.text.capacity() + self.xlines.spare.capacity()) as u64;
-        n * (24 + 48 * levels + 16) + nodes * 24 + rows * 8 + text + xlines
+        let memo = self.solver.scratch_bytes() as u64;
+        n * (24 + 16 * levels + 16) + nodes * 24 + rows * 8 + text + xlines + memo
     }
 }
 
@@ -587,6 +589,28 @@ mod tests {
                      render the same bytes as SOLVE"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn cost_counts_the_repair_memo_as_laid_out() {
+        let inst = special_instance(40, 2);
+        for big_r in [2, 3, 5] {
+            let sf = SpecialForm::new(inst.clone()).unwrap();
+            let mut parked = Parked::new(DynamicSolver::new(sf, big_r, 1));
+            let before = parked.cost();
+            parked.apply(&coef_delta(&inst, 0, 1.5)).unwrap();
+            let memo = parked.solver().scratch_bytes() as u64;
+            let n = inst.n_agents() as u64;
+            assert!(
+                memo >= 48 * n * (big_r as u64 - 1),
+                "R {big_r}: the repair lays out slots and slopes"
+            );
+            assert!(
+                parked.cost() >= before + memo,
+                "R {big_r}: cost {} must cover the {memo} memo bytes on top of {before}",
+                parked.cost()
+            );
         }
     }
 

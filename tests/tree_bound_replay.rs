@@ -1,0 +1,47 @@
+//! `TreeBound::t` replays the `t_u` bisection on a bracket of the point
+//! where the computed feasibility predicate flips, so it must return the
+//! plain bisection's (`TreeBound::t_bisect`) bits for every agent. That
+//! holds while every step of the `f±` recursions is a monotone IEEE
+//! operation in a fixed order and the bracket logic is right, which this
+//! test checks. It also needs the margin walk to answer exactly like the
+//! plain walk; a rounding difference between the two shows only when a
+//! midpoint lands in the few floats where they disagree, so the unit
+//! test `margin_walks_answer_like_the_plain_walk_at_the_flip` in
+//! `tree_bound` checks that at each agent's flip directly.
+
+use maxmin_lp::core::transform::to_special_form;
+use maxmin_lp::core::tree_bound::{Scratch, TreeBound};
+use maxmin_lp::core::SpecialForm;
+use maxmin_lp::gen::catalog;
+use proptest::prelude::*;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Catalog family × size {16, 64} × seed × R 2–5: the replay equals
+    /// the bisection bit for bit, and the batch gives the same bits at
+    /// 1, 2 and 4 threads.
+    #[test]
+    fn replay_equals_bisection_bitwise_catalog_wide(
+        family in 0usize..8,
+        size in (0usize..2).prop_map(|i| [16, 64][i]),
+        seed in 0u64..1_000,
+        big_r in 2usize..6,
+    ) {
+        let fams = catalog();
+        let fam = &fams[family];
+        let sf = SpecialForm::new(to_special_form(&fam.instance(size, seed)).instance).unwrap();
+        let tb = TreeBound::new(&sf, big_r);
+        let mut sc = Scratch::default();
+        let bisect: Vec<u64> = sf
+            .instance()
+            .agents()
+            .map(|u| tb.t_bisect(u, &mut sc).to_bits())
+            .collect();
+        let at = format!("{} n={size} seed={seed} R={big_r}", fam.name);
+        for threads in [1, 2, 4] {
+            let replay: Vec<u64> = tb.all_parallel(threads).iter().map(|t| t.to_bits()).collect();
+            prop_assert_eq!(&replay, &bisect, "{} threads={}", at, threads);
+        }
+    }
+}
