@@ -12,11 +12,19 @@
 //! (`LocalSolver::solve`, no body rendering): the same-run reference
 //! `trajectory_gate` holds "cold" to, so a slower solver path on the
 //! serve side fails on any host.
+//!
+//! "parse" and "special_form" are two layers of a cold `SOLVE inline:`
+//! for every catalog family at 64 agents: the text parse of the
+//! instance, and the §4 transform of the parsed instance
+//! (`to_special_form`). `trajectory_gate` holds the second to 1.5× the
+//! first, measured in the same run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mmlp_core::transform::to_special_form;
 use mmlp_core::LocalSolver;
 use mmlp_gen::catalog;
 use mmlp_instance::hash::instance_hash;
+use mmlp_instance::textfmt;
 use mmlp_serve::engine::{execute, CacheKey, Engine};
 use mmlp_serve::protocol::Op;
 use std::sync::Arc;
@@ -48,6 +56,18 @@ fn bench_serve_cache(c: &mut Criterion) {
                 let body = engine.cached(&key).expect("warm");
                 std::hint::black_box(body.len())
             });
+        });
+    }
+
+    for fam in &fams {
+        let inst = fam.instance(64, 1);
+        let text = textfmt::write_instance(&inst);
+        let name = fam.name.replace('/', "-");
+        group.bench_with_input(BenchmarkId::new("parse", &name), &text, |b, text| {
+            b.iter(|| std::hint::black_box(textfmt::parse_instance(text).unwrap()));
+        });
+        group.bench_with_input(BenchmarkId::new("special_form", &name), &inst, |b, inst| {
+            b.iter(|| std::hint::black_box(to_special_form(inst)))
         });
     }
 

@@ -46,11 +46,13 @@
 //! the rule holds on any host and fails if serve ever runs a slower
 //! solver path (the flat network path costs about 9× here);
 //!
-//! 6b. `serve_throughput/reactor/64` must exist, and whenever the
-//! retired thread-per-connection baseline entry
-//! (`serve_throughput/thread_per_conn/64`) is also present — as it is
-//! in the committed file — the reactor must beat it strictly: the
-//! event-driven rewrite has to be a throughput win, not a wash.
+//! 11. `serve_cache/special_form/<f>` ≤ 1.5 × `serve_cache/parse/<f>`
+//!     for every catalog family `f` at 64 agents (a `/` in a family
+//!     name becomes `-`) — the §4 transform of a cold `SOLVE` costs at
+//!     most half again the text parse of the same instance, measured in
+//!     the same run. Building the five §4 steps' instances one after
+//!     another cost 2.5–7× the parse; the one-pass build costs well
+//!     under 1×.
 //!
 //! `BENCH_delta.json` (the §1.3 dynamic corollary, measured):
 //!
@@ -257,23 +259,16 @@ fn gate_serve(g: &mut Gate) {
             2,
         );
     }
-    // The event-driven front-end must serve the 64-client closed-loop
-    // burst strictly faster than the retired thread-per-connection
-    // server. The committed file carries both entries; a freshly
-    // regenerated file has only the reactor one (the old server no
-    // longer exists to measure), so the ordering applies exactly when
-    // the baseline is present — but the reactor entry itself is
-    // mandatory.
-    if !g.medians.contains_key("serve_throughput/reactor/64") {
-        g.failures
-            .push("missing entry: serve_throughput/reactor/64".into());
+    // §4 costs at most 1.5 × the text parse of the same instance.
+    for fam in mmlp_gen::catalog() {
+        let name = fam.name.replace('/', "-");
+        g.check_ratio(
+            &format!("serve_cache/special_form/{name}"),
+            &format!("serve_cache/parse/{name}"),
+            3,
+            2,
+        );
     }
-    g.check(
-        "serve_throughput/reactor/64",
-        "serve_throughput/thread_per_conn/64",
-        true,
-        false,
-    );
 }
 
 fn gate_delta(g: &mut Gate) {

@@ -13,7 +13,7 @@
 use crate::ratio;
 use crate::smoothing::{self, SpecialRun, SpecialTrace};
 use crate::special::SpecialForm;
-use crate::transform::{to_special_form, StageInfo};
+use crate::transform::{try_to_special_form, StageInfo, TransformError};
 use mmlp_instance::{DegreeStats, Instance, Solution};
 
 /// The paper's local algorithm, configured by the locality parameter
@@ -98,40 +98,47 @@ impl LocalSolver {
     /// Solves a general max-min LP: transform (§4), run the centralized
     /// special-form algorithm (§5), map back. The message-passing
     /// reference for the same outputs is [`crate::distributed`].
+    /// Panics on an instance outside §4's domain, like
+    /// [`crate::transform::to_special_form`].
     pub fn solve(&self, inst: &Instance) -> LocalSolverOutput {
         self.solve_with(inst, |sf| {
             smoothing::solve_special(sf, self.big_r, self.threads)
         })
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`LocalSolver::solve`] plus the per-phase wall times of its §5
     /// solve ([`smoothing::solve_special_traced`]); bit-identical output.
-    pub fn solve_traced(&self, inst: &Instance) -> (LocalSolverOutput, SpecialTrace) {
+    /// An instance outside §4's domain is an error, not a panic.
+    pub fn solve_traced(
+        &self,
+        inst: &Instance,
+    ) -> Result<(LocalSolverOutput, SpecialTrace), TransformError> {
         let mut trace = SpecialTrace::default();
         let out = self.solve_with(inst, |sf| {
             let (run, t) = smoothing::solve_special_traced(sf, self.big_r, self.threads);
             trace = t;
             run
-        });
-        (out, trace)
+        })?;
+        Ok((out, trace))
     }
 
     fn solve_with(
         &self,
         inst: &Instance,
         special: impl FnOnce(&SpecialForm) -> SpecialRun,
-    ) -> LocalSolverOutput {
-        let transformed = to_special_form(inst);
-        let sf = SpecialForm::new(transformed.instance.clone())
+    ) -> Result<LocalSolverOutput, TransformError> {
+        let mut transformed = try_to_special_form(inst)?;
+        let sf = SpecialForm::new(std::mem::take(&mut transformed.instance))
             .expect("§4 pipeline produces special form");
         let run = special(&sf);
         let solution = transformed.map_back(&run.x);
-        LocalSolverOutput {
+        Ok(LocalSolverOutput {
             solution,
             special_run: run,
             trace: transformed.trace,
             big_r: self.big_r,
-        }
+        })
     }
 
     /// Solves an instance already in special form, skipping the pipeline
@@ -144,6 +151,7 @@ impl LocalSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::to_special_form;
     use mmlp_gen::random::{random_general, RandomConfig};
     use mmlp_gen::special::cycle_special;
     use mmlp_lp::solve_maxmin;
@@ -266,7 +274,7 @@ mod tests {
     fn traced_centralized_solve_is_bit_identical_and_timed() {
         let inst = random_general(&cfg(), 3);
         let plain = LocalSolver::new(3).solve(&inst);
-        let (traced, trace) = LocalSolver::new(3).solve_traced(&inst);
+        let (traced, trace) = LocalSolver::new(3).solve_traced(&inst).unwrap();
         for v in inst.agents() {
             assert_eq!(
                 plain.solution.value(v).to_bits(),
@@ -275,6 +283,20 @@ mod tests {
         }
         assert!(trace.total_ns > 0);
         assert!(trace.t_eval_ns + trace.flood_ns + trace.g_ns <= trace.total_ns);
+    }
+
+    #[test]
+    fn traced_solve_returns_the_transform_error() {
+        let mut b = mmlp_instance::InstanceBuilder::with_agents(3);
+        let v = |i| mmlp_instance::AgentId::new(i);
+        b.add_constraint(&[(v(0), 1.0), (v(1), 1.0)]).unwrap();
+        b.add_objective(&[(v(0), 1.0), (v(1), 1.0)]).unwrap();
+        b.add_objective(&[(v(2), 1.0)]).unwrap();
+        let inst = b.build().unwrap();
+        assert_eq!(
+            LocalSolver::new(3).solve_traced(&inst).unwrap_err(),
+            TransformError::NoConstraint(v(2))
+        );
     }
 
     #[test]

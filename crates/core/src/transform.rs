@@ -21,8 +21,51 @@
 //! whole-instance rewrites — the per-node determinism makes the global
 //! rewrite and the local one coincide; the locality is asserted by a
 //! perturbation test in the integration suite.
+//!
+//! # One build for the whole pipeline
+//!
+//! The five step functions above are the paper-level reference: each
+//! builds a whole [`Instance`]. [`to_special_form`] does not run them.
+//! Because every step is a local rewrite, their index maps compose, and
+//! [`try_to_special_form`] computes the composed agent, constraint and
+//! objective maps in one pass over the input, then builds the special
+//! form once with [`Instance::from_csr`]. Its output equals the five
+//! steps applied in order — the canonical text, the stage trace and the
+//! bits of every [`Transformed::map_back`] — which
+//! `tests/transform_fused.rs` checks catalog-wide and on hostile shapes.
+//! The numbering contract that makes this hold:
+//!
+//! * **Agents.** The §4.2 agents come first: the input agents, then
+//!   `s, t, u` for each singleton constraint, in constraint order. Each
+//!   §4.2 agent gets one §4.4 *slot* per objective, in ascending
+//!   objective id (`s` has two: `h`, then `ℓ`). Each slot gets one final
+//!   agent, or two when its objective is a singleton row (§4.5).
+//! * **Constraints.** The §4.3 pairs in order: the input rows (a
+//!   singleton row becomes `(v, s)` with coefficient 1 on `s`, a row of
+//!   degree > 2 its pairs `p < q` in port order), then the gadget rows
+//!   `(t, u)`. Each pair expands as the §4.4 product over
+//!   `(slot_a, slot_b)`, last index fastest, and inside it the §4.5
+//!   product over copies. This nested order is not the flat product
+//!   over final copies: the two differ once an agent has several slots
+//!   and one of them splits.
+//! * **Coefficients.** With `col` the slot's `c_kv` (`c_kv / 2.0` for a
+//!   split copy), a constraint coefficient is `a / col`, and every
+//!   objective coefficient is 1. The §4.2 padding is `2.0 · Σ c·cap`,
+//!   summed exactly as [`augment_singleton_constraints`] sums it.
+//! * **Back-map.** `Scale{1/col}`, then one `MaxOfCopies` over all final
+//!   copies of each input agent (max is exact, so it equals the nested
+//!   maxima of §4.4 and §4.5, and the gadget copies, numbered after
+//!   every input agent's, drop out without a `Restrict`), then
+//!   `Scale{2/maxdeg}`, where a singleton row counts as degree 2.
+//!
+//! There is deliberately no pass-through branch for inputs that are
+//! already special: the single pass costs a few microseconds on them
+//! (the special-form, cycle and gadget families), and a measured skip
+//! did not separate from it end to end, so it would be a second code
+//! path without a payoff (`specs/PERF.md` §2d).
 
-use mmlp_instance::{AgentId, Instance, InstanceBuilder, Solution};
+use mmlp_instance::instance::BuildError;
+use mmlp_instance::{AgentId, Entry, Instance, InstanceBuilder, Solution};
 
 /// One back-mapping step (solution of the transformed instance →
 /// solution of the input instance of that step).
@@ -404,38 +447,245 @@ pub fn normalize_objective_coefficients(inst: &Instance) -> (Instance, BackStep)
     )
 }
 
+/// Why an instance lies outside §4's domain ([`try_to_special_form`]).
+#[derive(Clone, Debug, PartialEq)]
+pub enum TransformError {
+    /// An agent in no objective (`|Kv| = 0`): §4.2 sizes a singleton
+    /// constraint's padding from `K_v`, and the special form needs
+    /// `|Kv| = 1`.
+    NoObjective(AgentId),
+    /// An agent in no constraint (`|Iv| = 0`): its value is unbounded,
+    /// and the special form needs `|Iv| ≥ 1`.
+    NoConstraint(AgentId),
+    /// A coefficient the special form cannot hold: the §4.2 padding,
+    /// the §4.5 halving or the §4.6 rescaling left the strictly
+    /// positive finite floats.
+    Coefficient(BuildError),
+}
+
+impl std::fmt::Display for TransformError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TransformError::NoObjective(v) => {
+                write!(f, "agent {v} is in no objective (§4 needs |Kv| ≥ 1)")
+            }
+            TransformError::NoConstraint(v) => {
+                write!(f, "agent {v} is in no constraint (§4 needs |Iv| ≥ 1)")
+            }
+            TransformError::Coefficient(e) => write!(f, "special form: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for TransformError {}
+
 /// Runs the full §4 pipeline, producing a special-form instance and the
-/// composed back-map. Panics (via the per-step asserts) on instances
-/// violating the standing assumptions — call
-/// `mmlp_instance::validate::check` first.
+/// composed back-map. Panics with the [`TransformError`]'s message on
+/// an instance outside §4's domain — call
+/// `mmlp_instance::validate::check` first, or use
+/// [`try_to_special_form`].
 pub fn to_special_form(inst: &Instance) -> Transformed {
-    let mut trace = vec![StageInfo::of("input", inst)];
-    let mut steps = Vec::with_capacity(5);
+    try_to_special_form(inst).unwrap_or_else(|e| panic!("{e}"))
+}
 
-    let (i2, s2) = augment_singleton_constraints(inst);
-    trace.push(StageInfo::of("4.2 constraints>=2", &i2));
-    steps.push(s2);
+/// Runs §4.2–4.6 as one build (see the module docs for the numbering
+/// contract): the special form and back-map the five step functions
+/// would produce in order, or the reason the input has none.
+pub fn try_to_special_form(inst: &Instance) -> Result<Transformed, TransformError> {
+    let n = inst.n_agents();
+    for v in inst.agents() {
+        if inst.agent_objectives(v).is_empty() {
+            return Err(TransformError::NoObjective(v));
+        }
+        if inst.agent_constraints(v).is_empty() {
+            return Err(TransformError::NoConstraint(v));
+        }
+    }
 
-    let (i3, s3) = reduce_constraint_degree(&i2);
-    trace.push(StageInfo::of("4.3 constraints=2", &i3));
-    steps.push(s3);
+    // §4.2: one gadget {s, t, u} per singleton constraint, in constraint
+    // order, padded with 2·big exactly as the step function sizes it.
+    let mut pads = Vec::new();
+    for i in inst.constraints() {
+        if let [e] = inst.constraint_row(i) {
+            let k = inst.agent_objectives(e.agent)[0].obj;
+            let big: f64 = inst
+                .objective_row(k)
+                .iter()
+                .map(|e| e.coef * inst.agent_cap(e.agent))
+                .sum();
+            let pad = 2.0 * big;
+            if !(pad.is_finite() && pad > 0.0) {
+                return Err(TransformError::Coefficient(BuildError::BadCoefficient {
+                    value: pad,
+                }));
+            }
+            pads.push(pad);
+        }
+    }
+    let n2 = n + 3 * pads.len();
 
-    let (i4, s4) = split_multi_objective_agents(&i3);
-    trace.push(StageInfo::of("4.4 |Kv|=1", &i4));
-    steps.push(s4);
+    // §4.4 slots and §4.5 copies: §4.2 agent `u` owns slots
+    // `slot_off[u]..slot_off[u+1]`, one per objective in ascending id;
+    // slot `g` owns final agents `fin_off[g]..fin_off[g+1]` (two when its
+    // objective is a singleton row) and divides its column by `col[g]`.
+    let n_slots = inst.n_objective_edges() + 4 * pads.len();
+    let mut slot_off = Vec::with_capacity(n2 + 1);
+    let mut col = Vec::with_capacity(n_slots);
+    let mut fin_off = Vec::with_capacity(n_slots + 1);
+    slot_off.push(0usize);
+    fin_off.push(0u32);
+    for v in inst.agents() {
+        for ao in inst.agent_objectives(v) {
+            let split = inst.objective_row(ao.obj).len() == 1;
+            col.push(if split { ao.coef / 2.0 } else { ao.coef });
+            fin_off.push(fin_off[fin_off.len() - 1] + 1 + u32::from(split));
+        }
+        slot_off.push(col.len());
+    }
+    for &pad in &pads {
+        // s is in h and ℓ with coefficient 1; t in h and u in ℓ, padded.
+        col.extend([1.0, 1.0, pad, pad]);
+        slot_off.extend([col.len() - 2, col.len() - 1, col.len()]);
+    }
+    let gadget_base = fin_off[fin_off.len() - 1];
+    fin_off.extend((1..=4 * pads.len() as u32).map(|d| gadget_base + d));
+    let n6 = fin_off[n_slots] as usize;
+    let slots = |u: u32| slot_off[u as usize]..slot_off[u as usize + 1];
+    let copies = |g: usize| fin_off[g]..fin_off[g + 1];
+    let n_copies =
+        |u: u32| (fin_off[slot_off[u as usize + 1]] - fin_off[slot_off[u as usize]]) as usize;
 
-    let (i5, s5) = augment_singleton_objectives(&i4);
-    trace.push(StageInfo::of("4.5 |Vk|>=2", &i5));
-    steps.push(s5);
+    let (mut m3, mut m4, mut m6) = (0usize, 0usize, 0usize);
+    for_each_pair(inst, pads.len(), |a, _, b, _| {
+        m3 += 1;
+        m4 += slots(a).len() * slots(b).len();
+        m6 += n_copies(a) * n_copies(b);
+    });
+    let mut a_off = Vec::with_capacity(m6 + 1);
+    let mut a_entries = Vec::with_capacity(2 * m6);
+    a_off.push(0u32);
+    for_each_pair(inst, pads.len(), |a, a_coef, b, b_coef| {
+        for ga in slots(a) {
+            let ca = a_coef / col[ga];
+            for gb in slots(b) {
+                let cb = b_coef / col[gb];
+                for fa in copies(ga) {
+                    for fb in copies(gb) {
+                        a_entries.push(Entry {
+                            agent: AgentId::new(fa),
+                            coef: ca,
+                        });
+                        a_entries.push(Entry {
+                            agent: AgentId::new(fb),
+                            coef: cb,
+                        });
+                        a_off.push(a_entries.len() as u32);
+                    }
+                }
+            }
+        }
+    });
 
-    let (i6, s6) = normalize_objective_coefficients(&i5);
-    trace.push(StageInfo::of("4.6 c=1", &i6));
-    steps.push(s6);
+    // Objectives keep their order; each §4.2 entry becomes its slot's
+    // copies, all with coefficient 1. Every final agent is in exactly one.
+    let n_obj = inst.n_objectives() + 2 * pads.len();
+    let mut c_off = Vec::with_capacity(n_obj + 1);
+    let mut c_entries = Vec::with_capacity(n6);
+    c_off.push(0u32);
+    let unit = |f: u32| Entry {
+        agent: AgentId::new(f),
+        coef: 1.0,
+    };
+    let mut next_slot = slot_off[..n].to_vec();
+    for k in inst.objectives() {
+        for e in inst.objective_row(k) {
+            let g = next_slot[e.agent.idx()];
+            next_slot[e.agent.idx()] += 1;
+            c_entries.extend(copies(g).map(unit));
+        }
+        c_off.push(c_entries.len() as u32);
+    }
+    for j in 0..pads.len() {
+        // Slots of s (h, ℓ), t (h) and u (ℓ); none of them splits.
+        let g = slot_off[n + 3 * j];
+        for (s_slot, partner) in [(g, g + 2), (g + 1, g + 3)] {
+            c_entries.extend([unit(fin_off[s_slot]), unit(fin_off[partner])]);
+            c_off.push(c_entries.len() as u32);
+        }
+    }
 
-    Transformed {
-        instance: i6,
-        steps,
+    let degree_scale = inst
+        .agents()
+        .map(|v| {
+            let max_deg = inst
+                .agent_constraints(v)
+                .iter()
+                .map(|e| inst.constraint_row(e.cons).len().max(2))
+                .max()
+                .unwrap_or(2);
+            2.0 / max_deg as f64
+        })
+        .collect();
+    let offsets = slot_off[..=n].iter().map(|&g| fin_off[g]).collect();
+    let mut col_scale = Vec::with_capacity(n6);
+    for (g, &c) in col.iter().enumerate() {
+        col_scale.extend(copies(g).map(|_| 1.0 / c));
+    }
+
+    let stage = |name, n_agents, n_constraints| StageInfo {
+        name,
+        n_agents,
+        n_constraints,
+        n_objectives: n_obj,
+    };
+    let trace = vec![
+        StageInfo::of("input", inst),
+        stage("4.2 constraints>=2", n2, inst.n_constraints() + pads.len()),
+        stage("4.3 constraints=2", n2, m3),
+        stage("4.4 |Kv|=1", n_slots, m4),
+        stage("4.5 |Vk|>=2", n6, m6),
+        stage("4.6 c=1", n6, m6),
+    ];
+    let instance = Instance::from_csr(n6 as u32, a_off, a_entries, c_off, c_entries)
+        .map_err(TransformError::Coefficient)?;
+    Ok(Transformed {
+        instance,
+        steps: vec![
+            BackStep::Scale {
+                factor: degree_scale,
+            },
+            BackStep::MaxOfCopies { offsets },
+            BackStep::Scale { factor: col_scale },
+        ],
         trace,
+    })
+}
+
+/// Calls `f(a, a_coef, b, b_coef)` for every §4.3 constraint, in order:
+/// the input rows (a singleton row as `(v, s)` with coefficient 1 on its
+/// gadget's `s`, a pair as it is, a longer row as its pairs `p < q` in
+/// port order), then the `n_gadgets` gadget rows `(t, u)`.
+fn for_each_pair(inst: &Instance, n_gadgets: usize, mut f: impl FnMut(u32, f64, u32, f64)) {
+    let n = inst.n_agents() as u32;
+    let mut s = n;
+    for i in inst.constraints() {
+        match inst.constraint_row(i) {
+            [e] => {
+                f(e.agent.raw(), e.coef, s, 1.0);
+                s += 3;
+            }
+            row => {
+                for (p, x) in row.iter().enumerate() {
+                    for y in &row[p + 1..] {
+                        f(x.agent.raw(), x.coef, y.agent.raw(), y.coef);
+                    }
+                }
+            }
+        }
+    }
+    for j in 0..n_gadgets as u32 {
+        let s = n + 3 * j;
+        f(s + 1, 1.0, s + 2, 1.0);
     }
 }
 
@@ -657,6 +907,115 @@ mod tests {
         for v in inst.agents() {
             assert!((back.value(v) - x.value(v)).abs() < 1e-12);
         }
+    }
+
+    /// Builds an instance from `(agent, coef)` rows.
+    fn rows(n: usize, cons: &[&[(u32, f64)]], objs: &[&[(u32, f64)]]) -> Instance {
+        let mut b = InstanceBuilder::with_agents(n);
+        let row = |r: &[(u32, f64)]| -> Vec<(AgentId, f64)> {
+            r.iter().map(|&(v, c)| (AgentId::new(v), c)).collect()
+        };
+        for r in cons {
+            b.add_constraint(&row(r)).unwrap();
+        }
+        for r in objs {
+            b.add_objective(&row(r)).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    fn bad_coefficient(value: f64) -> TransformError {
+        TransformError::Coefficient(BuildError::BadCoefficient { value })
+    }
+
+    #[test]
+    fn an_agent_in_no_objective_is_an_error() {
+        // Agent 2's singleton constraint has no objective to size its
+        // §4.2 padding from.
+        let inst = rows(
+            3,
+            &[&[(0, 1.0), (1, 1.0)], &[(2, 1.0)]],
+            &[&[(0, 1.0), (1, 1.0)]],
+        );
+        let err = try_to_special_form(&inst).unwrap_err();
+        assert_eq!(err, TransformError::NoObjective(AgentId::new(2)));
+        assert!(
+            err.to_string().contains("agent v2 is in no objective"),
+            "{err}"
+        );
+        // Not only next to a singleton constraint: the special form has
+        // no place for it anywhere.
+        let inst = rows(
+            3,
+            &[&[(0, 1.0), (1, 1.0), (2, 1.0)]],
+            &[&[(0, 1.0), (1, 1.0)]],
+        );
+        assert_eq!(
+            try_to_special_form(&inst).unwrap_err(),
+            TransformError::NoObjective(AgentId::new(2))
+        );
+    }
+
+    #[test]
+    fn an_agent_in_no_constraint_is_an_error() {
+        let inst = rows(
+            3,
+            &[&[(0, 1.0), (1, 1.0)]],
+            &[&[(0, 1.0), (1, 1.0)], &[(2, 1.0)]],
+        );
+        let err = try_to_special_form(&inst).unwrap_err();
+        assert_eq!(err, TransformError::NoConstraint(AgentId::new(2)));
+        assert!(
+            err.to_string().contains("agent v2 is in no constraint"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_overflowing_padding_is_a_coefficient_error() {
+        // cap(v1) = 1e300, so c·cap = 1e600 sizes v0's gadget.
+        let inst = rows(
+            2,
+            &[&[(0, 1.0)], &[(1, 1e-300)]],
+            &[&[(0, 1.0), (1, 1e300)]],
+        );
+        assert_eq!(
+            try_to_special_form(&inst).unwrap_err(),
+            bad_coefficient(f64::INFINITY)
+        );
+    }
+
+    #[test]
+    fn an_overflowing_rescale_is_a_coefficient_error() {
+        // §4.6 divides a = 1e300 by c = 1e-10.
+        let inst = rows(2, &[&[(0, 1e300), (1, 1.0)]], &[&[(0, 1e-10), (1, 1.0)]]);
+        let err = try_to_special_form(&inst).unwrap_err();
+        assert_eq!(err, bad_coefficient(f64::INFINITY));
+        assert!(
+            err.to_string().starts_with("special form: coefficient inf"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn an_underflowing_halving_is_a_coefficient_error() {
+        // §4.5 halves the smallest subnormal to 0, so §4.6 divides by 0.
+        let inst = rows(2, &[&[(0, 1.0), (1, 1.0)]], &[&[(0, 5e-324)], &[(1, 1.0)]]);
+        assert_eq!(
+            try_to_special_form(&inst).unwrap_err(),
+            bad_coefficient(f64::INFINITY)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "agent v2 is in no constraint")]
+    fn to_special_form_panics_with_the_error_message() {
+        let inst = rows(
+            3,
+            &[&[(0, 1.0), (1, 1.0)]],
+            &[&[(0, 1.0), (1, 1.0)], &[(2, 1.0)]],
+        );
+        to_special_form(&inst);
     }
 
     #[test]

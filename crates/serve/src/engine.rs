@@ -518,20 +518,25 @@ impl Engine {
 
 /// [`execute`] plus the §5 phase timings of `SOLVE` requests (`None`
 /// for ops that run no §5 solve). The reply body is unchanged — the
-/// timings travel beside it so caching stays body-only.
+/// timings travel beside it so caching stays body-only. A `SOLVE` of
+/// an instance outside §4's domain (an agent in no objective or no
+/// constraint, a coefficient the special form cannot hold) is
+/// `BADREQ`; any other failure is `INTERNAL`.
 pub fn execute_traced(
     op: Op,
     inst: &Instance,
     big_r: usize,
     threads: usize,
-) -> Result<(String, Option<SpecialTrace>), String> {
+) -> Result<(String, Option<SpecialTrace>), EngineError> {
     let mut out = String::new();
     let mut phases = None;
     match op {
         Op::Solve => {
             let stats = DegreeStats::of(inst);
             let solver = LocalSolver::new(big_r.max(2)).with_threads(threads.max(1));
-            let (run, trace) = solver.solve_traced(inst);
+            let (run, trace) = solver
+                .solve_traced(inst)
+                .map_err(|e| (ErrorCode::BadReq, format!("solve: {e}")))?;
             write_solve_header(
                 &mut out,
                 run.solution.utility(inst),
@@ -544,7 +549,7 @@ pub fn execute_traced(
             phases = Some(trace);
         }
         Op::Optimum => {
-            let opt = solve_maxmin(inst).map_err(|e| e.to_string())?;
+            let opt = solve_maxmin(inst).map_err(|e| (ErrorCode::Internal, e.to_string()))?;
             let _ = writeln!(out, "optimum {}", opt.omega);
             for v in inst.agents() {
                 write_x_line(&mut out, v.raw(), opt.solution.value(v));
@@ -561,7 +566,10 @@ pub fn execute_traced(
         // routes it to the delta coordinator, which owns the parked
         // solvers its bodies are rendered from.
         Op::SolveDelta => {
-            return Err("SOLVE_DELTA is handled by the delta coordinator".into());
+            return Err((
+                ErrorCode::Internal,
+                "SOLVE_DELTA is handled by the delta coordinator".into(),
+            ));
         }
         Op::Info => {
             let s = DegreeStats::of(inst);
@@ -608,10 +616,13 @@ fn parse_delta(text: &str) -> Result<Delta, EngineError> {
 /// Executes one solver op against an instance and renders the reply
 /// body. Pure compute: no cache, no locks — this is what the server
 /// submits to the worker pool, and what the bench calls "cold".
-/// `Err` is a one-line reason (e.g. an unbounded instance under
-/// `OPTIMUM`), mapped to `ERR INTERNAL` on the wire and never cached.
+/// `Err` is [`execute_traced`]'s one-line reason without its wire code
+/// (e.g. an unbounded instance under `OPTIMUM`); such replies are never
+/// cached.
 pub fn execute(op: Op, inst: &Instance, big_r: usize, threads: usize) -> Result<String, String> {
-    execute_traced(op, inst, big_r, threads).map(|(body, _)| body)
+    execute_traced(op, inst, big_r, threads)
+        .map(|(body, _)| body)
+        .map_err(|(_, msg)| msg)
 }
 
 #[cfg(test)]

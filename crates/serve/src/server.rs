@@ -1087,8 +1087,7 @@ fn execute_command(
             let label = format!("{} {} R={big_r}", op.tag(), hash_hex(hash));
             let span_rec = ctx.span.clone();
             submit_pooled(shared, me, token, conn, ctx, Some((key, op)), move || {
-                let (body, phases) = engine::execute_traced(op, &inst, big_r, threads)
-                    .map_err(|msg| (ErrorCode::Internal, msg))?;
+                let (body, phases) = engine::execute_traced(op, &inst, big_r, threads)?;
                 if let Some(t) = phases {
                     metrics.observe_solve(&t);
                     if let Some(rec) = &span_rec {

@@ -292,7 +292,7 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// solves plus the memo-table aggregate.
 fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
     use maxmin_lp::core::distributed::solve_distributed_flat_traced;
-    use maxmin_lp::core::transform::to_special_form;
+    use maxmin_lp::core::transform::try_to_special_form;
     use maxmin_lp::core::SpecialForm;
     use maxmin_lp::obs::{next_trace_id, render_timeline, SolveTrace, TraceRing};
 
@@ -381,7 +381,7 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
     let ring = TraceRing::new(workloads.len().max(1));
     let (mut hits, mut misses, mut skips) = (0u64, 0u64, 0u64);
     for (name, inst) in &workloads {
-        let transformed = to_special_form(inst);
+        let transformed = try_to_special_form(inst).map_err(|e| format!("{name}: {e}"))?;
         let sf = SpecialForm::new(transformed.instance.clone())
             .map_err(|e| format!("{name}: special form: {e:?}"))?;
         let (run, trace) = solve_distributed_flat_traced(&sf, big_r, threads);

@@ -277,6 +277,63 @@ fn protocol_errors_are_typed_and_nonfatal() {
 }
 
 #[test]
+fn solves_outside_section_4_are_badreq_and_the_connection_keeps_solving() {
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut c = Client::connect(&addr).unwrap();
+    // Each used to panic a pool worker (an `ERR PANIC` reply and a
+    // backtrace on the server's stderr).
+    for (why, rows, needle) in [
+        (
+            "agent 2 is in no objective",
+            "agents 3\nc 0:1 1:1\nc 2:1\no 0:1 1:1\n",
+            "v2",
+        ),
+        (
+            "agent 2 is in no constraint",
+            "agents 3\nc 0:1 1:1\no 0:1 1:1\no 2:1\n",
+            "v2",
+        ),
+        (
+            "the §4.2 padding overflows",
+            "agents 2\nc 0:1\nc 1:1e-300\no 0:1 1:1e300\n",
+            "inf",
+        ),
+        (
+            "the §4.6 rescale overflows",
+            "agents 2\nc 0:1e300 1:1\no 0:1e-10 1:1\n",
+            "inf",
+        ),
+        (
+            "the §4.5 halving underflows",
+            "agents 2\nc 0:1 1:1\no 0:5e-324\no 1:1\n",
+            "inf",
+        ),
+    ] {
+        let text = format!("maxminlp 1\n{rows}");
+        match c.run_inline(Op::Solve, &text, 3, 1).unwrap() {
+            ClientReply::Err(ErrorCode::BadReq, msg) => {
+                assert!(
+                    msg.starts_with("solve: ") && msg.contains(needle),
+                    "{why}: {msg}"
+                )
+            }
+            other => panic!("{why}: {other:?}"),
+        }
+    }
+
+    // The same connection then answers a valid SOLVE.
+    c.run_inline(Op::Solve, &instance_text(), 3, 1)
+        .unwrap()
+        .into_ok()
+        .expect("a valid SOLVE after the refusals");
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "errors"), 5, "{stats:?}");
+
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
 fn oversized_r_is_badreq_and_the_connection_keeps_solving() {
     let (addr, handle) = spawn_server(ServeConfig::default());
     let mut c = Client::connect(&addr).unwrap();
