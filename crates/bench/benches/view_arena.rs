@@ -1,23 +1,26 @@
-//! The flat view arena vs the legacy recursive trees:
+//! The flat view arena against the centralized solver, on one
+//! instance in one run:
 //!
-//! * **gather** — interned-id gathering (`gather_views_flat`) against
-//!   clone-based tree gathering (`gather_views`) at increasing horizons,
+//! * **gather** — interned-id view gathering (`gather_views_flat`) at
+//!   increasing horizons,
 //! * **eval** — per-agent `t_u` evaluated memoised over the arena
-//!   (`t_from_arena`) against the recursive walk over the gathered tree
-//!   (`t_from_view`),
-//! * **distributed-solve** — the end-to-end flat `solve_distributed_flat`
-//!   against the legacy message protocol.
+//!   (`t_from_arena`) against the centralized `TreeBound::t_bisect`,
+//!   the same bisection, over every agent,
+//! * **distributed-solve** — the end-to-end flat `solve_special_flat`,
+//!   scalar and threaded, against the centralized
+//!   `smoothing::solve_special`.
 //!
-//! These medians land in `BENCH_core.json`; the repo's perf trajectory
-//! tracks the interning-vs-clone and memoised-vs-recursive ratios.
+//! These medians land in `BENCH_core.json`; the trajectory gate bounds
+//! the flat path by a multiple of the centralized reference measured in
+//! the same run, and compares the threaded solve with the scalar one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mmlp_core::distributed::{
-    solve_distributed, solve_distributed_flat, t_from_arena, t_from_view, FlatScratch,
-};
+use mmlp_core::distributed::{solve_special_flat, t_from_arena, FlatScratch};
+use mmlp_core::smoothing::solve_special;
+use mmlp_core::tree_bound::{Scratch, TreeBound};
 use mmlp_core::SpecialForm;
 use mmlp_gen::special::{random_special_form, SpecialFormConfig};
-use mmlp_net::{gather_views, gather_views_flat, Network};
+use mmlp_net::{gather_views_flat, Network};
 
 fn workload(n_objectives: usize) -> SpecialForm {
     SpecialForm::new(random_special_form(
@@ -37,9 +40,6 @@ fn bench_gather(c: &mut Criterion) {
     let mut group = c.benchmark_group("view-gather");
     group.sample_size(10);
     for depth in [2usize, 6, 10] {
-        group.bench_with_input(BenchmarkId::new("tree", depth), &depth, |b, &d| {
-            b.iter(|| std::hint::black_box(gather_views(&net, d)))
-        });
         group.bench_with_input(BenchmarkId::new("flat", depth), &depth, |b, &d| {
             b.iter(|| std::hint::black_box(gather_views_flat(&net, d)))
         });
@@ -54,13 +54,14 @@ fn bench_eval(c: &mut Criterion) {
     group.sample_size(10);
     for big_r in [3usize, 4] {
         let depth = 4 * (big_r - 2) + 2;
-        let (trees, _) = gather_views(&net, depth);
         let flat = gather_views_flat(&net, depth);
+        let tb = TreeBound::new(&sf, big_r);
         let n = sf.n_agents();
-        group.bench_with_input(BenchmarkId::new("recursive", big_r), &big_r, |b, &r| {
+        group.bench_with_input(BenchmarkId::new("central", big_r), &big_r, |b, _| {
+            let mut sc = Scratch::default();
             b.iter(|| {
-                for tree in &trees[..n] {
-                    std::hint::black_box(t_from_view(tree, r));
+                for v in sf.instance().agents() {
+                    std::hint::black_box(tb.t_bisect(v, &mut sc));
                 }
             })
         });
@@ -81,14 +82,14 @@ fn bench_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("distributed-solve");
     group.sample_size(10);
     for big_r in [3usize, 4] {
-        group.bench_with_input(BenchmarkId::new("legacy", big_r), &big_r, |b, &r| {
-            b.iter(|| std::hint::black_box(solve_distributed(&sf, r)))
+        group.bench_with_input(BenchmarkId::new("central", big_r), &big_r, |b, &r| {
+            b.iter(|| std::hint::black_box(solve_special(&sf, r, 1)))
         });
         group.bench_with_input(BenchmarkId::new("flat", big_r), &big_r, |b, &r| {
-            b.iter(|| std::hint::black_box(solve_distributed_flat(&sf, r, 1)))
+            b.iter(|| std::hint::black_box(solve_special_flat(&sf, r, 1)))
         });
         group.bench_with_input(BenchmarkId::new("flat-threaded", big_r), &big_r, |b, &r| {
-            b.iter(|| std::hint::black_box(solve_distributed_flat(&sf, r, 4)))
+            b.iter(|| std::hint::black_box(solve_special_flat(&sf, r, 4)))
         });
     }
     group.finish();

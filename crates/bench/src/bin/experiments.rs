@@ -15,7 +15,7 @@
 //! below measures one of those claims; its doc comment names the claim.
 
 use mmlp_bench::Table;
-use mmlp_core::distributed::{rounds_needed, solve_distributed};
+use mmlp_core::distributed::{rounds_needed, solve_special_flat};
 use mmlp_core::layers::assign_layers_mod;
 use mmlp_core::smoothing::solve_special;
 use mmlp_core::solver::LocalSolver;
@@ -163,7 +163,7 @@ fn t4_locality() {
                 5,
             );
             let sf = SpecialForm::new(inst).unwrap();
-            let run = solve_distributed(&sf, big_r);
+            let (_, stats) = solve_special_flat(&sf, big_r, 1);
             let nodes = sf.instance().n_agents()
                 + sf.instance().n_constraints()
                 + sf.instance().n_objectives();
@@ -171,8 +171,8 @@ fn t4_locality() {
                 n_obj.to_string(),
                 nodes.to_string(),
                 big_r.to_string(),
-                run.stats.rounds.to_string(),
-                format!("{:.1}", run.stats.messages as f64 / nodes as f64),
+                stats.rounds.to_string(),
+                format!("{:.1}", stats.messages as f64 / nodes as f64),
             ]);
         }
     }
@@ -418,10 +418,10 @@ fn t8_distributed() {
         "max |x_dist − x_central|",
     ]);
     for big_r in [2, 3, 4] {
-        let dist = solve_distributed(&sf, big_r);
+        let (dist, stats) = solve_special_flat(&sf, big_r, 1);
         let central = solve_special(&sf, big_r, 1);
         let max_dev = dist
-            .solution
+            .x
             .as_slice()
             .iter()
             .zip(central.x.as_slice())
@@ -429,10 +429,10 @@ fn t8_distributed() {
             .fold(0.0f64, f64::max);
         table.row(vec![
             big_r.to_string(),
-            dist.stats.rounds.to_string(),
-            dist.stats.messages.to_string(),
-            format!("{:.3}", dist.stats.bytes as f64 / 1e6),
-            dist.stats.peak_round_bytes().to_string(),
+            stats.rounds.to_string(),
+            stats.messages.to_string(),
+            format!("{:.3}", stats.bytes as f64 / 1e6),
+            stats.peak_round_bytes().to_string(),
             format!("{max_dev:.1e}"),
         ]);
         assert_eq!(max_dev, 0.0, "bit-identical by construction");

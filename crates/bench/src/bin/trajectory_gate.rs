@@ -11,11 +11,16 @@
 //! 1. `distributed-solve/flat-threaded/4` < `distributed-solve/flat/4`
 //!    — threading the `t` batch must not cost (the PR-5 regression, now
 //!    gated);
-//! 2. `view-eval-t/memoized/R` ≤ `view-eval-t/recursive/R` at every
-//!    benchmarked `R` — the memo table must pay for itself;
-//! 3. `distributed-solve/flat/R` < `distributed-solve/legacy/R` at
-//!    every benchmarked `R` — the arena path must stay ahead of the
-//!    legacy tree protocol;
+//! 2. `view-eval-t/memoized/R` ≤ 5 × `view-eval-t/central/R` at
+//!    R ∈ {3, 4} — `t_u` evaluated over the gathered views, memoised
+//!    per shared subtree, stays within a small factor of the
+//!    centralized `TreeBound::t_bisect` over the same agents, measured
+//!    in the same run;
+//! 3. `distributed-solve/flat/R` ≤ 32 × `distributed-solve/central/R`
+//!    at R ∈ {3, 4} — the whole flat network simulation (gather, `t`
+//!    batch, flood, `g±`) stays within a fixed factor of the
+//!    centralized solve it reproduces bit for bit, measured in the
+//!    same run;
 //! 4. `obs-overhead/traced/R` ≤ 1.03 × `obs-overhead/plain/R` and
 //!    `obs-overhead/journaled/R` ≤ 1.03 × `obs-overhead/plain/R` at
 //!    R ∈ {3, 4} — instrumenting the flat hot path, and additionally
@@ -208,18 +213,19 @@ fn gate_core(g: &mut Gate) {
         true,
         true,
     );
-    for big_r in 2..=8 {
-        g.check(
+    // The flat path against the centralized solver, same run.
+    for big_r in [3u32, 4] {
+        g.check_ratio(
             &format!("view-eval-t/memoized/{big_r}"),
-            &format!("view-eval-t/recursive/{big_r}"),
-            false,
-            big_r == 3 || big_r == 4,
+            &format!("view-eval-t/central/{big_r}"),
+            5,
+            1,
         );
-        g.check(
+        g.check_ratio(
             &format!("distributed-solve/flat/{big_r}"),
-            &format!("distributed-solve/legacy/{big_r}"),
-            true,
-            big_r == 3 || big_r == 4,
+            &format!("distributed-solve/central/{big_r}"),
+            32,
+            1,
         );
     }
     // The 3% observability-overhead contract: traced·100 ≤ plain·103,

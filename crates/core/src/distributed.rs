@@ -1,13 +1,17 @@
-//! The §5 algorithm as an actual message-passing protocol on `mmlp-net`
-//! — anonymous nodes, port numbering, Θ(R) synchronous rounds.
+//! The §5 algorithm as a simulation of the message-passing model on
+//! `mmlp-net` — anonymous nodes, port numbering, Θ(R) synchronous
+//! rounds.
 //!
-//! Three phases, each `4r + 2` send rounds (`r = R − 2`):
+//! [`solve_special_flat`] runs the three phases of the distributed
+//! algorithm, each `4r + 2` send rounds (`r = R − 2`), and charges every
+//! message the protocol would send:
 //!
 //! 1. **View gathering** (§5.1/§4.1): every node assembles its
-//!    radius-`(4r+2)` view of the unfolding; each agent then computes its
-//!    tree bound `t_u` locally from the view, by the same `f±` bisection
-//!    as the centralized evaluator. (The paper's alternating tree `A_u`
-//!    has radius `4r+3`, but its deepest leaf constraints carry only the
+//!    radius-`(4r+2)` view of the unfolding ([`gather_views_flat`]);
+//!    each agent then computes its tree bound `t_u` locally from the
+//!    view ([`t_from_arena`]), by the same `f±` bisection as the
+//!    centralized evaluator. (The paper's alternating tree `A_u` has
+//!    radius `4r+3`, but its deepest leaf constraints carry only the
 //!    coefficients `a_iv` of their level-`4r+1` agents — which those
 //!    agents already know — so radius `4r+2` views suffice.)
 //! 2. **Smoothing flood** (§5.3): `4r+2` rounds of min-flooding give
@@ -18,247 +22,36 @@
 //!    `a_{i,n} · g⁻_{n,d}`); the last level needs no constraint
 //!    exchange. Each agent then outputs eq. (18).
 //!
-//! The protocol's outputs are **bit-identical** to the centralized
-//! engine's: every minimum, sum and bisection is evaluated over the same
-//! operands in the same order (asserted in tests).
+//! Views are messages of interned ids, so a phase-1 round costs
+//! `O(Σ degree)`; phases 2 and 3 carry one `f64` per message and are
+//! evaluated directly, with the per-round message schedule reproduced
+//! for the accounting. The outputs are **bit-identical** to the
+//! centralized engine's: every minimum, sum and bisection is evaluated
+//! over the same operands in the same order (asserted catalog-wide in
+//! the integration tests).
 
 use crate::smoothing::{self, SpecialRun};
 use crate::special::SpecialForm;
-use mmlp_instance::{NodeKind, Solution};
-#[cfg(any(test, feature = "legacy-tree"))]
-use mmlp_net::{engine, NodeInfo, Payload, Protocol, RunResult, ViewChild, ViewTree};
+use mmlp_instance::NodeKind;
 use mmlp_net::{gather_views_flat, FlatViews, Network, RunStats, ViewArena, ViewId, CHILD_BACK};
-
-/// Message alphabet of the protocol.
-#[cfg(any(test, feature = "legacy-tree"))]
-#[derive(Clone, Debug)]
-pub enum Msg {
-    /// Phase 1: a (sender-port-tagged) partial view.
-    View(u32, ViewTree),
-    /// Phases 2–3: a scalar (`t` minima, `g±` aggregates).
-    Val(f64),
-}
-
-#[cfg(any(test, feature = "legacy-tree"))]
-impl Payload for Msg {
-    fn size_bytes(&self) -> usize {
-        match self {
-            Msg::View(_, t) => 4 + t.size_bytes(),
-            Msg::Val(_) => 8,
-        }
-    }
-}
-
-/// Per-node state.
-#[cfg(any(test, feature = "legacy-tree"))]
-#[derive(Clone, Debug)]
-pub struct DistState {
-    view: ViewTree,
-    /// Agents: the tree bound `t_u` once phase 1 ends.
-    pub t: Option<f64>,
-    /// Running minimum during phase 2; ends as `s_v` on agents.
-    flood: f64,
-    /// `g⁺_{v,d}` per level (agents).
-    g_plus: Vec<f64>,
-    /// `g⁻_{v,d}` per level (agents).
-    g_minus: Vec<f64>,
-    /// The output (18), set in `finish` (agents only).
-    pub x: Option<f64>,
-}
-
-/// The protocol object.
-#[cfg(any(test, feature = "legacy-tree"))]
-pub struct DistMaxMin {
-    big_r: usize,
-}
-
-#[cfg(any(test, feature = "legacy-tree"))]
-impl DistMaxMin {
-    /// Creates the protocol with locality parameter `R ≥ 2`.
-    pub fn new(big_r: usize) -> Self {
-        assert!(big_r >= 2);
-        DistMaxMin { big_r }
-    }
-
-    fn r(&self) -> usize {
-        self.big_r - 2
-    }
-
-    /// Length of one phase in send rounds.
-    fn phase_len(&self) -> usize {
-        4 * self.r() + 2
-    }
-}
 
 /// Total synchronous rounds used: `3·(4r+2) = 12R − 18`.
 pub fn rounds_needed(big_r: usize) -> usize {
     3 * (4 * (big_r - 2) + 2)
 }
 
-/// Moves the phase-1 view payloads out of an inbox (no tree is cloned;
-/// the engine overwrites the slots at the next delivery).
-#[cfg(any(test, feature = "legacy-tree"))]
-fn take_views(inbox: &mut [Option<Msg>]) -> Vec<Option<(u32, ViewTree)>> {
-    inbox
-        .iter_mut()
-        .map(|m| match m.take() {
-            Some(Msg::View(p, t)) => Some((p, t)),
-            _ => None,
-        })
-        .collect()
-}
-
-// ---- local computation on views -------------------------------------
-
-/// Index of the (unique, in special form) objective port of an agent.
-#[cfg(any(test, feature = "legacy-tree"))]
-fn objective_port(node: &NodeInfo) -> usize {
-    node.ports
-        .iter()
-        .position(|p| p.neighbor_kind == NodeKind::Objective)
-        .expect("special form: every agent touches an objective")
-}
-
-/// `min_i 1/a_iv` from an agent's own view node.
-#[cfg(any(test, feature = "legacy-tree"))]
-fn cap_of(view: &ViewTree) -> f64 {
-    view.port_kinds
-        .iter()
-        .zip(&view.coefs)
-        .filter(|(k, _)| **k == NodeKind::Constraint)
-        .map(|(_, a)| 1.0 / a)
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// The objective subtree of an agent's view node (unique Sub child with
-/// kind Objective).
-#[cfg(any(test, feature = "legacy-tree"))]
-fn objective_child(view: &ViewTree) -> &ViewTree {
-    for (p, kind) in view.port_kinds.iter().enumerate() {
-        if *kind == NodeKind::Objective {
-            if let ViewChild::Sub(t) = &view.children[p] {
-                return t;
-            }
-        }
-    }
-    panic!("objective child missing — view gathered too shallow");
-}
-
-/// `f⁺` on a view subtree: `w` is a down-type agent at level `4(r−d)+1`,
-/// entered from its objective. `None` when condition (8) fails.
-#[cfg(any(test, feature = "legacy-tree"))]
-fn f_plus_view(w: &ViewTree, d: usize, omega: f64) -> Option<f64> {
-    let val = if d == 0 {
-        cap_of(w)
-    } else {
-        let mut m = f64::INFINITY;
-        for (p, kind) in w.port_kinds.iter().enumerate() {
-            if *kind != NodeKind::Constraint {
-                continue;
-            }
-            let a_own = w.coefs[p];
-            let cons = match &w.children[p] {
-                ViewChild::Sub(t) => t,
-                _ => panic!("constraint child missing — view gathered too shallow"),
-            };
-            // The constraint's unique other Sub child is the partner.
-            let partner = cons
-                .children
-                .iter()
-                .find_map(|c| match c {
-                    ViewChild::Sub(t) => Some(t),
-                    _ => None,
-                })
-                .expect("special form: constraints have a partner agent");
-            // The partner's coefficient towards this constraint is on its
-            // Back port.
-            let back = partner
-                .children
-                .iter()
-                .position(|c| matches!(c, ViewChild::Back))
-                .expect("non-root subtree has a back edge");
-            let a_partner = partner.coefs[back];
-            let fm = f_minus_view(partner, d - 1, omega)?;
-            m = m.min((1.0 - a_partner * fm) / a_own);
-        }
-        m
-    };
-    (val >= 0.0).then_some(val)
-}
-
-/// `f⁻` on a view subtree: `n` is an up-type agent at level `4(r−d)−1`,
-/// entered from a constraint.
-#[cfg(any(test, feature = "legacy-tree"))]
-fn f_minus_view(n: &ViewTree, d: usize, omega: f64) -> Option<f64> {
-    let k = objective_child(n);
-    let mut sum = 0.0;
-    for c in &k.children {
-        if let ViewChild::Sub(w) = c {
-            sum += f_plus_view(w, d, omega)?;
-        }
-    }
-    Some((omega - sum).max(0.0))
-}
-
-/// Computes `t_u` from the agent's radius-`(4r+2)` view — the same
-/// bisection as `tree_bound::TreeBound::t_bisect`, evaluated on the view.
-///
-/// Legacy tree path: available to tests and under the `legacy-tree`
-/// feature only (ViewTree deprecation step 2; see ROADMAP.md).
-#[cfg(any(test, feature = "legacy-tree"))]
-pub fn t_from_view(view: &ViewTree, big_r: usize) -> f64 {
-    let r = big_r - 2;
-    let cap_u = cap_of(view);
-    let k = objective_child(view);
-    let others: Vec<&ViewTree> = k
-        .children
-        .iter()
-        .filter_map(|c| match c {
-            ViewChild::Sub(t) => Some(t.as_ref()),
-            _ => None,
-        })
-        .collect();
-    let hi0 = cap_u + others.iter().map(|w| cap_of(w)).sum::<f64>();
-    let feasible = |omega: f64| -> bool {
-        let mut sum = 0.0;
-        for w in &others {
-            match f_plus_view(w, r, omega) {
-                Some(fp) => sum += fp,
-                None => return false,
-            }
-        }
-        (omega - sum).max(0.0) <= cap_u
-    };
-    if hi0 == 0.0 || feasible(hi0) {
-        return hi0;
-    }
-    let (mut lo, mut hi) = (0.0f64, hi0);
-    let tol = crate::tree_bound::BISECT_REL_TOL * hi0.max(1.0);
-    while hi - lo > tol {
-        // Halving each end first keeps `lo + hi` from overflowing when
-        // `hi0` nears f64::MAX; below that it is the same midpoint.
-        let mid = 0.5 * lo + 0.5 * hi;
-        if feasible(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
 // ---- local computation on flat (arena) views -------------------------
 //
-// The same `f±` recursions, evaluated iteratively over the arena's CSR
+// The `f±` recursions of `tree_bound`, evaluated over the arena's CSR
 // child ranges and **memoised per interned subtree**: hash-consing makes
 // "same subtree" an id compare, so shared subtrees — which is most of a
 // ball in the unfolding — are evaluated once per `(id, level)` instead
 // of once per occurrence. Every arithmetic operation runs on the same
-// operands in the same order as the recursive tree evaluators — except
-// the capacity folds `min_i 1/a_iv`, which run in chunked f64 lanes
-// (`mmlp_net::lanes`) and are order-independent at the bit level — so
-// the results are bit-identical (asserted in tests). Sums are never
-// reassociated; see `specs/PERF.md` for the boundary.
+// operands in the same order as the centralized `TreeBound::t_bisect`
+// — except the capacity folds `min_i 1/a_iv`, which run in chunked f64
+// lanes (`mmlp_net::lanes`) and are order-independent at the bit level
+// — so the results are bit-identical (asserted in tests). Sums are
+// never reassociated; see `specs/PERF.md` for the boundary.
 
 /// Logical subtree size below which the `f±` evaluators skip the memo
 /// table and recompute directly.
@@ -478,8 +271,9 @@ fn objective_child_flat(arena: &ViewArena, v: ViewId) -> ViewId {
     panic!("objective child missing — view gathered too shallow");
 }
 
-/// `f⁺` on an interned subtree (cf. the legacy `f_plus_view`), memoised
-/// above the [`MEMO_MIN_SUBTREE`] cutoff.
+/// `f⁺` on an interned subtree: `w` is a down-type agent at level
+/// `4(r−d)+1`, entered from its objective; `None` when condition (8)
+/// fails. Memoised above the [`MEMO_MIN_SUBTREE`] cutoff.
 fn f_plus_flat(
     arena: &ViewArena,
     w: ViewId,
@@ -514,7 +308,7 @@ fn f_plus_flat(
                 cons < CHILD_BACK,
                 "constraint child missing — view gathered too shallow"
             );
-            // The constraint's unique other Sub child is the partner;
+            // The constraint's unique other interned child is the partner;
             // its coefficient towards this constraint is on its Back
             // port.
             let partner = arena
@@ -555,8 +349,9 @@ fn f_plus_flat(
     result
 }
 
-/// `f⁻` on an interned subtree (cf. the legacy `f_minus_view`),
-/// memoised above the [`MEMO_MIN_SUBTREE`] cutoff.
+/// `f⁻` on an interned subtree: `n` is an up-type agent at level
+/// `4(r−d)−1`, entered from a constraint. Memoised above the
+/// [`MEMO_MIN_SUBTREE`] cutoff.
 fn f_minus_flat(
     arena: &ViewArena,
     n: ViewId,
@@ -573,8 +368,8 @@ fn f_minus_flat(
         }
     }
     let k = objective_child_flat(arena, n);
-    // This sum feeds outputs asserted bit-identical to the recursive
-    // tree path, so it keeps its left-to-right order (see the
+    // This sum feeds outputs asserted bit-identical to the centralized
+    // solver, so it keeps its left-to-right order (see the
     // reassociation boundary in `mmlp_net::lanes`).
     let mut sum = 0.0;
     let mut ok = true;
@@ -602,13 +397,14 @@ fn f_minus_flat(
     result
 }
 
-/// The legacy `t_from_view` bisection on an interned root, memoised
-/// per shared subtree — bit-identical results.
+/// Computes `t_u` from the agent's radius-`(4r+2)` view rooted at
+/// `root` — the bisection of `tree_bound::TreeBound::t_bisect`,
+/// evaluated on the view and memoised per shared subtree.
 ///
 /// `sc` is laid out for `(arena, R)` on first use and reused across
 /// roots and ω probes; capacities come from the precomputed per-id
-/// table, and every sum keeps the recursive path's operand order so the
-/// result is bit-for-bit equal to `t_from_view` (asserted in tests).
+/// table, and every sum keeps the centralized operand order, so the
+/// result is bit-for-bit equal to `t_bisect` (asserted in tests).
 pub fn t_from_arena(arena: &ViewArena, root: ViewId, big_r: usize, sc: &mut FlatScratch) -> f64 {
     let r = (big_r - 2) as u32;
     sc.prepare(arena, r as usize + 1);
@@ -800,240 +596,8 @@ pub fn t_batch_flat_telemetry(
     (out, tel)
 }
 
-// ---- the protocol ----------------------------------------------------
-
-#[cfg(any(test, feature = "legacy-tree"))]
-impl Protocol for DistMaxMin {
-    type State = DistState;
-    type Message = Msg;
-
-    fn rounds(&self) -> usize {
-        rounds_needed(self.big_r)
-    }
-
-    fn init(&self, node: &NodeInfo) -> DistState {
-        DistState {
-            view: ViewTree::depth_zero(node),
-            t: None,
-            flood: f64::INFINITY,
-            g_plus: Vec::new(),
-            g_minus: Vec::new(),
-            x: None,
-        }
-    }
-
-    fn round(
-        &self,
-        st: &mut DistState,
-        node: &NodeInfo,
-        round: usize,
-        inbox: &mut [Option<Msg>],
-        outbox: &mut [Option<Msg>],
-    ) {
-        let a = self.phase_len(); // phase-1 sends: rounds [0, a)
-        let b = 2 * a; // phase-2 sends: rounds [a, 2a); phase 3: [2a, 3a)
-        let is_agent = node.kind == NodeKind::Agent;
-        let r = self.r();
-
-        if round < a {
-            // ---- phase 1: view gathering ----
-            if round > 0 {
-                let mut views = take_views(inbox);
-                st.view = ViewTree::from_inbox(&st.view, &mut views);
-            }
-            for (p, slot) in outbox.iter_mut().enumerate() {
-                *slot = Some(Msg::View(p as u32, st.view.clone()));
-            }
-            return;
-        }
-
-        if round == a {
-            // Final view absorb; agents compute t and seed the flood.
-            let mut views = take_views(inbox);
-            st.view = ViewTree::from_inbox(&st.view, &mut views);
-            if is_agent {
-                let t = t_from_view(&st.view, self.big_r);
-                st.t = Some(t);
-                st.flood = t;
-            }
-        }
-
-        if round < b {
-            // ---- phase 2: min-flooding of t ----
-            if round > a {
-                for m in inbox.iter().flatten() {
-                    if let Msg::Val(v) = m {
-                        st.flood = st.flood.min(*v);
-                    }
-                }
-            }
-            if st.flood.is_finite() {
-                for slot in outbox.iter_mut() {
-                    *slot = Some(Msg::Val(st.flood));
-                }
-            }
-            return;
-        }
-
-        // ---- phase 3: g± exchanges ----
-        let step = round - b; // 0-based within phase 3
-        let d = step / 4;
-        match step % 4 {
-            0 => {
-                if is_agent {
-                    if d == 0 {
-                        // Final flood absorb: s_v.
-                        for m in inbox.iter().flatten() {
-                            if let Msg::Val(v) = m {
-                                st.flood = st.flood.min(*v);
-                            }
-                        }
-                        // (12): g⁺_{v,0} is local.
-                        st.g_plus.push(cap_of(&st.view));
-                    } else {
-                        // (14): g⁺_{v,d} from the partner products
-                        // a_{i,n}·g⁻_{n,d−1} relayed by the constraints.
-                        let mut m = f64::INFINITY;
-                        for (p, kind) in node.ports.iter().enumerate() {
-                            if kind.neighbor_kind != NodeKind::Constraint {
-                                continue;
-                            }
-                            let recv = match &inbox[p] {
-                                Some(Msg::Val(v)) => *v,
-                                _ => panic!("missing constraint relay"),
-                            };
-                            let a_own = kind.coef.expect("agents know coefficients");
-                            m = m.min((1.0 - recv) / a_own);
-                        }
-                        st.g_plus.push(m);
-                    }
-                    // Send g⁺_{v,d} to the objective.
-                    let kp = objective_port(node);
-                    outbox[kp] = Some(Msg::Val(st.g_plus[d]));
-                }
-            }
-            1 => {
-                if node.kind == NodeKind::Objective {
-                    // Reply to each member the sum of the *others*.
-                    let vals: Vec<f64> = inbox
-                        .iter()
-                        .map(|m| match m {
-                            Some(Msg::Val(v)) => *v,
-                            _ => panic!("objective missing a member's g⁺"),
-                        })
-                        .collect();
-                    for (p, slot) in outbox.iter_mut().enumerate() {
-                        let sum: f64 = vals
-                            .iter()
-                            .enumerate()
-                            .filter(|(q, _)| *q != p)
-                            .map(|(_, v)| v)
-                            .sum();
-                        *slot = Some(Msg::Val(sum));
-                    }
-                }
-            }
-            2 => {
-                if is_agent {
-                    // (13): g⁻_{v,d} from the objective's reply.
-                    let kp = objective_port(node);
-                    let sum = match &inbox[kp] {
-                        Some(Msg::Val(v)) => *v,
-                        _ => panic!("missing objective reply"),
-                    };
-                    st.g_minus.push((st.flood - sum).max(0.0));
-                    // Ship partner products through the constraints
-                    // (not needed after the last level).
-                    if d < r {
-                        for (p, kind) in node.ports.iter().enumerate() {
-                            if kind.neighbor_kind != NodeKind::Constraint {
-                                continue;
-                            }
-                            let a_own = kind.coef.expect("agents know coefficients");
-                            outbox[p] = Some(Msg::Val(a_own * st.g_minus[d]));
-                        }
-                    }
-                }
-            }
-            3 => {
-                if node.kind == NodeKind::Constraint {
-                    // Relay each side's product to the other side.
-                    debug_assert_eq!(node.degree(), 2);
-                    for p in 0..2 {
-                        if let Some(Msg::Val(v)) = &inbox[1 - p] {
-                            outbox[p] = Some(Msg::Val(*v));
-                        }
-                    }
-                }
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    fn finish(&self, st: &mut DistState, node: &NodeInfo, inbox: &mut [Option<Msg>]) {
-        if node.kind != NodeKind::Agent {
-            return;
-        }
-        let r = self.r();
-        // The last objective reply (level r) arrives here.
-        let kp = objective_port(node);
-        let sum = match &inbox[kp] {
-            Some(Msg::Val(v)) => *v,
-            _ => panic!("missing final objective reply"),
-        };
-        st.g_minus.push((st.flood - sum).max(0.0));
-        debug_assert_eq!(st.g_plus.len(), r + 1);
-        debug_assert_eq!(st.g_minus.len(), r + 1);
-        // (18) — written exactly as the centralized `smoothing::output`
-        // (multiply by the reciprocal) so results are bit-identical.
-        let total: f64 = (0..=r).map(|d| st.g_plus[d] + st.g_minus[d]).sum();
-        st.x = Some(total * (1.0 / (2.0 * self.big_r as f64)));
-    }
-}
-
-/// Result of a distributed run.
-#[derive(Clone, Debug)]
-pub struct DistributedOutcome {
-    /// The output assignment (18).
-    pub solution: Solution,
-    /// Per-agent `t_u`.
-    pub t: Vec<f64>,
-    /// Per-agent smoothed bound `s_v`.
-    pub s: Vec<f64>,
-    /// Round/message/byte accounting.
-    pub stats: RunStats,
-}
-
-/// Runs the protocol on a special-form instance over the legacy
-/// `ViewTree` message alphabet.
-///
-/// Legacy tree path: available to tests and under the `legacy-tree`
-/// feature only (ViewTree deprecation step 2; see ROADMAP.md). It
-/// remains the reference the flat arena path is cross-checked against
-/// bitwise in `tests/flat_views.rs`.
-#[cfg(any(test, feature = "legacy-tree"))]
-pub fn solve_distributed(sf: &SpecialForm, big_r: usize) -> DistributedOutcome {
-    let net = Network::new(sf.instance());
-    let RunResult { states, stats } = engine::run(&net, &DistMaxMin::new(big_r));
-    let n = sf.n_agents();
-    let mut x = Vec::with_capacity(n);
-    let mut t = Vec::with_capacity(n);
-    let mut s = Vec::with_capacity(n);
-    for st in &states[..n] {
-        x.push(st.x.expect("agent produced output"));
-        t.push(st.t.expect("agent computed t"));
-        s.push(st.flood);
-    }
-    DistributedOutcome {
-        solution: Solution::from_vec(x),
-        t,
-        s,
-        stats,
-    }
-}
-
-/// The §5 algorithm rebuilt on the **flat view arena** — the faithful
-/// distributed semantics at a fraction of the simulation cost:
+/// Runs the §5 algorithm in the message-passing model on the **flat
+/// view arena**:
 ///
 /// 1. **Phase 1** uses [`gather_views_flat`]: payloads are interned ids,
 ///    so per-round work is `O(Σ degree)` instead of the ball size, and
@@ -1044,15 +608,17 @@ pub fn solve_distributed(sf: &SpecialForm, big_r: usize) -> DistributedOutcome {
 ///    parallelism — with the `f±` recursions memoised per shared
 ///    subtree ([`t_from_arena`]).
 /// 2. **Phases 2–3** are scalar recursions; they are evaluated directly
-///    (the same operations in the same order as the message protocol)
+///    (the same operations in the same order as the centralized solver)
 ///    while the protocol's exact per-round message/byte schedule is
 ///    reproduced for the accounting.
 ///
-/// Outputs (`x`, `t`, `s`) **and** the logical `RunStats` accounting are
-/// bit-identical to the legacy `solve_distributed` (tests / the
-/// `legacy-tree` feature); on top of that the stats carry the arena's
-/// dedup counters (`interned_nodes`, `arena_bytes`, `peak_arena_bytes`).
-/// Asserted across the generator catalog in `tests/flat_views.rs`.
+/// Outputs (`x`, `t`, `s`) are bit-identical to
+/// [`smoothing::solve_special`]'s, and the logical `RunStats`
+/// accounting charges each phase-1 message the sender's whole view;
+/// on top of that the stats carry the arena's dedup counters
+/// (`interned_nodes`, `arena_bytes`, `peak_arena_bytes`). Both are
+/// asserted across the generator catalog in `tests/flat_views.rs`, the
+/// accounting against a golden table.
 pub fn solve_special_flat(
     sf: &SpecialForm,
     big_r: usize,
@@ -1226,45 +792,6 @@ fn solve_special_flat_impl(
     (SpecialRun { x, t, s, g }, stats)
 }
 
-/// The distributed solve on the flat arena path: outputs and accounting
-/// bit-identical to the legacy `solve_distributed`, plus dedup counters
-/// in `stats`. `threads` bounds the
-/// workers of the per-agent `t_u` batch over the arena roots (outputs
-/// are bit-identical across thread counts; see [`solve_special_flat`]
-/// for when threading actually engages).
-pub fn solve_distributed_flat(
-    sf: &SpecialForm,
-    big_r: usize,
-    threads: usize,
-) -> DistributedOutcome {
-    let (run, stats) = solve_special_flat(sf, big_r, threads);
-    DistributedOutcome {
-        solution: run.x,
-        t: run.t,
-        s: run.s,
-        stats,
-    }
-}
-
-/// [`solve_distributed_flat`] plus its [`FlatSolveTrace`] (bit-identical
-/// outputs; see [`solve_special_flat_traced`]).
-pub fn solve_distributed_flat_traced(
-    sf: &SpecialForm,
-    big_r: usize,
-    threads: usize,
-) -> (DistributedOutcome, FlatSolveTrace) {
-    let (run, stats, trace) = solve_special_flat_traced(sf, big_r, threads);
-    (
-        DistributedOutcome {
-            solution: run.x,
-            t: run.t,
-            s: run.s,
-            stats,
-        },
-        trace,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1281,23 +808,18 @@ mod tests {
             let s = sf(seed);
             for big_r in [2, 3, 4] {
                 let central = solve_special(&s, big_r, 1);
-                let dist = solve_distributed(&s, big_r);
-                for v in 0..s.n_agents() {
-                    assert_eq!(
-                        dist.t[v].to_bits(),
-                        central.t[v].to_bits(),
-                        "t: seed {seed} R {big_r} agent {v}"
-                    );
-                    assert_eq!(
-                        dist.s[v].to_bits(),
-                        central.s[v].to_bits(),
-                        "s: seed {seed} R {big_r} agent {v}"
-                    );
-                    assert_eq!(
-                        dist.solution.as_slice()[v].to_bits(),
-                        central.x.as_slice()[v].to_bits(),
-                        "x: seed {seed} R {big_r} agent {v}"
-                    );
+                for threads in [1, 4] {
+                    let (flat, _) = solve_special_flat(&s, big_r, threads);
+                    for v in 0..s.n_agents() {
+                        let at = format!("seed {seed} R {big_r} threads {threads} agent {v}");
+                        assert_eq!(flat.t[v].to_bits(), central.t[v].to_bits(), "t: {at}");
+                        assert_eq!(flat.s[v].to_bits(), central.s[v].to_bits(), "s: {at}");
+                        assert_eq!(
+                            flat.x.as_slice()[v].to_bits(),
+                            central.x.as_slice()[v].to_bits(),
+                            "x: {at}"
+                        );
+                    }
                 }
             }
         }
@@ -1316,8 +838,8 @@ mod tests {
                     0,
                 ))
                 .unwrap();
-                let out = solve_distributed(&s, big_r);
-                rounds.push(out.stats.rounds);
+                let (_, stats) = solve_special_flat(&s, big_r, 1);
+                rounds.push(stats.rounds);
             }
             assert_eq!(rounds[0], rounds[1], "locality: rounds independent of n");
             assert_eq!(rounds[0], rounds_needed(big_r));
@@ -1326,31 +848,19 @@ mod tests {
 
     #[test]
     fn messages_scale_linearly_with_size() {
-        let small = solve_distributed(
-            &SpecialForm::new(random_special_form(
+        let messages = |n_objectives: usize| {
+            let s = SpecialForm::new(random_special_form(
                 &SpecialFormConfig {
-                    n_objectives: 10,
-                    extra_constraints: 5,
+                    n_objectives,
+                    extra_constraints: n_objectives / 2,
                     ..SpecialFormConfig::default()
                 },
                 1,
             ))
-            .unwrap(),
-            3,
-        );
-        let large = solve_distributed(
-            &SpecialForm::new(random_special_form(
-                &SpecialFormConfig {
-                    n_objectives: 40,
-                    extra_constraints: 20,
-                    ..SpecialFormConfig::default()
-                },
-                1,
-            ))
-            .unwrap(),
-            3,
-        );
-        let ratio = large.stats.messages as f64 / small.stats.messages as f64;
+            .unwrap();
+            solve_special_flat(&s, 3, 1).1.messages
+        };
+        let ratio = messages(40) as f64 / messages(10) as f64;
         assert!(
             (2.0..8.0).contains(&ratio),
             "4x nodes → ~4x messages, got ratio {ratio}"
@@ -1360,45 +870,11 @@ mod tests {
     #[test]
     fn cycle_distributed_is_optimal() {
         let s = SpecialForm::new(cycle_special(8, 1.0)).unwrap();
-        let out = solve_distributed(&s, 4);
-        for v in out.solution.as_slice() {
+        let (run, _) = solve_special_flat(&s, 4, 1);
+        for v in run.x.as_slice() {
             assert!((v - 0.5).abs() < 1e-9);
         }
-        assert!(out.solution.is_feasible(s.instance(), 1e-9));
-    }
-
-    #[test]
-    fn flat_path_is_bitwise_identical_to_legacy() {
-        for seed in 0..3 {
-            let s = sf(seed);
-            for big_r in [2, 3, 4] {
-                let legacy = solve_distributed(&s, big_r);
-                for threads in [1, 4] {
-                    let flat = solve_distributed_flat(&s, big_r, threads);
-                    for v in 0..s.n_agents() {
-                        assert_eq!(flat.t[v].to_bits(), legacy.t[v].to_bits());
-                        assert_eq!(flat.s[v].to_bits(), legacy.s[v].to_bits());
-                        assert_eq!(
-                            flat.solution.as_slice()[v].to_bits(),
-                            legacy.solution.as_slice()[v].to_bits(),
-                            "seed {seed} R {big_r} threads {threads} agent {v}"
-                        );
-                    }
-                    // The logical accounting is reproduced exactly; only
-                    // the dedup counters are new.
-                    assert_eq!(flat.stats.rounds, legacy.stats.rounds);
-                    assert_eq!(flat.stats.messages, legacy.stats.messages);
-                    assert_eq!(flat.stats.bytes, legacy.stats.bytes);
-                    assert_eq!(
-                        flat.stats.messages_per_round,
-                        legacy.stats.messages_per_round
-                    );
-                    assert_eq!(flat.stats.bytes_per_round, legacy.stats.bytes_per_round);
-                    assert!(flat.stats.interned_nodes > 0);
-                    assert!(flat.stats.dedup_ratio() > 1.0);
-                }
-            }
-        }
+        assert!(run.x.is_feasible(s.instance(), 1e-9));
     }
 
     #[test]
@@ -1434,38 +910,18 @@ mod tests {
     }
 
     #[test]
-    fn t_from_arena_matches_t_from_view() {
-        use mmlp_net::{gather_views, gather_views_flat};
-        let s = sf(6);
+    fn t_from_arena_matches_tree_bound_bisection() {
+        use crate::tree_bound::{Scratch, TreeBound};
+        let s = sf(9);
         let net = Network::new(s.instance());
         for big_r in [2, 3] {
-            let depth = 4 * (big_r - 2) + 2;
-            let (views, _) = gather_views(&net, depth);
-            let flat = gather_views_flat(&net, depth);
-            let mut sc = FlatScratch::default();
-            for (v, view) in views.iter().enumerate().take(s.n_agents()) {
-                let legacy = t_from_view(view, big_r);
-                let arena = t_from_arena(&flat.arena, flat.roots[v], big_r, &mut sc);
-                assert_eq!(legacy.to_bits(), arena.to_bits(), "agent {v} R {big_r}");
-            }
-        }
-    }
-
-    #[test]
-    fn t_from_view_matches_tree_bound() {
-        use crate::tree_bound::{Scratch, TreeBound};
-        use mmlp_net::gather_views;
-        let s = sf(9);
-        for big_r in [2, 3] {
-            let r = big_r - 2;
-            let net = Network::new(s.instance());
-            let (views, _) = gather_views(&net, 4 * r + 2);
+            let flat = gather_views_flat(&net, 4 * (big_r - 2) + 2);
             let tb = TreeBound::new(&s, big_r);
-            let mut sc = Scratch::default();
+            let (mut sc, mut fsc) = (Scratch::default(), FlatScratch::default());
             for v in s.instance().agents() {
-                let direct = tb.t(v, &mut sc);
-                let via_view = t_from_view(&views[v.idx()], big_r);
-                assert_eq!(direct.to_bits(), via_view.to_bits(), "agent {v} R {big_r}");
+                let central = tb.t_bisect(v, &mut sc);
+                let arena = t_from_arena(&flat.arena, flat.roots[v.idx()], big_r, &mut fsc);
+                assert_eq!(central.to_bits(), arena.to_bits(), "agent {v} R {big_r}");
             }
         }
     }

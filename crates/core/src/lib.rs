@@ -15,7 +15,7 @@
 //! | §5.1–5.2 | [`tree_bound`] | alternating trees `A_u`, the `f±` recursions, the per-agent upper bound `t_u` (the bisection, replayed bit for bit in a few probes) |
 //! | §5.3 | [`smoothing`] | smoothed bounds `s_v`, the `g±` recursions, the output (18) |
 //! | §5 | [`solver`] | the end-to-end [`solver::LocalSolver`] |
-//! | §5 | [`distributed`] | the same algorithm as an actual message-passing protocol on `mmlp-net`, with round/byte accounting |
+//! | §5 | [`distributed`] | the same algorithm simulated in the message-passing model on `mmlp-net`, with round/byte accounting |
 //! | §1.3 | [`dynamic`] | the dynamic-algorithm corollary: constant-work solution repair under local input changes |
 //! | §6 | [`layers`] | layers, up/down partitions, shifting solutions `y(j)` — the analysis artefacts, machine-checked in tests |
 //! | §1 | [`safe`] | the prior-work *safe algorithm* baseline (factor ΔI) |

@@ -96,10 +96,12 @@ impl LocalSolver {
     }
 
     /// Solves a general max-min LP: transform (§4), run the centralized
-    /// special-form algorithm (§5), map back. The message-passing
-    /// reference for the same outputs is [`crate::distributed`].
-    /// Panics on an instance outside §4's domain, like
-    /// [`crate::transform::to_special_form`].
+    /// special-form algorithm (§5), map back. The simulation of the same
+    /// algorithm in the message-passing model,
+    /// [`crate::distributed::solve_special_flat`], produces the same
+    /// bits. Panics on an instance outside §4's domain, like
+    /// [`crate::transform::to_special_form`]; [`LocalSolver::solve_traced`]
+    /// returns that error instead.
     pub fn solve(&self, inst: &Instance) -> LocalSolverOutput {
         self.solve_with(inst, |sf| {
             smoothing::solve_special(sf, self.big_r, self.threads)

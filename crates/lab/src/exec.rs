@@ -84,17 +84,18 @@ pub fn execute_job(job: &Job) -> JobRecord {
             // point (bit-identical to the untraced one): the record
             // carries the dedup counters plus the per-phase/memo
             // snapshot the reports and perf-trajectory pipeline use.
-            let (run, flat_trace) = distributed::solve_distributed_flat_traced(&sf, job.big_r, 1);
-            let x = transformed.map_back(&run.solution);
-            interned = run.stats.interned_nodes;
-            arena_bytes = run.stats.arena_bytes;
+            let (run, stats, flat_trace) =
+                distributed::solve_special_flat_traced(&sf, job.big_r, 1);
+            let x = transformed.map_back(&run.x);
+            interned = stats.interned_nodes;
+            arena_bytes = stats.arena_bytes;
             trace = flat_trace;
             (
                 x.utility(&inst),
                 ratio::guarantee(di, dk, job.big_r),
-                run.stats.rounds as u64,
-                run.stats.messages,
-                run.stats.bytes,
+                stats.rounds as u64,
+                stats.messages,
+                stats.bytes,
             )
         }
         SolverKind::Mutating => unreachable!("dispatched to execute_mutating_job above"),

@@ -4,11 +4,10 @@
 //! The predecessor paper (Floréen–Kaski–Musto–Suomela, arXiv:0710.1499)
 //! observes that balls in the unfolding share almost all of their
 //! subtrees: two non-backtracking walks that end in the same node with
-//! the same remaining budget see *identical* futures. A recursive
-//! `ViewTree` (the legacy representation, now behind the `legacy-tree`
-//! feature) pays for that sharing with exponential
-//! duplication — every message deep-clones the whole ball — whereas the
-//! natural representation is a hash-consed DAG:
+//! the same remaining budget see *identical* futures. A recursive tree
+//! pays for that sharing with exponential duplication — every message
+//! would copy the whole ball — whereas the natural representation is a
+//! hash-consed DAG:
 //!
 //! * all view nodes of a run live in **one struct-of-arrays arena**
 //!   (kind, CSR child ranges, per-port neighbour kinds, coefficient
@@ -20,15 +19,14 @@
 //!   evaluated once.
 //!
 //! The arena tracks both accountings: the **logical** tree metrics
-//! (`size`, `depth`, `tree_bytes` — exactly what the recursive
-//! `ViewTree` would report, used for faithful message-
-//! byte accounting) and the **deduped** footprint (`unique_bytes`, the
-//! bytes the arena actually stores, each interned node counted once).
-//! Their quotient is the dedup ratio surfaced in [`crate::RunStats`].
+//! (`size`, `depth`, `tree_bytes` — what the expanded tree would
+//! measure, shared subtrees counted per occurrence, used for faithful
+//! message-byte accounting) and the **deduped** footprint
+//! (`unique_bytes`, the bytes the arena actually stores, each interned
+//! node counted once). Their quotient is the dedup ratio surfaced in
+//! [`crate::RunStats`].
 
 use crate::topology::NodeInfo;
-#[cfg(any(test, feature = "legacy-tree"))]
-use crate::view::{ViewChild, ViewTree};
 use mmlp_instance::NodeKind;
 use std::collections::HashMap;
 
@@ -75,10 +73,10 @@ pub struct ViewArena {
     coefs: Vec<f64>,
     /// Logical tree-node count of the subtree rooted at each id.
     sizes: Vec<u64>,
-    /// Depth of the deepest `Sub` chain below each id.
+    /// Depth of the deepest chain of interned children below each id.
     depths: Vec<u32>,
-    /// Logical serialized-size estimate, matching
-    /// `<ViewTree as Payload>::size_bytes` exactly.
+    /// Logical serialized size of the subtree rooted at each id (see
+    /// [`ViewArena::tree_bytes`]).
     tree_bytes: Vec<u64>,
     /// Deduped footprint: every interned node counted once.
     unique_bytes: u64,
@@ -154,19 +152,21 @@ impl ViewArena {
         &self.coefs[a..b]
     }
 
-    /// Logical tree size (this node plus all `Sub` descendants, shared
-    /// subtrees counted as often as a recursive tree would).
+    /// Logical tree size: this node plus every interned descendant,
+    /// shared subtrees counted per occurrence.
     pub fn size(&self, id: ViewId) -> u64 {
         self.sizes[id as usize]
     }
 
-    /// Depth of the deepest `Sub` chain.
+    /// Depth of the deepest chain of interned children.
     pub fn depth(&self, id: ViewId) -> u32 {
         self.depths[id as usize]
     }
 
-    /// Logical serialized-size estimate of the tree rooted here —
-    /// bit-compatible with `<ViewTree as Payload>::size_bytes`.
+    /// Logical serialized size of the tree rooted here, shared subtrees
+    /// counted per occurrence: `1 + 2·ports + 8·coefs` bytes for the
+    /// node itself (a kind tag, two tag bytes per port, eight per
+    /// coefficient), plus the `tree_bytes` of every child subtree.
     pub fn tree_bytes(&self, id: ViewId) -> u64 {
         self.tree_bytes[id as usize]
     }
@@ -353,10 +353,9 @@ impl ViewArena {
     }
 
     /// Builds the depth-`t+1` view from the depth-`t` views received on
-    /// each port — the arena form of the legacy `ViewTree::from_inbox`: the
-    /// sender-port slot of each delivered subtree becomes the back edge,
-    /// silent ports become cuts; kind, port kinds and coefficients come
-    /// from `own`.
+    /// each port: the sender-port slot of each delivered subtree becomes
+    /// the back edge, silent ports become cuts; kind, port kinds and
+    /// coefficients come from `own`.
     pub fn absorb(&mut self, own: ViewId, inbox: &[Option<(u32, ViewId)>]) -> ViewId {
         let children: Vec<u32> = inbox
             .iter()
@@ -367,52 +366,11 @@ impl ViewArena {
             .collect();
         self.intern_like(own, &children)
     }
-
-    /// Interns a legacy recursive tree (conversion layer for
-    /// cross-checks and the lower-bound experiment; compiled only for
-    /// tests and under the `legacy-tree` feature — deprecation step 3).
-    #[cfg(any(test, feature = "legacy-tree"))]
-    pub fn intern_tree(&mut self, tree: &ViewTree) -> ViewId {
-        let children: Vec<u32> = tree
-            .children
-            .iter()
-            .map(|c| match c {
-                ViewChild::Back => CHILD_BACK,
-                ViewChild::Cut => CHILD_CUT,
-                ViewChild::Sub(t) => self.intern_tree(t),
-            })
-            .collect();
-        self.intern(tree.kind, &tree.port_kinds, &tree.coefs, &children)
-    }
-
-    /// Expands an interned view back into the legacy recursive tree
-    /// (compiled only for tests and under the `legacy-tree` feature —
-    /// deprecation step 3).
-    #[cfg(any(test, feature = "legacy-tree"))]
-    pub fn to_tree(&self, id: ViewId) -> ViewTree {
-        ViewTree {
-            kind: self.kind(id),
-            coefs: self.coefs(id).to_vec(),
-            port_kinds: self.port_kinds(id).to_vec(),
-            children: self
-                .children(id)
-                .iter()
-                .map(|&c| match c {
-                    CHILD_CUT => ViewChild::Cut,
-                    CHILD_BACK => ViewChild::Back,
-                    sub => ViewChild::Sub(Box::new(self.to_tree(sub))),
-                })
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Network;
-    use crate::view::gather_views;
-    use mmlp_gen::special::{cycle_special, random_special_form, SpecialFormConfig};
 
     #[test]
     fn interning_is_idempotent_and_ids_are_equality() {
@@ -440,60 +398,5 @@ mod tests {
         assert_eq!(b1, b2);
         assert_eq!(a.set_back(b1, 1), b1, "already a back edge");
         assert_eq!(a.children(b1), &[CHILD_CUT, CHILD_BACK]);
-    }
-
-    #[test]
-    fn tree_round_trip_preserves_structure_and_metrics() {
-        let inst = random_special_form(&SpecialFormConfig::default(), 3);
-        let net = Network::new(&inst);
-        let (views, _) = gather_views(&net, 4);
-        let mut a = ViewArena::new();
-        for v in &views {
-            let id = a.intern_tree(v);
-            assert_eq!(a.size(id) as usize, v.size());
-            assert_eq!(a.depth(id) as usize, v.depth());
-            assert_eq!(a.tree_bytes(id) as usize, crate::Payload::size_bytes(v));
-            assert_eq!(&a.to_tree(id), v, "round trip is exact");
-        }
-    }
-
-    #[test]
-    fn ids_agree_with_tree_equality() {
-        let net_a = Network::new(&cycle_special(5, 1.0));
-        let net_b = Network::new(&cycle_special(9, 1.0));
-        let (va, _) = gather_views(&net_a, 6);
-        let (vb, _) = gather_views(&net_b, 6);
-        let mut arena = ViewArena::new();
-        let ia: Vec<ViewId> = va.iter().map(|v| arena.intern_tree(v)).collect();
-        let ib: Vec<ViewId> = vb.iter().map(|v| arena.intern_tree(v)).collect();
-        for (x, vx) in va.iter().enumerate() {
-            for (y, vy) in vb.iter().enumerate() {
-                assert_eq!(
-                    ia[x] == ib[y],
-                    vx == vy,
-                    "arena equality must agree with ViewTree equality ({x}, {y})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shared_subtrees_are_stored_once() {
-        // On a cycle, deep views are paths over a 4-periodic node
-        // pattern: the arena stays linear while logical sizes explode.
-        let inst = cycle_special(2, 1.0);
-        let net = Network::new(&inst);
-        let (views, _) = gather_views(&net, 9);
-        let mut a = ViewArena::new();
-        let mut logical = 0u64;
-        for v in &views {
-            let id = a.intern_tree(v);
-            logical += a.tree_bytes(id);
-        }
-        assert!(
-            a.unique_bytes() < logical,
-            "dedup must beat the logical footprint: {} vs {logical}",
-            a.unique_bytes()
-        );
     }
 }

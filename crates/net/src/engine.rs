@@ -1,4 +1,4 @@
-//! Synchronous round executors (sequential and parallel).
+//! The synchronous round executor.
 //!
 //! Execution of a [`Protocol`] with `D = rounds()`:
 //!
@@ -13,17 +13,13 @@
 //! which is exactly the paper's model (§1.2): per round each node
 //! performs local computation, sends one (optional) message per incident
 //! edge, and receives one per incident edge.
-//!
-//! The parallel executor shards nodes across threads with a barrier per
-//! phase; because each phase only writes node-local slots, its results
-//! are bit-identical to the sequential executor (asserted in tests).
 
 use crate::stats::RunStats;
 use crate::topology::{Network, NodeInfo};
 
 /// A message payload with byte accounting (a real network would
 /// serialise it; we only measure).
-pub trait Payload: Clone + Send + Sync {
+pub trait Payload: Clone {
     /// Serialised size estimate in bytes.
     fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -31,37 +27,16 @@ pub trait Payload: Clone + Send + Sync {
 }
 
 impl Payload for f64 {}
-impl Payload for u64 {}
 impl Payload for u32 {}
-impl Payload for bool {}
-impl Payload for () {}
-
-impl<A: Payload, B: Payload> Payload for (A, B) {
-    fn size_bytes(&self) -> usize {
-        self.0.size_bytes() + self.1.size_bytes()
-    }
-}
-
-impl<T: Payload> Payload for Vec<T> {
-    fn size_bytes(&self) -> usize {
-        8 + self.iter().map(Payload::size_bytes).sum::<usize>()
-    }
-}
-
-impl<T: Payload> Payload for Option<T> {
-    fn size_bytes(&self) -> usize {
-        1 + self.as_ref().map_or(0, Payload::size_bytes)
-    }
-}
 
 /// A synchronous distributed algorithm in the port-numbering model.
 ///
 /// The protocol object itself is shared immutable configuration; all
 /// per-node state lives in `State`. Nodes are anonymous: the only inputs
 /// are the [`NodeInfo`] (own kind + per-port info) and received messages.
-pub trait Protocol: Sync {
+pub trait Protocol {
     /// Per-node state.
-    type State: Send;
+    type State;
     /// Message payload.
     type Message: Payload;
 
@@ -101,21 +76,6 @@ pub struct RunResult<S> {
     pub stats: RunStats,
 }
 
-/// Runs a protocol sequentially.
-pub fn run<P: Protocol>(net: &Network, protocol: &P) -> RunResult<P::State> {
-    run_inner(net, protocol, 1)
-}
-
-/// Runs a protocol with `threads` scoped worker threads.
-/// Produces results identical to [`run`].
-pub fn run_parallel<P: Protocol>(
-    net: &Network,
-    protocol: &P,
-    threads: usize,
-) -> RunResult<P::State> {
-    run_inner(net, protocol, threads.max(1))
-}
-
 fn mailbox_shape<M>(net: &Network) -> Vec<Vec<Option<M>>> {
     (0..net.n_nodes() as u32)
         .map(|x| {
@@ -127,7 +87,8 @@ fn mailbox_shape<M>(net: &Network) -> Vec<Vec<Option<M>>> {
         .collect()
 }
 
-fn run_inner<P: Protocol>(net: &Network, protocol: &P, threads: usize) -> RunResult<P::State> {
+/// Runs a protocol.
+pub fn run<P: Protocol>(net: &Network, protocol: &P) -> RunResult<P::State> {
     let n = net.n_nodes();
     let mut states: Vec<P::State> = (0..n as u32).map(|x| protocol.init(net.info(x))).collect();
     let mut inboxes: Vec<Vec<Option<P::Message>>> = mailbox_shape(net);
@@ -141,45 +102,17 @@ fn run_inner<P: Protocol>(net: &Network, protocol: &P, threads: usize) -> RunRes
     for t in 0..rounds {
         // Phase 1: compute. Writes states[x], inboxes[x] (protocols may
         // take received payloads) and outboxes[x] only.
-        if threads <= 1 || n < 256 {
-            for x in 0..n {
-                for slot in outboxes[x].iter_mut() {
-                    *slot = None;
-                }
-                protocol.round(
-                    &mut states[x],
-                    net.info(x as u32),
-                    t,
-                    &mut inboxes[x],
-                    &mut outboxes[x],
-                );
+        for x in 0..n {
+            for slot in outboxes[x].iter_mut() {
+                *slot = None;
             }
-        } else {
-            let chunk = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (shard, ((st, ib), ob)) in states
-                    .chunks_mut(chunk)
-                    .zip(inboxes.chunks_mut(chunk))
-                    .zip(outboxes.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    let base = shard * chunk;
-                    scope.spawn(move || {
-                        for (off, ((state, inbox), outbox)) in st
-                            .iter_mut()
-                            .zip(ib.iter_mut())
-                            .zip(ob.iter_mut())
-                            .enumerate()
-                        {
-                            let x = base + off;
-                            for slot in outbox.iter_mut() {
-                                *slot = None;
-                            }
-                            protocol.round(state, net.info(x as u32), t, inbox, outbox);
-                        }
-                    });
-                }
-            });
+            protocol.round(
+                &mut states[x],
+                net.info(x as u32),
+                t,
+                &mut inboxes[x],
+                &mut outboxes[x],
+            );
         }
 
         // Phase 2: deliver (pull model: my inbox slot p comes from the
@@ -189,74 +122,17 @@ fn run_inner<P: Protocol>(net: &Network, protocol: &P, threads: usize) -> RunRes
         // is read exactly once, by the unique neighbour x whose port p
         // satisfies reciprocity — so every slot can be `take`n.
         let graph = net.graph();
-        let (msgs, bytes) = if threads <= 1 || n < 256 {
-            let (mut msgs, mut bytes) = (0u64, 0u64);
-            for (x, inbox) in inboxes.iter_mut().enumerate() {
-                for (slot, adj) in inbox.iter_mut().zip(graph.neighbors(x as u32)) {
-                    let incoming = outboxes[adj.to as usize][adj.port_at_to as usize].take();
-                    if let Some(m) = &incoming {
-                        msgs += 1;
-                        bytes += m.size_bytes() as u64;
-                    }
-                    *slot = incoming;
+        let (mut msgs, mut bytes) = (0u64, 0u64);
+        for (x, inbox) in inboxes.iter_mut().enumerate() {
+            for (slot, adj) in inbox.iter_mut().zip(graph.neighbors(x as u32)) {
+                let incoming = outboxes[adj.to as usize][adj.port_at_to as usize].take();
+                if let Some(m) = &incoming {
+                    msgs += 1;
+                    bytes += m.size_bytes() as u64;
                 }
+                *slot = incoming;
             }
-            (msgs, bytes)
-        } else {
-            let chunk = n.div_ceil(threads);
-            let taps = OutboxTaps {
-                bases: outboxes.iter_mut().map(|v| v.as_mut_ptr()).collect(),
-            };
-            let taps_ref = &taps;
-            let results: Vec<(u64, u64)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = inboxes
-                    .chunks_mut(chunk)
-                    .enumerate()
-                    .map(|(shard, ib)| {
-                        scope.spawn(move || {
-                            let (mut msgs, mut bytes) = (0u64, 0u64);
-                            for (off, inbox) in ib.iter_mut().enumerate() {
-                                let x = (shard * chunk + off) as u32;
-                                for (p, adj) in graph.neighbors(x).iter().enumerate() {
-                                    // SAFETY: reciprocal ports pair each
-                                    // outbox slot with exactly one inbox
-                                    // slot, so no two threads touch the
-                                    // same (adj.to, adj.port_at_to). The
-                                    // assert turns a violated invariant
-                                    // into a deterministic panic under
-                                    // tests instead of a data race.
-                                    debug_assert_eq!(
-                                        {
-                                            let back =
-                                                graph.neighbors(adj.to)[adj.port_at_to as usize];
-                                            (back.to, back.port_at_to)
-                                        },
-                                        (x, p as u32),
-                                        "reciprocal port numbering violated"
-                                    );
-                                    let incoming = unsafe {
-                                        taps_ref.take(adj.to as usize, adj.port_at_to as usize)
-                                    };
-                                    if let Some(m) = &incoming {
-                                        msgs += 1;
-                                        bytes += m.size_bytes() as u64;
-                                    }
-                                    inbox[p] = incoming;
-                                }
-                            }
-                            (msgs, bytes)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("deliver"))
-                    .collect()
-            });
-            results
-                .into_iter()
-                .fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db))
-        };
+        }
         stats.messages += msgs;
         stats.bytes += bytes;
         stats.messages_per_round.push(msgs);
@@ -268,31 +144,6 @@ fn run_inner<P: Protocol>(net: &Network, protocol: &P, threads: usize) -> RunRes
     }
 
     RunResult { states, stats }
-}
-
-/// Shared mutable access to the outbox slots during parallel delivery.
-/// Holds one raw base pointer per node's outbox, collected while the
-/// outboxes were exclusively borrowed; `take` works purely in raw
-/// pointer arithmetic so no (potentially overlapping) `&mut` to a whole
-/// outbox is ever materialized. Sound only because delivery is a
-/// bijection: each (node, port) slot is taken by exactly one receiver
-/// thread (see the call site).
-struct OutboxTaps<M> {
-    bases: Vec<*mut Option<M>>,
-}
-
-unsafe impl<M: Send> Sync for OutboxTaps<M> {}
-
-impl<M> OutboxTaps<M> {
-    /// Takes the message at `(node, port)`.
-    ///
-    /// # Safety
-    /// `port` must be in bounds for `node`'s outbox (reciprocal port
-    /// numbering guarantees it), and no other thread may access the
-    /// same `(node, port)` slot for the lifetime of the delivery phase.
-    unsafe fn take(&self, node: usize, port: usize) -> Option<M> {
-        std::ptr::replace(self.bases[node].add(port), None)
-    }
 }
 
 #[cfg(test)]
@@ -418,19 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential() {
-        let net = chain(40);
-        let seq = run(&net, &FloodMin { rounds: 7 });
-        for threads in [2, 3, 8] {
-            let par = run_parallel(&net, &FloodMin { rounds: 7 }, threads);
-            assert_eq!(par.stats, seq.stats);
-            for (a, b) in par.states.iter().zip(&seq.states) {
-                assert_eq!(a.min.to_bits(), b.min.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn silence_costs_nothing() {
         struct Quiet;
         impl Protocol for Quiet {
@@ -507,17 +345,6 @@ mod tests {
         let result = run(&net, &Nothing);
         assert_eq!(result.stats.rounds, 0);
         assert!(result.states.iter().all(|s| *s >= 100));
-    }
-
-    #[test]
-    fn payload_size_accounting_composes() {
-        use crate::engine::Payload;
-        assert_eq!(1.0f64.size_bytes(), 8);
-        assert_eq!((1u32, 2.0f64).size_bytes(), 12);
-        assert_eq!(vec![1.0f64, 2.0].size_bytes(), 8 + 16);
-        assert_eq!(Some(3.0f64).size_bytes(), 9);
-        assert_eq!(None::<f64>.size_bytes(), 1);
-        assert_eq!(().size_bytes(), 0);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   (`tests/flat_views.rs`, `safe::distributed_matches_closed_form`).
 //! * **`+` folds do NOT reassociate.** Floating-point addition is not
 //!   associative, and every sum in the `f±`/`t` evaluators feeds
-//!   outputs that the test-suite pins bit-for-bit against the legacy
-//!   recursive path — so those sums keep their original left-to-right
+//!   outputs that the test-suite pins bit-for-bit against the
+//!   centralized solver — so those sums keep their original left-to-right
 //!   order and are deliberately *not* given lane helpers. If a future
 //!   PR wants vectorised sums it must either drop the bit-identity
 //!   assertions or keep a scalar reference mode; see `specs/PERF.md`.

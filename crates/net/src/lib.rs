@@ -16,22 +16,18 @@
 //!
 //! * [`topology::Network`] — the communication graph of an instance plus
 //!   each node's (anonymous) local input.
-//! * [`engine`] — sequential and scoped-thread parallel round executors for
-//!   any [`engine::Protocol`]; both produce bit-identical results.
+//! * [`engine`] — the synchronous round executor for any
+//!   [`engine::Protocol`].
 //! * [`view`] — full-information *view gathering*: after `D` rounds
 //!   every node holds its radius-`D` view of the **unfolding** (universal
 //!   cover) of the network, which is the canonical way to implement any
 //!   local algorithm (§4.1). Message sizes are accounted, exposing the
-//!   exponential cost of full-information gathering. The production
-//!   gather is [`view::gather_views_flat`] on the arena; the recursive
-//!   `ViewTree` path compiles only for tests and under the
-//!   `legacy-tree` feature (deprecation step 3).
+//!   exponential cost of full-information gathering.
 //! * [`arena`] — the hash-consed **flat view arena**: structurally equal
 //!   subtrees interned once, subtree equality as an integer compare,
-//!   payloads as arena ids. [`view::gather_views_flat`] gathers the same
-//!   views as the legacy protocol at a per-round cost of `O(Σ degree)`
-//!   instead of the ball size, with both logical and deduped byte
-//!   accounting.
+//!   payloads as arena ids. [`view::gather_views_flat`] gathers on it at
+//!   a per-round cost of `O(Σ degree)` instead of the ball size, with
+//!   both logical and deduped byte accounting.
 //! * [`lanes`] — chunked-`f64`-lane fold helpers over the arena's
 //!   struct-of-arrays coefficient slices, with the bit-identity /
 //!   reassociation contract documented per helper (and in
@@ -54,8 +50,3 @@ pub use lanes::{min_lanes, min_recip_where, LANES};
 pub use stats::RunStats;
 pub use topology::{Network, NodeInfo, PortInfo};
 pub use view::{gather_views_flat, FlatViews};
-// ViewTree deprecation step 3: the recursive tree and its clone-based
-// gathering protocol are no longer part of the default public surface;
-// they remain the cross-check oracle for tests and `legacy-tree` users.
-#[cfg(any(test, feature = "legacy-tree"))]
-pub use view::{gather_views, ViewChild, ViewTree};

@@ -10,7 +10,7 @@
 //!
 //! Run with `cargo run --release --example sensor_network`.
 
-use maxmin_lp::core::distributed::{rounds_needed, solve_distributed_flat};
+use maxmin_lp::core::distributed::{rounds_needed, solve_special_flat};
 use maxmin_lp::core::safe::safe_solution;
 use maxmin_lp::core::transform::to_special_form;
 use maxmin_lp::gen::apps::{sensor_grid, SensorGridConfig};
@@ -68,15 +68,15 @@ fn main() {
         );
         let transformed = to_special_form(&inst);
         let sf = maxmin_lp::core::SpecialForm::new(transformed.instance.clone()).unwrap();
-        let run = solve_distributed_flat(&sf, big_r, 1);
+        let (_, stats) = solve_special_flat(&sf, big_r, 1);
         println!(
             "{:>4}x{:<1} {:>8} {:>8} {:>12} {:>14}",
             side,
             side,
             sf.instance().n_agents() + sf.instance().n_constraints() + sf.instance().n_objectives(),
-            run.stats.rounds,
-            run.stats.messages,
-            run.stats.peak_round_bytes()
+            stats.rounds,
+            stats.messages,
+            stats.peak_round_bytes()
         );
     }
     println!(

@@ -152,7 +152,9 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), UsageError> {
             let inst = load(path)?;
             let stats = DegreeStats::of(&inst);
             let solver = LocalSolver::new(big_r).with_threads(threads);
-            let out = solver.solve(&inst);
+            let (out, _) = solver
+                .solve_traced(&inst)
+                .map_err(|e| format!("{path}: solve: {e}"))?;
             let utility = out.solution.utility(&inst);
             println!("# local solve R={big_r} threads={threads}");
             println!("utility {utility}");
@@ -291,7 +293,7 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// at `--size`/`--seed` — and renders the phase timeline of the slowest
 /// solves plus the memo-table aggregate.
 fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
-    use maxmin_lp::core::distributed::solve_distributed_flat_traced;
+    use maxmin_lp::core::distributed::solve_special_flat_traced;
     use maxmin_lp::core::transform::try_to_special_form;
     use maxmin_lp::core::SpecialForm;
     use maxmin_lp::obs::{next_trace_id, render_timeline, SolveTrace, TraceRing};
@@ -384,7 +386,7 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
         let transformed = try_to_special_form(inst).map_err(|e| format!("{name}: {e}"))?;
         let sf = SpecialForm::new(transformed.instance.clone())
             .map_err(|e| format!("{name}: special form: {e:?}"))?;
-        let (run, trace) = solve_distributed_flat_traced(&sf, big_r, threads);
+        let (_, stats, trace) = solve_special_flat_traced(&sf, big_r, threads);
         hits += trace.batch.memo_hits;
         misses += trace.batch.memo_misses;
         skips += trace.batch.memo_skips;
@@ -393,7 +395,7 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
             label: format!(
                 "{name} n={} R={big_r} rounds={}",
                 inst.n_agents(),
-                run.stats.rounds
+                stats.rounds
             ),
             total_ns: trace.total_ns,
             phases: vec![

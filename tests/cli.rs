@@ -148,6 +148,37 @@ fn usage_errors_exit_nonzero() {
 }
 
 #[test]
+fn solve_outside_section_4_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("mmlp-cli-s4-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, rows, needle) in [
+        (
+            "no-objective.mmlp",
+            "agents 3\nc 0:1 1:1\nc 2:1\no 0:1 1:1\n",
+            "agent v2 is in no objective",
+        ),
+        (
+            "no-constraint.mmlp",
+            "agents 3\nc 0:1 1:1\no 0:1 1:1\no 2:1\n",
+            "agent v2 is in no constraint",
+        ),
+    ] {
+        let file = dir.join(name);
+        std::fs::write(&file, format!("maxminlp 1\n{rows}")).unwrap();
+        let path = file.to_str().unwrap();
+        let out = bin().args(["solve", path]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {path}: solve: ")) && stderr.contains(needle),
+            "{name}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn every_catalog_family_generates_via_cli() {
     for fam in maxmin_lp::gen::catalog() {
         let text = run_ok(&["generate", fam.name, "30", "1"], None);

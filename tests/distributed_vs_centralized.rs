@@ -1,19 +1,22 @@
-//! The message-passing protocol and the centralized reference engine
-//! must agree bit-for-bit — including through the §4 transformation
-//! pipeline on general instances, and across the whole generator
-//! catalogue for `LocalSolver` (which serves cold `SOLVE` bodies)
-//! against the flat network path.
+//! The flat network simulation of §5 and the centralized solver that
+//! serves every request must agree bit-for-bit — across the whole
+//! generator catalogue for `LocalSolver` (which serves cold `SOLVE`
+//! bodies), and through the §4 transformation pipeline on general
+//! instances.
 
-use maxmin_lp::core::distributed::{rounds_needed, solve_distributed, solve_special_flat};
+use maxmin_lp::core::distributed::{rounds_needed, solve_special_flat};
 use maxmin_lp::core::smoothing::solve_special;
 use maxmin_lp::core::transform::to_special_form;
 use maxmin_lp::core::{LocalSolver, SpecialForm};
 use maxmin_lp::gen::catalog;
 use maxmin_lp::gen::random::{random_general, RandomConfig};
 
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
 fn centralized_and_flat_solves_agree_catalog_wide() {
-    let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let mut solves = 0;
     for fam in catalog() {
         for size in [16, 64] {
@@ -30,14 +33,14 @@ fn centralized_and_flat_solves_agree_catalog_wide() {
                         bits(transformed.map_back(&flat.x).as_slice()),
                         "x: {at}"
                     );
-                    assert_eq!(bits(&central.special_run.t), bits(&flat.t), "t: {at}");
-                    // `optimum_upper_bound` is min s over the special form.
-                    let flat_min_s = flat.s.iter().copied().fold(f64::INFINITY, f64::min);
                     assert_eq!(
-                        central.optimum_upper_bound().to_bits(),
-                        flat_min_s.to_bits(),
-                        "optimum_upper_bound: {at}"
+                        bits(central.special_run.x.as_slice()),
+                        bits(flat.x.as_slice()),
+                        "special-form x: {at}"
                     );
+                    assert_eq!(bits(&central.special_run.t), bits(&flat.t), "t: {at}");
+                    // Every s_v, hence `optimum_upper_bound` (their min).
+                    assert_eq!(bits(&central.special_run.s), bits(&flat.s), "s: {at}");
                     solves += 1;
                 }
             }
@@ -62,48 +65,20 @@ fn general_instances_through_the_pipeline_agree() {
         let sf = SpecialForm::new(transformed.instance.clone()).unwrap();
         for big_r in [2, 3] {
             let central = solve_special(&sf, big_r, 1);
-            let dist = solve_distributed(&sf, big_r);
-            assert_eq!(dist.stats.rounds, rounds_needed(big_r));
-            for v in 0..sf.n_agents() {
-                assert_eq!(
-                    dist.solution.as_slice()[v].to_bits(),
-                    central.x.as_slice()[v].to_bits(),
-                    "seed {seed} R {big_r} agent {v}"
-                );
-            }
+            let (flat, stats) = solve_special_flat(&sf, big_r, 1);
+            assert_eq!(stats.rounds, rounds_needed(big_r));
+            let at = format!("seed {seed} R {big_r}");
+            assert_eq!(
+                bits(flat.x.as_slice()),
+                bits(central.x.as_slice()),
+                "x: {at}"
+            );
+            assert_eq!(bits(&flat.t), bits(&central.t), "t: {at}");
+            assert_eq!(bits(&flat.s), bits(&central.s), "s: {at}");
             // The back-mapped distributed output is feasible on the
             // original instance, like the centralized one.
-            let mapped = transformed.map_back(&dist.solution);
+            let mapped = transformed.map_back(&flat.x);
             assert!(mapped.is_feasible(&inst, 1e-7));
-        }
-    }
-}
-
-#[test]
-fn parallel_engine_matches_sequential_on_the_protocol() {
-    use maxmin_lp::core::distributed::DistMaxMin;
-    use maxmin_lp::gen::special::{random_special_form, SpecialFormConfig};
-    use maxmin_lp::net::{engine, Network};
-
-    let inst = random_special_form(
-        &SpecialFormConfig {
-            n_objectives: 60,
-            extra_constraints: 30,
-            ..SpecialFormConfig::default()
-        },
-        9,
-    );
-    let sf = SpecialForm::new(inst).unwrap();
-    let net = Network::new(sf.instance());
-    let protocol = DistMaxMin::new(3);
-    let seq = engine::run(&net, &protocol);
-    let par = engine::run_parallel(&net, &protocol, 4);
-    assert_eq!(seq.stats, par.stats);
-    for (a, b) in seq.states.iter().zip(&par.states) {
-        match (a.x, b.x) {
-            (Some(xa), Some(xb)) => assert_eq!(xa.to_bits(), xb.to_bits()),
-            (None, None) => {}
-            _ => panic!("output presence mismatch"),
         }
     }
 }
