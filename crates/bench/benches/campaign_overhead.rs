@@ -1,7 +1,7 @@
 //! Campaign-scheduler overhead: throughput of the `mmlp-lab` worker
-//! pool on empty jobs, so a scheduling regression (lock contention,
-//! per-job thread cost) is visible in the criterion suite even though
-//! real jobs dwarf it.
+//! pool on empty jobs, so a scheduling regression (lock contention, a
+//! thread per job) is visible in the criterion suite even though real
+//! jobs dwarf it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mmlp_lab::pool::{run_pool, Outcome, PoolConfig};
@@ -11,7 +11,7 @@ fn bench_scheduler(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign_scheduler");
     group.sample_size(10);
 
-    // Inline mode: the pool's own cost (cursor, channel, sink).
+    // No timeout: the pool's own cost (queue, channel, sink).
     for &jobs in &[256usize, 2048] {
         group.throughput(Throughput::Elements(jobs as u64));
         group.bench_with_input(
@@ -40,8 +40,9 @@ fn bench_scheduler(c: &mut Criterion) {
         );
     }
 
-    // Isolated mode: adds one thread spawn + channel per job — the
-    // price of per-job timeouts and panic isolation.
+    // With a timeout: the same inline runs plus a deadline per job,
+    // enforced by the pool's one watchdog thread, not by a thread per
+    // job — the price of per-job timeouts.
     group.throughput(Throughput::Elements(256));
     group.bench_function("empty_jobs_isolated/256", |b| {
         let cfg = PoolConfig {

@@ -18,6 +18,13 @@
 //! instance, and the §4 transform of the parsed instance
 //! (`to_special_form`). `trajectory_gate` holds the second to 1.5× the
 //! first, measured in the same run.
+//!
+//! "pool_round_trip" is the hand-off of every pooled request: one empty
+//! task through `TaskPool::submit_with` to its completion callback and
+//! back to the submitter, on 4 workers, with serve's default 30 s
+//! timeout and with none. `trajectory_gate` holds the first to 1.5× the
+//! second, measured in the same run, so a thread per task cannot come
+//! back unnoticed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmlp_core::transform::to_special_form;
@@ -25,9 +32,11 @@ use mmlp_core::LocalSolver;
 use mmlp_gen::catalog;
 use mmlp_instance::hash::instance_hash;
 use mmlp_instance::textfmt;
+use mmlp_lab::pool::{TaskPool, TaskPoolConfig};
 use mmlp_serve::engine::{execute, CacheKey, Engine};
 use mmlp_serve::protocol::Op;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn bench_serve_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_cache");
@@ -69,6 +78,33 @@ fn bench_serve_cache(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("special_form", &name), &inst, |b, inst| {
             b.iter(|| std::hint::black_box(to_special_form(inst)))
         });
+    }
+
+    group.sample_size(15);
+    for (name, timeout) in [
+        ("no_timeout", None),
+        ("timeout", Some(Duration::from_secs(30))),
+    ] {
+        let pool = TaskPool::new(TaskPoolConfig {
+            workers: 4,
+            queue_cap: 256,
+            timeout,
+        });
+        let (tx, rx) = mpsc::channel();
+        group.bench_function(BenchmarkId::new("pool_round_trip", name), |b| {
+            b.iter(|| {
+                let tx = tx.clone();
+                pool.submit_with(
+                    || (),
+                    move |_| {
+                        let _ = tx.send(());
+                    },
+                )
+                .unwrap();
+                rx.recv().unwrap()
+            });
+        });
+        pool.shutdown();
     }
 
     group.finish();

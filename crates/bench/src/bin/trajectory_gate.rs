@@ -59,6 +59,13 @@
 //!     another cost 2.5–7× the parse; the one-pass build costs well
 //!     under 1×.
 //!
+//! 12. `serve_cache/pool_round_trip/timeout` ≤ 1.5 ×
+//!     `serve_cache/pool_round_trip/no_timeout` — one empty task through
+//!     the worker pool to its completion callback costs about the same
+//!     with serve's default 30 s timeout as with none, measured in the
+//!     same run: the timeout is one watchdog thread per pool, not a
+//!     thread per task.
+//!
 //! `BENCH_delta.json` (the §1.3 dynamic corollary, measured):
 //!
 //! 7. `delta-solve/edit-rR/n` < `delta-solve/scratch-rR/n` at every
@@ -275,6 +282,13 @@ fn gate_serve(g: &mut Gate) {
             2,
         );
     }
+    // A timeout costs the pool hand-off no thread per task.
+    g.check_ratio(
+        "serve_cache/pool_round_trip/timeout",
+        "serve_cache/pool_round_trip/no_timeout",
+        3,
+        2,
+    );
 }
 
 fn gate_delta(g: &mut Gate) {

@@ -25,6 +25,7 @@
 //!   STATS                              counters + latency percentiles
 //!   METRICS                            Prometheus text exposition
 //!   SLEEP <ms>                         diagnostic: occupy a worker
+//!                                      (ms ≤ MAX_SLEEP_MS)
 //!   PING                               liveness probe
 //!   SHUTDOWN                           graceful drain, then exit
 //!   <src> = hash:<16 hex> | inline:<nbytes> (body follows the line)
@@ -150,6 +151,10 @@ pub const DEFAULT_R: usize = 3;
 /// measured sizes). Unbounded, one request can exhaust the server; 16
 /// is twice the deepest horizon any solver test runs.
 pub const MAX_R: usize = 16;
+/// Longest `SLEEP` a request may ask for, in ms. A timed-out task keeps
+/// its thread until it ends, so an unbounded `SLEEP` would let any
+/// client park threads for good.
+pub const MAX_SLEEP_MS: u64 = 60_000;
 /// Default solver thread count when `THREADS=` is omitted.
 pub const DEFAULT_THREADS: usize = 1;
 
@@ -378,7 +383,9 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                 .next()
                 .ok_or("SLEEP needs a duration in ms")?
                 .parse()
-                .map_err(|_| "bad SLEEP duration".to_string())?;
+                .ok()
+                .filter(|ms| *ms <= MAX_SLEEP_MS)
+                .ok_or_else(|| format!("bad SLEEP duration (need ms ≤ {MAX_SLEEP_MS})"))?;
             Command::Sleep { ms }
         }
         "PING" => Command::Ping,
@@ -483,6 +490,19 @@ mod tests {
             "SLEEP soon",
         ] {
             assert!(parse_command(bad).is_err(), "accepted: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn sleep_is_capped_at_one_minute() {
+        assert_eq!(MAX_SLEEP_MS, 60_000);
+        assert_eq!(
+            parse_command("SLEEP 60000"),
+            Ok(Command::Sleep { ms: MAX_SLEEP_MS })
+        );
+        for over in ["SLEEP 60001", "SLEEP 18446744073709551615"] {
+            let err = parse_command(over).unwrap_err();
+            assert!(err.contains("60000"), "{over}: {err}");
         }
     }
 

@@ -347,8 +347,9 @@ impl Server {
                 Ok(summary_of(&s.metrics, &s.ring))
             }
             Err(shared) => {
-                // A straggler still holds the Arc (an abandoned
-                // timed-out task); the pool drains when it drops.
+                // A straggler still holds the Arc (a pooled task still
+                // running: timed out, or its client gone); the pool
+                // drains when the task drops it, on the task's thread.
                 Ok(summary_of(&shared.metrics, &shared.ring))
             }
         }
@@ -1600,6 +1601,7 @@ fn set_scrape_gauges(shared: &Shared) {
     m.uptime_ms.set(shared.started.elapsed().as_millis() as u64);
     m.queue_depth.set(shared.pool.queue_depth() as u64);
     m.in_flight.set(shared.pool.in_flight() as u64);
+    m.pool_runaway.set(shared.pool.runaway() as u64);
     m.connections_live
         .set(shared.live_connections.load(Ordering::SeqCst) as u64);
     let (cache_entries, cache_bytes, cache_evictions) = shared.engine.cache_stats();

@@ -82,6 +82,8 @@ pub struct ServeMetrics {
     pub queue_depth: Gauge,
     /// Tasks executing on workers (scrape-time).
     pub in_flight: Gauge,
+    /// Timed-out tasks still running in the background (scrape-time).
+    pub pool_runaway: Gauge,
     /// Live client connections (scrape-time).
     pub connections_live: Gauge,
     /// Result-cache entries / bytes / evictions (scrape-time).
@@ -250,6 +252,10 @@ impl ServeMetrics {
             uptime_ms: reg.gauge("mmlp_serve_uptime_ms", "Server uptime in milliseconds"),
             queue_depth: reg.gauge("mmlp_serve_queue_depth", "Tasks waiting in the pool queue"),
             in_flight: reg.gauge("mmlp_serve_in_flight", "Tasks executing on workers"),
+            pool_runaway: reg.gauge(
+                "mmlp_serve_pool_runaway",
+                "Timed-out tasks still running in the background",
+            ),
             connections_live: reg.gauge("mmlp_serve_connections_live", "Live client connections"),
             cache_entries: reg.gauge("mmlp_serve_cache_entries", "Result-cache entries"),
             cache_bytes: reg.gauge("mmlp_serve_cache_bytes", "Result-cache resident bytes"),

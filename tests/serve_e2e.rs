@@ -7,7 +7,7 @@ use maxmin_lp::instance::{textfmt, ConstraintId};
 use maxmin_lp::serve::client::{stat, Client, ClientReply};
 use maxmin_lp::serve::protocol::{ErrorCode, Op};
 use maxmin_lp::serve::server::{ServeConfig, Server, ServerSummary};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Binds on an ephemeral port and runs the server on a background
 /// thread; returns the address and the join handle for the summary.
@@ -165,18 +165,32 @@ fn saturated_queue_replies_busy_and_recovers() {
 #[test]
 fn per_request_timeout_kills_slow_work_not_the_server() {
     let (addr, handle) = spawn_server(ServeConfig {
-        workers: 2,
+        workers: 1,
         timeout: Some(Duration::from_millis(80)),
         ..ServeConfig::default()
     });
     let mut c = Client::connect(&addr).unwrap();
+    let sent = Instant::now();
     match c.request("SLEEP 5000", None).unwrap() {
         ClientReply::Err(ErrorCode::Timeout, _) => {}
         other => panic!("expected TIMEOUT, got {other:?}"),
     }
-    // The same connection keeps working.
+    // The abandoned SLEEP still holds its thread, and the gauge says so.
+    let metrics = c.metrics().unwrap();
+    let runaway = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("mmlp_serve_pool_runaway "));
+    assert_eq!(runaway, Some("1"), "{metrics}");
+    // The same connection keeps working, and the one worker slot was
+    // reclaimed: a cold INFO runs on the pool and is answered long
+    // before the SLEEP ends.
     let text = instance_text();
     assert!(c.run_inline(Op::Info, &text, 3, 1).unwrap().is_ok());
+    assert!(
+        sent.elapsed() < Duration::from_millis(2500),
+        "INFO waited for the timed-out SLEEP: {:?}",
+        sent.elapsed()
+    );
     c.shutdown().unwrap();
     let summary = handle.join().unwrap();
     assert_eq!(summary.timeouts, 1);
