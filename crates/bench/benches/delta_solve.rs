@@ -113,7 +113,7 @@ fn bench_delta_solve(c: &mut Criterion) {
                         hash_hex(revision),
                         entry.agent.raw()
                     );
-                    let (new, body) = engine.solve_delta_inline(&text, big_r, 1).unwrap();
+                    let (new, body) = engine.solve_delta_inline(&text, big_r).unwrap();
                     revision = new;
                     body.len()
                 };

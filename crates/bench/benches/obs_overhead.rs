@@ -41,7 +41,7 @@ fn bench_overhead(c: &mut Criterion) {
     group.sample_size(40);
     for big_r in [3usize, 4] {
         group.bench_with_input(BenchmarkId::new("plain", big_r), &big_r, |b, &r| {
-            b.iter(|| std::hint::black_box(solve_special_flat(&sf, r, 1)))
+            b.iter(|| std::hint::black_box(solve_special_flat(&sf, r)))
         });
         group.bench_with_input(BenchmarkId::new("traced", big_r), &big_r, |b, &r| {
             b.iter(|| std::hint::black_box(solve_special_flat_traced(&sf, r, 1)))

@@ -50,14 +50,6 @@ fn bench_tree_bound(c: &mut Criterion) {
             b.iter(|| agents().map(|u| tb.t(u, &mut sc)).fold(0.0, f64::max));
         });
     }
-    for threads in [1usize, 4] {
-        let tb = TreeBound::new(&sf, 3);
-        group.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| b.iter(|| std::hint::black_box(tb.all_parallel(threads))),
-        );
-    }
     group.finish();
 }
 

@@ -6,13 +6,12 @@
 //! * **eval** — per-agent `t_u` evaluated memoised over the arena
 //!   (`t_from_arena`) against the centralized `TreeBound::t_bisect`,
 //!   the same bisection, over every agent,
-//! * **distributed-solve** — the end-to-end flat `solve_special_flat`,
-//!   scalar and threaded, against the centralized
-//!   `smoothing::solve_special`.
+//! * **distributed-solve** — the end-to-end flat `solve_special_flat`
+//!   against the centralized `smoothing::solve_special`.
 //!
 //! These medians land in `BENCH_core.json`; the trajectory gate bounds
 //! the flat path by a multiple of the centralized reference measured in
-//! the same run, and compares the threaded solve with the scalar one.
+//! the same run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmlp_core::distributed::{solve_special_flat, t_from_arena, FlatScratch};
@@ -86,10 +85,7 @@ fn bench_solve(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(solve_special(&sf, r, 1)))
         });
         group.bench_with_input(BenchmarkId::new("flat", big_r), &big_r, |b, &r| {
-            b.iter(|| std::hint::black_box(solve_special_flat(&sf, r, 1)))
-        });
-        group.bench_with_input(BenchmarkId::new("flat-threaded", big_r), &big_r, |b, &r| {
-            b.iter(|| std::hint::black_box(solve_special_flat(&sf, r, 4)))
+            b.iter(|| std::hint::black_box(solve_special_flat(&sf, r)))
         });
     }
     group.finish();

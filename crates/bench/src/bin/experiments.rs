@@ -163,7 +163,7 @@ fn t4_locality() {
                 5,
             );
             let sf = SpecialForm::new(inst).unwrap();
-            let (_, stats) = solve_special_flat(&sf, big_r, 1);
+            let (_, stats) = solve_special_flat(&sf, big_r);
             let nodes = sf.instance().n_agents()
                 + sf.instance().n_constraints()
                 + sf.instance().n_objectives();
@@ -418,7 +418,7 @@ fn t8_distributed() {
         "max |x_dist − x_central|",
     ]);
     for big_r in [2, 3, 4] {
-        let (dist, stats) = solve_special_flat(&sf, big_r, 1);
+        let (dist, stats) = solve_special_flat(&sf, big_r);
         let central = solve_special(&sf, big_r, 1);
         let max_dev = dist
             .x

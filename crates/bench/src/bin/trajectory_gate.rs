@@ -8,9 +8,6 @@
 //!
 //! `BENCH_core.json`:
 //!
-//! 1. `distributed-solve/flat-threaded/4` < `distributed-solve/flat/4`
-//!    — threading the `t` batch must not cost (the PR-5 regression, now
-//!    gated);
 //! 2. `view-eval-t/memoized/R` ≤ 5 × `view-eval-t/central/R` at
 //!    R ∈ {3, 4} — `t_u` evaluated over the gathered views, memoised
 //!    per shared subtree, stays within a small factor of the
@@ -214,12 +211,6 @@ impl Gate<'_> {
 }
 
 fn gate_core(g: &mut Gate) {
-    g.check(
-        "distributed-solve/flat-threaded/4",
-        "distributed-solve/flat/4",
-        true,
-        true,
-    );
     // The flat path against the centralized solver, same run.
     for big_r in [3u32, 4] {
         g.check_ratio(

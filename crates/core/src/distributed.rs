@@ -76,7 +76,7 @@ const MEMO_NONE_BITS: u64 = 0x7ff8_dead_beef_0001;
 
 /// One generation-stamped memo slot: 16 bytes instead of the 24-byte
 /// `(u64, Option<f64>)` it replaces, so the same table holds 1.5× more
-/// entries per cache line and the per-worker tables shrink accordingly.
+/// entries per cache line and the tables shrink accordingly.
 #[derive(Clone, Copy, Default)]
 struct MemoSlot {
     gen: u32,
@@ -96,10 +96,9 @@ fn memo_decode(bits: u64) -> Option<f64> {
     (bits != MEMO_NONE_BITS).then(|| f64::from_bits(bits))
 }
 
-/// Memo tables for one `(root, ω)` flat evaluation — private to one
-/// worker, so concurrent `t` batches never share (or false-share) memo
-/// cache lines. Reused across agents; "clearing" per ω probe is a
-/// generation bump, so the hot loop does no hashing and no table wipes.
+/// Memo tables for one `(root, ω)` flat evaluation. Reused across
+/// agents; "clearing" per ω probe is a generation bump, so the hot loop
+/// does no hashing and no table wipes.
 ///
 /// The tables are **compact**: `FlatScratch::prepare` walks the arena
 /// once per `(arena, levels)` pair and assigns memo slots only to
@@ -108,9 +107,7 @@ fn memo_decode(bits: u64) -> Option<f64> {
 /// `min_i 1/a_iv` — which is ω-independent — into a per-id table using
 /// the lane fold [`mmlp_net::lanes::min_recip_where`]. On the dedup-
 /// heavy arenas of deep gathers this shrinks the stamped region by an
-/// order of magnitude versus the old dense `ids × levels` layout, which
-/// is what made spinning up per-thread scratches cost more than the
-/// parallelism won back (the PR-5 `flat-threaded` regression).
+/// order of magnitude versus a dense `ids × levels` layout.
 #[derive(Default)]
 pub struct FlatScratch {
     /// Identity of the arena the tables below are laid out for.
@@ -446,154 +443,31 @@ pub fn t_from_arena(arena: &ViewArena, root: ViewId, big_r: usize, sc: &mut Flat
     lo
 }
 
-/// Minimum total batch work — `Σ arena.size(root)` over the roots, the
-/// logical (pre-dedup) node count the `f±` probes walk per ω pass —
-/// below which [`solve_special_flat`] keeps the `t` batch scalar.
-///
-/// One work unit costs the batch roughly 50–100ns (memoised `f±` over
-/// an interned node across all bisection probes, measured on the
-/// `view-eval-t` workload), so this threshold is ~1.5ms of scalar batch
-/// time — the order of what spawning workers and laying out their
-/// per-thread [`FlatScratch`] tables costs end to end. Below it,
-/// threading can only lose. Measured on the `threaded-scaling` bench;
-/// see `specs/PERF.md`.
-pub const FLAT_T_PARALLEL_MIN_WORK: u64 = 20_000;
-
-/// Chunks handed out per worker in [`t_batch_flat`]: enough slack for
-/// work stealing to smooth out unevenly sized balls without shrinking
-/// chunks to per-root granularity (the PR-5 mistake in reverse).
-const PARALLEL_CHUNKS_PER_WORKER: usize = 4;
-
-/// Evaluates `t_u` for every root, with exactly `workers` threads
-/// pulling **size-weighted contiguous chunks** from a shared queue.
-///
-/// Chunk boundaries are chosen so each chunk carries roughly
-/// `Σ size / (workers × 4)` units of interned-subtree work (the arena's
-/// logical subtree size is the cost proxy for one ω probe), so a few
-/// giant balls no longer serialise a whole equal-*count* shard behind
-/// one worker. Each worker owns a private [`FlatScratch`] for its whole
-/// lifetime — workers share only the read-only arena and disjoint
-/// output slices, so there is no false sharing of memo lines.
-///
-/// Results are bit-identical for every `workers ≥ 1` (each `t_u` is a
-/// pure function of `(arena, root)`); `workers == 1` runs the plain
-/// scalar loop. [`solve_special_flat`] caps `workers` at the host's
-/// available parallelism and the [`FLAT_T_PARALLEL_MIN_WORK`] threshold;
-/// this helper deliberately does not, so tests and benches can exercise
-/// the parallel partitioning on any host.
-pub fn t_batch_flat(arena: &ViewArena, roots: &[ViewId], big_r: usize, workers: usize) -> Vec<f64> {
-    t_batch_flat_telemetry(arena, roots, big_r, workers).0
-}
-
-/// Memo and chunk-queue telemetry of one `t` batch, aggregated across
-/// its workers (part of [`FlatSolveTrace`]).
+/// Memo telemetry of one `t` batch (part of [`FlatSolveTrace`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchTelemetry {
-    /// Memo probes answered from a worker's table.
+    /// Memo probes answered from the scratch table.
     pub memo_hits: u64,
     /// Memo probes that recomputed and stamped a slot.
     pub memo_misses: u64,
     /// Evaluations that bypassed the table (tiny subtree or level 0).
     pub memo_skips: u64,
-    /// Worker threads that ran (1 for the scalar path).
-    pub workers: u32,
-    /// Chunks queued (1 for the scalar path).
-    pub chunks: u32,
-    /// Chunks pulled by the busiest worker — `chunks / workers` when
-    /// the queue balanced perfectly, `chunks` when one worker ate
-    /// everything.
-    pub max_chunk_pulls: u32,
 }
 
-/// [`t_batch_flat`] plus the batch's [`BatchTelemetry`] — same
-/// partitioning, same bit-identical outputs.
-pub fn t_batch_flat_telemetry(
-    arena: &ViewArena,
-    roots: &[ViewId],
-    big_r: usize,
-    workers: usize,
-) -> (Vec<f64>, BatchTelemetry) {
-    let n = roots.len();
-    if workers <= 1 || n <= 1 {
-        let mut sc = FlatScratch::default();
-        let out = roots
-            .iter()
-            .map(|&root| t_from_arena(arena, root, big_r, &mut sc))
-            .collect();
-        let tel = BatchTelemetry {
-            memo_hits: sc.memo_hits,
-            memo_misses: sc.memo_misses,
-            memo_skips: sc.memo_skips,
-            workers: 1,
-            chunks: 1,
-            max_chunk_pulls: 1,
-        };
-        return (out, tel);
-    }
-
-    // Size-weighted contiguous chunk boundaries.
-    let total: u64 = roots.iter().map(|&root| arena.size(root)).sum();
-    let n_chunks = (workers * PARALLEL_CHUNKS_PER_WORKER).min(n).max(1);
-    let target = (total / n_chunks as u64).max(1);
-    let mut bounds = vec![0usize];
-    let mut acc = 0u64;
-    for (i, &root) in roots.iter().enumerate() {
-        acc += arena.size(root);
-        if acc >= target && i + 1 < n {
-            bounds.push(i + 1);
-            acc = 0;
-        }
-    }
-    bounds.push(n);
-
-    let mut out = vec![0.0f64; n];
-    // (memo_hits, memo_misses, memo_skips, chunk pulls) per worker.
-    let worker_tel = std::sync::Mutex::new(Vec::<(u64, u64, u64, u32)>::new());
-    {
-        // Queue of (first root index, disjoint output slice) tasks.
-        let mut tasks: Vec<(usize, &mut [f64])> = Vec::with_capacity(bounds.len() - 1);
-        let mut rest: &mut [f64] = &mut out;
-        for w in bounds.windows(2) {
-            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-            tasks.push((w[0], head));
-            rest = tail;
-        }
-        let queue = std::sync::Mutex::new(tasks);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    // One scratch per worker thread, laid out once and
-                    // reused across every chunk the worker pulls.
-                    let mut sc = FlatScratch::default();
-                    let mut pulls = 0u32;
-                    while let Some((start, slice)) = queue.lock().unwrap().pop() {
-                        pulls += 1;
-                        for (off, slot) in slice.iter_mut().enumerate() {
-                            *slot = t_from_arena(arena, roots[start + off], big_r, &mut sc);
-                        }
-                    }
-                    worker_tel.lock().unwrap().push((
-                        sc.memo_hits,
-                        sc.memo_misses,
-                        sc.memo_skips,
-                        pulls,
-                    ));
-                });
-            }
-        });
-    }
-    let mut tel = BatchTelemetry {
-        workers: workers as u32,
-        chunks: (bounds.len() - 1) as u32,
-        ..BatchTelemetry::default()
+/// Evaluates `t_u` for every root in order, with one [`FlatScratch`]
+/// laid out once and reused across the batch.
+fn t_batch(arena: &ViewArena, roots: &[ViewId], big_r: usize) -> (Vec<f64>, BatchTelemetry) {
+    let mut sc = FlatScratch::default();
+    let t = roots
+        .iter()
+        .map(|&root| t_from_arena(arena, root, big_r, &mut sc))
+        .collect();
+    let tel = BatchTelemetry {
+        memo_hits: sc.memo_hits,
+        memo_misses: sc.memo_misses,
+        memo_skips: sc.memo_skips,
     };
-    for (h, m, s, pulls) in worker_tel.into_inner().unwrap() {
-        tel.memo_hits += h;
-        tel.memo_misses += m;
-        tel.memo_skips += s;
-        tel.max_chunk_pulls = tel.max_chunk_pulls.max(pulls);
-    }
-    (out, tel)
+    (t, tel)
 }
 
 /// Runs the §5 algorithm in the message-passing model on the **flat
@@ -602,11 +476,8 @@ pub fn t_batch_flat_telemetry(
 /// 1. **Phase 1** uses [`gather_views_flat`]: payloads are interned ids,
 ///    so per-round work is `O(Σ degree)` instead of the ball size, and
 ///    the per-agent bounds `t_u` are then evaluated over the arena roots
-///    by [`t_batch_flat`] — with up to `threads` workers pulling
-///    size-weighted chunks, engaged only above
-///    [`FLAT_T_PARALLEL_MIN_WORK`] and capped at the host's available
-///    parallelism — with the `f±` recursions memoised per shared
-///    subtree ([`t_from_arena`]).
+///    with the `f±` recursions memoised per shared subtree
+///    ([`t_from_arena`]).
 /// 2. **Phases 2–3** are scalar recursions; they are evaluated directly
 ///    (the same operations in the same order as the centralized solver)
 ///    while the protocol's exact per-round message/byte schedule is
@@ -619,24 +490,22 @@ pub fn t_batch_flat_telemetry(
 /// (`interned_nodes`, `arena_bytes`, `peak_arena_bytes`). Both are
 /// asserted across the generator catalog in `tests/flat_views.rs`, the
 /// accounting against a golden table.
-pub fn solve_special_flat(
-    sf: &SpecialForm,
-    big_r: usize,
-    threads: usize,
-) -> (SpecialRun, RunStats) {
-    solve_special_flat_impl(sf, big_r, threads, None)
+pub fn solve_special_flat(sf: &SpecialForm, big_r: usize) -> (SpecialRun, RunStats) {
+    solve_special_flat_impl(sf, big_r, None)
 }
 
 /// [`solve_special_flat`] plus its [`FlatSolveTrace`]: the same solve —
 /// bit-identical outputs, asserted catalog-wide — with per-phase wall
-/// times and the `t` batch's memo/chunk telemetry filled in.
+/// times and the `t` batch's memo telemetry filled in.
+///
+/// `_threads`: ignored; the benchmark PR (ROADMAP item 9) removes it.
 pub fn solve_special_flat_traced(
     sf: &SpecialForm,
     big_r: usize,
-    threads: usize,
+    _threads: usize,
 ) -> (SpecialRun, RunStats, FlatSolveTrace) {
     let mut trace = FlatSolveTrace::default();
-    let (run, stats) = solve_special_flat_impl(sf, big_r, threads, Some(&mut trace));
+    let (run, stats) = solve_special_flat_impl(sf, big_r, Some(&mut trace));
     (run, stats, trace)
 }
 
@@ -659,7 +528,7 @@ pub struct FlatSolveTrace {
     pub g_ns: u64,
     /// Whole-solve wall time.
     pub total_ns: u64,
-    /// Memo/chunk-queue telemetry of the `t` batch.
+    /// Memo telemetry of the `t` batch.
     pub batch: BatchTelemetry,
 }
 
@@ -681,7 +550,6 @@ impl FlatSolveTrace {
 fn solve_special_flat_impl(
     sf: &SpecialForm,
     big_r: usize,
-    threads: usize,
     mut trace: Option<&mut FlatSolveTrace>,
 ) -> (SpecialRun, RunStats) {
     assert!(big_r >= 2, "the paper requires R ≥ 2");
@@ -700,13 +568,7 @@ fn solve_special_flat_impl(
     let net = Network::new(sf.instance());
     let n = sf.n_agents();
 
-    // ---- phase 1: flat gather + threaded t over the arena roots ----
-    //
-    // `threads` is an upper bound: the batch only engages real workers
-    // when (a) the host has that much parallelism to give and (b) the
-    // batch carries at least FLAT_T_PARALLEL_MIN_WORK units of logical
-    // subtree work — below that, thread + scratch setup costs more than
-    // the parallelism wins back, and the batch stays scalar.
+    // ---- phase 1: flat gather + t over the arena roots ----
     let FlatViews {
         arena,
         roots,
@@ -715,14 +577,7 @@ fn solve_special_flat_impl(
     if let Some(tr) = trace.as_deref_mut() {
         tr.gather_ns = lap();
     }
-    let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let work: u64 = roots[..n].iter().map(|&root| arena.size(root)).sum();
-    let workers = if work < FLAT_T_PARALLEL_MIN_WORK {
-        1
-    } else {
-        threads.max(1).min(avail)
-    };
-    let (t, batch_tel) = t_batch_flat_telemetry(&arena, &roots[..n], big_r, workers);
+    let (t, batch_tel) = t_batch(&arena, &roots[..n], big_r);
     if let Some(tr) = trace.as_deref_mut() {
         tr.t_eval_ns = lap();
         tr.batch = batch_tel;
@@ -808,18 +663,16 @@ mod tests {
             let s = sf(seed);
             for big_r in [2, 3, 4] {
                 let central = solve_special(&s, big_r, 1);
-                for threads in [1, 4] {
-                    let (flat, _) = solve_special_flat(&s, big_r, threads);
-                    for v in 0..s.n_agents() {
-                        let at = format!("seed {seed} R {big_r} threads {threads} agent {v}");
-                        assert_eq!(flat.t[v].to_bits(), central.t[v].to_bits(), "t: {at}");
-                        assert_eq!(flat.s[v].to_bits(), central.s[v].to_bits(), "s: {at}");
-                        assert_eq!(
-                            flat.x.as_slice()[v].to_bits(),
-                            central.x.as_slice()[v].to_bits(),
-                            "x: {at}"
-                        );
-                    }
+                let (flat, _) = solve_special_flat(&s, big_r);
+                for v in 0..s.n_agents() {
+                    let at = format!("seed {seed} R {big_r} agent {v}");
+                    assert_eq!(flat.t[v].to_bits(), central.t[v].to_bits(), "t: {at}");
+                    assert_eq!(flat.s[v].to_bits(), central.s[v].to_bits(), "s: {at}");
+                    assert_eq!(
+                        flat.x.as_slice()[v].to_bits(),
+                        central.x.as_slice()[v].to_bits(),
+                        "x: {at}"
+                    );
                 }
             }
         }
@@ -838,7 +691,7 @@ mod tests {
                     0,
                 ))
                 .unwrap();
-                let (_, stats) = solve_special_flat(&s, big_r, 1);
+                let (_, stats) = solve_special_flat(&s, big_r);
                 rounds.push(stats.rounds);
             }
             assert_eq!(rounds[0], rounds[1], "locality: rounds independent of n");
@@ -858,7 +711,7 @@ mod tests {
                 1,
             ))
             .unwrap();
-            solve_special_flat(&s, 3, 1).1.messages
+            solve_special_flat(&s, 3).1.messages
         };
         let ratio = messages(40) as f64 / messages(10) as f64;
         assert!(
@@ -870,7 +723,7 @@ mod tests {
     #[test]
     fn cycle_distributed_is_optimal() {
         let s = SpecialForm::new(cycle_special(8, 1.0)).unwrap();
-        let (run, _) = solve_special_flat(&s, 4, 1);
+        let (run, _) = solve_special_flat(&s, 4);
         for v in run.x.as_slice() {
             assert!((v - 0.5).abs() < 1e-9);
         }
@@ -881,31 +734,28 @@ mod tests {
     fn traced_solve_is_bit_identical_and_phases_are_coherent() {
         let s = sf(2);
         for big_r in [2, 3] {
-            for threads in [1, 4] {
-                let (plain, stats) = solve_special_flat(&s, big_r, threads);
-                let (traced, tstats, tr) = solve_special_flat_traced(&s, big_r, threads);
-                for v in 0..s.n_agents() {
-                    assert_eq!(traced.t[v].to_bits(), plain.t[v].to_bits());
-                    assert_eq!(traced.s[v].to_bits(), plain.s[v].to_bits());
-                    assert_eq!(
-                        traced.x.as_slice()[v].to_bits(),
-                        plain.x.as_slice()[v].to_bits(),
-                        "R {big_r} threads {threads} agent {v}"
-                    );
-                }
-                assert_eq!(stats, tstats, "accounting must not depend on tracing");
-                // Phases cover disjoint intervals of the span.
-                assert!(tr.total_ns > 0);
-                let phase_sum = tr.gather_ns + tr.t_eval_ns + tr.flood_ns + tr.g_ns;
-                assert!(
-                    phase_sum <= tr.total_ns,
-                    "phases {phase_sum} > total {}",
-                    tr.total_ns
+            let (plain, stats) = solve_special_flat(&s, big_r);
+            let (traced, tstats, tr) = solve_special_flat_traced(&s, big_r, 1);
+            for v in 0..s.n_agents() {
+                assert_eq!(traced.t[v].to_bits(), plain.t[v].to_bits());
+                assert_eq!(traced.s[v].to_bits(), plain.s[v].to_bits());
+                assert_eq!(
+                    traced.x.as_slice()[v].to_bits(),
+                    plain.x.as_slice()[v].to_bits(),
+                    "R {big_r} agent {v}"
                 );
-                // The batch ran and its memo counters saw traffic.
-                assert!(tr.batch.workers >= 1 && tr.batch.chunks >= 1);
-                assert!(tr.batch.memo_hits + tr.batch.memo_misses + tr.batch.memo_skips > 0);
             }
+            assert_eq!(stats, tstats, "accounting must not depend on tracing");
+            // Phases cover disjoint intervals of the span.
+            assert!(tr.total_ns > 0);
+            let phase_sum = tr.gather_ns + tr.t_eval_ns + tr.flood_ns + tr.g_ns;
+            assert!(
+                phase_sum <= tr.total_ns,
+                "phases {phase_sum} > total {}",
+                tr.total_ns
+            );
+            // The batch ran and its memo counters saw traffic.
+            assert!(tr.batch.memo_hits + tr.batch.memo_misses + tr.batch.memo_skips > 0);
         }
     }
 

@@ -23,8 +23,7 @@
 //! function [`solve_special`] evaluates for every agent — with one
 //! dense-memo [`Scratch`] reused across updates, so the recomputed
 //! state is **bit-identical** to a from-scratch solve by construction
-//! (and asserted across the generator catalogue and thread counts in
-//! tests).
+//! (and asserted across the generator catalogue in tests).
 //!
 //! The solver also maintains its revision's identity: the canonical
 //! text ([`CanonicalText`]) and its content hash
@@ -52,7 +51,6 @@ pub struct DynamicSolver {
     sf: SpecialForm,
     graph: CommGraph,
     big_r: usize,
-    threads: usize,
     run: SpecialRun,
     /// Canonical text of the maintained revision.
     text: CanonicalText,
@@ -113,12 +111,13 @@ impl From<DeltaError> for DynamicError {
 }
 
 impl DynamicSolver {
-    /// Solves from scratch with `threads` workers and retains the state,
-    /// plus the revision's canonical text and hash.
-    pub fn new(sf: SpecialForm, big_r: usize, threads: usize) -> Self {
+    /// Solves from scratch and retains the state, plus the revision's
+    /// canonical text and hash.
+    ///
+    /// `_threads`: ignored; the benchmark PR (ROADMAP item 9) removes it.
+    pub fn new(sf: SpecialForm, big_r: usize, _threads: usize) -> Self {
         assert!(big_r >= 2);
-        let threads = threads.max(1);
-        let run = solve_special(&sf, big_r, threads);
+        let run = solve_special(&sf, big_r, 1);
         let graph = CommGraph::new(sf.instance());
         let text = CanonicalText::render(sf.instance());
         let n_nodes = graph.n_nodes();
@@ -128,7 +127,6 @@ impl DynamicSolver {
             sf,
             graph,
             big_r,
-            threads,
             run,
             scratch: Scratch::default(),
             dist: vec![u32::MAX; n_nodes],
@@ -151,11 +149,6 @@ impl DynamicSolver {
     /// The locality parameter `R`.
     pub fn big_r(&self) -> usize {
         self.big_r
-    }
-
-    /// Worker threads used by from-scratch (re)solves.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Heap bytes the `t_u` repair memo holds: per agent and level, two
@@ -426,7 +419,7 @@ impl DynamicSolver {
         let n = sf.n_agents();
         *self = DynamicSolver {
             scratch: std::mem::take(&mut self.scratch),
-            ..DynamicSolver::new(sf, self.big_r, self.threads)
+            ..DynamicSolver::new(sf, self.big_r, 1)
         };
         UpdateReport {
             recomputed_t: n,
@@ -504,24 +497,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn threaded_scratch_solve_is_bit_identical() {
-        // Satellite: `new` accepts a thread count, and the threaded flat
-        // path must agree with the scalar one bit for bit — both at
-        // construction and after an update.
-        let sf = fixture(40, 11);
-        let scalar = DynamicSolver::new(sf.clone(), 3, 1);
-        let mut threaded = DynamicSolver::new(sf, 3, 4);
-        assert_eq!(threaded.threads(), 4);
-        assert_bitwise_eq(&threaded, scalar.run(), "construction");
-        let i = ConstraintId::new(3);
-        let row = threaded.special_form().instance().constraint_row(i);
-        let new = [row[0].coef * 1.5, row[1].coef * 0.5];
-        threaded.update_constraint_coefs(i, new);
-        let reference = solve_special(threaded.special_form(), 3, 4);
-        assert_bitwise_eq(&threaded, &reference, "after update");
     }
 
     #[test]
@@ -747,8 +722,8 @@ mod proptests {
         /// Catalogue-wide §1.3 soundness: for every family that yields a
         /// special-form instance, a random sequence of k coefficient
         /// edits applied incrementally is bit-identical to a
-        /// from-scratch solve of the final revision — across thread
-        /// counts — and the maintained revision hash stays the content
+        /// from-scratch solve of the final revision, and the maintained
+        /// revision hash stays the content
         /// hash of the edited instance after every edit, and every
         /// agent's `t_u` is the plain bisection's after every edit.
         #[test]
@@ -756,7 +731,6 @@ mod proptests {
             size in 16usize..40,
             seed in 0u64..500,
             k in 1usize..6,
-            threads in 1usize..4,
         ) {
             for fam in catalog() {
                 let inst = fam.instance(size, seed);
@@ -766,7 +740,7 @@ mod proptests {
                 if sf.instance().n_constraints() == 0 {
                     continue;
                 }
-                let mut dynamic = DynamicSolver::new(sf, 3, threads);
+                let mut dynamic = DynamicSolver::new(sf, 3, 1);
                 let mut mix = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ size as u64;
                 for step in 0..k {
                     mix = mix

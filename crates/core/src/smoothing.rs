@@ -133,20 +133,18 @@ pub struct SpecialRun {
 }
 
 /// Runs the complete special-form algorithm (§5) with locality parameter
-/// `R ≥ 2`, optionally computing the `t_u` in parallel.
-pub fn solve_special(sf: &SpecialForm, big_r: usize, threads: usize) -> SpecialRun {
-    solve_special_impl(sf, big_r, threads, None)
+/// `R ≥ 2`.
+///
+/// `_threads`: ignored; the benchmark PR (ROADMAP item 9) removes it.
+pub fn solve_special(sf: &SpecialForm, big_r: usize, _threads: usize) -> SpecialRun {
+    solve_special_impl(sf, big_r, None)
 }
 
 /// [`solve_special`] plus its [`SpecialTrace`]: the same solve —
 /// bit-identical outputs — with per-phase wall times filled in.
-pub fn solve_special_traced(
-    sf: &SpecialForm,
-    big_r: usize,
-    threads: usize,
-) -> (SpecialRun, SpecialTrace) {
+pub fn solve_special_traced(sf: &SpecialForm, big_r: usize) -> (SpecialRun, SpecialTrace) {
     let mut trace = SpecialTrace::default();
-    let run = solve_special_impl(sf, big_r, threads, Some(&mut trace));
+    let run = solve_special_impl(sf, big_r, Some(&mut trace));
     (run, trace)
 }
 
@@ -183,7 +181,6 @@ impl SpecialTrace {
 fn solve_special_impl(
     sf: &SpecialForm,
     big_r: usize,
-    threads: usize,
     mut trace: Option<&mut SpecialTrace>,
 ) -> SpecialRun {
     // One monotonic timestamp per phase boundary, taken only when the
@@ -197,7 +194,7 @@ fn solve_special_impl(
         ns
     };
     let tb = TreeBound::new(sf, big_r);
-    let t = tb.all_parallel(threads);
+    let t = tb.all();
     if let Some(tr) = trace.as_deref_mut() {
         tr.t_eval_ns = lap();
     }

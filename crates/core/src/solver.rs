@@ -21,7 +21,6 @@ use mmlp_instance::{DegreeStats, Instance, Solution};
 #[derive(Clone, Copy, Debug)]
 pub struct LocalSolver {
     big_r: usize,
-    threads: usize,
 }
 
 /// Everything one solve produces.
@@ -65,7 +64,7 @@ impl LocalSolver {
     /// Creates a solver with locality parameter `R ≥ 2`.
     pub fn new(big_r: usize) -> Self {
         assert!(big_r >= 2, "the paper requires R ≥ 2");
-        LocalSolver { big_r, threads: 1 }
+        LocalSolver { big_r }
     }
 
     /// Chooses the smallest `R` achieving ratio `threshold + ε` for the
@@ -74,14 +73,6 @@ impl LocalSolver {
         let s = DegreeStats::of(inst);
         let (di, dk) = (s.delta_i.max(2), s.delta_k.max(2));
         Self::new(ratio::r_for_epsilon(di, dk, epsilon))
-    }
-
-    /// Sets the worker-thread **upper bound** for the per-agent `t_u`
-    /// batch (bit-identical results at every count; see
-    /// `tree_bound::all_parallel`).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// The locality parameter `R`.
@@ -103,10 +94,8 @@ impl LocalSolver {
     /// [`crate::transform::to_special_form`]; [`LocalSolver::solve_traced`]
     /// returns that error instead.
     pub fn solve(&self, inst: &Instance) -> LocalSolverOutput {
-        self.solve_with(inst, |sf| {
-            smoothing::solve_special(sf, self.big_r, self.threads)
-        })
-        .unwrap_or_else(|e| panic!("{e}"))
+        self.solve_with(inst, |sf| smoothing::solve_special(sf, self.big_r, 1))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`LocalSolver::solve`] plus the per-phase wall times of its §5
@@ -118,7 +107,7 @@ impl LocalSolver {
     ) -> Result<(LocalSolverOutput, SpecialTrace), TransformError> {
         let mut trace = SpecialTrace::default();
         let out = self.solve_with(inst, |sf| {
-            let (run, t) = smoothing::solve_special_traced(sf, self.big_r, self.threads);
+            let (run, t) = smoothing::solve_special_traced(sf, self.big_r);
             trace = t;
             run
         })?;
@@ -141,12 +130,6 @@ impl LocalSolver {
             trace: transformed.trace,
             big_r: self.big_r,
         })
-    }
-
-    /// Solves an instance already in special form, skipping the pipeline
-    /// (used by benchmarks and by the distributed comparison).
-    pub fn solve_special(&self, sf: &SpecialForm) -> SpecialRun {
-        smoothing::solve_special(sf, self.big_r, self.threads)
     }
 }
 
@@ -237,23 +220,13 @@ mod tests {
     }
 
     #[test]
-    fn threads_do_not_change_output() {
-        let inst = random_general(&cfg(), 5);
-        let a = LocalSolver::new(3).solve(&inst);
-        let b = LocalSolver::new(3).with_threads(4).solve(&inst);
-        for v in inst.agents() {
-            assert_eq!(a.solution.value(v).to_bits(), b.solution.value(v).to_bits());
-        }
-    }
-
-    #[test]
     fn flat_network_path_is_bit_identical() {
         let inst = random_general(&cfg(), 7);
         let transformed = to_special_form(&inst);
         let sf = SpecialForm::new(transformed.instance.clone()).unwrap();
         for big_r in [2, 3] {
             let central = LocalSolver::new(big_r).solve(&inst);
-            let (flat, _) = crate::distributed::solve_special_flat(&sf, big_r, 1);
+            let (flat, _) = crate::distributed::solve_special_flat(&sf, big_r);
             let flat_x = transformed.map_back(&flat.x);
             for v in inst.agents() {
                 assert_eq!(

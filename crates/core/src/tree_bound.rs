@@ -422,29 +422,6 @@ impl<'a> TreeBound<'a> {
             .collect()
     }
 
-    /// `t_u` for every agent using `threads` scoped workers; identical
-    /// output to [`TreeBound::all`] (each `t_u` is independent).
-    pub fn all_parallel(&self, threads: usize) -> Vec<f64> {
-        let n = self.sf.n_agents();
-        let threads = threads.max(1);
-        if threads == 1 || n < 64 {
-            return self.all();
-        }
-        let mut out = vec![0.0f64; n];
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (shard, slot) in out.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    let mut sc = Scratch::default();
-                    for (off, val) in slot.iter_mut().enumerate() {
-                        *val = self.t(AgentId::new((shard * chunk + off) as u32), &mut sc);
-                    }
-                });
-            }
-        });
-        out
-    }
-
     /// Number of nodes of `A_u` (agents + constraints + objectives) —
     /// the per-node work the local algorithm performs.
     pub fn tree_size(&self, u: AgentId) -> usize {
@@ -739,7 +716,7 @@ mod tests {
         for big_r in 2..=4 {
             replay_vs_bisect(&s, big_r, "near-max");
             let expect = (1.0 + 1.0 / (big_r as f64 - 1.0)) / coef;
-            let flat = crate::distributed::solve_special_flat(&s, big_r, 1).0.t;
+            let flat = crate::distributed::solve_special_flat(&s, big_r).0.t;
             for (t, f) in TreeBound::new(&s, big_r).all().iter().zip(&flat) {
                 assert!(
                     (t / expect - 1.0).abs() < 1e-9,
@@ -878,26 +855,6 @@ mod tests {
             assert!(tb.feasible(u, frac * t, &mut sc), "below t is feasible");
         }
         assert!(!tb.feasible(u, t * 1.001 + 1e-6, &mut sc), "above t fails");
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let s = sf(random_special_form(
-            &SpecialFormConfig {
-                n_objectives: 40,
-                ..SpecialFormConfig::default()
-            },
-            2,
-        ));
-        let tb = TreeBound::new(&s, 3);
-        let seq = tb.all();
-        for threads in [2, 4] {
-            let par = tb.all_parallel(threads);
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.to_bits(), b.to_bits(), "bit-identical results");
-            }
-        }
     }
 
     #[test]

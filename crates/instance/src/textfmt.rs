@@ -11,6 +11,13 @@
 //! The format preserves row order and within-row order, hence port
 //! numbering, so a round trip is structurally exact. Floats are written
 //! with full precision (Rust's shortest-round-trip formatting).
+//!
+//! The parser allocates per declared agent, so the `agents` count may
+//! not exceed the input's length in bytes: a larger count is a
+//! [`ParseError`] on its line, raised before anything is allocated.
+//! Parsing thus allocates in proportion to its input. The one cost: an
+//! instance whose isolated agents (in no row) outnumber the bytes of
+//! its text cannot be written in this format.
 
 use crate::hash::fnv1a64;
 use crate::ids::{AgentId, ConstraintId};
@@ -194,6 +201,13 @@ pub fn parse_instance(text: &str) -> Result<Instance, ParseError> {
                 let n: usize = count_tok
                     .parse()
                     .map_err(|e| err_tok(lineno, count_tok, format!("bad agent count: {e}")))?;
+                if n > text.len() {
+                    return Err(err_tok(
+                        lineno,
+                        count_tok,
+                        format!("agent count {n} exceeds the input's {} bytes", text.len()),
+                    ));
+                }
                 builder = Some(InstanceBuilder::with_agents(n));
             }
             "c" | "o" => {
@@ -400,5 +414,20 @@ mod tests {
         // Whole-file errors carry no token.
         let e = parse_instance("").unwrap_err();
         assert_eq!((e.line, e.token), (0, None));
+    }
+
+    #[test]
+    fn agent_count_is_bounded_by_the_input_length() {
+        // 29 bytes declaring three billion agents: refused on the
+        // `agents` line, before the builder allocates 12 GB for them.
+        let text = "maxminlp 1\nagents 3000000000\n";
+        assert_eq!(text.len(), 29);
+        let e = parse_instance(text).unwrap_err();
+        assert_eq!((e.line, e.token.as_deref()), (2, Some("3000000000")));
+        assert!(e.message.contains("exceeds the input's 29 bytes"), "{e}");
+        // The bound is inclusive: 21 bytes may declare 21 agents.
+        let text = "maxminlp 1\nagents 21\n";
+        assert_eq!(parse_instance(text).unwrap().n_agents(), 21);
+        assert!(parse_instance("maxminlp 1\nagents 22\n").is_err());
     }
 }

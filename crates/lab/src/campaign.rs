@@ -107,6 +107,18 @@ pub fn run_jobs(
     jobs: &[Job],
     workers: usize,
     timeout: Option<Duration>,
+    sink: impl FnMut(&Job, JobRecord),
+) {
+    run_jobs_with(jobs, workers, timeout, execute_job, sink);
+}
+
+/// [`run_jobs`] with the job executor as a parameter, so a test can
+/// run a job whose duration it controls.
+fn run_jobs_with(
+    jobs: &[Job],
+    workers: usize,
+    timeout: Option<Duration>,
+    exec: impl Fn(&Job) -> JobRecord + Send + Sync + 'static,
     mut sink: impl FnMut(&Job, JobRecord),
 ) {
     let cfg = PoolConfig { workers, timeout };
@@ -114,7 +126,7 @@ pub fn run_jobs(
     run_pool(
         jobs_owned,
         &cfg,
-        |job: Job| execute_job(&job),
+        move |job: Job| exec(&job),
         |idx, outcome| {
             let job = &jobs[idx];
             let record = match outcome {
@@ -443,8 +455,9 @@ mod tests {
 
     #[test]
     fn timeouts_surface_as_records() {
-        // A 1 ms budget on a non-trivial job: must come back TimedOut,
-        // not hang or crash.
+        // A 1 ms budget on a job that cannot start its work before the
+        // run has returned, so it outlasts the budget in every build
+        // profile: it must come back TimedOut, not hang or crash.
         let spec = CampaignSpec {
             families: vec!["sensor-grid".into()],
             sizes: vec![180],
@@ -454,7 +467,18 @@ mod tests {
             timeout_ms: 1,
             ..CampaignSpec::default()
         };
-        let records = run_in_memory(&spec, 1);
+        let (hold, held) = std::sync::mpsc::channel::<()>();
+        let held = std::sync::Mutex::new(held);
+        let exec = move |job: &Job| {
+            // Returns once `hold` is dropped, after the run.
+            let _ = held.lock().expect("held lock").recv();
+            execute_job(job)
+        };
+        let mut records = Vec::new();
+        run_jobs_with(&expand(&spec), 1, timeout_of(&spec), exec, |_, r| {
+            records.push(r)
+        });
+        drop(hold);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].status, JobStatus::TimedOut);
     }

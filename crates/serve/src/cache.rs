@@ -1,6 +1,6 @@
 //! A byte-budgeted LRU map, used twice by the server:
 //!
-//! * the **result cache** — `(instance-hash, op, R, threads)` → reply
+//! * the **result cache** — `(instance-hash, op, R)` → reply
 //!   body, budgeted by `--cache-mb`;
 //! * the **instance store** — content hash → parsed
 //!   [`Instance`](mmlp_instance::Instance), budgeted by serialised

@@ -120,10 +120,9 @@ impl Client {
         &mut self,
         revision: &str,
         big_r: usize,
-        threads: usize,
     ) -> std::io::Result<ClientReply> {
         self.request(
-            &run_line(Op::SolveDelta, &format!("hash:{revision}"), big_r, threads),
+            &run_line(Op::SolveDelta, &format!("hash:{revision}"), big_r),
             None,
         )
     }
@@ -134,24 +133,17 @@ impl Client {
         &mut self,
         delta_text: &str,
         big_r: usize,
-        threads: usize,
     ) -> std::io::Result<ClientReply> {
         let src = format!("inline:{}", delta_text.len());
         self.request(
-            &run_line(Op::SolveDelta, &src, big_r, threads),
+            &run_line(Op::SolveDelta, &src, big_r),
             Some(delta_text.as_bytes()),
         )
     }
 
     /// Runs `op` against a previously `PUT` instance.
-    pub fn run_hash(
-        &mut self,
-        op: Op,
-        hash: &str,
-        big_r: usize,
-        threads: usize,
-    ) -> std::io::Result<ClientReply> {
-        self.request(&run_line(op, &format!("hash:{hash}"), big_r, threads), None)
+    pub fn run_hash(&mut self, op: Op, hash: &str, big_r: usize) -> std::io::Result<ClientReply> {
+        self.request(&run_line(op, &format!("hash:{hash}"), big_r), None)
     }
 
     /// Runs `op` with the instance text sent inline.
@@ -160,13 +152,9 @@ impl Client {
         op: Op,
         instance_text: &str,
         big_r: usize,
-        threads: usize,
     ) -> std::io::Result<ClientReply> {
         let src = format!("inline:{}", instance_text.len());
-        self.request(
-            &run_line(op, &src, big_r, threads),
-            Some(instance_text.as_bytes()),
-        )
+        self.request(&run_line(op, &src, big_r), Some(instance_text.as_bytes()))
     }
 
     /// Fetches `STATS` parsed into `(key, value)` pairs.
@@ -291,14 +279,8 @@ impl PipelinedClient {
     }
 
     /// Queues `op` against a previously `PUT` instance.
-    pub fn send_run_hash(
-        &mut self,
-        op: Op,
-        hash: &str,
-        big_r: usize,
-        threads: usize,
-    ) -> std::io::Result<()> {
-        self.send(&run_line(op, &format!("hash:{hash}"), big_r, threads), None)
+    pub fn send_run_hash(&mut self, op: Op, hash: &str, big_r: usize) -> std::io::Result<()> {
+        self.send(&run_line(op, &format!("hash:{hash}"), big_r), None)
     }
 
     /// Pushes everything queued onto the wire.
@@ -321,7 +303,7 @@ impl PipelinedClient {
     }
 }
 
-pub(crate) fn run_line(op: Op, src: &str, big_r: usize, threads: usize) -> String {
+pub(crate) fn run_line(op: Op, src: &str, big_r: usize) -> String {
     let verb = match op {
         Op::Solve => "SOLVE",
         Op::Optimum => "OPTIMUM",
@@ -330,7 +312,7 @@ pub(crate) fn run_line(op: Op, src: &str, big_r: usize, threads: usize) -> Strin
         Op::SolveDelta => "SOLVE_DELTA",
     };
     match op {
-        Op::Solve | Op::SolveDelta => format!("{verb} {src} R={big_r} THREADS={threads}"),
+        Op::Solve | Op::SolveDelta => format!("{verb} {src} R={big_r}"),
         _ => format!("{verb} {src}"),
     }
 }

@@ -7,8 +7,8 @@
 //! `SOLVE_DELTA hash:<rev>` resolves in one of three ways, cheapest
 //! first:
 //!
-//! 1. **warm** — a solver is already parked at `<rev>` (for this
-//!    `(R, threads)`): render the body straight from its state;
+//! 1. **warm** — a solver is already parked at `<rev>` (for this `R`):
+//!    render the body straight from its state;
 //! 2. **advanced** — a solver is parked at an *ancestor* revision:
 //!    replay the lineage deltas between the two through
 //!    [`DynamicSolver::apply_delta`], which repairs ball-locally for
@@ -57,16 +57,12 @@ use std::sync::{Arc, Mutex};
 // LRU, so it can never be observed mid-replay or rendered for a
 // revision it has already left.
 
-/// Solvers are keyed by the revision they are parked at **and** the
-/// request shape: a different `R` needs a different horizon, and the
-/// thread count is kept in the key so the service never has to assume
-/// bit-identity across counts (it holds, and tests assert it, but the
-/// cache stays honest by construction).
+/// Solvers are keyed by the revision they are parked at **and** `R`:
+/// a different `R` needs a different horizon.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct SolverKey {
     revision: u64,
     big_r: usize,
-    threads: usize,
 }
 
 /// One registered delta edge of the revision graph.
@@ -270,7 +266,6 @@ pub struct InlineDelta {
     pub(crate) parked: Parked,
     pub(crate) delta: Delta,
     pub(crate) big_r: usize,
-    pub(crate) threads: usize,
 }
 
 /// An inline delta applied in place: the solver now sits at `new`, and
@@ -281,7 +276,6 @@ pub struct Advanced {
     pub(crate) delta: Delta,
     pub(crate) new: u64,
     pub(crate) big_r: usize,
-    pub(crate) threads: usize,
     pub(crate) body: String,
     pub(crate) info: DeltaSolveInfo,
 }
@@ -325,25 +319,20 @@ impl DeltaCoordinator {
         (s.len(), s.used())
     }
 
-    /// Takes the solver parked at `revision` for `(R, threads)` out of
-    /// the cache, if there is one.
-    pub fn checkout(&self, revision: u64, big_r: usize, threads: usize) -> Option<Parked> {
+    /// Takes the solver parked at `revision` for `R` out of the cache,
+    /// if there is one.
+    pub fn checkout(&self, revision: u64, big_r: usize) -> Option<Parked> {
         self.solvers
             .lock()
             .expect("solver lock")
-            .remove(&SolverKey {
-                revision,
-                big_r,
-                threads,
-            })
+            .remove(&SolverKey { revision, big_r })
     }
 
     /// Parks `parked` at its current revision.
-    pub fn park(&self, mut parked: Parked, big_r: usize, threads: usize) {
+    pub fn park(&self, mut parked: Parked, big_r: usize) {
         let key = SolverKey {
             revision: parked.solver.revision(),
             big_r,
-            threads,
         };
         let cost = parked.cost();
         self.solvers
@@ -361,12 +350,11 @@ impl DeltaCoordinator {
             mut parked,
             delta,
             big_r,
-            threads,
         } = job;
         let rep = match parked.apply(&delta) {
             Ok(rep) => rep,
             Err(e) => {
-                self.park(parked, big_r, threads);
+                self.park(parked, big_r);
                 return Err(match e {
                     DynamicError::Delta(e) => (ErrorCode::BadDelta, format!("delta apply: {e}")),
                     e => (ErrorCode::BadDelta, e.to_string()),
@@ -386,7 +374,6 @@ impl DeltaCoordinator {
             delta,
             new,
             big_r,
-            threads,
             info,
         })
     }
@@ -399,17 +386,12 @@ impl DeltaCoordinator {
         &self,
         revision: u64,
         big_r: usize,
-        threads: usize,
         fetch: F,
     ) -> Result<(String, DeltaSolveInfo), EngineError>
     where
         F: Fn(u64) -> Option<Arc<Instance>>,
     {
-        let key = SolverKey {
-            revision,
-            big_r,
-            threads,
-        };
+        let key = SolverKey { revision, big_r };
         // The gate guards no data, so a resolve that panicked leaves
         // nothing torn: ignore the poison.
         let _resolve = self.resolve.lock().unwrap_or_else(|e| e.into_inner());
@@ -441,7 +423,7 @@ impl DeltaCoordinator {
                 // Taking the ancestor's solver out (rather than
                 // cloning) keeps one canonical solver per chain tip; a
                 // later request for the old revision just re-boots.
-                if let Some(parked) = self.checkout(cursor, big_r, threads) {
+                if let Some(parked) = self.checkout(cursor, big_r) {
                     break (parked, DeltaMode::Advanced);
                 }
             }
@@ -478,7 +460,7 @@ impl DeltaCoordinator {
                             ),
                         )
                     })?;
-                    let solver = DynamicSolver::new(sf, big_r, threads);
+                    let solver = DynamicSolver::new(sf, big_r, 1);
                     break (Parked::new(solver), DeltaMode::Booted);
                 }
             }
@@ -522,7 +504,7 @@ impl DeltaCoordinator {
             recomputed_x,
             n_agents: parked.solver.special_form().n_agents() as u64,
         };
-        self.park(parked, big_r, threads);
+        self.park(parked, big_r);
         Ok((body, info))
     }
 
@@ -637,14 +619,14 @@ mod tests {
         }
 
         // Cold: boots at v0, replays 3 deltas.
-        let (body, info) = coordinator.solve(tip, 3, 1, fetch).unwrap();
+        let (body, info) = coordinator.solve(tip, 3, fetch).unwrap();
         assert_eq!(info.mode, DeltaMode::Booted);
         assert_eq!(info.replayed, 3);
         assert!(info.recomputed_x > 0);
         assert_eq!(body, execute(Op::Solve, &cur, 3, 1).unwrap());
 
         // Warm: the solver is parked at the tip now.
-        let (again, info) = coordinator.solve(tip, 3, 1, fetch).unwrap();
+        let (again, info) = coordinator.solve(tip, 3, fetch).unwrap();
         assert_eq!(info.mode, DeltaMode::Warm);
         assert_eq!(again, body);
 
@@ -652,7 +634,7 @@ mod tests {
         let d = coef_delta(&cur, 4, 2.0);
         let (v4, lin) = d.apply_hashed(&cur).unwrap();
         coordinator.record(lin.new, lin.base, d.to_text());
-        let (body4, info) = coordinator.solve(lin.new, 3, 1, fetch).unwrap();
+        let (body4, info) = coordinator.solve(lin.new, 3, fetch).unwrap();
         assert_eq!(info.mode, DeltaMode::Advanced);
         assert_eq!(info.replayed, 1);
         assert_eq!(body4, execute(Op::Solve, &v4, 3, 1).unwrap());
@@ -668,7 +650,7 @@ mod tests {
         let h0 = instance_hash(&v0);
         let v0 = Arc::new(v0);
         let fetch = |h: u64| (h == h0).then(|| Arc::clone(&v0));
-        coordinator.solve(h0, 3, 1, fetch).unwrap();
+        coordinator.solve(h0, 3, fetch).unwrap();
         let d = Delta::single(
             h0,
             Edit::AddRow {
@@ -681,21 +663,21 @@ mod tests {
         );
         let (v1, lin) = d.apply_hashed(&v0).unwrap();
         coordinator.record(lin.new, h0, d.to_text());
-        let (body, info) = coordinator.solve(lin.new, 3, 1, fetch).unwrap();
+        let (body, info) = coordinator.solve(lin.new, 3, fetch).unwrap();
         assert_eq!(info.mode, DeltaMode::Advanced);
         assert_eq!(body, execute(Op::Solve, &v1, 3, 1).unwrap());
         // And a coefficient edit on top refreshes from there.
         let d2 = coef_delta(&v1, 3, 1.3);
         let (v2, lin2) = d2.apply_hashed(&v1).unwrap();
         coordinator.record(lin2.new, lin.new, d2.to_text());
-        let (body, _) = coordinator.solve(lin2.new, 3, 1, fetch).unwrap();
+        let (body, _) = coordinator.solve(lin2.new, 3, fetch).unwrap();
         assert_eq!(body, execute(Op::Solve, &v2, 3, 1).unwrap());
     }
 
     #[test]
     fn unknown_root_is_nobase_and_non_special_is_baddelta() {
         let coordinator = DeltaCoordinator::new(1 << 20);
-        let err = coordinator.solve(0xdead, 3, 1, |_| None).unwrap_err();
+        let err = coordinator.solve(0xdead, 3, |_| None).unwrap_err();
         assert_eq!(err.0, ErrorCode::NoBase);
 
         // A general (non-special-form) instance at the chain root.
@@ -707,7 +689,7 @@ mod tests {
         let h = instance_hash(&general);
         let general = Arc::new(general);
         let err = coordinator
-            .solve(h, 3, 1, |q| (q == h).then(|| Arc::clone(&general)))
+            .solve(h, 3, |q| (q == h).then(|| Arc::clone(&general)))
             .unwrap_err();
         assert_eq!(err.0, ErrorCode::BadDelta);
     }
@@ -724,13 +706,13 @@ mod tests {
         // to: serving it would cache the wrong revision's body under it.
         let bogus = 0x0123_4567_89ab_cdef;
         coordinator.record(bogus, h0, d.to_text());
-        let err = coordinator.solve(bogus, 3, 1, fetch).unwrap_err();
+        let err = coordinator.solve(bogus, 3, fetch).unwrap_err();
         assert_eq!(err.0, ErrorCode::Internal, "{err:?}");
         assert_eq!(coordinator.solver_stats().0, 0, "nothing parked");
         // The honest edge still resolves.
         let (_, lin) = d.apply_hashed(&v0).unwrap();
         coordinator.record(lin.new, h0, d.to_text());
-        assert!(coordinator.solve(lin.new, 3, 1, fetch).is_ok());
+        assert!(coordinator.solve(lin.new, 3, fetch).is_ok());
     }
 
     #[test]
@@ -759,19 +741,18 @@ mod tests {
         let h0 = instance_hash(&v0);
         let v0 = Arc::new(v0);
         let (_, info) = coordinator
-            .solve(h0, 3, 1, |h| (h == h0).then(|| Arc::clone(&v0)))
+            .solve(h0, 3, |h| (h == h0).then(|| Arc::clone(&v0)))
             .unwrap();
         assert_eq!(info.mode, DeltaMode::Booted);
         let d = coef_delta(&v0, 2, 0.75);
         let (v1, lin) = d.apply_hashed(&v0).unwrap();
-        let parked = coordinator.checkout(h0, 3, 1).expect("parked at the base");
+        let parked = coordinator.checkout(h0, 3).expect("parked at the base");
         assert_eq!(coordinator.solver_stats().0, 0, "checked out");
         let adv = coordinator
             .advance(InlineDelta {
                 parked,
                 delta: d,
                 big_r: 3,
-                threads: 1,
             })
             .unwrap();
         assert_eq!(adv.new, lin.new);
@@ -788,19 +769,18 @@ mod tests {
                 coef: 1.0,
             },
         );
-        coordinator.park(adv.parked, 3, 1);
-        let parked = coordinator.checkout(lin.new, 3, 1).unwrap();
+        coordinator.park(adv.parked, 3);
+        let parked = coordinator.checkout(lin.new, 3).unwrap();
         let err = coordinator
             .advance(InlineDelta {
                 parked,
                 delta: bad,
                 big_r: 3,
-                threads: 1,
             })
             .err()
             .unwrap();
         assert_eq!(err.0, ErrorCode::BadDelta);
-        assert!(coordinator.checkout(lin.new, 3, 1).is_some(), "parked back");
+        assert!(coordinator.checkout(lin.new, 3).is_some(), "parked back");
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! criterion bench) and unit-testable without a listener.
 //!
 //! **Cache correctness.** Every solver in this workspace is
-//! deterministic for a fixed `(instance, R, threads)` — the local
-//! algorithm is a constant-radius per-node computation, the simplex is
-//! sequential, and the parallel bound computation is bit-identical by
-//! construction (`tree_bound::all_parallel`). Reply bodies render
-//! floats with Rust's shortest-round-trip formatting, so a cache hit is
-//! **bit-identical** to the cold solve it replaces; the e2e suite
-//! asserts exactly that over real sockets.
+//! deterministic for a fixed `(instance, R)`: the local algorithm is a
+//! constant-radius per-node computation, the simplex is sequential, and
+//! a request runs start to finish on the one pool worker that picked it
+//! up. Reply bodies render floats with Rust's
+//! shortest-round-trip formatting, so a cache hit is **bit-identical**
+//! to the cold solve it replaces; the e2e suite asserts exactly that
+//! over real sockets.
 
 use crate::cache::{ShardKey, ShardedLru, SHARDS};
 use crate::delta::{Advanced, DeltaCoordinator, DeltaSolveInfo, InlineDelta};
@@ -39,10 +39,6 @@ pub struct CacheKey {
     pub op: Op,
     /// Locality parameter (0 for R-insensitive ops).
     pub big_r: usize,
-    /// Solver thread count (results are bit-identical across thread
-    /// counts, but the key keeps the service honest rather than
-    /// assuming it).
-    pub threads: usize,
 }
 
 impl ShardKey for CacheKey {
@@ -57,17 +53,18 @@ impl ShardKey for CacheKey {
 impl CacheKey {
     /// Builds the key, normalising R away for ops that ignore it so
     /// equivalent requests share one entry.
-    pub fn new(instance: u64, op: Op, big_r: usize, threads: usize) -> Self {
-        let (big_r, threads) = match op {
-            Op::Solve | Op::SolveDelta => (big_r, threads),
-            // OPTIMUM/SAFE/INFO ignore both parameters.
-            _ => (0, 1),
+    ///
+    /// `_threads`: ignored; the benchmark PR (ROADMAP item 9) removes it.
+    pub fn new(instance: u64, op: Op, big_r: usize, _threads: usize) -> Self {
+        let big_r = match op {
+            Op::Solve | Op::SolveDelta => big_r,
+            // OPTIMUM/SAFE/INFO ignore R.
+            _ => 0,
         };
         CacheKey {
             instance,
             op,
             big_r,
-            threads,
         }
     }
 }
@@ -165,16 +162,16 @@ impl Engine {
                 let Some(op) = Op::from_code(rkey.op) else {
                     continue; // a foreign producer's namespace
                 };
+                // Every persisted `threads` value reads onto the one key
+                // (bodies never depended on it); the first record wins.
+                let key = CacheKey::new(rkey.instance, op, rkey.big_r as usize, 1);
+                if engine.results.contains(&key) {
+                    continue;
+                }
                 if results_used + u64::from(disk_len) > engine.results.budget() {
                     break;
                 }
                 if let Some(body) = persist.get_result(&rkey)? {
-                    let key = CacheKey {
-                        instance: rkey.instance,
-                        op,
-                        big_r: rkey.big_r as usize,
-                        threads: rkey.threads as usize,
-                    };
                     let cost = body.len() as u64;
                     if engine.results.insert(key, Arc::new(body), cost) {
                         warm.results += 1;
@@ -281,7 +278,7 @@ impl Engine {
                 instance: key.instance,
                 op: key.op.code(),
                 big_r: key.big_r as u32,
-                threads: key.threads as u32,
+                threads: 1,
             };
             self.note_persist(p.put_result(rkey, &body));
         }
@@ -399,24 +396,18 @@ impl Engine {
 
     /// Loop side of `SOLVE_DELTA inline:`. A delta that only sets
     /// constraint coefficients, against a base with a parked solver for
-    /// `(R, threads)`, checks that solver out for
+    /// `R`, checks that solver out for
     /// [`Engine::advance_inline`]. Anything else is registered like
     /// `PUT_DELTA`, and its revision is then served by the cache or
     /// [`Engine::solve_delta`].
-    pub fn start_inline(
-        &self,
-        text: &str,
-        big_r: usize,
-        threads: usize,
-    ) -> Result<InlineStart, EngineError> {
+    pub fn start_inline(&self, text: &str, big_r: usize) -> Result<InlineStart, EngineError> {
         let delta = parse_delta(text)?;
         if delta.is_constraint_coefs() {
-            if let Some(parked) = self.delta.checkout(delta.base, big_r, threads) {
+            if let Some(parked) = self.delta.checkout(delta.base, big_r) {
                 return Ok(InlineStart::Parked(Box::new(InlineDelta {
                     parked,
                     delta,
                     big_r,
-                    threads,
                 })));
             }
         }
@@ -444,7 +435,6 @@ impl Engine {
             delta,
             new,
             big_r,
-            threads,
             body,
             info,
         } = adv;
@@ -452,18 +442,14 @@ impl Engine {
         self.register_revision(delta.base, new, delta.to_text(), cost, || {
             parked.solver().special_form().instance().clone()
         })?;
-        self.delta.park(parked, big_r, threads);
-        Ok((
-            CacheKey::new(new, Op::SolveDelta, big_r, threads),
-            body,
-            info,
-        ))
+        self.delta.park(parked, big_r);
+        Ok((CacheKey::new(new, Op::SolveDelta, big_r, 1), body, info))
     }
 
     /// Parks a checked-out solver back, unchanged (its inline delta
     /// never reached a worker).
     pub fn abandon_inline(&self, job: InlineDelta) {
-        self.delta.park(job.parked, job.big_r, job.threads);
+        self.delta.park(job.parked, job.big_r);
     }
 
     /// `SOLVE_DELTA inline:` in one call, the way the server runs it in
@@ -476,19 +462,18 @@ impl Engine {
         &self,
         text: &str,
         big_r: usize,
-        threads: usize,
     ) -> Result<(u64, Arc<String>), EngineError> {
-        let (key, body) = match self.start_inline(text, big_r, threads)? {
+        let (key, body) = match self.start_inline(text, big_r)? {
             InlineStart::Parked(job) => {
                 let (key, body, _) = self.commit_inline(self.advance_inline(*job)?)?;
                 (key, body)
             }
             InlineStart::Registered(lin) => {
-                let key = CacheKey::new(lin.new, Op::SolveDelta, big_r, threads);
+                let key = CacheKey::new(lin.new, Op::SolveDelta, big_r, 1);
                 if let Some(body) = self.cached(&key) {
                     return Ok((lin.new, body));
                 }
-                (key, self.solve_delta(lin.new, big_r, threads)?.0)
+                (key, self.solve_delta(lin.new, big_r, 1)?.0)
             }
         };
         let body = Arc::new(body);
@@ -499,14 +484,15 @@ impl Engine {
     /// Incrementally solves a registered revision via the delta
     /// coordinator (warm / advanced / booted — see [`crate::delta`]).
     /// The body is bit-identical to `SOLVE` of the same revision.
+    ///
+    /// `_threads`: ignored; the benchmark PR (ROADMAP item 9) removes it.
     pub fn solve_delta(
         &self,
         revision: u64,
         big_r: usize,
-        threads: usize,
+        _threads: usize,
     ) -> Result<(String, DeltaSolveInfo), EngineError> {
-        self.delta
-            .solve(revision, big_r, threads, |h| self.store.get(&h))
+        self.delta.solve(revision, big_r, |h| self.store.get(&h))
     }
 
     /// `(lineage edges, parked solvers, parked solver bytes)`.
@@ -526,14 +512,13 @@ pub fn execute_traced(
     op: Op,
     inst: &Instance,
     big_r: usize,
-    threads: usize,
 ) -> Result<(String, Option<SpecialTrace>), EngineError> {
     let mut out = String::new();
     let mut phases = None;
     match op {
         Op::Solve => {
             let stats = DegreeStats::of(inst);
-            let solver = LocalSolver::new(big_r.max(2)).with_threads(threads.max(1));
+            let solver = LocalSolver::new(big_r.max(2));
             let (run, trace) = solver
                 .solve_traced(inst)
                 .map_err(|e| (ErrorCode::BadReq, format!("solve: {e}")))?;
@@ -619,8 +604,10 @@ fn parse_delta(text: &str) -> Result<Delta, EngineError> {
 /// `Err` is [`execute_traced`]'s one-line reason without its wire code
 /// (e.g. an unbounded instance under `OPTIMUM`); such replies are never
 /// cached.
-pub fn execute(op: Op, inst: &Instance, big_r: usize, threads: usize) -> Result<String, String> {
-    execute_traced(op, inst, big_r, threads)
+///
+/// `_threads`: ignored; the benchmark PR (ROADMAP item 9) removes it.
+pub fn execute(op: Op, inst: &Instance, big_r: usize, _threads: usize) -> Result<String, String> {
+    execute_traced(op, inst, big_r)
         .map(|(body, _)| body)
         .map_err(|(_, msg)| msg)
 }
@@ -679,17 +666,12 @@ mod tests {
             assert_eq!(a, b, "{op:?} must be deterministic");
             assert!(!a.is_empty());
         }
-        // Thread count must not change the solve body (bit-identity).
-        assert_eq!(
-            execute(Op::Solve, &i, 3, 1).unwrap(),
-            execute(Op::Solve, &i, 3, 4).unwrap()
-        );
     }
 
     #[test]
     fn solve_reports_its_phase_timings() {
         let i = inst();
-        let (body, phases) = execute_traced(Op::Solve, &i, 3, 1).unwrap();
+        let (body, phases) = execute_traced(Op::Solve, &i, 3).unwrap();
         let t = phases.expect("SOLVE times its §5 phases");
         assert!(t.total_ns > 0 && t.t_eval_ns > 0, "{t:?}");
         let names: Vec<&str> = t.phase_spans().iter().map(|&(name, _)| name).collect();
@@ -698,7 +680,7 @@ mod tests {
         assert!(sum <= t.total_ns, "{t:?}");
         assert_eq!(body, execute(Op::Solve, &i, 3, 1).unwrap());
         // Ops that run no §5 solve report no phases.
-        let (_, none) = execute_traced(Op::Info, &i, 3, 1).unwrap();
+        let (_, none) = execute_traced(Op::Info, &i, 3).unwrap();
         assert_eq!(none, None);
     }
 
@@ -710,6 +692,8 @@ mod tests {
         let s1 = CacheKey::new(7, Op::Solve, 3, 1);
         let s2 = CacheKey::new(7, Op::Solve, 4, 1);
         assert_ne!(s1, s2);
+        // A thread count selects nothing, so it keys nothing.
+        assert_eq!(s1, CacheKey::new(7, Op::Solve, 3, 2));
     }
 
     #[test]
@@ -750,6 +734,48 @@ mod tests {
         assert_eq!(textfmt::write_instance(&back), text);
         let warm = e.cached(&key).expect("warm hit after restart");
         assert_eq!(warm.as_bytes(), cold.as_bytes());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn results_persisted_under_any_thread_count_load_as_one_entry() {
+        let dir = std::env::temp_dir().join(format!(
+            "mmlp-engine-threads-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let body = execute(Op::Solve, &inst(), 3, 1).unwrap();
+        let h;
+        {
+            let (store, _) = Store::open(&dir).unwrap();
+            h = store.put_instance(&inst()).unwrap();
+            // Stores written before the key lost its thread count hold
+            // one record per count a client asked for.
+            for threads in [1, 2] {
+                let rkey = ResultKey {
+                    instance: h,
+                    op: Op::Solve.code(),
+                    big_r: 3,
+                    threads,
+                };
+                store.put_result(rkey, &body).unwrap();
+            }
+        }
+        let (store, report) = Store::open(&dir).unwrap();
+        assert_eq!(report.results, 2);
+        let e = Engine::with_store(1 << 20, 1 << 20, store).unwrap();
+        assert_eq!(
+            e.warm_start(),
+            WarmStart {
+                instances: 1,
+                results: 1,
+                lineage: 0
+            }
+        );
+        assert_eq!(e.cache_stats().0, 1);
+        let warm = e.cached(&CacheKey::new(h, Op::Solve, 3, 1)).unwrap();
+        assert_eq!(warm.as_str(), body);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -844,7 +870,7 @@ mod tests {
         for step in 0..4 {
             let text = bump_delta(&cur);
             let delta = Delta::parse_text(&text).unwrap();
-            let Ok(InlineStart::Parked(job)) = e.start_inline(&text, 3, 1) else {
+            let Ok(InlineStart::Parked(job)) = e.start_inline(&text, 3) else {
                 panic!("step {step}: a solver is parked at the base");
             };
             let (key, body, info) = e.commit_inline(e.advance_inline(*job).unwrap()).unwrap();
@@ -865,7 +891,7 @@ mod tests {
         }
         // The one-call entry takes the same path and caches the body.
         let text = bump_delta(&cur);
-        let (rev, body) = e.solve_delta_inline(&text, 3, 1).unwrap();
+        let (rev, body) = e.solve_delta_inline(&text, 3).unwrap();
         let (next, lin) = Delta::parse_text(&text)
             .unwrap()
             .apply_hashed(&cur)
@@ -877,7 +903,7 @@ mod tests {
         // Against a base with no parked solver it registers instead.
         let stale = bump_delta(&cur);
         assert!(matches!(
-            e.start_inline(&stale, 3, 1),
+            e.start_inline(&stale, 3),
             Ok(InlineStart::Registered(_))
         ));
     }
@@ -890,7 +916,7 @@ mod tests {
         let empty = format!("mmlpdelta 1\nbase {}\n", hash_hex(h));
         assert_eq!(e.put_delta(&empty).unwrap().new, h);
         e.solve_delta(h, 3, 1).unwrap();
-        let (rev, body) = e.solve_delta_inline(&empty, 3, 1).unwrap();
+        let (rev, body) = e.solve_delta_inline(&empty, 3).unwrap();
         assert_eq!(rev, h);
         assert_eq!(*body, execute(Op::Solve, &base, 3, 1).unwrap());
         assert_eq!(e.delta_stats().0, 0, "no self-edge");

@@ -17,7 +17,7 @@
 //!   and the `SLEEP` diagnostic), length-prefixed bodies, typed error
 //!   codes.
 //! * [`cache`] — a byte-budgeted O(1) LRU used for both the result
-//!   cache (keyed by `(instance-hash, op, R, threads)`) and the
+//!   cache (keyed by `(instance-hash, op, R)`) and the
 //!   content-addressed instance store fed by `PUT`.
 //! * [`engine`] — the sockets-free core: resolve source → probe cache
 //!   → execute solver → insert; directly benchmarked by `serve_cache`.
@@ -29,7 +29,10 @@
 //! * [`server`] — accept loop, per-connection threads, dispatch onto a
 //!   bounded `mmlp_lab::pool::TaskPool` (full queue ⇒ `ERR BUSY`
 //!   backpressure, never unbounded growth), per-request timeouts with
-//!   panic isolation, and graceful drain on `SHUTDOWN`.
+//!   panic isolation, and graceful drain on `SHUTDOWN`. The pool is the
+//!   service's only parallelism: a request runs start to finish on the
+//!   one worker that picked it up, and `THREADS=` is accepted and
+//!   ignored.
 //! * [`stats`] — the server's metric surface on the `mmlp-obs`
 //!   registry: sharded lock-free counters, HDR-style latency /
 //!   queue-wait / execute histograms, per-op cache series and
@@ -71,8 +74,8 @@
 //! let inst = mmlp_gen::catalog()[0].instance(8, 0);
 //! let mut c = Client::connect(&addr).unwrap();
 //! let hash = c.put(&textfmt::write_instance(&inst)).unwrap().unwrap();
-//! let cold = c.run_hash(Op::Solve, &hash, 3, 1).unwrap().into_ok().unwrap();
-//! let warm = c.run_hash(Op::Solve, &hash, 3, 1).unwrap().into_ok().unwrap();
+//! let cold = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
+//! let warm = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
 //! assert_eq!(cold, warm);
 //!
 //! c.shutdown().unwrap();

@@ -217,8 +217,8 @@ fn drive_one(
             client.trace_next(id);
         }
         let reply = match hash {
-            Some(h) => client.run_hash(cfg.op, h, cfg.big_r, 1)?,
-            None => client.run_inline(cfg.op, &cfg.instance_text, cfg.big_r, 1)?,
+            Some(h) => client.run_hash(cfg.op, h, cfg.big_r)?,
+            None => client.run_inline(cfg.op, &cfg.instance_text, cfg.big_r)?,
         };
         match &reply {
             ClientReply::Err(ErrorCode::Busy, _) if attempt < BUSY_RETRIES => {
@@ -343,11 +343,11 @@ fn pipeline_loop(cfg: &LoadConfig, n_requests: usize, client_id: usize) -> Clien
                     pc.send_trace(id)?;
                 }
                 if cfg.by_hash {
-                    pc.send_run_hash(cfg.op, &hash, cfg.big_r, 1)
+                    pc.send_run_hash(cfg.op, &hash, cfg.big_r)
                 } else {
                     let src = format!("inline:{}", cfg.instance_text.len());
                     pc.send(
-                        &crate::client::run_line(cfg.op, &src, cfg.big_r, 1),
+                        &crate::client::run_line(cfg.op, &src, cfg.big_r),
                         Some(cfg.instance_text.as_bytes()),
                     )
                 }
@@ -501,7 +501,7 @@ fn mutate_loop(cfg: &LoadConfig, n_requests: usize, client_id: usize) -> ClientT
             if let Some(id) = trace_id {
                 client.trace_next(id);
             }
-            client.solve_delta_inline(&delta.to_text(), cfg.big_r, 1)
+            client.solve_delta_inline(&delta.to_text(), cfg.big_r)
         });
         let incr = match incr {
             Ok(ClientReply::Ok(body)) => {
@@ -523,7 +523,7 @@ fn mutate_loop(cfg: &LoadConfig, n_requests: usize, client_id: usize) -> ClientT
         };
         // The oracle: an independent from-scratch solve of the same
         // revision, cached (and computed) under SOLVE's own namespace.
-        let scratch = retry_busy(|| client.run_hash(Op::Solve, &revision, cfg.big_r, 1));
+        let scratch = retry_busy(|| client.run_hash(Op::Solve, &revision, cfg.big_r));
         match scratch {
             Ok(ClientReply::Ok(body)) => {
                 tally.delta_checks += 1;

@@ -15,6 +15,8 @@
 //!                                      canonical delta text) against a
 //!                                      stored base revision
 //!   SOLVE <src> [R=<n>] [THREADS=<n>]  the paper's local algorithm
+//!                                      (THREADS= is checked, then
+//!                                      ignored)
 //!   SOLVE_DELTA <src> [R=] [THREADS=]  incremental re-solve of a
 //!                                      revision (hash:<new rev>, or
 //!                                      inline:<n> with delta text —
@@ -124,12 +126,7 @@ pub enum Command {
     /// against its base revision; replies with the lineage triple.
     PutDelta { nbytes: usize },
     /// Run a solver [`Op`] against a [`Source`].
-    Run {
-        op: Op,
-        src: Source,
-        big_r: usize,
-        threads: usize,
-    },
+    Run { op: Op, src: Source, big_r: usize },
     /// Server counters and latency percentiles.
     Stats,
     /// The full metrics registry in Prometheus text exposition format.
@@ -155,8 +152,6 @@ pub const MAX_R: usize = 16;
 /// its thread until it ends, so an unbounded `SLEEP` would let any
 /// client park threads for good.
 pub const MAX_SLEEP_MS: u64 = 60_000;
-/// Default solver thread count when `THREADS=` is omitted.
-pub const DEFAULT_THREADS: usize = 1;
 
 /// Error codes on the wire. `BUSY` is the backpressure signal; clients
 /// are expected to back off and retry.
@@ -347,11 +342,9 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             };
             let src = parse_source(tokens.next().ok_or(format!("{verb} needs a source"))?)?;
             let mut big_r = DEFAULT_R;
-            let mut threads = DEFAULT_THREADS;
-            // THREADS is bounded to u32 so the persisted result key
-            // (`mmlp_store::ResultKey`, u32 fields) can never
-            // truncate-collide two distinct requests; R's bound is
-            // tighter still.
+            // A request runs on the one pool worker that picked it up,
+            // so THREADS= selects nothing. It stays valid on the wire
+            // for old clients, with the range it always had.
             for tok in tokens.by_ref() {
                 if let Some(v) = tok.strip_prefix("R=") {
                     big_r = v
@@ -360,21 +353,15 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                         .filter(|r| (2..=MAX_R).contains(r))
                         .ok_or_else(|| format!("bad R '{v}' (need an integer ≥ 2, ≤ {MAX_R})"))?;
                 } else if let Some(v) = tok.strip_prefix("THREADS=") {
-                    threads = v
-                        .parse()
+                    v.parse::<u32>()
                         .ok()
-                        .filter(|t| *t >= 1 && *t <= u32::MAX as usize)
+                        .filter(|t| *t >= 1)
                         .ok_or_else(|| format!("bad THREADS '{v}'"))?;
                 } else {
                     return Err(format!("unknown parameter '{tok}'"));
                 }
             }
-            Command::Run {
-                op,
-                src,
-                big_r,
-                threads,
-            }
+            Command::Run { op, src, big_r }
         }
         "STATS" => Command::Stats,
         "METRICS" => Command::Metrics,
@@ -417,7 +404,6 @@ mod tests {
                 op: Op::SolveDelta,
                 src: Source::Hash(0x00de_adbe_ef00_1122),
                 big_r: 4,
-                threads: 2,
             })
         );
         assert!(matches!(
@@ -434,7 +420,6 @@ mod tests {
                 op: Op::Solve,
                 src: Source::Hash(0x00de_adbe_ef00_1122),
                 big_r: 4,
-                threads: 2,
             })
         );
         assert!(matches!(
@@ -447,7 +432,6 @@ mod tests {
                 op: Op::Optimum,
                 src: Source::Inline(64),
                 big_r: DEFAULT_R,
-                threads: DEFAULT_THREADS,
             })
         );
         assert!(matches!(
@@ -490,6 +474,22 @@ mod tests {
             "SLEEP soon",
         ] {
             assert!(parse_command(bad).is_err(), "accepted: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn threads_is_validated_then_ignored() {
+        for bad in ["THREADS=0", "THREADS=4294967296", "THREADS=x"] {
+            let line = format!("SOLVE hash:00deadbeef001122 R=3 {bad}");
+            assert!(parse_command(&line).is_err(), "accepted: {line:?}");
+        }
+        for verb in ["SOLVE", "SOLVE_DELTA"] {
+            let plain = parse_command(&format!("{verb} hash:00deadbeef001122 R=3"));
+            assert!(plain.is_ok());
+            for n in ["1", "7", "4294967295"] {
+                let line = format!("{verb} hash:00deadbeef001122 R=3 THREADS={n}");
+                assert_eq!(parse_command(&line), plain, "{line}");
+            }
         }
     }
 

@@ -1039,18 +1039,9 @@ fn execute_command(
             };
             finalize_inline(shared, conn, ctx, reply, false)
         }
-        Command::Run {
-            op,
-            src,
-            big_r,
-            threads,
-        } => {
-            // An untrusted client must not size the server's thread
-            // usage: clamp THREADS to the worker count (results are
-            // bit-identical across thread counts anyway).
-            let threads = threads.min(shared.cfg.workers.max(1));
+        Command::Run { op, src, big_r } => {
             if op == Op::SolveDelta {
-                return solve_delta(shared, me, token, conn, ctx, src, big_r, threads, body);
+                return solve_delta(shared, me, token, conn, ctx, src, big_r, body);
             }
             let resolved = match src {
                 Source::Hash(h) => shared.engine.fetch(h).map(|i| (h, i)),
@@ -1071,7 +1062,7 @@ fn execute_command(
                     return finalize_inline(shared, conn, ctx, Reply::Err(code, msg), false)
                 }
             };
-            let key = CacheKey::new(hash, op, big_r, threads);
+            let key = CacheKey::new(hash, op, big_r, 1);
             let probe = Instant::now();
             if let Some(body) = shared.engine.cached(&key) {
                 if let Some(rec) = &ctx.span {
@@ -1088,7 +1079,7 @@ fn execute_command(
             let label = format!("{} {} R={big_r}", op.tag(), hash_hex(hash));
             let span_rec = ctx.span.clone();
             submit_pooled(shared, me, token, conn, ctx, Some((key, op)), move || {
-                let (body, phases) = engine::execute_traced(op, &inst, big_r, threads)?;
+                let (body, phases) = engine::execute_traced(op, &inst, big_r)?;
                 if let Some(t) = phases {
                     metrics.observe_solve(&t);
                     if let Some(rec) = &span_rec {
@@ -1134,14 +1125,13 @@ fn solve_delta(
     ctx: RequestCtx,
     src: Source,
     big_r: usize,
-    threads: usize,
     body: Option<String>,
 ) {
     let revision = match src {
         Source::Hash(h) => h,
         Source::Inline(_) => {
             let body = body.expect("inline delta body read by the state machine");
-            match shared.engine.start_inline(&body, big_r, threads) {
+            match shared.engine.start_inline(&body, big_r) {
                 Ok(InlineStart::Parked(job)) => {
                     return advance_inline(shared, me, token, conn, ctx, *job)
                 }
@@ -1155,7 +1145,7 @@ fn solve_delta(
             }
         }
     };
-    let key = CacheKey::new(revision, Op::SolveDelta, big_r, threads);
+    let key = CacheKey::new(revision, Op::SolveDelta, big_r, 1);
     let probe = Instant::now();
     if let Some(body) = shared.engine.cached(&key) {
         if let Some(rec) = &ctx.span {
@@ -1177,7 +1167,7 @@ fn solve_delta(
         ctx,
         Some((key, Op::SolveDelta)),
         move || {
-            let (body, info) = worker_shared.engine.solve_delta(revision, big_r, threads)?;
+            let (body, info) = worker_shared.engine.solve_delta(revision, big_r, 1)?;
             observe_delta(&worker_shared, span_rec.as_ref(), revision, &info);
             Ok(Done::Body(body))
         },

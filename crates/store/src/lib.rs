@@ -2,7 +2,7 @@
 //!
 //! Everything upstream of this crate is deterministic: the paper's
 //! local algorithm, the simplex, the safe baseline all produce
-//! bit-identical output for a fixed `(instance, R, threads)`. That is
+//! bit-identical output for a fixed `(instance, R)`. That is
 //! what makes solved work worth *keeping* — a result computed once is
 //! correct forever. This crate gives the workspace a place to keep it:
 //!

@@ -50,7 +50,9 @@ pub struct ResultKey {
     pub op: u8,
     /// Locality parameter (0 where irrelevant).
     pub big_r: u32,
-    /// Solver thread count (0/1 where irrelevant).
+    /// Part of the record format. The solver service writes 1 (0 for
+    /// lineage records) and maps every value it reads onto one cache
+    /// key; the lab spiller writes 0.
     pub threads: u32,
 }
 

@@ -31,7 +31,7 @@ fn main() {
             cost_range: (1.0, 2.0),
         };
         let inst = sensor_grid(&cfg, 7);
-        let solver = LocalSolver::new(big_r).with_threads(4);
+        let solver = LocalSolver::new(big_r);
         let local = solver.solve(&inst);
         let safe = safe_solution(&inst);
         let opt = solve_maxmin(&inst).expect("bounded");
@@ -68,7 +68,7 @@ fn main() {
         );
         let transformed = to_special_form(&inst);
         let sf = maxmin_lp::core::SpecialForm::new(transformed.instance.clone()).unwrap();
-        let (_, stats) = solve_special_flat(&sf, big_r, 1);
+        let (_, stats) = solve_special_flat(&sf, big_r);
         println!(
             "{:>4}x{:<1} {:>8} {:>8} {:>12} {:>14}",
             side,

@@ -1,13 +1,13 @@
 //! `maxmin-lp` — command-line interface to the local max-min LP solver.
 //!
 //! ```text
-//! maxmin-lp solve <instance.mmlp> [-R <R>] [--threads <n>] [--certify]
+//! maxmin-lp solve <instance.mmlp> [-R <R>] [--certify]
 //! maxmin-lp optimum <instance.mmlp>                      exact simplex
 //! maxmin-lp safe <instance.mmlp>                         factor-ΔI baseline
 //! maxmin-lp generate <family> <size> <seed> [--out <f>]  emit an instance
 //! maxmin-lp info <instance.mmlp>                         sizes, degrees, paper bound
 //! maxmin-lp obs [--file <f>] [--size <n>] [--seed <s>] [-R <R>]
-//!               [--threads <n>] [--slowest <n>]        phase timelines
+//!               [--slowest <n>]                        phase timelines
 //! maxmin-lp obs --addr <a>                             scrape + lint METRICS
 //! maxmin-lp obs trace <id> --journal <dir>             render a span tree
 //! maxmin-lp obs journal --journal <dir> [--tail <n>]   dump the event journal
@@ -36,7 +36,8 @@
 //! Instances use the line-oriented text format of
 //! `mmlp_instance::textfmt` (see `maxmin-lp generate`); campaign specs
 //! use the `mmlp_lab::spec` format. All output goes to stdout; exit
-//! code 0 on success, 2 on usage errors.
+//! code 0 on success, 2 on usage errors. `solve` and `obs` still accept
+//! `--threads <n>` (`n ≥ 1`) and ignore it: a solve runs on one thread.
 
 use maxmin_lp::core::safe::safe_solution;
 use maxmin_lp::core::solver::LocalSolver;
@@ -55,12 +56,12 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  maxmin-lp solve <file> [-R <R>] [--threads <n>] [--certify]\n  \
+        "usage:\n  maxmin-lp solve <file> [-R <R>] [--certify]\n  \
          maxmin-lp optimum <file>\n  maxmin-lp safe <file>\n  \
          maxmin-lp generate <family> <size> <seed> [--out <file>]\n  \
          maxmin-lp info <file>\n  \
-         maxmin-lp obs [--file <f>] [--size <n>] [--seed <s>] [-R <R>] [--threads <n>] \
-         [--slowest <n>] | --addr <a>\n  \
+         maxmin-lp obs [--file <f>] [--size <n>] [--seed <s>] [-R <R>] [--slowest <n>] \
+         | --addr <a>\n  \
          maxmin-lp obs trace <id> --journal <dir>\n  \
          maxmin-lp obs journal --journal <dir> [--tail <n>]\n  \
          maxmin-lp obs lint <scrape> [<scrape2>]\n  \
@@ -126,7 +127,6 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), UsageError> {
         "solve" => {
             let path = rest.first().ok_or(UsageError::Usage)?;
             let mut big_r = 3usize;
-            let mut threads = 4usize;
             let mut certify = false;
             let mut it = rest[1..].iter();
             while let Some(a) = it.next() {
@@ -138,10 +138,10 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), UsageError> {
                             .filter(|r| *r >= 2)
                             .ok_or(UsageError::Usage)?;
                     }
+                    // Accepted and ignored: a solve runs on one thread.
                     "--threads" => {
-                        threads = it
-                            .next()
-                            .and_then(|v| v.parse().ok())
+                        it.next()
+                            .and_then(|v| v.parse::<usize>().ok())
                             .filter(|t| *t >= 1)
                             .ok_or(UsageError::Usage)?;
                     }
@@ -151,12 +151,12 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), UsageError> {
             }
             let inst = load(path)?;
             let stats = DegreeStats::of(&inst);
-            let solver = LocalSolver::new(big_r).with_threads(threads);
+            let solver = LocalSolver::new(big_r);
             let (out, _) = solver
                 .solve_traced(&inst)
                 .map_err(|e| format!("{path}: solve: {e}"))?;
             let utility = out.solution.utility(&inst);
-            println!("# local solve R={big_r} threads={threads}");
+            println!("# local solve R={big_r}");
             println!("utility {utility}");
             println!(
                 "guarantee {}",
@@ -311,7 +311,6 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
     let mut size = 16usize;
     let mut seed = 0u64;
     let mut big_r = 3usize;
-    let mut threads = 1usize;
     let mut slowest = 8usize;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
@@ -338,10 +337,10 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
                     .filter(|r| *r >= 2)
                     .ok_or(UsageError::Usage)?;
             }
+            // Accepted and ignored: a solve runs on one thread.
             "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
+                it.next()
+                    .and_then(|v| v.parse::<usize>().ok())
                     .filter(|t| *t >= 1)
                     .ok_or(UsageError::Usage)?;
             }
@@ -386,7 +385,7 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
         let transformed = try_to_special_form(inst).map_err(|e| format!("{name}: {e}"))?;
         let sf = SpecialForm::new(transformed.instance.clone())
             .map_err(|e| format!("{name}: special form: {e:?}"))?;
-        let (_, stats, trace) = solve_special_flat_traced(&sf, big_r, threads);
+        let (_, stats, trace) = solve_special_flat_traced(&sf, big_r, 1);
         hits += trace.batch.memo_hits;
         misses += trace.batch.memo_misses;
         skips += trace.batch.memo_skips;
@@ -407,7 +406,7 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
         });
     }
     println!(
-        "# obs timeline R={big_r} threads={threads} ({} solve(s), slowest {})",
+        "# obs timeline R={big_r} ({} solve(s), slowest {})",
         workloads.len(),
         slowest.min(workloads.len())
     );

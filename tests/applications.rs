@@ -22,7 +22,7 @@ fn sensor_grid_end_to_end() {
     // yourself would give 1/cost; the optimum balances across relays.
     assert!(opt > 0.5 && opt <= 5.0);
     for big_r in [2, 3] {
-        let out = LocalSolver::new(big_r).with_threads(2).solve(&inst);
+        let out = LocalSolver::new(big_r).solve(&inst);
         assert!(out.solution.is_feasible(&inst, 1e-7));
         let ratio = opt / out.solution.utility(&inst);
         assert!(

@@ -206,14 +206,8 @@ fn solve_accepts_threads_flag() {
 
     let one = run_ok(&["solve", file.to_str().unwrap(), "--threads", "1"]);
     let four = run_ok(&["solve", file.to_str().unwrap(), "--threads", "4"]);
-    let get = |out: &str| -> String {
-        out.lines()
-            .find_map(|l| l.strip_prefix("utility "))
-            .unwrap()
-            .to_string()
-    };
-    assert_eq!(get(&one), get(&four), "threads must not change the output");
-    assert!(one.contains("threads=1") && four.contains("threads=4"));
+    assert!(one.contains("utility "), "{one}");
+    assert_eq!(one, four, "threads must not change the output");
 
     // Invalid thread counts are usage errors.
     let out = bin()

@@ -179,6 +179,27 @@ fn solve_outside_section_4_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn agent_count_beyond_the_file_is_an_error_not_an_abort() {
+    // 29 bytes declaring three billion agents: sized from the declared
+    // count, the parser would ask for 12 GB, and a failed allocation
+    // aborts the process.
+    let dir = std::env::temp_dir().join(format!("mmlp-cli-agents-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("bomb.mmlp");
+    std::fs::write(&file, "maxminlp 1\nagents 3000000000\n").unwrap();
+    assert_eq!(std::fs::metadata(&file).unwrap().len(), 29);
+    let path = file.to_str().unwrap();
+    let out = bin().args(["info", path]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains("agent count"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn every_catalog_family_generates_via_cli() {
     for fam in maxmin_lp::gen::catalog() {
         let text = run_ok(&["generate", fam.name, "30", "1"], None);

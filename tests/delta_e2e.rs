@@ -62,22 +62,14 @@ fn solve_delta_is_bit_identical_to_solve_of_the_revision() {
     // The incremental body equals a from-scratch SOLVE of the new
     // revision, byte for byte — and a repeat is a cache hit with the
     // same bytes.
-    let incr = c
-        .solve_delta_hash(&new_hex, 3, 2)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let incr = c.solve_delta_hash(&new_hex, 3).unwrap().into_ok().unwrap();
     let scratch = c
-        .run_hash(Op::Solve, &new_hex, 3, 2)
+        .run_hash(Op::Solve, &new_hex, 3)
         .unwrap()
         .into_ok()
         .unwrap();
     assert_eq!(incr.as_bytes(), scratch.as_bytes());
-    let again = c
-        .solve_delta_hash(&new_hex, 3, 2)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let again = c.solve_delta_hash(&new_hex, 3).unwrap().into_ok().unwrap();
     assert_eq!(incr.as_bytes(), again.as_bytes());
 
     let stats = c.stats().unwrap();
@@ -105,13 +97,13 @@ fn inline_delta_registers_and_solves_in_one_round_trip() {
     // hash of the same revision reuses the now-warm solver.
     let delta = bump(&base, 1, 0.75);
     let inline = c
-        .solve_delta_inline(&delta.to_text(), 3, 1)
+        .solve_delta_inline(&delta.to_text(), 3)
         .unwrap()
         .into_ok()
         .unwrap();
     let (_, _, new_hex) = c.put_delta(&delta.to_text()).unwrap().unwrap();
     let by_hash = c
-        .run_hash(Op::Solve, &new_hex, 3, 1)
+        .run_hash(Op::Solve, &new_hex, 3)
         .unwrap()
         .into_ok()
         .unwrap();
@@ -140,13 +132,9 @@ fn chained_edits_advance_one_parked_solver() {
         let delta = bump(&cur, i as u32, factor);
         cur = delta.apply(&cur).unwrap();
         let (_, _, new_hex) = c.put_delta(&delta.to_text()).unwrap().unwrap();
-        let incr = c
-            .solve_delta_hash(&new_hex, 3, 1)
-            .unwrap()
-            .into_ok()
-            .unwrap();
+        let incr = c.solve_delta_hash(&new_hex, 3).unwrap().into_ok().unwrap();
         let scratch = c
-            .run_hash(Op::Solve, &new_hex, 3, 1)
+            .run_hash(Op::Solve, &new_hex, 3)
             .unwrap()
             .into_ok()
             .unwrap();
@@ -179,7 +167,7 @@ fn delta_errors_are_typed_and_nonfatal() {
     let mut c = Client::connect(&addr).unwrap();
 
     // Unregistered revision.
-    match c.solve_delta_hash("0123456789abcdef", 3, 1).unwrap() {
+    match c.solve_delta_hash("0123456789abcdef", 3).unwrap() {
         ClientReply::Err(ErrorCode::NoBase, _) => {}
         other => panic!("expected NOBASE, got {other:?}"),
     }
@@ -214,13 +202,13 @@ fn delta_errors_are_typed_and_nonfatal() {
         },
     );
     let (_, _, new_hex) = c.put_delta(&breaking.to_text()).unwrap().unwrap();
-    match c.solve_delta_hash(&new_hex, 3, 1).unwrap() {
+    match c.solve_delta_hash(&new_hex, 3).unwrap() {
         ClientReply::Err(ErrorCode::BadDelta, msg) => {
             assert!(msg.contains("special form"), "should name the cause: {msg}")
         }
         other => panic!("expected BADDELTA, got {other:?}"),
     }
-    assert!(c.run_hash(Op::Solve, &new_hex, 3, 1).unwrap().is_ok());
+    assert!(c.run_hash(Op::Solve, &new_hex, 3).unwrap().is_ok());
 
     // The connection survived every error.
     assert_eq!(
@@ -285,41 +273,34 @@ fn restart_replays_lineage_from_segments() {
         c.put_delta(&d1.to_text()).unwrap().unwrap();
         let (_, _, new_hex) = c.put_delta(&d2.to_text()).unwrap().unwrap();
         head_hex = new_hex;
-        before = c
-            .solve_delta_hash(&head_hex, 3, 1)
-            .unwrap()
-            .into_ok()
-            .unwrap();
+        before = c.solve_delta_hash(&head_hex, 3).unwrap().into_ok().unwrap();
         c.shutdown().unwrap();
         assert_eq!(handle.join().unwrap().errors, 0);
     }
 
     // Second life on the same segments: the lineage graph is replayed
-    // at warm start. THREADS=2 keys past the persisted body, forcing a
+    // at warm start. R=4 keys past the persisted R=3 body, forcing a
     // real boot-and-replay from the stored base — the chain is
     // re-derived from segments, not from memory — and the result is
-    // still bit-identical (thread count never changes the bytes).
+    // bit-identical to a from-scratch SOLVE at that R.
     let (addr, handle) = spawn_server(store_cfg());
     let mut c = Client::connect(&addr).unwrap();
     let stats = c.stats().unwrap();
     assert_eq!(stat(&stats, "warm_lineage"), 2, "{stats:?}");
     assert_eq!(stat(&stats, "lineage_entries"), 2, "{stats:?}");
-    let after = c
-        .solve_delta_hash(&head_hex, 3, 2)
+    let after = c.solve_delta_hash(&head_hex, 4).unwrap().into_ok().unwrap();
+    let scratch = c
+        .run_hash(Op::Solve, &head_hex, 4)
         .unwrap()
         .into_ok()
         .unwrap();
-    assert_eq!(after.as_bytes(), before.as_bytes());
+    assert_eq!(after.as_bytes(), scratch.as_bytes());
     let stats = c.stats().unwrap();
     assert_eq!(stat(&stats, "delta_solves_booted"), 1, "{stats:?}");
     assert_eq!(stat(&stats, "delta_replayed"), 2, "whole chain replayed");
     // The first life's cached body also survives, as a warm hit under
     // SOLVE_DELTA's own namespace.
-    let hit = c
-        .solve_delta_hash(&head_hex, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let hit = c.solve_delta_hash(&head_hex, 3).unwrap().into_ok().unwrap();
     assert_eq!(hit.as_bytes(), before.as_bytes());
     let stats = c.stats().unwrap();
     assert!(
@@ -352,10 +333,7 @@ fn inline_chain_advances_the_parked_solver_in_place() {
     let base_hex = c.put(&textfmt::write_instance(&base)).unwrap().unwrap();
     // Park a solver at the base; every inline edit below finds one at
     // its base and advances it in place.
-    c.solve_delta_hash(&base_hex, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    c.solve_delta_hash(&base_hex, 3).unwrap().into_ok().unwrap();
 
     let mut cur = base.clone();
     let mut revisions = vec![cur.clone()];
@@ -363,7 +341,7 @@ fn inline_chain_advances_the_parked_solver_in_place() {
     for (i, factor) in [1.5, 0.5, 2.0, 0.8, 1.25].into_iter().enumerate() {
         let delta = bump(&cur, i as u32, factor);
         let body = c
-            .solve_delta_inline(&delta.to_text(), 3, 1)
+            .solve_delta_inline(&delta.to_text(), 3)
             .unwrap()
             .into_ok()
             .unwrap();
@@ -372,7 +350,7 @@ fn inline_chain_advances_the_parked_solver_in_place() {
         // The revision is registered by the time its reply arrives, and
         // the incremental body is SOLVE's, byte for byte.
         let scratch = c
-            .run_hash(Op::Solve, &hex(&cur), 3, 1)
+            .run_hash(Op::Solve, &hex(&cur), 3)
             .unwrap()
             .into_ok()
             .unwrap();
@@ -397,12 +375,12 @@ fn inline_chain_advances_the_parked_solver_in_place() {
     let fork = bump(&revisions[2], 7, 3.0);
     let forked = fork.apply(&revisions[2]).unwrap();
     let body = c
-        .solve_delta_inline(&fork.to_text(), 3, 1)
+        .solve_delta_inline(&fork.to_text(), 3)
         .unwrap()
         .into_ok()
         .unwrap();
     let scratch = c
-        .run_hash(Op::Solve, &hex(&forked), 3, 1)
+        .run_hash(Op::Solve, &hex(&forked), 3)
         .unwrap()
         .into_ok()
         .unwrap();
@@ -411,21 +389,73 @@ fn inline_chain_advances_the_parked_solver_in_place() {
     assert_eq!(handle.join().unwrap().errors, 0);
 
     // A restart on the same store replays the whole chain from disk.
+    // R=4 keys past the tip's persisted R=3 body, so the replay is real
+    // and is checked against a from-scratch SOLVE at that R.
     let (addr, handle) = spawn_server(store_cfg());
     let mut c = Client::connect(&addr).unwrap();
     let stats = c.stats().unwrap();
     assert_eq!(stat(&stats, "warm_lineage"), 6, "{stats:?}");
     let replayed = c
-        .solve_delta_hash(&hex(&cur), 3, 2)
+        .solve_delta_hash(&hex(&cur), 4)
         .unwrap()
         .into_ok()
         .unwrap();
-    assert_eq!(replayed.as_bytes(), tip_body.as_bytes());
+    let scratch = c
+        .run_hash(Op::Solve, &hex(&cur), 4)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(replayed.as_bytes(), scratch.as_bytes());
     let stats = c.stats().unwrap();
     assert_eq!(stat(&stats, "delta_replayed"), 5, "{stats:?}");
+    // The tip's R=3 body from the first life comes back from disk.
+    let warm = c
+        .solve_delta_hash(&hex(&cur), 3)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(warm.as_bytes(), tip_body.as_bytes());
     c.shutdown().unwrap();
     assert_eq!(handle.join().unwrap().errors, 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn thread_counts_share_one_parked_solver() {
+    // THREADS= keys nothing, so an edit sent with another count
+    // advances the solver the first request booted.
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut c = Client::connect(&addr).unwrap();
+    let base = base_instance();
+    let base_hex = c.put(&textfmt::write_instance(&base)).unwrap().unwrap();
+    c.request(&format!("SOLVE_DELTA hash:{base_hex} R=3 THREADS=1"), None)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    let delta = bump(&base, 0, 1.5);
+    let text = delta.to_text();
+    let body = c
+        .request(
+            &format!("SOLVE_DELTA inline:{} R=3 THREADS=2", text.len()),
+            Some(text.as_bytes()),
+        )
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    let next = delta.apply(&base).unwrap();
+    let next_hex = maxmin_lp::instance::hash::hash_hex(instance_hash(&next));
+    let scratch = c
+        .run_hash(Op::Solve, &next_hex, 3)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(body.as_bytes(), scratch.as_bytes());
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "delta_solves_booted"), 1, "{stats:?}");
+    assert_eq!(stat(&stats, "delta_solves_advanced"), 1, "{stats:?}");
+
+    c.shutdown().unwrap();
+    assert_eq!(handle.join().unwrap().errors, 0);
 }
 
 #[test]
@@ -437,10 +467,7 @@ fn pipelined_inline_deltas_take_effect_in_order() {
     let base_hex = c.put(&textfmt::write_instance(&base)).unwrap().unwrap();
     // Park a solver at the base, so the first inline edit advances it
     // in place on the worker pool.
-    c.solve_delta_hash(&base_hex, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    c.solve_delta_hash(&base_hex, 3).unwrap().into_ok().unwrap();
 
     let d1 = bump(&base, 2, 1.5);
     let new1 = d1.apply(&base).unwrap();
@@ -460,7 +487,7 @@ fn pipelined_inline_deltas_take_effect_in_order() {
     let (line1, text1) = inline(&d1);
     let (line2, text2) = inline(&d2);
     p.send(&line1, Some(text1.as_bytes())).unwrap();
-    p.send_run_hash(Op::Solve, &hex(&new1), 3, 1).unwrap();
+    p.send_run_hash(Op::Solve, &hex(&new1), 3).unwrap();
     p.send(&line2, Some(text2.as_bytes())).unwrap();
     p.flush().unwrap();
     let replies: Vec<String> = (0..3)
@@ -473,7 +500,7 @@ fn pipelined_inline_deltas_take_effect_in_order() {
         .collect();
     assert_eq!(replies[0].as_bytes(), replies[1].as_bytes());
     let scratch2 = c
-        .run_hash(Op::Solve, &hex(&new2), 3, 1)
+        .run_hash(Op::Solve, &hex(&new2), 3)
         .unwrap()
         .into_ok()
         .unwrap();
@@ -482,7 +509,7 @@ fn pipelined_inline_deltas_take_effect_in_order() {
     // the command held behind it runs all the same.
     let (line3, text3) = inline(&bump(&new2, 0, -1.0));
     p.send(&line3, Some(text3.as_bytes())).unwrap();
-    p.send_run_hash(Op::Solve, &hex(&new2), 3, 1).unwrap();
+    p.send_run_hash(Op::Solve, &hex(&new2), 3).unwrap();
     match p.recv().unwrap() {
         ClientReply::Err(ErrorCode::BadDelta, _) => {}
         other => panic!("expected BADDELTA, got {other:?}"),

@@ -26,7 +26,7 @@ fn centralized_and_flat_solves_agree_catalog_wide() {
                 let sf = SpecialForm::new(transformed.instance.clone()).unwrap();
                 for big_r in [2, 3, 4] {
                     let central = LocalSolver::new(big_r).solve(&inst);
-                    let (flat, _) = solve_special_flat(&sf, big_r, 1);
+                    let (flat, _) = solve_special_flat(&sf, big_r);
                     let at = format!("{} n={size} seed={seed} R={big_r}", fam.name);
                     assert_eq!(
                         bits(central.solution.as_slice()),
@@ -65,7 +65,7 @@ fn general_instances_through_the_pipeline_agree() {
         let sf = SpecialForm::new(transformed.instance.clone()).unwrap();
         for big_r in [2, 3] {
             let central = solve_special(&sf, big_r, 1);
-            let (flat, stats) = solve_special_flat(&sf, big_r, 1);
+            let (flat, stats) = solve_special_flat(&sf, big_r);
             assert_eq!(stats.rounds, rounds_needed(big_r));
             let at = format!("seed {seed} R {big_r}");
             assert_eq!(

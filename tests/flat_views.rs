@@ -10,9 +10,9 @@
 //!    recursive recount.
 //! 4. Non-tree topologies dedup: the arena footprint is strictly
 //!    smaller than the logical payload volume.
-//! 5. Outputs depend on neither the thread count nor the run.
+//! 5. Outputs do not depend on the run.
 
-use maxmin_lp::core::distributed::{solve_special_flat, t_batch_flat, FLAT_T_PARALLEL_MIN_WORK};
+use maxmin_lp::core::distributed::solve_special_flat;
 use maxmin_lp::core::smoothing::solve_special;
 use maxmin_lp::core::transform::to_special_form;
 use maxmin_lp::core::unfold::ViewInterner;
@@ -21,7 +21,6 @@ use maxmin_lp::gen::catalog;
 use maxmin_lp::gen::special::{cycle_special, random_special_form, SpecialFormConfig};
 use maxmin_lp::instance::fnv1a64;
 use maxmin_lp::net::{gather_views_flat, Network, ViewArena, ViewId, CHILD_BACK};
-use proptest::prelude::*;
 
 /// Special-forms a catalogue instance the way `mmlp-lab`'s distributed
 /// jobs do.
@@ -81,7 +80,7 @@ fn flat_path_is_bitwise_identical_across_the_catalog() {
         let sf = special(&fam, 12, 1);
         for big_r in [2usize, 3, 4] {
             let central = solve_special(&sf, big_r, 1);
-            let (flat, stats) = solve_special_flat(&sf, big_r, 2);
+            let (flat, stats) = solve_special_flat(&sf, big_r);
             let at = format!("family {} R {big_r}", fam.name);
             assert_eq!(
                 bits(flat.x.as_slice()),
@@ -202,7 +201,7 @@ fn every_special_form_family_dedups_at_depth() {
     // must exceed the deduped arena footprint.
     for fam in catalog() {
         let sf = special(&fam, 14, 3);
-        let (_, stats) = solve_special_flat(&sf, 3, 1);
+        let (_, stats) = solve_special_flat(&sf, 3);
         assert!(
             stats.dedup_ratio() > 1.0,
             "family {}: dedup ratio {}",
@@ -214,9 +213,7 @@ fn every_special_form_family_dedups_at_depth() {
 
 #[test]
 fn distributed_solve_is_reproducible_across_runs() {
-    // Same seed → bit-identical outcome, run to run, with the t batch
-    // allowed threads (no hidden scheduler nondeterminism leaks into
-    // results).
+    // Same seed → bit-identical outcome, run to run.
     let sf = || {
         SpecialForm::new(random_special_form(
             &SpecialFormConfig {
@@ -229,94 +226,10 @@ fn distributed_solve_is_reproducible_across_runs() {
         ))
         .expect("generator produces special form")
     };
-    let (a, a_stats) = solve_special_flat(&sf(), 3, 4);
-    let (b, b_stats) = solve_special_flat(&sf(), 3, 4);
+    let (a, a_stats) = solve_special_flat(&sf(), 3);
+    let (b, b_stats) = solve_special_flat(&sf(), 3);
     assert_eq!(a_stats, b_stats);
     assert_eq!(bits(&a.t), bits(&b.t));
     assert_eq!(bits(&a.s), bits(&b.s));
     assert_eq!(bits(a.x.as_slice()), bits(b.x.as_slice()));
-}
-
-#[test]
-fn thread_counts_are_bit_identical_straddling_the_work_threshold() {
-    // One instance below and one above FLAT_T_PARALLEL_MIN_WORK, so the
-    // solve exercises both the scalar fallback and the capped-threaded
-    // decision; outputs must not depend on either.
-    let big_r = 4;
-    let depth = 4 * (big_r - 2) + 2;
-    let mut seen_below = false;
-    let mut seen_above = false;
-    for n_objectives in [12usize, 400] {
-        let sf = SpecialForm::new(random_special_form(
-            &SpecialFormConfig {
-                n_objectives,
-                ..SpecialFormConfig::default()
-            },
-            2,
-        ))
-        .unwrap();
-        let net = Network::new(sf.instance());
-        let fv = gather_views_flat(&net, depth);
-        let n = sf.n_agents();
-        let work: u64 = fv.roots[..n].iter().map(|&r| fv.arena.size(r)).sum();
-        seen_below |= work < FLAT_T_PARALLEL_MIN_WORK;
-        seen_above |= work >= FLAT_T_PARALLEL_MIN_WORK;
-        let (reference, _) = solve_special_flat(&sf, big_r, 1);
-        for threads in [2usize, 4, 8] {
-            let (out, _) = solve_special_flat(&sf, big_r, threads);
-            for v in 0..n {
-                assert_eq!(
-                    out.t[v].to_bits(),
-                    reference.t[v].to_bits(),
-                    "n_obj {n_objectives} threads {threads} agent {v}"
-                );
-                assert_eq!(
-                    out.x.as_slice()[v].to_bits(),
-                    reference.x.as_slice()[v].to_bits()
-                );
-            }
-        }
-    }
-    assert!(
-        seen_below && seen_above,
-        "workloads must straddle FLAT_T_PARALLEL_MIN_WORK = {FLAT_T_PARALLEL_MIN_WORK}"
-    );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Flat-threaded `t` batches are bit-identical to the scalar batch
-    /// at every worker count, catalog-wide at R ∈ {2, 3, 4}. This calls
-    /// the uncapped [`t_batch_flat`] partitioner directly, so the
-    /// size-weighted parallel path genuinely runs even on hosts whose
-    /// available parallelism would make `solve_special_flat` fall back
-    /// to scalar.
-    #[test]
-    fn threaded_t_batch_is_bit_identical_at_every_worker_count(
-        size in 8usize..24,
-        seed in 0u64..1_000,
-    ) {
-        for fam in catalog() {
-            let sf = special(&fam, size, seed);
-            let n = sf.n_agents();
-            let net = Network::new(sf.instance());
-            for big_r in [2usize, 3, 4] {
-                let depth = 4 * (big_r - 2) + 2;
-                let fv = gather_views_flat(&net, depth);
-                let reference = t_batch_flat(&fv.arena, &fv.roots[..n], big_r, 1);
-                for workers in [2usize, 4, 8] {
-                    let out = t_batch_flat(&fv.arena, &fv.roots[..n], big_r, workers);
-                    for v in 0..n {
-                        prop_assert_eq!(
-                            out[v].to_bits(),
-                            reference[v].to_bits(),
-                            "family {} R {} workers {} agent {}",
-                            fam.name, big_r, workers, v
-                        );
-                    }
-                }
-            }
-        }
-    }
 }

@@ -126,16 +126,8 @@ fn metrics_op_is_valid_prometheus_and_monotone_across_requests() {
 
     let text = instance_text();
     let hash = c.put(&text).unwrap().unwrap();
-    let cold = c
-        .run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
-    let warm = c
-        .run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let cold = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
+    let warm = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     assert_eq!(cold.as_bytes(), warm.as_bytes());
 
     let after = parse_prometheus(&c.metrics().unwrap());
@@ -202,54 +194,52 @@ fn metrics_op_is_valid_prometheus_and_monotone_across_requests() {
 }
 
 /// The overhead contract's correctness half: turning tracing on must
-/// not change a single output bit — catalogue-wide, across thread
-/// counts. (The ≤3% wall-clock half lives in `benches/obs_overhead.rs`
-/// and is gated by `trajectory_gate` on `BENCH_core.json`.)
+/// not change a single output bit — catalogue-wide. (The ≤3%
+/// wall-clock half lives in `benches/obs_overhead.rs` and is gated by
+/// `trajectory_gate` on `BENCH_core.json`.)
 #[test]
 fn traced_flat_solve_is_bit_identical_to_untraced_catalog_wide() {
     for fam in catalog() {
         let inst = fam.instance(16, 7);
         let transformed = to_special_form(&inst);
         let sf = SpecialForm::new(transformed.instance.clone()).unwrap();
-        for threads in [1, 2] {
-            let (plain, plain_stats) = solve_special_flat(&sf, 3, threads);
-            let (traced, traced_stats, trace) = solve_special_flat_traced(&sf, 3, threads);
-            let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(plain.x.as_slice()),
-                bits(traced.x.as_slice()),
-                "{}: x diverged under tracing",
-                fam.name
-            );
-            assert_eq!(bits(&plain.t), bits(&traced.t), "{}: t", fam.name);
-            assert_eq!(bits(&plain.s), bits(&traced.s), "{}: s", fam.name);
-            assert_eq!(plain_stats, traced_stats, "{}: accounting", fam.name);
-            // And the trace itself is coherent: real wall times whose
-            // per-phase sum stays inside the whole-solve span.
-            assert!(trace.total_ns > 0, "{}", fam.name);
-            let phases = trace.gather_ns + trace.t_eval_ns + trace.flood_ns + trace.g_ns;
-            assert!(phases > 0 && phases <= trace.total_ns, "{}", fam.name);
-            assert!(
-                trace.batch.memo_hits + trace.batch.memo_misses + trace.batch.memo_skips > 0,
-                "{}: memo telemetry empty",
-                fam.name
-            );
+        let (plain, plain_stats) = solve_special_flat(&sf, 3);
+        let (traced, traced_stats, trace) = solve_special_flat_traced(&sf, 3, 1);
+        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(plain.x.as_slice()),
+            bits(traced.x.as_slice()),
+            "{}: x diverged under tracing",
+            fam.name
+        );
+        assert_eq!(bits(&plain.t), bits(&traced.t), "{}: t", fam.name);
+        assert_eq!(bits(&plain.s), bits(&traced.s), "{}: s", fam.name);
+        assert_eq!(plain_stats, traced_stats, "{}: accounting", fam.name);
+        // And the trace itself is coherent: real wall times whose
+        // per-phase sum stays inside the whole-solve span.
+        assert!(trace.total_ns > 0, "{}", fam.name);
+        let phases = trace.gather_ns + trace.t_eval_ns + trace.flood_ns + trace.g_ns;
+        assert!(phases > 0 && phases <= trace.total_ns, "{}", fam.name);
+        assert!(
+            trace.batch.memo_hits + trace.batch.memo_misses + trace.batch.memo_skips > 0,
+            "{}: memo telemetry empty",
+            fam.name
+        );
 
-            // The centralized entry point serve runs, under the same
-            // contract.
-            let plain = solve_special(&sf, 3, threads);
-            let (traced, trace) = solve_special_traced(&sf, 3, threads);
-            assert_eq!(
-                bits(plain.x.as_slice()),
-                bits(traced.x.as_slice()),
-                "{}: centralized x diverged under tracing",
-                fam.name
-            );
-            assert_eq!(bits(&plain.t), bits(&traced.t), "{}: central t", fam.name);
-            assert_eq!(bits(&plain.s), bits(&traced.s), "{}: central s", fam.name);
-            let phases = trace.t_eval_ns + trace.flood_ns + trace.g_ns;
-            assert!(trace.t_eval_ns > 0, "{}", fam.name);
-            assert!(phases <= trace.total_ns, "{}", fam.name);
-        }
+        // The centralized entry point serve runs, under the same
+        // contract.
+        let plain = solve_special(&sf, 3, 1);
+        let (traced, trace) = solve_special_traced(&sf, 3);
+        assert_eq!(
+            bits(plain.x.as_slice()),
+            bits(traced.x.as_slice()),
+            "{}: centralized x diverged under tracing",
+            fam.name
+        );
+        assert_eq!(bits(&plain.t), bits(&traced.t), "{}: central t", fam.name);
+        assert_eq!(bits(&plain.s), bits(&traced.s), "{}: central s", fam.name);
+        let phases = trace.t_eval_ns + trace.flood_ns + trace.g_ns;
+        assert!(trace.t_eval_ns > 0, "{}", fam.name);
+        assert!(phases <= trace.total_ns, "{}", fam.name);
     }
 }

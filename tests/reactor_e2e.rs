@@ -128,7 +128,7 @@ fn pipelined_burst_is_answered_in_request_order() {
     // ahead of them is filled.
     pc.send(&format!("PUT {}", text.len()), Some(text.as_bytes()))
         .unwrap();
-    pc.send_run_hash(Op::Solve, &hash, 3, 1).unwrap();
+    pc.send_run_hash(Op::Solve, &hash, 3).unwrap();
     for _ in 0..10 {
         pc.send("PING", None).unwrap();
     }
@@ -176,7 +176,7 @@ fn slow_loris_does_not_starve_the_event_loop_or_block_shutdown() {
     let hash = c.put(&text).unwrap().unwrap();
     let started = Instant::now();
     for _ in 0..20 {
-        let reply = c.run_hash(Op::Solve, &hash, 3, 1).unwrap();
+        let reply = c.run_hash(Op::Solve, &hash, 3).unwrap();
         assert!(matches!(reply, ClientReply::Ok(_)), "{reply:?}");
     }
     assert!(

@@ -36,8 +36,8 @@ fn cache_hits_are_bit_identical_to_cold_solves() {
     let hash = c.put(&text).unwrap().unwrap();
 
     for op in [Op::Solve, Op::Optimum, Op::Safe, Op::Info] {
-        let cold = c.run_hash(op, &hash, 3, 1).unwrap().into_ok().unwrap();
-        let warm = c.run_hash(op, &hash, 3, 1).unwrap().into_ok().unwrap();
+        let cold = c.run_hash(op, &hash, 3).unwrap().into_ok().unwrap();
+        let warm = c.run_hash(op, &hash, 3).unwrap().into_ok().unwrap();
         assert_eq!(
             cold.as_bytes(),
             warm.as_bytes(),
@@ -45,7 +45,7 @@ fn cache_hits_are_bit_identical_to_cold_solves() {
         );
         // Inline requests for the same content share the cache entry
         // and the bytes.
-        let inline = c.run_inline(op, &text, 3, 1).unwrap().into_ok().unwrap();
+        let inline = c.run_inline(op, &text, 3).unwrap().into_ok().unwrap();
         assert_eq!(cold.as_bytes(), inline.as_bytes(), "{op:?} inline");
     }
 
@@ -85,8 +85,8 @@ fn eight_concurrent_clients_get_identical_bytes() {
                 let mut out = Vec::new();
                 for _ in 0..12 {
                     let reply = match &hash {
-                        Some(h) => c.run_hash(Op::Solve, h, 3, 1).unwrap(),
-                        None => c.run_inline(Op::Solve, &text, 3, 1).unwrap(),
+                        Some(h) => c.run_hash(Op::Solve, h, 3).unwrap(),
+                        None => c.run_inline(Op::Solve, &text, 3).unwrap(),
                     };
                     out.push(reply.into_ok().expect("solve failed"));
                 }
@@ -144,7 +144,7 @@ fn saturated_queue_replies_busy_and_recovers() {
     // Saturated: a solve must bounce, not block or queue unboundedly.
     let mut c = Client::connect(&addr).unwrap();
     let text = instance_text();
-    let reply = c.run_inline(Op::Solve, &text, 3, 1).unwrap();
+    let reply = c.run_inline(Op::Solve, &text, 3).unwrap();
     match reply {
         ClientReply::Err(ErrorCode::Busy, _) => {}
         other => panic!("expected BUSY, got {other:?}"),
@@ -153,7 +153,7 @@ fn saturated_queue_replies_busy_and_recovers() {
     // Both sleepers still complete; the server recovers.
     assert!(s1.join().unwrap().is_ok());
     assert!(s2.join().unwrap().is_ok());
-    let ok = c.run_inline(Op::Solve, &text, 3, 1).unwrap();
+    let ok = c.run_inline(Op::Solve, &text, 3).unwrap();
     assert!(ok.is_ok(), "server must serve again after the spike");
 
     c.shutdown().unwrap();
@@ -185,7 +185,7 @@ fn per_request_timeout_kills_slow_work_not_the_server() {
     // reclaimed: a cold INFO runs on the pool and is answered long
     // before the SLEEP ends.
     let text = instance_text();
-    assert!(c.run_inline(Op::Info, &text, 3, 1).unwrap().is_ok());
+    assert!(c.run_inline(Op::Info, &text, 3).unwrap().is_ok());
     assert!(
         sent.elapsed() < Duration::from_millis(2500),
         "INFO waited for the timed-out SLEEP: {:?}",
@@ -243,12 +243,12 @@ fn protocol_errors_are_typed_and_nonfatal() {
         other => panic!("{other:?}"),
     }
     // Unknown hash.
-    match c.run_hash(Op::Solve, "0123456789abcdef", 3, 1).unwrap() {
+    match c.run_hash(Op::Solve, "0123456789abcdef", 3).unwrap() {
         ClientReply::Err(ErrorCode::NotFound, _) => {}
         other => panic!("{other:?}"),
     }
     // Garbage body.
-    match c.run_inline(Op::Solve, "not an instance", 3, 1).unwrap() {
+    match c.run_inline(Op::Solve, "not an instance", 3).unwrap() {
         ClientReply::Err(ErrorCode::BadReq, _) => {}
         other => panic!("{other:?}"),
     }
@@ -258,15 +258,11 @@ fn protocol_errors_are_typed_and_nonfatal() {
         "pong\n"
     );
 
-    // An absurd THREADS= is clamped server-side, not obeyed: the reply
-    // still arrives and matches the single-threaded bytes.
+    // THREADS= is accepted and ignored, however large: the reply
+    // matches the bytes of a request without it.
     let text = instance_text();
     let hash = c.put(&text).unwrap().unwrap();
-    let normal = c
-        .run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let normal = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     let huge = c
         .request(&format!("SOLVE hash:{hash} R=3 THREADS=999999"), None)
         .unwrap()
@@ -324,7 +320,7 @@ fn solves_outside_section_4_are_badreq_and_the_connection_keeps_solving() {
         ),
     ] {
         let text = format!("maxminlp 1\n{rows}");
-        match c.run_inline(Op::Solve, &text, 3, 1).unwrap() {
+        match c.run_inline(Op::Solve, &text, 3).unwrap() {
             ClientReply::Err(ErrorCode::BadReq, msg) => {
                 assert!(
                     msg.starts_with("solve: ") && msg.contains(needle),
@@ -336,7 +332,7 @@ fn solves_outside_section_4_are_badreq_and_the_connection_keeps_solving() {
     }
 
     // The same connection then answers a valid SOLVE.
-    c.run_inline(Op::Solve, &instance_text(), 3, 1)
+    c.run_inline(Op::Solve, &instance_text(), 3)
         .unwrap()
         .into_ok()
         .expect("a valid SOLVE after the refusals");
@@ -387,34 +383,83 @@ fn oversized_r_is_badreq_and_the_connection_keeps_solving() {
     // The same connection then solves normally, and the delta solve is
     // still bit-identical to a SOLVE of its revision.
     let solved = c
-        .run_hash(Op::Solve, &revision, 3, 1)
+        .run_hash(Op::Solve, &revision, 3)
         .unwrap()
         .into_ok()
         .unwrap();
-    let delta_solved = c
-        .solve_delta_hash(&revision, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let delta_solved = c.solve_delta_hash(&revision, 3).unwrap().into_ok().unwrap();
     assert_eq!(solved, delta_solved);
-    c.run_hash(Op::Solve, &hash, 16, 1)
+    c.run_hash(Op::Solve, &hash, 16)
         .unwrap()
         .into_ok()
         .expect("R = MAX_R is accepted");
     let inline = c
-        .run_inline(Op::Solve, &text, 3, 1)
+        .run_inline(Op::Solve, &text, 3)
         .unwrap()
         .into_ok()
         .unwrap();
     assert_eq!(
         inline,
-        c.run_hash(Op::Solve, &hash, 3, 1)
-            .unwrap()
-            .into_ok()
-            .unwrap()
+        c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap()
     );
     let stats = c.stats().unwrap();
     assert_eq!(stat(&stats, "errors"), 4, "{stats:?}");
+
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn thread_counts_share_one_cache_entry() {
+    // THREADS= is accepted and ignored, so it keys nothing: the second
+    // and third solves are hits on the first one's entry.
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut c = Client::connect(&addr).unwrap();
+    let hash = c.put(&instance_text()).unwrap().unwrap();
+    let bodies: Vec<String> = [1, 2, 1]
+        .iter()
+        .map(|t| {
+            c.request(&format!("SOLVE hash:{hash} R=3 THREADS={t}"), None)
+                .unwrap()
+                .into_ok()
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(bodies[0], bodies[1]);
+    assert_eq!(bodies[1], bodies[2]);
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "cache_misses"), 1, "{stats:?}");
+    assert_eq!(stat(&stats, "cache_hits"), 2, "{stats:?}");
+
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn agent_count_beyond_the_body_is_badreq_and_the_connection_keeps_solving() {
+    // 29 bytes declaring three billion agents. Sized from the declared
+    // count, the parser would ask for 12 GB, and a failed allocation
+    // aborts the whole process.
+    let body = "maxminlp 1\nagents 3000000000\n";
+    assert_eq!(body.len(), 29);
+    let (addr, handle) = spawn_server(ServeConfig::default());
+    let mut c = Client::connect(&addr).unwrap();
+    for line in ["SOLVE inline:29 R=2", "PUT 29"] {
+        match c.request(line, Some(body.as_bytes())).unwrap() {
+            ClientReply::Err(ErrorCode::BadReq, msg) => {
+                assert!(msg.starts_with("parse: "), "{line}: {msg}");
+                assert!(msg.contains("agent count"), "{line}: {msg}");
+            }
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+    // The same connection then solves a normal instance.
+    let solved = c
+        .run_inline(Op::Solve, &instance_text(), 3)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert!(solved.starts_with("utility "), "{solved}");
 
     c.shutdown().unwrap();
     handle.join().unwrap();
@@ -461,7 +506,7 @@ fn unreadable_body_length_is_badreq_then_close() {
     // A fresh connection solves normally.
     let mut c = Client::connect(&addr).unwrap();
     let solved = c
-        .run_inline(Op::Solve, &text, 3, 1)
+        .run_inline(Op::Solve, &text, 3)
         .unwrap()
         .into_ok()
         .unwrap();

@@ -46,13 +46,9 @@ fn clean_restart_warm_starts_bit_identically() {
     let handle = std::thread::spawn(move || server.run().expect("run 1"));
     let mut c = Client::connect(&addr).unwrap();
     let hash = c.put(&text).unwrap().unwrap();
-    let solve1 = c
-        .run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let solve1 = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     let opt1 = c
-        .run_hash(Op::Optimum, &hash, 3, 1)
+        .run_hash(Op::Optimum, &hash, 3)
         .unwrap()
         .into_ok()
         .unwrap();
@@ -66,13 +62,9 @@ fn clean_restart_warm_starts_bit_identically() {
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().expect("run 2"));
     let mut c = Client::connect(&addr).unwrap();
-    let solve2 = c
-        .run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let solve2 = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     let opt2 = c
-        .run_hash(Op::Optimum, &hash, 3, 1)
+        .run_hash(Op::Optimum, &hash, 3)
         .unwrap()
         .into_ok()
         .unwrap();
@@ -133,13 +125,9 @@ fn kill_nine_mid_load_then_restart_serves_warm_bit_identical_replies() {
     let text = instance_text();
     let mut c = Client::connect(&addr).unwrap();
     let hash = c.put(&text).unwrap().unwrap();
-    let cold_solve = c
-        .run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let cold_solve = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     let cold_opt = c
-        .run_hash(Op::Optimum, &hash, 3, 1)
+        .run_hash(Op::Optimum, &hash, 3)
         .unwrap()
         .into_ok()
         .unwrap();
@@ -157,7 +145,7 @@ fn kill_nine_mid_load_then_restart_serves_warm_bit_identical_replies() {
         let fam = fams.iter().find(|f| f.name == "bandwidth").unwrap();
         for seed in 100u64.. {
             let text = textfmt::write_instance(&fam.instance(32, seed));
-            match c.run_inline(Op::Solve, &text, 3, 1) {
+            match c.run_inline(Op::Solve, &text, 3) {
                 Ok(reply) => assert!(reply.is_ok(), "seed {seed}: {reply:?}"),
                 Err(_) => return, // the kill landed
             }
@@ -191,13 +179,9 @@ fn kill_nine_mid_load_then_restart_serves_warm_bit_identical_replies() {
     // PUT, and the two known replies are warm hits, byte-identical.
     let (mut child, addr) = spawn_server_process(&dir);
     let mut c = Client::connect(&addr).unwrap();
-    let warm_solve = c
-        .run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let warm_solve = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     let warm_opt = c
-        .run_hash(Op::Optimum, &hash, 3, 1)
+        .run_hash(Op::Optimum, &hash, 3)
         .unwrap()
         .into_ok()
         .unwrap();

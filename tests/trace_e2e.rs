@@ -67,22 +67,14 @@ fn client_minted_trace_id_round_trips_into_a_full_span_tree() {
 
     let trace_id = 0xdead_beef_cafe_0001;
     c.trace_next(trace_id);
-    let body = c
-        .run_hash(Op::Solve, &hash, 3, 2)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let body = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     assert!(body.contains("x "), "solve body looks wrong: {body:?}");
 
     // A warm repeat under a second trace id: cache-hit span, no solve
     // phases.
     let warm_id = 0xdead_beef_cafe_0002;
     c.trace_next(warm_id);
-    let warm = c
-        .run_hash(Op::Solve, &hash, 3, 2)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    let warm = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     assert_eq!(body, warm, "traced solves stay bit-identical");
 
     // STATS flushes the journal, so everything emitted so far is
@@ -211,7 +203,7 @@ fn traced_solve_delta_journals_its_lineage_resolution() {
 
     let trace_id = 0xfeed_f00d_0000_0042;
     c.trace_next(trace_id);
-    c.solve_delta_inline(&delta.to_text(), 3, 1)
+    c.solve_delta_inline(&delta.to_text(), 3)
         .unwrap()
         .into_ok()
         .unwrap();
@@ -255,10 +247,7 @@ fn untraced_requests_are_sampled_into_the_span_ring() {
     // The very first request hits the sample-every-64 boundary, so at
     // least one untraced request gets a server-minted span tree.
     let hash = c.put(&instance_text()).unwrap().unwrap();
-    c.run_hash(Op::Solve, &hash, 3, 1)
-        .unwrap()
-        .into_ok()
-        .unwrap();
+    c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
     let stats = c.stats().unwrap();
     assert!(stat(&stats, "spans_recorded") >= 1, "{stats:?}");
     for key in [
@@ -292,10 +281,7 @@ fn journal_recovers_from_a_torn_tail_across_server_restarts() {
         let mut c = Client::connect(&addr).unwrap();
         let hash = c.put(&instance_text()).unwrap().unwrap();
         c.trace_next(first_id);
-        c.run_hash(Op::Solve, &hash, 3, 1)
-            .unwrap()
-            .into_ok()
-            .unwrap();
+        c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
         c.stats().unwrap();
         c.shutdown().unwrap();
         handle.join().unwrap();
@@ -351,10 +337,7 @@ fn journal_recovers_from_a_torn_tail_across_server_restarts() {
         let mut c = Client::connect(&addr).unwrap();
         let hash = c.put(&instance_text()).unwrap().unwrap();
         c.trace_next(second_id);
-        c.run_hash(Op::Solve, &hash, 3, 2)
-            .unwrap()
-            .into_ok()
-            .unwrap();
+        c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
         c.stats().unwrap();
         c.shutdown().unwrap();
         handle.join().unwrap();
@@ -390,10 +373,7 @@ fn obs_trace_cli_renders_the_journaled_span_tree() {
         let mut c = Client::connect(&addr).unwrap();
         let hash = c.put(&instance_text()).unwrap().unwrap();
         c.trace_next(trace_id);
-        c.run_hash(Op::Solve, &hash, 3, 1)
-            .unwrap()
-            .into_ok()
-            .unwrap();
+        c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
         c.stats().unwrap();
         c.shutdown().unwrap();
         handle.join().unwrap();

@@ -19,8 +19,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Catalog family × size {16, 64} × seed × R 2–5: the replay equals
-    /// the bisection bit for bit, and the batch gives the same bits at
-    /// 1, 2 and 4 threads.
+    /// the bisection bit for bit, over the whole `t` batch.
     #[test]
     fn replay_equals_bisection_bitwise_catalog_wide(
         family in 0usize..8,
@@ -39,9 +38,7 @@ proptest! {
             .map(|u| tb.t_bisect(u, &mut sc).to_bits())
             .collect();
         let at = format!("{} n={size} seed={seed} R={big_r}", fam.name);
-        for threads in [1, 2, 4] {
-            let replay: Vec<u64> = tb.all_parallel(threads).iter().map(|t| t.to_bits()).collect();
-            prop_assert_eq!(&replay, &bisect, "{} threads={}", at, threads);
-        }
+        let replay: Vec<u64> = tb.all().iter().map(|t| t.to_bits()).collect();
+        prop_assert_eq!(&replay, &bisect, "{}", at);
     }
 }
