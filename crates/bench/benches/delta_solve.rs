@@ -9,7 +9,7 @@
 //! `request-r2/size` measures the whole `SOLVE_DELTA inline:` request
 //! the server runs for such an edit against a parked solver
 //! ([`Engine::solve_delta_inline`]: parse, repair, revision hash, body
-//! render, registration and cache insert), with a fresh revision every
+//! render, lineage edge and cache insert), with a fresh revision every
 //! iteration so nothing is a cache hit, timed once the engine's byte
 //! budgets are full — the state a long-running server is in.
 //! `hash/size` is one FNV pass over the base's canonical text: the
@@ -118,11 +118,12 @@ fn bench_delta_solve(c: &mut Criterion) {
                     body.len()
                 };
                 // Time the steady state a sustained edit stream keeps a
-                // server in: the result cache full and evicting (and the
-                // instance store, charged more per revision, before it),
-                // so each stored revision and cached body reuses memory
-                // an eviction freed. Until then every request faults in
-                // fresh heap pages, a one-off cost of filling the budgets.
+                // server in: the result cache full and evicting, so each
+                // cached body reuses memory an eviction freed. Until then
+                // every request faults in fresh heap pages, a one-off
+                // cost of filling the budget. The instance store does not
+                // fill: a revision's instance stays in the parked solver,
+                // and the request records only its lineage edge.
                 while engine.cache_stats().2 == 0 {
                     request();
                 }

@@ -391,3 +391,26 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::parse_entries;
+
+    #[test]
+    fn a_host_stamped_document_parses_to_the_same_entries() {
+        let entries = "  \"benchmarks\": [\n    \
+             {\"name\": \"delta-solve/hash/64\", \"median_ns\": 5000, \"min_ns\": 4900, \"max_ns\": 6000},\n    \
+             {\"name\": \"delta-solve/edit-r2/64\", \"median_ns\": 800, \"min_ns\": 700, \"max_ns\": 900}\n  \
+             ]\n}\n";
+        let plain = format!("{{\n  \"schema\": \"mmlp-bench-json-v1\",\n{entries}");
+        let stamped = format!(
+            "{{\n  \"schema\": \"mmlp-bench-json-v1\",\n  \
+             \"host\": {{\"nproc\": 2, \"rustc\": \"rustc 1.95.0 (59807616e 2026-04-14)\", \
+             \"unix_s\": 1792298435}},\n{entries}"
+        );
+        let parsed = parse_entries(&stamped);
+        assert_eq!(parsed, parse_entries(&plain));
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed["delta-solve/hash/64"], (5000, 4900));
+    }
+}

@@ -134,6 +134,17 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         self.map.contains_key(key)
     }
 
+    /// The value of the first live entry whose key satisfies `pred`,
+    /// *without* touching recency. A scan over the slab: for maps small
+    /// enough to walk, like the parked delta solvers.
+    pub fn find(&self, mut pred: impl FnMut(&K) -> bool) -> Option<&V> {
+        self.slots
+            .iter()
+            .flatten()
+            .find(|s| pred(&s.key))
+            .map(|s| &s.value)
+    }
+
     /// Inserts `key → value` with the given cost, evicting LRU entries
     /// until it fits. An entry whose cost alone exceeds the whole
     /// budget is refused (returns `false`) — the cache stays bounded no
@@ -320,6 +331,135 @@ impl<K: Eq + Hash + Clone + ShardKey, V: Clone> ShardedLru<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference the model tests drive beside the real caches: the
+    /// live entries in a `Vec`, most recently used first.
+    struct Model {
+        budget: u64,
+        entries: Vec<(u64, u64, u64)>, // (key, value, cost)
+        evictions: u64,
+    }
+
+    impl Model {
+        fn new(budget: u64) -> Self {
+            Model {
+                budget,
+                entries: Vec::new(),
+                evictions: 0,
+            }
+        }
+
+        fn used(&self) -> u64 {
+            self.entries.iter().map(|e| e.2).sum()
+        }
+
+        fn at(&self, key: u64) -> Option<usize> {
+            self.entries.iter().position(|e| e.0 == key)
+        }
+
+        fn get(&mut self, key: u64) -> Option<u64> {
+            let e = self.entries.remove(self.at(key)?);
+            self.entries.insert(0, e);
+            Some(e.1)
+        }
+
+        fn insert(&mut self, key: u64, value: u64, cost: u64) -> bool {
+            if cost > self.budget {
+                return false;
+            }
+            if let Some(i) = self.at(key) {
+                self.entries.remove(i);
+            }
+            while self.used() + cost > self.budget {
+                self.entries.pop();
+                self.evictions += 1;
+            }
+            self.entries.insert(0, (key, value, cost));
+            true
+        }
+
+        fn remove(&mut self, key: u64) -> Option<u64> {
+            Some(self.entries.remove(self.at(key)?).1)
+        }
+
+        /// Checks `lru` against the model: the same size, cost and
+        /// evictions, within the budget.
+        fn check(&self, lru: &Lru<u64, u64>) {
+            assert_eq!(lru.len(), self.entries.len());
+            assert_eq!(lru.used(), self.used());
+            assert_eq!(lru.evictions(), self.evictions);
+            assert!(lru.used() <= lru.budget());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `Lru` against the reference under random `insert` (costs
+        /// up to budget + 2, so some are refused), `get`, `remove`,
+        /// `contains` and `find` calls.
+        #[test]
+        fn lru_matches_a_recency_ordered_model(
+            budget in 1u64..40,
+            ops in proptest::collection::vec((0u8..5, 0u64..12, 0u64..1_000), 1..200),
+        ) {
+            let mut lru = Lru::new(budget);
+            let mut model = Model::new(budget);
+            for (step, (kind, key, draw)) in ops.into_iter().enumerate() {
+                let value = step as u64;
+                match kind {
+                    0 => {
+                        let cost = draw % (budget + 3);
+                        prop_assert_eq!(lru.insert(key, value, cost), model.insert(key, value, cost));
+                    }
+                    1 => prop_assert_eq!(lru.get(&key).copied(), model.get(key)),
+                    2 => prop_assert_eq!(lru.remove(&key), model.remove(key)),
+                    3 => prop_assert_eq!(lru.contains(&key), model.at(key).is_some()),
+                    _ => prop_assert_eq!(
+                        lru.find(|k| *k == key).copied(),
+                        model.at(key).map(|i| model.entries[i].1)
+                    ),
+                }
+                model.check(&lru);
+            }
+        }
+
+        /// `ShardedLru` against one reference per shard at that
+        /// shard's budget slice; `stats()` is their sum.
+        #[test]
+        fn sharded_lru_matches_one_model_per_shard(
+            budget in 16u64..400,
+            ops in proptest::collection::vec((0u8..4, 0u64..64, 0u64..1_000), 1..300),
+        ) {
+            let lru: ShardedLru<u64, u64> = ShardedLru::new(budget);
+            let mut models: Vec<Model> = lru
+                .shards
+                .iter()
+                .map(|s| Model::new(s.lock().unwrap().budget()))
+                .collect();
+            for (step, (kind, key, draw)) in ops.into_iter().enumerate() {
+                let value = step as u64;
+                let model = &mut models[key.shard()];
+                match kind {
+                    0 => {
+                        let cost = draw % (model.budget + 3);
+                        prop_assert_eq!(lru.insert(key, value, cost), model.insert(key, value, cost));
+                    }
+                    1 => prop_assert_eq!(lru.get(&key), model.get(key)),
+                    2 => prop_assert_eq!(lru.remove(&key), model.remove(key)),
+                    _ => prop_assert_eq!(lru.contains(&key), model.at(key).is_some()),
+                }
+                for (shard, model) in lru.shards.iter().zip(&models) {
+                    model.check(&shard.lock().unwrap());
+                }
+                let len = models.iter().map(|m| m.entries.len()).sum();
+                let used = models.iter().map(Model::used).sum();
+                let evictions = models.iter().map(|m| m.evictions).sum();
+                prop_assert_eq!(lru.stats(), (len, used, evictions));
+            }
+        }
+    }
 
     #[test]
     fn hit_miss_and_recency() {

@@ -13,11 +13,12 @@
 //!    replay the lineage deltas between the two through
 //!    [`DynamicSolver::apply_delta`], which repairs ball-locally for
 //!    coefficient edits, then re-park it at `<rev>`;
-//! 3. **booted** — no solver anywhere on the chain: rebuild one from
-//!    the nearest stored ancestor instance and replay forward. This is
-//!    also how a restarted node recovers — lineage records are
-//!    persisted through `mmlp-store`, so the chain replays from
-//!    segments.
+//! 3. **booted** — no solver for this `R` anywhere on the chain: boot
+//!    one from the chain's root (the revision with no lineage edge) —
+//!    its stored instance, else the one the revision graph keeps for
+//!    it — and replay forward. This is also how a restarted node
+//!    recovers — lineage records are persisted through `mmlp-store`,
+//!    so the chain replays from segments.
 //!
 //! Every replayed edge is checked against the revision it was recorded
 //! under (the solver's maintained hash: one FNV pass of its text, no
@@ -27,8 +28,19 @@
 //! solver skips the revision graph walk: the server checks the solver
 //! out ([`DeltaCoordinator::checkout`]), advances it in place on the
 //! worker pool ([`DeltaCoordinator::advance`]) and, back on the event
-//! loop, registers the new revision from it and parks it there
-//! (`Engine::commit_inline`).
+//! loop, records the lineage edge and parks the solver at the new
+//! revision (`Engine::commit_inline`). The revision's instance is not
+//! copied anywhere: it lives in the parked solver and, as a delta off
+//! its base, in the revision graph. A request that names it by hash
+//! gets it from [`DeltaCoordinator::rebuild`].
+//!
+//! The graph is a forest, and it keeps each chain's root instance (the
+//! store's `Arc` while the store holds it), so every revision it knows
+//! can be rebuilt however the instance store's LRU churns. A revision
+//! keeps the first edge that reached it, and a root never gets one: an
+//! edit that reverts to an earlier revision adds no edge, so no walk
+//! can come round a cycle. Stores written before that rule can hold one;
+//! a walk that comes round stops there.
 //!
 //! In every case the rendered body is **bit-identical** to a `SOLVE` of
 //! the same revision: the dynamic solver's state is bitwise equal to a
@@ -43,19 +55,22 @@ use crate::protocol::ErrorCode;
 use mmlp_core::dynamic::{DynamicError, DynamicSolver, UpdateReport};
 use mmlp_core::special::SpecialForm;
 use mmlp_instance::delta::Delta;
-use mmlp_instance::hash::hash_hex;
-use mmlp_instance::{DegreeStats, Instance};
-use std::collections::HashMap;
+use mmlp_instance::hash::{fnv1a64, hash_hex};
+use mmlp_instance::{textfmt, DegreeStats, Instance};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 // Lock order: `resolve`, then `solvers`, then `lineage`. `resolve` is
 // held across a whole lineage resolve (including a boot solve), which
 // serialises concurrent resolves (`SOLVE_DELTA hash:`, and inline
 // deltas off the in-place path). `solvers` and `lineage` are held only
-// for map operations and renders, so the event loop can park a solver
-// while a resolve runs: a solver being advanced is checked *out* of the
-// LRU, so it can never be observed mid-replay or rendered for a
-// revision it has already left.
+// for map operations, renders and instance copies, one at a time, so
+// the event loop can park a solver, and another worker rebuild a
+// revision, while a resolve runs: a solver being advanced is checked
+// *out* of the LRU, so it can never be observed mid-replay, copied or
+// rendered for a revision it has already left. `record` asks for a new
+// root's instance under `lineage`; that may take an instance-store
+// shard lock, under which nothing takes these.
 
 /// Solvers are keyed by the revision they are parked at **and** `R`:
 /// a different `R` needs a different horizon.
@@ -110,9 +125,36 @@ pub struct DeltaSolveInfo {
     pub n_agents: u64,
 }
 
-/// Cycle guard on lineage walks. Content-hashed lineage cannot cycle
-/// short of an FNV collision, but a walk must still terminate.
+/// Bound on the edges one lineage walk takes: a longer chain is
+/// `ERR INTERNAL` rather than minutes of replay.
 const CHAIN_CAP: usize = 100_000;
+
+/// The revision graph: one edge per derived revision, and the chain
+/// roots — every revision an edge starts from but none leads to — with
+/// the instance each was recorded with, when one was at hand.
+#[derive(Default)]
+struct Graph {
+    edges: HashMap<u64, LineageEdge>,
+    roots: HashMap<u64, Option<Arc<Instance>>>,
+}
+
+/// Where a lineage walk stopped: what `stop` took there (`None` at the
+/// chain's root, or where the walk came round a cycle), the revision it
+/// stopped at, and the walked edges newest-first — each delta text
+/// under the revision it must produce.
+struct Walk<T> {
+    found: Option<T>,
+    at: u64,
+    pending: Vec<(u64, String)>,
+}
+
+/// The instance a rebuild starts from.
+enum Origin {
+    /// Copied from a parked solver, with its canonical text length.
+    Parked(Instance, u64),
+    /// The instance store's entry, or a root's kept instance.
+    Stored(Arc<Instance>),
+}
 
 /// A solver parked (or checked out) at its current revision, with the
 /// `x` lines of its reply body already rendered.
@@ -122,6 +164,11 @@ pub struct Parked {
     /// The body's `guarantee` line: a function of the degrees and `R`,
     /// which coefficient edits leave alone.
     guarantee: f64,
+    /// The stored instance the solver was booted from, while it still
+    /// sits there: its first inline edit makes that revision a chain's
+    /// root, and the graph keeps this instance for it even if the
+    /// store has evicted it by then.
+    origin: Option<Arc<Instance>>,
 }
 
 /// The `x <agent> <value>` lines of a `SOLVE` body, one per agent, kept
@@ -195,6 +242,7 @@ impl Parked {
             xlines: XLines::render(solver.run().x.as_slice()),
             guarantee: guarantee(&solver),
             solver,
+            origin: None,
         }
     }
 
@@ -203,10 +251,10 @@ impl Parked {
         &self.solver
     }
 
-    /// Length of the revision's canonical text — what the instance
-    /// store charges for it.
-    pub(crate) fn canonical_len(&self) -> usize {
-        self.solver.canonical_text().len()
+    /// Takes the instance the solver was booted from, if it has not
+    /// moved since (see [`Parked`]'s `origin`).
+    pub(crate) fn take_origin(&mut self) -> Option<Arc<Instance>> {
+        self.origin.take()
     }
 
     /// Applies `delta` and re-renders the changed `x` lines.
@@ -269,8 +317,9 @@ pub struct InlineDelta {
 }
 
 /// An inline delta applied in place: the solver now sits at `new`, and
-/// `body` is that revision's reply. The event loop registers the
-/// revision from the solver before replying (`Engine::commit_inline`).
+/// `body` is that revision's reply. The event loop records the
+/// revision's lineage edge and parks the solver before replying
+/// (`Engine::commit_inline`).
 pub struct Advanced {
     pub(crate) parked: Parked,
     pub(crate) delta: Delta,
@@ -284,7 +333,7 @@ pub struct Advanced {
 /// only the `resolve` gate is held across a solve.
 pub struct DeltaCoordinator {
     resolve: Mutex<()>,
-    lineage: Mutex<HashMap<u64, LineageEdge>>,
+    lineage: Mutex<Graph>,
     solvers: Mutex<Lru<SolverKey, Parked>>,
 }
 
@@ -293,24 +342,86 @@ impl DeltaCoordinator {
     pub fn new(budget: u64) -> Self {
         DeltaCoordinator {
             resolve: Mutex::new(()),
-            lineage: Mutex::new(HashMap::new()),
+            lineage: Mutex::new(Graph::default()),
             solvers: Mutex::new(Lru::new(budget)),
         }
     }
 
-    /// Records one lineage edge `base → new` (idempotent — re-recording
-    /// the same new-revision hash overwrites with identical content,
-    /// since the hash covers the delta text and its base).
-    pub fn record(&self, new: u64, base: u64, delta_text: String) {
-        self.lineage
-            .lock()
-            .expect("lineage lock")
-            .insert(new, LineageEdge { base, delta_text });
+    /// Records the lineage edge `base → new` and returns whether it did.
+    /// The graph stays a forest: the edge is refused when `new == base`,
+    /// when `new` already has an edge (several deltas can produce one
+    /// revision; it keeps the first), and when `new` is a chain's root
+    /// (an edit that reverts to it). When `base` is new to the graph it
+    /// becomes a root, and `root` is asked for its instance, which the
+    /// graph keeps so the chain can be rebuilt after the store evicts it.
+    pub fn record(
+        &self,
+        new: u64,
+        base: u64,
+        delta_text: String,
+        root: impl FnOnce() -> Option<Arc<Instance>>,
+    ) -> bool {
+        let mut graph = self.lineage.lock().expect("lineage lock");
+        if new == base || graph.edges.contains_key(&new) || graph.roots.contains_key(&new) {
+            return false;
+        }
+        if !graph.edges.contains_key(&base) && !graph.roots.contains_key(&base) {
+            graph.roots.insert(base, root());
+        }
+        graph.edges.insert(new, LineageEdge { base, delta_text });
+        true
+    }
+
+    /// Loads persisted edges, one per revision, into an empty graph and
+    /// returns how many it kept (self-edges are dropped). A store lists
+    /// them by segment, not in the order they were recorded, so the
+    /// roots are found once all are in: every base without an edge,
+    /// with `root`'s instance for it.
+    pub fn restore(
+        &self,
+        edges: Vec<(u64, LineageEdge)>,
+        root: impl Fn(u64) -> Option<Arc<Instance>>,
+    ) -> usize {
+        let mut graph = self.lineage.lock().expect("lineage lock");
+        graph.edges = edges
+            .into_iter()
+            .filter(|(new, e)| *new != e.base)
+            .collect();
+        let bases: HashSet<u64> = graph.edges.values().map(|e| e.base).collect();
+        graph.roots = bases
+            .into_iter()
+            .filter(|b| !graph.edges.contains_key(b))
+            .map(|b| (b, root(b)))
+            .collect();
+        graph.edges.len()
     }
 
     /// Number of lineage edges known.
     pub fn lineage_len(&self) -> usize {
-        self.lineage.lock().expect("lineage lock").len()
+        self.lineage.lock().expect("lineage lock").edges.len()
+    }
+
+    /// Whether [`DeltaCoordinator::rebuild`] can start on `revision`: it
+    /// has an edge, is a root with a kept instance, or has a solver
+    /// parked at it.
+    pub fn knows(&self, revision: u64) -> bool {
+        let parked = self
+            .solvers
+            .lock()
+            .expect("solver lock")
+            .find(|k| k.revision == revision)
+            .is_some();
+        parked || {
+            let graph = self.lineage.lock().expect("lineage lock");
+            graph.edges.contains_key(&revision)
+                || graph.roots.get(&revision).is_some_and(Option::is_some)
+        }
+    }
+
+    /// The instance the graph keeps for root `revision`, if any.
+    fn root_instance(&self, revision: u64) -> Option<Arc<Instance>> {
+        let graph = self.lineage.lock().expect("lineage lock");
+        graph.roots.get(&revision).cloned().flatten()
     }
 
     /// `(parked solvers, approximate resident bytes)`.
@@ -406,63 +517,49 @@ impl DeltaCoordinator {
             return Ok((parked.body(), info));
         }
 
-        // Walk lineage back from the revision until an ancestor with a
-        // parked solver or a stored instance turns up. `pending` ends
-        // up newest-first — each edge's delta text under the revision
-        // it must produce — and replay consumes it from the back.
-        let mut pending: Vec<(u64, String)> = Vec::new();
-        let mut cursor = revision;
-        let (mut parked, mode) = loop {
-            if pending.len() > CHAIN_CAP {
-                return Err((
-                    ErrorCode::Internal,
-                    format!("lineage chain exceeds {CHAIN_CAP} edges"),
-                ));
+        // Stop at an ancestor with a solver parked for this `R`.
+        // Taking it out (rather than cloning) keeps one canonical
+        // solver per chain tip; a later request for the old revision
+        // just re-boots.
+        let walk = self.walk(revision, |at| {
+            if at == revision {
+                None
+            } else {
+                self.checkout(at, big_r)
             }
-            if cursor != revision {
-                // Taking the ancestor's solver out (rather than
-                // cloning) keeps one canonical solver per chain tip; a
-                // later request for the old revision just re-boots.
-                if let Some(parked) = self.checkout(cursor, big_r) {
-                    break (parked, DeltaMode::Advanced);
+        })?;
+        let mut pending = walk.pending;
+        let (mut parked, mode) = match walk.found {
+            Some(parked) => (parked, DeltaMode::Advanced),
+            None => {
+                // Chain root (or a directly-PUT revision): boot from
+                // its stored or kept instance.
+                let root = walk.at;
+                let inst = fetch(root).or_else(|| self.root_instance(root));
+                let inst = inst.ok_or_else(|| {
+                    (
+                        ErrorCode::NoBase,
+                        format!(
+                            "no stored revision {} to boot the delta chain from",
+                            hash_hex(root)
+                        ),
+                    )
+                })?;
+                let sf = SpecialForm::new((*inst).clone()).map_err(|e| {
+                    (
+                        ErrorCode::BadDelta,
+                        format!(
+                            "revision {} is not in special form ({e}); \
+                             SOLVE_DELTA serves special-form chains — use SOLVE",
+                            hash_hex(root)
+                        ),
+                    )
+                })?;
+                let mut parked = Parked::new(DynamicSolver::new(sf, big_r, 1));
+                if pending.is_empty() {
+                    parked.origin = Some(inst);
                 }
-            }
-            let edge = self
-                .lineage
-                .lock()
-                .expect("lineage lock")
-                .get(&cursor)
-                .cloned();
-            match edge {
-                Some(e) => {
-                    pending.push((cursor, e.delta_text));
-                    cursor = e.base;
-                }
-                None => {
-                    // Chain root (or a directly-PUT revision): boot from
-                    // the stored instance.
-                    let inst = fetch(cursor).ok_or_else(|| {
-                        (
-                            ErrorCode::NoBase,
-                            format!(
-                                "no stored revision {} to boot the delta chain from",
-                                hash_hex(cursor)
-                            ),
-                        )
-                    })?;
-                    let sf = SpecialForm::new((*inst).clone()).map_err(|e| {
-                        (
-                            ErrorCode::BadDelta,
-                            format!(
-                                "revision {} is not in special form ({e}); \
-                                 SOLVE_DELTA serves special-form chains — use SOLVE",
-                                hash_hex(cursor)
-                            ),
-                        )
-                    })?;
-                    let solver = DynamicSolver::new(sf, big_r, 1);
-                    break (Parked::new(solver), DeltaMode::Booted);
-                }
+                (parked, DeltaMode::Booted)
             }
         };
 
@@ -470,6 +567,9 @@ impl DeltaCoordinator {
         // each step lands on the revision its edge was recorded under.
         let mut recomputed_x = 0;
         let replayed = pending.len() as u64;
+        if replayed > 0 {
+            parked.origin = None;
+        }
         while let Some((expect, text)) = pending.pop() {
             let delta = Delta::parse_text(&text).map_err(|e| {
                 (
@@ -508,11 +608,139 @@ impl DeltaCoordinator {
         Ok((body, info))
     }
 
+    /// Walks lineage back from `revision`, at most [`CHAIN_CAP`] edges,
+    /// until `stop` takes something at the revision the walk is on.
+    /// Each step tries `stop` first, then follows the revision's edge; a
+    /// revision with no edge (the chain's root), or one the walk has
+    /// already passed (a cycle in a store written before edges were kept
+    /// first), ends it with nothing found. Takes the `solvers` lock
+    /// (inside `stop`) and the `lineage` lock one at a time.
+    fn walk<T>(
+        &self,
+        revision: u64,
+        mut stop: impl FnMut(u64) -> Option<T>,
+    ) -> Result<Walk<T>, EngineError> {
+        let mut pending = Vec::new();
+        let mut seen = HashSet::new();
+        let mut at = revision;
+        loop {
+            if pending.len() > CHAIN_CAP {
+                return Err((
+                    ErrorCode::Internal,
+                    format!("lineage chain exceeds {CHAIN_CAP} edges"),
+                ));
+            }
+            if let Some(found) = stop(at) {
+                return Ok(Walk {
+                    found: Some(found),
+                    at,
+                    pending,
+                });
+            }
+            let edge = if seen.insert(at) {
+                let graph = self.lineage.lock().expect("lineage lock");
+                graph.edges.get(&at).cloned()
+            } else {
+                None
+            };
+            let Some(edge) = edge else {
+                return Ok(Walk {
+                    found: None,
+                    at,
+                    pending,
+                });
+            };
+            pending.push((at, edge.delta_text));
+            at = edge.base;
+        }
+    }
+
+    /// Rebuilds the instance of `revision` from the revision graph,
+    /// for a request that names a revision the instance store does not
+    /// hold. The walk stops at the first revision with a solver parked
+    /// at it (for any `R`) or, below `revision`, a stored instance
+    /// (`stored`), else at the chain's root and its kept instance; the
+    /// rebuild copies that instance and replays the walked deltas on
+    /// it, oldest first, through [`Delta::apply_unchecked`]. A replayed
+    /// result must hash to `revision`.
+    ///
+    /// Returns the instance and its canonical text length (what `PUT`
+    /// charges the store for it), or `None` when the walk ends at a
+    /// revision with no instance to start from. A replay failure or a
+    /// hash mismatch is `ERR INTERNAL`.
+    pub fn rebuild<F>(
+        &self,
+        revision: u64,
+        stored: F,
+    ) -> Result<Option<(Instance, u64)>, EngineError>
+    where
+        F: Fn(u64) -> Option<Arc<Instance>>,
+    {
+        let walk = self.walk(revision, |at| {
+            if let Some((inst, len)) = self.copy_parked(at) {
+                return Some(Origin::Parked(inst, len));
+            }
+            if at == revision {
+                return None;
+            }
+            stored(at).map(Origin::Stored)
+        })?;
+        let origin = walk
+            .found
+            .or_else(|| self.root_instance(walk.at).map(Origin::Stored));
+        let mut inst = match origin {
+            None => return Ok(None),
+            // A solver's maintained revision is the key it is parked
+            // under: nothing to check.
+            Some(Origin::Parked(inst, len)) if walk.pending.is_empty() => {
+                return Ok(Some((inst, len)))
+            }
+            Some(Origin::Parked(inst, _)) => inst,
+            Some(Origin::Stored(inst)) => (*inst).clone(),
+        };
+        for (expect, text) in walk.pending.iter().rev() {
+            inst = Delta::parse_text(text)
+                .map_err(|e| e.to_string())
+                .and_then(|d| d.apply_unchecked(&inst).map_err(|e| e.to_string()))
+                .map_err(|e| {
+                    (
+                        ErrorCode::Internal,
+                        format!("lineage edge {} fails to replay: {e}", hash_hex(*expect)),
+                    )
+                })?;
+        }
+        let canonical = textfmt::write_instance(&inst);
+        let got = fnv1a64(canonical.as_bytes());
+        if got != revision {
+            return Err((
+                ErrorCode::Internal,
+                format!(
+                    "lineage of {} rebuilds revision {}",
+                    hash_hex(revision),
+                    hash_hex(got)
+                ),
+            ));
+        }
+        Ok(Some((inst, canonical.len() as u64)))
+    }
+
+    /// A copy of the instance of a solver parked at `revision`, for any
+    /// `R`, and its canonical text length. Leaves recency alone.
+    fn copy_parked(&self, revision: u64) -> Option<(Instance, u64)> {
+        let solvers = self.solvers.lock().expect("solver lock");
+        let parked = solvers.find(|k| k.revision == revision)?;
+        Some((
+            parked.solver.special_form().instance().clone(),
+            parked.solver.canonical_text().len() as u64,
+        ))
+    }
+
     /// Every lineage edge, for warm-start round-trip tests.
     pub fn lineage_snapshot(&self) -> Vec<(u64, LineageEdge)> {
         self.lineage
             .lock()
             .expect("lineage lock")
+            .edges
             .iter()
             .map(|(k, v)| (*k, v.clone()))
             .collect()
@@ -613,7 +841,7 @@ mod tests {
         for (cons, factor) in [(0u32, 1.5), (2, 0.8), (1, 1.1)] {
             let d = coef_delta(&cur, cons, factor);
             let (next, lin) = d.apply_hashed(&cur).unwrap();
-            coordinator.record(lin.new, lin.base, d.to_text());
+            coordinator.record(lin.new, lin.base, d.to_text(), || None);
             cur = next;
             tip = lin.new;
         }
@@ -633,7 +861,7 @@ mod tests {
         // Advanced: one more edit moves the parked solver forward.
         let d = coef_delta(&cur, 4, 2.0);
         let (v4, lin) = d.apply_hashed(&cur).unwrap();
-        coordinator.record(lin.new, lin.base, d.to_text());
+        coordinator.record(lin.new, lin.base, d.to_text(), || None);
         let (body4, info) = coordinator.solve(lin.new, 3, fetch).unwrap();
         assert_eq!(info.mode, DeltaMode::Advanced);
         assert_eq!(info.replayed, 1);
@@ -662,14 +890,14 @@ mod tests {
             },
         );
         let (v1, lin) = d.apply_hashed(&v0).unwrap();
-        coordinator.record(lin.new, h0, d.to_text());
+        coordinator.record(lin.new, h0, d.to_text(), || None);
         let (body, info) = coordinator.solve(lin.new, 3, fetch).unwrap();
         assert_eq!(info.mode, DeltaMode::Advanced);
         assert_eq!(body, execute(Op::Solve, &v1, 3, 1).unwrap());
         // And a coefficient edit on top refreshes from there.
         let d2 = coef_delta(&v1, 3, 1.3);
         let (v2, lin2) = d2.apply_hashed(&v1).unwrap();
-        coordinator.record(lin2.new, lin.new, d2.to_text());
+        coordinator.record(lin2.new, lin.new, d2.to_text(), || None);
         let (body, _) = coordinator.solve(lin2.new, 3, fetch).unwrap();
         assert_eq!(body, execute(Op::Solve, &v2, 3, 1).unwrap());
     }
@@ -705,14 +933,126 @@ mod tests {
         // An edge whose key is not the content hash its delta replays
         // to: serving it would cache the wrong revision's body under it.
         let bogus = 0x0123_4567_89ab_cdef;
-        coordinator.record(bogus, h0, d.to_text());
+        coordinator.record(bogus, h0, d.to_text(), || None);
         let err = coordinator.solve(bogus, 3, fetch).unwrap_err();
         assert_eq!(err.0, ErrorCode::Internal, "{err:?}");
         assert_eq!(coordinator.solver_stats().0, 0, "nothing parked");
         // The honest edge still resolves.
         let (_, lin) = d.apply_hashed(&v0).unwrap();
-        coordinator.record(lin.new, h0, d.to_text());
+        coordinator.record(lin.new, h0, d.to_text(), || None);
         assert!(coordinator.solve(lin.new, 3, fetch).is_ok());
+    }
+
+    #[test]
+    fn rebuild_replays_coefficient_and_structural_edges() {
+        let coordinator = DeltaCoordinator::new(1 << 20);
+        let v0 = special_instance(20, 3);
+        let h0 = instance_hash(&v0);
+        let v0 = Arc::new(v0);
+        let stored = |h: u64| (h == h0).then(|| Arc::clone(&v0));
+        // v0 → v1 (coefficient) → v2 (new constraint) → v3
+        // (coefficient), with only v0 stored and nothing parked.
+        let mut revisions = Vec::new();
+        let mut cur = (*v0).clone();
+        for step in 0..3 {
+            let d = if step == 1 {
+                Delta::single(
+                    instance_hash(&cur),
+                    Edit::AddRow {
+                        row: RowKind::Constraint,
+                        entries: vec![
+                            (mmlp_instance::AgentId::new(1), 0.9),
+                            (mmlp_instance::AgentId::new(6), 1.1),
+                        ],
+                    },
+                )
+            } else {
+                coef_delta(&cur, step, 1.75)
+            };
+            let (next, lin) = d.apply_hashed(&cur).unwrap();
+            coordinator.record(lin.new, lin.base, d.to_text(), || None);
+            revisions.push((lin.new, next.clone()));
+            cur = next;
+        }
+        for (rev, inst) in &revisions {
+            let (got, len) = coordinator.rebuild(*rev, stored).unwrap().unwrap();
+            let text = textfmt::write_instance(inst);
+            assert_eq!(textfmt::write_instance(&got), text);
+            assert_eq!(len, text.len() as u64);
+        }
+        // The root and unknown hashes are not the graph's to rebuild.
+        assert!(coordinator.rebuild(h0, stored).unwrap().is_none());
+        assert!(coordinator.rebuild(0xdead, stored).unwrap().is_none());
+        // A solver parked at the tip, for any `R`, is copied, and
+        // revisions below it still replay from the stored root.
+        let (tip, tip_inst) = &revisions[2];
+        coordinator.solve(*tip, 2, stored).unwrap();
+        let (got, len) = coordinator.rebuild(*tip, |_| None).unwrap().unwrap();
+        let text = textfmt::write_instance(tip_inst);
+        assert_eq!(
+            (textfmt::write_instance(&got), len),
+            (text.clone(), text.len() as u64)
+        );
+        let (mid, mid_inst) = &revisions[1];
+        let (got, _) = coordinator.rebuild(*mid, stored).unwrap().unwrap();
+        assert_eq!(
+            textfmt::write_instance(&got),
+            textfmt::write_instance(mid_inst)
+        );
+        assert!(coordinator.rebuild(*mid, |_| None).unwrap().is_none());
+    }
+
+    #[test]
+    fn the_graph_stays_a_forest_and_keeps_its_roots() {
+        let coordinator = DeltaCoordinator::new(1 << 20);
+        let v0 = special_instance(20, 3);
+        let h0 = instance_hash(&v0);
+        let d = coef_delta(&v0, 0, 2.0);
+        let (v1, lin) = d.apply_hashed(&v0).unwrap();
+        let back = coef_delta(&v1, 0, 0.5);
+        let v0 = Arc::new(v0);
+        // v0 becomes the chain's root, and the graph keeps its instance.
+        assert!(coordinator.record(lin.new, h0, d.to_text(), || Some(Arc::clone(&v0))));
+        // A second edge into v1 is refused, and so is the revert into
+        // the root, which would close a cycle.
+        assert!(!coordinator.record(lin.new, 0xdead, back.to_text(), || None));
+        assert!(!coordinator.record(h0, lin.new, back.to_text(), || None));
+        assert_eq!(coordinator.lineage_len(), 1);
+        // With nothing stored, v1 is rebuilt and booted from the root.
+        assert!(coordinator.knows(lin.new) && coordinator.knows(h0));
+        let (got, _) = coordinator.rebuild(lin.new, |_| None).unwrap().unwrap();
+        assert_eq!(textfmt::write_instance(&got), textfmt::write_instance(&v1));
+        let (body, info) = coordinator.solve(lin.new, 3, |_| None).unwrap();
+        assert_eq!(info.mode, DeltaMode::Booted);
+        assert_eq!(body, execute(Op::Solve, &v1, 3, 1).unwrap());
+    }
+
+    #[test]
+    fn a_restored_cycle_ends_the_walk() {
+        let v0 = special_instance(20, 3);
+        let h0 = instance_hash(&v0);
+        let d = coef_delta(&v0, 0, 2.0);
+        let (v1, lin) = d.apply_hashed(&v0).unwrap();
+        let back = coef_delta(&v1, 0, 0.5);
+        // A store written before edges were kept first can hold a
+        // revert's edge into the root: restored, the two edges cycle.
+        let coordinator = DeltaCoordinator::new(1 << 20);
+        let edge = |base: u64, delta: &Delta| LineageEdge {
+            base,
+            delta_text: delta.to_text(),
+        };
+        let edges = vec![(lin.new, edge(h0, &d)), (h0, edge(lin.new, &back))];
+        assert_eq!(coordinator.restore(edges, |_| None), 2);
+        // Walks end where they come round instead of running to
+        // CHAIN_CAP: no root, so nothing to boot or rebuild from.
+        let err = coordinator.solve(lin.new, 3, |_| None).unwrap_err();
+        assert_eq!(err.0, ErrorCode::NoBase, "{err:?}");
+        assert!(coordinator.rebuild(lin.new, |_| None).unwrap().is_none());
+        // A rebuild stops at the stored revision before it comes round.
+        let v0 = Arc::new(v0);
+        let stored = |h: u64| (h == h0).then(|| Arc::clone(&v0));
+        let (got, _) = coordinator.rebuild(lin.new, stored).unwrap().unwrap();
+        assert_eq!(textfmt::write_instance(&got), textfmt::write_instance(&v1));
     }
 
     #[test]

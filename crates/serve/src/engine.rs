@@ -16,7 +16,7 @@
 //! over real sockets.
 
 use crate::cache::{ShardKey, ShardedLru, SHARDS};
-use crate::delta::{Advanced, DeltaCoordinator, DeltaSolveInfo, InlineDelta};
+use crate::delta::{Advanced, DeltaCoordinator, DeltaSolveInfo, InlineDelta, LineageEdge};
 use crate::protocol::{ErrorCode, Op, LINEAGE_OP_CODE};
 use mmlp_core::safe::safe_solution;
 use mmlp_core::smoothing::SpecialTrace;
@@ -80,6 +80,22 @@ pub enum InlineStart {
     /// The delta was registered like `PUT_DELTA`; serve its new revision
     /// from the cache or [`Engine::solve_delta`].
     Registered(Lineage),
+    /// The delta's base must first be rebuilt from the revision graph:
+    /// register it ([`Engine::register_delta`]) on a pool worker.
+    Rebuild(Delta),
+}
+
+/// Where the event loop finds a revision named by hash
+/// ([`Engine::lookup`]).
+pub enum Lookup {
+    /// The instance store holds it.
+    Stored(Arc<Instance>),
+    /// The revision graph can rebuild it: [`Engine::fetch`] it on a
+    /// pool worker, where the walk and replays run under the request
+    /// timeout rather than on the loop.
+    Rebuild,
+    /// Neither knows it.
+    Missing,
 }
 
 /// What a warm start loaded from the persistent store at boot.
@@ -182,7 +198,9 @@ impl Engine {
             // Lineage records (op namespace 5) rebuild the revision
             // graph in full — they are tiny (one delta text each) and
             // not LRU-budgeted, so a restarted node can replay any
-            // registered chain from segments on demand.
+            // registered chain from segments on demand. A chain's root
+            // comes from the store, else from its instance record.
+            let mut edges = Vec::new();
             for (rkey, _len) in persist.result_records() {
                 if rkey.op != LINEAGE_OP_CODE {
                     continue;
@@ -193,12 +211,19 @@ impl Engine {
                 let Ok(delta) = Delta::parse_text(&text) else {
                     continue; // tolerate a damaged record; chains re-boot
                 };
-                if delta.base == rkey.instance {
-                    continue; // a no-op delta's self-edge would loop the walk
-                }
-                engine.delta.record(rkey.instance, delta.base, text);
-                warm.lineage += 1;
+                let edge = LineageEdge {
+                    base: delta.base,
+                    delta_text: text,
+                };
+                edges.push((rkey.instance, edge));
             }
+            let root = |h: u64| {
+                engine.store.get(&h).or_else(|| {
+                    let inst = persist.get_instance(h).ok().flatten()?;
+                    Some(Arc::new(inst))
+                })
+            };
+            warm.lineage = engine.delta.restore(edges, root) as u64;
         }
         Ok(Engine {
             persist: Some(persist),
@@ -253,14 +278,40 @@ impl Engine {
         Ok(h)
     }
 
-    /// Fetches a previously stored instance by content hash.
+    /// Fetches an instance by content hash: the instance store's entry,
+    /// else a delta revision rebuilt from the lineage graph
+    /// ([`DeltaCoordinator::rebuild`]) and then stored.
     pub fn fetch(&self, hash: u64) -> Result<Arc<Instance>, EngineError> {
-        self.store.get(&hash).ok_or_else(|| {
-            (
-                ErrorCode::NotFound,
-                format!("no instance {} (PUT it first)", hash_hex(hash)),
-            )
-        })
+        self.resolve(hash)?.ok_or_else(|| not_found(hash))
+    }
+
+    /// Where the event loop finds revision `hash`: a store lookup plus,
+    /// on a miss, whether the revision graph knows it. No replay runs.
+    pub fn lookup(&self, hash: u64) -> Lookup {
+        match self.store.get(&hash) {
+            Some(inst) => Lookup::Stored(inst),
+            None if self.delta.knows(hash) => Lookup::Rebuild,
+            None => Lookup::Missing,
+        }
+    }
+
+    /// The instance of revision `hash`: the instance store's entry,
+    /// else a rebuild from the lineage graph
+    /// ([`DeltaCoordinator::rebuild`]), which is checked against the
+    /// hash and then stored at the cost `PUT` charges, so a repeat is a
+    /// store hit. A rebuilt revision is not persisted: its lineage
+    /// record is. `None` when neither knows the hash.
+    fn resolve(&self, hash: u64) -> Result<Option<Arc<Instance>>, EngineError> {
+        if let Some(inst) = self.store.get(&hash) {
+            return Ok(Some(inst));
+        }
+        let Some((inst, cost)) = self.delta.rebuild(hash, |h| self.store.get(&h))? else {
+            return Ok(None);
+        };
+        let inst = Arc::new(inst);
+        // A revision too large for its shard is still served, unstored.
+        self.store.insert(hash, Arc::clone(&inst), cost);
+        Ok(Some(inst))
     }
 
     /// Probes the result cache.
@@ -313,11 +364,12 @@ impl Engine {
         self.register_delta(&parse_delta(text)?)
     }
 
-    /// [`Engine::put_delta`] of a parsed delta. The base comes out of
-    /// the content-addressed store under `delta.base`, so it is not
-    /// re-hashed; the new revision is rendered and hashed once.
-    fn register_delta(&self, delta: &Delta) -> Result<Lineage, EngineError> {
-        let base = self.store.get(&delta.base).ok_or_else(|| {
+    /// [`Engine::put_delta`] of a parsed delta. The base is resolved by
+    /// hash, like [`Engine::fetch`] (a rebuild when it is not stored),
+    /// so it is not re-hashed; the new revision is rendered and hashed
+    /// once, and stored exactly like a `PUT` of its text would be.
+    pub fn register_delta(&self, delta: &Delta) -> Result<Lineage, EngineError> {
+        let base = self.resolve(delta.base)?.ok_or_else(|| {
             (
                 ErrorCode::NoBase,
                 format!(
@@ -336,35 +388,15 @@ impl Engine {
             delta: fnv1a64(canonical_delta.as_bytes()),
             new: fnv1a64(canonical.as_bytes()),
         };
-        self.register_revision(
-            lineage.base,
-            lineage.new,
-            canonical_delta,
-            canonical.len() as u64,
-            move || new_inst,
-        )?;
-        Ok(lineage)
-    }
-
-    /// Stores revision `new` exactly like a `PUT` of its text would (so
-    /// SOLVE/INFO by the new hash work immediately), records the lineage
-    /// edge `base → new`, and persists both. `inst` is only called when
-    /// the store does not hold the revision yet; `cost` is its canonical
-    /// text length. A no-op delta (`new == base`) records no edge: a
-    /// self-edge would send lineage walks round in a circle.
-    fn register_revision(
-        &self,
-        base: u64,
-        new: u64,
-        canonical_delta: String,
-        cost: u64,
-        inst: impl FnOnce() -> Instance,
-    ) -> Result<(), EngineError> {
-        let stored = match self.store.get(&new) {
+        self.record_lineage(lineage.base, lineage.new, canonical_delta, || {
+            Some(Arc::clone(&base))
+        });
+        let stored = match self.store.get(&lineage.new) {
             Some(stored) => stored,
             None => {
-                let stored = Arc::new(inst());
-                if !self.store.insert(new, Arc::clone(&stored), cost) {
+                let cost = canonical.len() as u64;
+                let stored = Arc::new(new_inst);
+                if !self.store.insert(lineage.new, Arc::clone(&stored), cost) {
                     return Err((
                         ErrorCode::BadReq,
                         format!("revision ({cost} bytes) exceeds the store budget"),
@@ -376,8 +408,21 @@ impl Engine {
         if let Some(p) = &self.persist {
             self.note_persist(p.put_instance(&stored));
         }
-        if new == base {
-            return Ok(());
+        Ok(lineage)
+    }
+
+    /// Records the lineage edge `base → new` ([`DeltaCoordinator::record`]:
+    /// `root` gives `base`'s instance when `base` starts a chain) and
+    /// persists it when it was recorded.
+    fn record_lineage(
+        &self,
+        base: u64,
+        new: u64,
+        canonical_delta: String,
+        root: impl FnOnce() -> Option<Arc<Instance>>,
+    ) {
+        if !self.delta.record(new, base, canonical_delta.clone(), root) {
+            return;
         }
         if let Some(p) = &self.persist {
             self.note_persist(p.put_result(
@@ -390,15 +435,14 @@ impl Engine {
                 &canonical_delta,
             ));
         }
-        self.delta.record(new, base, canonical_delta);
-        Ok(())
     }
 
     /// Loop side of `SOLVE_DELTA inline:`. A delta that only sets
     /// constraint coefficients, against a base with a parked solver for
     /// `R`, checks that solver out for
     /// [`Engine::advance_inline`]. Anything else is registered like
-    /// `PUT_DELTA`, and its revision is then served by the cache or
+    /// `PUT_DELTA` — here when its base is stored, else on a worker —
+    /// and its revision is then served by the cache or
     /// [`Engine::solve_delta`].
     pub fn start_inline(&self, text: &str, big_r: usize) -> Result<InlineStart, EngineError> {
         let delta = parse_delta(text)?;
@@ -411,6 +455,9 @@ impl Engine {
                 })));
             }
         }
+        if let Lookup::Rebuild = self.lookup(delta.base) {
+            return Ok(InlineStart::Rebuild(delta));
+        }
         self.register_delta(&delta).map(InlineStart::Registered)
     }
 
@@ -421,29 +468,26 @@ impl Engine {
         self.delta.advance(job)
     }
 
-    /// Loop side, after [`Engine::advance_inline`]: registers the new
-    /// revision from the solver — store entry, lineage edge and
-    /// persistence, the long-lived copies made here rather than on a
-    /// worker — and parks the solver there. Returns the reply's cache
-    /// key, the body and the work done.
-    pub fn commit_inline(
-        &self,
-        adv: Advanced,
-    ) -> Result<(CacheKey, String, DeltaSolveInfo), EngineError> {
+    /// Loop side, after [`Engine::advance_inline`]: records the new
+    /// revision's lineage edge (and persists it) and parks the solver
+    /// there. The revision's instance stays in the solver — nothing is
+    /// copied into the instance store; [`Engine::fetch`] rebuilds it
+    /// when a request names it. Returns the reply's cache key, the body
+    /// and the work done.
+    pub fn commit_inline(&self, adv: Advanced) -> (CacheKey, String, DeltaSolveInfo) {
         let Advanced {
-            parked,
+            mut parked,
             delta,
             new,
             big_r,
             body,
             info,
         } = adv;
-        let cost = parked.canonical_len() as u64;
-        self.register_revision(delta.base, new, delta.to_text(), cost, || {
-            parked.solver().special_form().instance().clone()
-        })?;
+        self.record_lineage(delta.base, new, delta.to_text(), || {
+            parked.take_origin().or_else(|| self.store.get(&delta.base))
+        });
         self.delta.park(parked, big_r);
-        Ok((CacheKey::new(new, Op::SolveDelta, big_r, 1), body, info))
+        (CacheKey::new(new, Op::SolveDelta, big_r, 1), body, info)
     }
 
     /// Parks a checked-out solver back, unchanged (its inline delta
@@ -463,22 +507,24 @@ impl Engine {
         text: &str,
         big_r: usize,
     ) -> Result<(u64, Arc<String>), EngineError> {
-        let (key, body) = match self.start_inline(text, big_r)? {
-            InlineStart::Parked(job) => {
-                let (key, body, _) = self.commit_inline(self.advance_inline(*job)?)?;
-                (key, body)
-            }
-            InlineStart::Registered(lin) => {
-                let key = CacheKey::new(lin.new, Op::SolveDelta, big_r, 1);
-                if let Some(body) = self.cached(&key) {
-                    return Ok((lin.new, body));
-                }
-                (key, self.solve_delta(lin.new, big_r, 1)?.0)
-            }
+        let keep = |key: CacheKey, body: String| {
+            let body = Arc::new(body);
+            self.insert(key, Arc::clone(&body));
+            (key.instance, body)
         };
-        let body = Arc::new(body);
-        self.insert(key, Arc::clone(&body));
-        Ok((key.instance, body))
+        let lin = match self.start_inline(text, big_r)? {
+            InlineStart::Parked(job) => {
+                let (key, body, _) = self.commit_inline(self.advance_inline(*job)?);
+                return Ok(keep(key, body));
+            }
+            InlineStart::Registered(lin) => lin,
+            InlineStart::Rebuild(delta) => self.register_delta(&delta)?,
+        };
+        let key = CacheKey::new(lin.new, Op::SolveDelta, big_r, 1);
+        if let Some(body) = self.cached(&key) {
+            return Ok((lin.new, body));
+        }
+        Ok(keep(key, self.solve_delta(lin.new, big_r, 1)?.0))
     }
 
     /// Incrementally solves a registered revision via the delta
@@ -594,8 +640,17 @@ pub fn write_x_line(out: &mut String, agent: u32, value: f64) {
 }
 
 /// Parses a delta text, mapping failures onto `BADDELTA`.
-fn parse_delta(text: &str) -> Result<Delta, EngineError> {
+pub(crate) fn parse_delta(text: &str) -> Result<Delta, EngineError> {
     Delta::parse_text(text).map_err(|e| (ErrorCode::BadDelta, format!("delta parse: {e}")))
+}
+
+/// The `NOTFOUND` error for a hash neither the store nor the revision
+/// graph knows.
+pub(crate) fn not_found(hash: u64) -> EngineError {
+    (
+        ErrorCode::NotFound,
+        format!("no instance {} (PUT it first)", hash_hex(hash)),
+    )
 }
 
 /// Executes one solver op against an instance and renders the reply
@@ -617,6 +672,8 @@ mod tests {
     use super::*;
     use crate::delta::DeltaMode;
     use mmlp_gen::catalog;
+    use mmlp_instance::delta::{Edit, RowKind};
+    use proptest::prelude::*;
 
     fn inst() -> Instance {
         catalog()
@@ -873,7 +930,7 @@ mod tests {
             let Ok(InlineStart::Parked(job)) = e.start_inline(&text, 3) else {
                 panic!("step {step}: a solver is parked at the base");
             };
-            let (key, body, info) = e.commit_inline(e.advance_inline(*job).unwrap()).unwrap();
+            let (key, body, info) = e.commit_inline(e.advance_inline(*job).unwrap());
             let (next, lin) = delta.apply_hashed(&cur).unwrap();
             assert_eq!(key, CacheKey::new(lin.new, Op::SolveDelta, 3, 1));
             assert_eq!(body, execute(Op::Solve, &next, 3, 1).unwrap());
@@ -969,6 +1026,310 @@ mod tests {
         assert_eq!(after, before);
         assert_eq!(info.replayed, 1, "restart chain is re-derived, not warm");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_root_that_does_not_warm_start_is_read_from_its_record() {
+        let dir = std::env::temp_dir().join(format!(
+            "mmlp-engine-root-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let base = special_inst();
+        let chain = {
+            let (store, _) = Store::open(&dir).unwrap();
+            let e = Engine::with_store(1 << 20, 1 << 20, store).unwrap();
+            e.put(&textfmt::write_instance(&base)).unwrap();
+            inline_chain(&e, &base, 4)
+        };
+        // A store budget too small to load the base: the chain's root
+        // comes from its instance record instead.
+        let (store, _) = Store::open(&dir).unwrap();
+        let e = Engine::with_store(1 << 20, 64, store).unwrap();
+        assert_eq!(e.warm_start().instances, 0);
+        assert_eq!(e.warm_start().lineage, 4);
+        for (rev, inst, body) in &chain {
+            assert_eq!(instance_hash(&e.fetch(*rev).unwrap()), *rev);
+            assert_eq!(e.solve_delta(*rev, 3, 1).unwrap().0, *body);
+            assert_eq!(execute(Op::Solve, inst, 3, 1).unwrap(), *body);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A one-edit delta scaling the first coefficient of constraint
+    /// `row` (mod the row count) by `factor`.
+    fn scale_delta(inst: &Instance, row: usize, factor: f64) -> Delta {
+        let row = (row % inst.n_constraints()) as u32;
+        let e = inst.constraint_row(mmlp_instance::ids::ConstraintId::new(row))[0];
+        Delta::single(
+            instance_hash(inst),
+            Edit::SetCoef {
+                row: RowKind::Constraint,
+                row_id: row,
+                agent: e.agent,
+                coef: e.coef * factor,
+            },
+        )
+    }
+
+    /// Boots a solver at `base` for `R` = 3 and makes `n` inline edits
+    /// from it. Returns each revision's hash, instance and inline body.
+    fn inline_chain(e: &Engine, base: &Instance, n: usize) -> Vec<(u64, Instance, String)> {
+        e.solve_delta(instance_hash(base), 3, 1).unwrap();
+        let mut cur = base.clone();
+        let mut chain = Vec::new();
+        for step in 0..n {
+            let delta = scale_delta(&cur, step, [1.5, 0.7][step % 2]);
+            let (rev, body) = e.solve_delta_inline(&delta.to_text(), 3).unwrap();
+            let next = delta.apply(&cur).unwrap();
+            assert_eq!(rev, instance_hash(&next), "step {step}");
+            chain.push((rev, next.clone(), (*body).clone()));
+            cur = next;
+        }
+        chain
+    }
+
+    #[test]
+    fn inline_revisions_are_rebuilt_when_named_not_stored_per_edit() {
+        let e = Engine::new(1 << 24, 1 << 24);
+        let base = special_inst();
+        let base_len = textfmt::write_instance(&base).len() as u64;
+        e.put(&textfmt::write_instance(&base)).unwrap();
+        let chain = inline_chain(&e, &base, 60);
+        // Each edit's revision lives in the parked solver and the
+        // lineage graph only: the store still holds just the base.
+        assert_eq!(e.store_stats(), (1, base_len));
+        let mut used = base_len;
+        // The tip is copied from the solver parked there; the middle
+        // and first revisions are replayed from the base.
+        for (label, at) in [("tip", 59), ("middle", 30), ("first", 0)] {
+            let (rev, inst, body) = &chain[at];
+            let got = e.fetch(*rev).unwrap();
+            assert_eq!(instance_hash(&got), *rev, "{label}");
+            assert_eq!(execute(Op::Solve, &got, 3, 1).unwrap(), *body, "{label}");
+            // Stored at what `PUT` of its text would charge.
+            used += textfmt::write_instance(inst).len() as u64;
+            assert_eq!(e.store_stats().1, used, "{label}");
+        }
+        assert_eq!(e.store_stats().0, 4, "one entry per rebuilt revision");
+        // A repeat is a store hit.
+        e.fetch(chain[30].0).unwrap();
+        assert_eq!(e.store_stats(), (4, used));
+    }
+
+    #[test]
+    fn a_small_store_keeps_the_chain_root_and_rebuilds_old_revisions() {
+        let base = special_inst();
+        let base_hash = instance_hash(&base);
+        let len = textfmt::write_instance(&base).len() as u64;
+        // About three revisions per store shard. Had every edit stored
+        // its revision, 200 of them would evict the chain's root, and
+        // with it every way back to the early revisions.
+        let e = Engine::new(1 << 20, 3 * len * SHARDS as u64);
+        e.put(&textfmt::write_instance(&base)).unwrap();
+        let chain = inline_chain(&e, &base, 200);
+        assert_eq!(e.delta_stats().0, 200);
+        // Another `R` boots from the root and replays to the middle.
+        let (rev, inst, _) = &chain[100];
+        let (body, info) = e.solve_delta(*rev, 2, 1).unwrap();
+        assert_eq!((info.mode, info.replayed), (DeltaMode::Booted, 101));
+        assert_eq!(body, execute(Op::Solve, inst, 2, 1).unwrap());
+        assert_eq!(instance_hash(&e.fetch(base_hash).unwrap()), base_hash);
+        let (rev, inst, _) = &chain[5];
+        assert_eq!(
+            textfmt::write_instance(&e.fetch(*rev).unwrap()),
+            textfmt::write_instance(inst)
+        );
+    }
+
+    #[test]
+    fn a_tampered_lineage_edge_is_internal_and_stores_nothing() {
+        let e = Engine::new(1 << 20, 1 << 20);
+        let base = special_inst();
+        let h = e.put(&textfmt::write_instance(&base)).unwrap();
+        let before = e.store_stats();
+        // An edge whose key is not the hash its delta produces.
+        let bogus = 0x0123_4567_89ab_cdef;
+        let text = scale_delta(&base, 0, 1.5).to_text();
+        e.delta.record(bogus, h, text, || None);
+        assert_eq!(e.fetch(bogus).unwrap_err().0, ErrorCode::Internal);
+        // An edge whose delta does not apply to its base.
+        let broken = 0x0fed_cba9_8765_4321;
+        let text = format!("mmlpdelta 1\nbase {}\nset c 9999 0:1.5\n", hash_hex(h));
+        e.delta.record(broken, h, text, || None);
+        assert_eq!(e.fetch(broken).unwrap_err().0, ErrorCode::Internal);
+        // A delta against the tampered revision fails the same way.
+        let on_bogus = format!("mmlpdelta 1\nbase {}\nset c 0 0:1.5\n", hash_hex(bogus));
+        assert_eq!(e.put_delta(&on_bogus).unwrap_err().0, ErrorCode::Internal);
+        assert_eq!(e.store_stats(), before);
+    }
+
+    #[test]
+    fn store_churn_between_inline_edits_loses_no_revision() {
+        let base = special_inst();
+        let base_hash = instance_hash(&base);
+        let len = textfmt::write_instance(&base).len() as u64;
+        // About three instances per store shard.
+        let e = Engine::new(1 << 20, 3 * len * SHARDS as u64);
+        let churn = |seeds: std::ops::Range<u64>| {
+            for seed in seeds {
+                let other = catalog()
+                    .iter()
+                    .find(|f| f.name == "special-form")
+                    .unwrap()
+                    .instance(16, 100 + seed);
+                e.put(&textfmt::write_instance(&other)).unwrap();
+            }
+        };
+        e.put(&textfmt::write_instance(&base)).unwrap();
+        e.solve_delta(base_hash, 3, 1).unwrap();
+        // The base leaves the store while its solver waits for an edit.
+        churn(0..200);
+        assert!(!e.store.contains(&base_hash));
+        let mut cur = base.clone();
+        let mut chain = Vec::new();
+        for step in 0..6 {
+            let delta = scale_delta(&cur, step, 1.5);
+            cur = delta.apply(&cur).unwrap();
+            let (rev, _) = e.solve_delta_inline(&delta.to_text(), 3).unwrap();
+            chain.push((rev, cur.clone()));
+            churn(200 + 50 * step as u64..250 + 50 * step as u64);
+        }
+        // The solver moves on (dropped, as a timed-out request drops
+        // it): every revision still resolves from the chain's root.
+        assert!(e.delta.checkout(chain[5].0, 3).is_some());
+        for (rev, inst) in &chain {
+            assert_eq!(
+                textfmt::write_instance(&e.fetch(*rev).unwrap()),
+                textfmt::write_instance(inst)
+            );
+            churn(600..800);
+            let (body, _) = e.solve_delta(*rev, 2, 1).unwrap();
+            assert_eq!(body, execute(Op::Solve, inst, 2, 1).unwrap());
+        }
+        assert_eq!(instance_hash(&e.fetch(base_hash).unwrap()), base_hash);
+        // An edit back to the evicted root adds no edge into it.
+        let back = Delta::single(
+            chain[0].0,
+            scale_delta(&chain[0].1, 0, 1.0 / 1.5).edits[0].clone(),
+        );
+        assert_eq!(e.put_delta(&back.to_text()).unwrap().new, base_hash);
+        assert_eq!(e.delta_stats().0, 6);
+    }
+
+    #[test]
+    fn an_edit_that_reverts_to_an_earlier_revision_closes_no_cycle() {
+        let e = Engine::new(1 << 20, 1 << 20);
+        let a = special_inst();
+        let ha = e.put(&textfmt::write_instance(&a)).unwrap();
+        e.solve_delta(ha, 3, 1).unwrap();
+        let b = scale_delta(&a, 0, 2.0).apply(&a).unwrap();
+        let c = scale_delta(&b, 1, 2.0).apply(&b).unwrap();
+        // a → b → c in place, then back to b and back to a.
+        for (from, row, factor, to) in [
+            (&a, 0, 2.0, &b),
+            (&b, 1, 2.0, &c),
+            (&c, 1, 0.5, &b),
+            (&b, 0, 0.5, &a),
+        ] {
+            let text = scale_delta(from, row, factor).to_text();
+            assert_eq!(e.solve_delta_inline(&text, 3).unwrap().0, instance_hash(to));
+        }
+        assert_eq!(e.delta_stats().0, 2, "the reverts add no edge");
+        // Each revision still resolves, at another `R` and by hash.
+        for inst in [&a, &b, &c] {
+            let h = instance_hash(inst);
+            let (body, _) = e.solve_delta(h, 2, 1).unwrap();
+            assert_eq!(body, execute(Op::Solve, inst, 2, 1).unwrap());
+            assert_eq!(instance_hash(&e.fetch(h).unwrap()), h);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Coordinator resolution against from-scratch solves: random
+        /// inline edits of the latest revision, forks and structural
+        /// edits off random known revisions, and `SOLVE hash:` and
+        /// `SOLVE_DELTA hash:` of random known revisions go through the
+        /// engine beside a reference map from revision to instance.
+        /// Every body equals a from-scratch `SOLVE` of the reference.
+        /// Edits share one `R`, so the latest revision's solver is
+        /// usually parked for it and edits of it take the in-place path.
+        #[test]
+        fn delta_resolution_matches_from_scratch_solves(
+            seed in 0u64..1_000,
+            edit_r in 2usize..4,
+            ops in proptest::collection::vec(
+                (0u8..5, 0usize..1_000, 0usize..1_000, 0usize..4, 2usize..5),
+                30..60,
+            ),
+        ) {
+            let e = Engine::new(1 << 24, 1 << 24);
+            let base = catalog()
+                .iter()
+                .find(|f| f.name == "special-form")
+                .unwrap()
+                .instance(12, seed);
+            let h0 = e.put(&textfmt::write_instance(&base)).unwrap();
+            let mut reference = std::collections::HashMap::from([(h0, base)]);
+            let mut known = vec![h0];
+            let mut latest = h0;
+            for (kind, pick, row, factor, big_r) in ops {
+                let at = known[pick % known.len()];
+                let delta = match kind {
+                    // An edit of the latest revision: the in-place path
+                    // once a solver for this `R` is parked there.
+                    0 | 1 => {
+                        let from = if kind == 0 { latest } else { at };
+                        scale_delta(&reference[&from], row, [0.5, 0.8, 1.25, 2.0][factor])
+                    }
+                    // A new constraint between two agents keeps special
+                    // form and re-solves from scratch.
+                    2 => {
+                        let n = reference[&at].n_agents() as u32;
+                        let a = row as u32 % n;
+                        let b = (a + 1 + pick as u32 % (n - 1)) % n;
+                        Delta::single(
+                            at,
+                            Edit::AddRow {
+                                row: RowKind::Constraint,
+                                entries: vec![
+                                    (mmlp_instance::AgentId::new(a), 0.5 + factor as f64),
+                                    (mmlp_instance::AgentId::new(b), 1.0),
+                                ],
+                            },
+                        )
+                    }
+                    3 => {
+                        let inst = e.fetch(at).unwrap();
+                        prop_assert_eq!(instance_hash(&inst), at);
+                        prop_assert_eq!(
+                            execute(Op::Solve, &inst, big_r, 1).unwrap(),
+                            execute(Op::Solve, &reference[&at], big_r, 1).unwrap()
+                        );
+                        continue;
+                    }
+                    _ => {
+                        let (body, _) = e.solve_delta(at, big_r, 1).unwrap();
+                        prop_assert_eq!(
+                            body,
+                            execute(Op::Solve, &reference[&at], big_r, 1).unwrap()
+                        );
+                        continue;
+                    }
+                };
+                let next = delta.apply(&reference[&delta.base]).unwrap();
+                let (rev, body) = e.solve_delta_inline(&delta.to_text(), edit_r).unwrap();
+                prop_assert_eq!(rev, instance_hash(&next));
+                prop_assert_eq!(body.as_str(), execute(Op::Solve, &next, edit_r, 1).unwrap());
+                if reference.insert(rev, next).is_none() {
+                    known.push(rev);
+                }
+                latest = rev;
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! client may write several commands back-to-back without waiting;
 //! replies are queued per connection and written back strictly in
 //! request order (`specs/PROTOCOL.md`). Cache hits and other cheap
-//! commands complete inline on the event loop; only cold solves (and
+//! commands complete inline on the event loop; only cold solves,
+//! lineage rebuilds of a revision the store does not hold (and
 //! `SLEEP`) consume a worker slot, completing back to their loop via a
 //! completion inbox and an `eventfd` waker.
 //!
@@ -34,11 +35,12 @@
 //! [`ServerSummary`]. In-flight work is never dropped.
 
 use crate::delta::{Advanced, DeltaMode, DeltaSolveInfo, InlineDelta};
-use crate::engine::{self, CacheKey, Engine, EngineError, InlineStart};
+use crate::engine::{self, CacheKey, Engine, EngineError, InlineStart, Lookup};
 use crate::protocol::{
     declared_body, parse_command, parse_trace_line, BodyDecl, Command, ErrorCode, Op, Reply, Source,
 };
 use crate::stats::ServeMetrics;
+use mmlp_instance::delta::{Delta, Lineage};
 use mmlp_instance::hash::hash_hex;
 use mmlp_lab::pool::{Outcome, SubmitError, TaskPool, TaskPoolConfig};
 use mmlp_obs::journal::{EV_BUSY, EV_CACHE, EV_DELTA, EV_SPAN, EV_STORE};
@@ -191,6 +193,9 @@ enum Done {
     /// An inline delta that advanced a parked solver in place: the loop
     /// registers the new revision before the body goes out.
     Advanced(Box<Advanced>),
+    /// A body the worker solved for a revision it registered itself:
+    /// cached under its key like any pooled miss.
+    Solved(CacheKey, String),
 }
 
 /// The shareable half of an event loop: anyone holding it can hand the
@@ -669,7 +674,7 @@ impl EventLoop {
                 // The client left while its inline delta ran: the
                 // revision is still registered and the solver parked,
                 // as if the delta had been `PUT_DELTA`ed first.
-                let _ = self.shared.engine.commit_inline(*adv);
+                self.shared.engine.commit_inline(*adv);
             }
             // else: the connection died while its request ran; the
             // result is dropped, exactly like a thread writing to a
@@ -1025,15 +1030,28 @@ fn execute_command(
         }
         Command::PutDelta { .. } => {
             let body = body.expect("PUT_DELTA body read by the state machine");
-            let reply = match shared.engine.put_delta(&body) {
+            let delta = match engine::parse_delta(&body) {
+                Ok(delta) => delta,
+                Err((code, msg)) => {
+                    return finalize_inline(shared, conn, ctx, Reply::Err(code, msg), false)
+                }
+            };
+            if let Lookup::Rebuild = shared.engine.lookup(delta.base) {
+                // The base is rebuilt from lineage first: on a worker,
+                // with this connection's later commands held until the
+                // new revision is registered, as for an inline delta.
+                let worker_shared = Arc::clone(shared);
+                conn.hold_for = submit_pooled(shared, me, token, conn, ctx, None, move || {
+                    let lin = worker_shared.engine.register_delta(&delta)?;
+                    worker_shared.metrics.delta_puts.inc();
+                    Ok(Done::Body(lineage_reply(&lin)))
+                });
+                return;
+            }
+            let reply = match shared.engine.register_delta(&delta) {
                 Ok(lin) => {
                     shared.metrics.delta_puts.inc();
-                    Reply::Ok(format!(
-                        "base {}\ndelta {}\nnew {}\n",
-                        hash_hex(lin.base),
-                        hash_hex(lin.delta),
-                        hash_hex(lin.new)
-                    ))
+                    Reply::Ok(lineage_reply(&lin))
                 }
                 Err((code, msg)) => Reply::Err(code, msg),
             };
@@ -1043,23 +1061,19 @@ fn execute_command(
             if op == Op::SolveDelta {
                 return solve_delta(shared, me, token, conn, ctx, src, big_r, body);
             }
-            let resolved = match src {
-                Source::Hash(h) => shared.engine.fetch(h).map(|i| (h, i)),
+            let hash = match src {
+                Source::Hash(h) => h,
                 Source::Inline(_) => {
                     // Inline uploads land in the store too, so the
                     // result cache is shared across inline and hash
                     // requests for the same content.
                     let body = body.expect("inline body read by the state machine");
-                    shared
-                        .engine
-                        .put(&body)
-                        .and_then(|h| shared.engine.fetch(h).map(|i| (h, i)))
-                }
-            };
-            let (hash, inst) = match resolved {
-                Ok(v) => v,
-                Err((code, msg)) => {
-                    return finalize_inline(shared, conn, ctx, Reply::Err(code, msg), false)
+                    match shared.engine.put(&body) {
+                        Ok(h) => h,
+                        Err((code, msg)) => {
+                            return finalize_inline(shared, conn, ctx, Reply::Err(code, msg), false)
+                        }
+                    }
                 }
             };
             let key = CacheKey::new(hash, op, big_r, 1);
@@ -1071,14 +1085,29 @@ fn execute_command(
                 shared.metrics.cache_hit(op);
                 return finalize_inline(shared, conn, ctx, Reply::Ok(body.as_ref().clone()), false);
             }
+            // A revision the store does not hold is rebuilt from lineage
+            // on the worker, under the request timeout, before it runs.
+            let stored = match shared.engine.lookup(hash) {
+                Lookup::Stored(inst) => Some(inst),
+                Lookup::Rebuild => None,
+                Lookup::Missing => {
+                    let (code, msg) = engine::not_found(hash);
+                    return finalize_inline(shared, conn, ctx, Reply::Err(code, msg), false);
+                }
+            };
             if let Some(rec) = &ctx.span {
                 rec.add(ROOT_SPAN, "cache:miss", probe, probe.elapsed());
             }
-            let metrics = shared.metrics.clone();
+            let worker_shared = Arc::clone(shared);
             let ring = Arc::clone(&shared.ring);
             let label = format!("{} {} R={big_r}", op.tag(), hash_hex(hash));
             let span_rec = ctx.span.clone();
             submit_pooled(shared, me, token, conn, ctx, Some((key, op)), move || {
+                let inst = match stored {
+                    Some(inst) => inst,
+                    None => worker_shared.engine.fetch(hash)?,
+                };
+                let metrics = &worker_shared.metrics;
                 let (body, phases) = engine::execute_traced(op, &inst, big_r)?;
                 if let Some(t) = phases {
                     metrics.observe_solve(&t);
@@ -1139,6 +1168,9 @@ fn solve_delta(
                     shared.metrics.delta_puts.inc();
                     lin.new
                 }
+                Ok(InlineStart::Rebuild(delta)) => {
+                    return register_pooled(shared, me, token, conn, ctx, delta, big_r)
+                }
                 Err((code, msg)) => {
                     return finalize_inline(shared, conn, ctx, Reply::Err(code, msg), false)
                 }
@@ -1172,6 +1204,47 @@ fn solve_delta(
             Ok(Done::Body(body))
         },
     );
+}
+
+/// `SOLVE_DELTA inline:` of a delta whose base must be rebuilt from
+/// lineage: a pool worker registers it, as `PUT_DELTA` would, then
+/// serves the new revision from the cache or an incremental solve. The
+/// connection's later commands are held until then: they may name the
+/// new revision.
+fn register_pooled(
+    shared: &Arc<Shared>,
+    me: &Arc<LoopHandle>,
+    token: usize,
+    conn: &mut Conn,
+    ctx: RequestCtx,
+    delta: Delta,
+    big_r: usize,
+) {
+    let worker_shared = Arc::clone(shared);
+    let span_rec = ctx.span.clone();
+    conn.hold_for = submit_pooled(shared, me, token, conn, ctx, None, move || {
+        let engine = &worker_shared.engine;
+        let lin = engine.register_delta(&delta)?;
+        worker_shared.metrics.delta_puts.inc();
+        let key = CacheKey::new(lin.new, Op::SolveDelta, big_r, 1);
+        if let Some(body) = engine.cached(&key) {
+            worker_shared.metrics.cache_hit(Op::SolveDelta);
+            return Ok(Done::Body(body.as_ref().clone()));
+        }
+        let (body, info) = engine.solve_delta(lin.new, big_r, 1)?;
+        observe_delta(&worker_shared, span_rec.as_ref(), lin.new, &info);
+        Ok(Done::Solved(key, body))
+    });
+}
+
+/// The `PUT_DELTA` reply body: the content-hashed lineage triple.
+fn lineage_reply(lin: &Lineage) -> String {
+    format!(
+        "base {}\ndelta {}\nnew {}\n",
+        hash_hex(lin.base),
+        hash_hex(lin.delta),
+        hash_hex(lin.new)
+    )
 }
 
 /// The in-place path of `SOLVE_DELTA inline:`: a pool worker applies
@@ -1363,14 +1436,16 @@ fn apply_completion(
     }
     let reply = match outcome {
         Outcome::Done(Ok(Done::Body(body))) => Reply::Ok(body),
-        Outcome::Done(Ok(Done::Advanced(adv))) => match shared.engine.commit_inline(*adv) {
-            Ok((key, body, _)) => {
-                shared.metrics.delta_puts.inc();
-                cache = Some((key, Op::SolveDelta));
-                Reply::Ok(body)
-            }
-            Err((code, msg)) => Reply::Err(code, msg),
-        },
+        Outcome::Done(Ok(Done::Advanced(adv))) => {
+            let (key, body, _) = shared.engine.commit_inline(*adv);
+            shared.metrics.delta_puts.inc();
+            cache = Some((key, Op::SolveDelta));
+            Reply::Ok(body)
+        }
+        Outcome::Done(Ok(Done::Solved(key, body))) => {
+            cache = Some((key, key.op));
+            Reply::Ok(body)
+        }
         Outcome::Done(Err((code, msg))) => Reply::Err(code, msg),
         Outcome::Panicked(msg) => Reply::Err(ErrorCode::Panic, msg),
         Outcome::TimedOut => Reply::Err(

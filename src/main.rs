@@ -36,8 +36,11 @@
 //! Instances use the line-oriented text format of
 //! `mmlp_instance::textfmt` (see `maxmin-lp generate`); campaign specs
 //! use the `mmlp_lab::spec` format. All output goes to stdout; exit
-//! code 0 on success, 2 on usage errors. `solve` and `obs` still accept
-//! `--threads <n>` (`n ≥ 1`) and ignore it: a solve runs on one thread.
+//! code 0 on success, 1 on runtime errors, 2 on usage errors. When the
+//! reader closes stdout early (`| head`), the rest of the output is
+//! dropped and the exit code is still the command's own. `solve` and
+//! `obs` still accept `--threads <n>` (`n ≥ 1`) and ignore it: a solve
+//! runs on one thread.
 
 use maxmin_lp::core::safe::safe_solution;
 use maxmin_lp::core::solver::LocalSolver;
@@ -50,9 +53,46 @@ use maxmin_lp::serve::loadgen::{self, LoadConfig};
 use maxmin_lp::serve::protocol::Op;
 use maxmin_lp::serve::server::{ServeConfig, Server};
 use maxmin_lp::store::{codec, Store};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+
+/// Set once stdout's reader has gone (a write failed with `BrokenPipe`,
+/// as under `| head`): later output is dropped, and the command still
+/// runs on to its verdict.
+static READER_GONE: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout, the one writer all output goes to. A reader that
+/// has gone is not an error (see [`READER_GONE`]); any other write
+/// failure ends the command.
+fn emit(args: std::fmt::Arguments) -> Result<(), UsageError> {
+    if READER_GONE.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    match std::io::stdout().write_fmt(args) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            READER_GONE.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        r => r.map_err(UsageError::Output),
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))?
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -102,8 +142,13 @@ fn main() -> ExitCode {
         return usage();
     };
     match run(cmd, &args[1..]) {
+        // Also when the reader left early: the command itself succeeded.
         Ok(()) => ExitCode::SUCCESS,
         Err(UsageError::Usage) => usage(),
+        Err(UsageError::Output(e)) => {
+            eprintln!("error: stdout: {e}");
+            ExitCode::FAILURE
+        }
         Err(UsageError::Message(m)) => {
             eprintln!("error: {m}");
             ExitCode::FAILURE
@@ -114,6 +159,8 @@ fn main() -> ExitCode {
 enum UsageError {
     Usage,
     Message(String),
+    /// Writing to stdout failed.
+    Output(std::io::Error),
 }
 
 impl From<String> for UsageError {
@@ -156,21 +203,21 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), UsageError> {
                 .solve_traced(&inst)
                 .map_err(|e| format!("{path}: solve: {e}"))?;
             let utility = out.solution.utility(&inst);
-            println!("# local solve R={big_r}");
-            println!("utility {utility}");
-            println!(
+            outln!("# local solve R={big_r}");
+            outln!("utility {utility}");
+            outln!(
                 "guarantee {}",
                 solver.guarantee(stats.delta_i.max(2), stats.delta_k.max(2))
             );
-            println!("optimum_upper_bound {}", out.optimum_upper_bound());
+            outln!("optimum_upper_bound {}", out.optimum_upper_bound());
             for v in inst.agents() {
-                println!("x {} {}", v.raw(), out.solution.value(v));
+                outln!("x {} {}", v.raw(), out.solution.value(v));
             }
             if certify {
                 let opt = solve_maxmin(&inst).map_err(|e| e.to_string())?;
-                println!("# certification");
-                println!("optimum {}", opt.omega);
-                println!("ratio {}", opt.omega / utility);
+                outln!("# certification");
+                outln!("optimum {}", opt.omega);
+                outln!("ratio {}", opt.omega / utility);
             }
             Ok(())
         }
@@ -178,9 +225,9 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), UsageError> {
             let path = rest.first().ok_or(UsageError::Usage)?;
             let inst = load(path)?;
             let opt = solve_maxmin(&inst).map_err(|e| e.to_string())?;
-            println!("optimum {}", opt.omega);
+            outln!("optimum {}", opt.omega);
             for v in inst.agents() {
-                println!("x {} {}", v.raw(), opt.solution.value(v));
+                outln!("x {} {}", v.raw(), opt.solution.value(v));
             }
             Ok(())
         }
@@ -188,9 +235,9 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), UsageError> {
             let path = rest.first().ok_or(UsageError::Usage)?;
             let inst = load(path)?;
             let x = safe_solution(&inst);
-            println!("utility {}", x.utility(&inst));
+            outln!("utility {}", x.utility(&inst));
             for v in inst.agents() {
-                println!("x {} {}", v.raw(), x.value(v));
+                outln!("x {} {}", v.raw(), x.value(v));
             }
             Ok(())
         }
@@ -219,10 +266,10 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), UsageError> {
                 .ok_or_else(|| format!("unknown family '{name}'"))?;
             let text = textfmt::write_instance(&fam.instance(size, seed));
             match out_file {
-                None => print!("{text}"),
+                None => out!("{text}"),
                 Some(path) => {
                     write_atomically(&path, text.as_bytes()).map_err(|e| e.to_string())?;
-                    println!("wrote {}", path.display());
+                    outln!("wrote {}", path.display());
                 }
             }
             Ok(())
@@ -231,22 +278,22 @@ fn run(cmd: &str, rest: &[String]) -> Result<(), UsageError> {
             let path = rest.first().ok_or(UsageError::Usage)?;
             let inst = load(path)?;
             let s = DegreeStats::of(&inst);
-            println!("agents {}", inst.n_agents());
-            println!("constraints {}", inst.n_constraints());
-            println!("objectives {}", inst.n_objectives());
-            println!("delta_i {}", s.delta_i);
-            println!("delta_k {}", s.delta_k);
+            outln!("agents {}", inst.n_agents());
+            outln!("constraints {}", inst.n_constraints());
+            outln!("objectives {}", inst.n_objectives());
+            outln!("delta_i {}", s.delta_i);
+            outln!("delta_k {}", s.delta_k);
             // The paper's optimal local approximation ratio for these
             // degree bounds: any ratio headroom reads directly off
             // `solve`'s ratio vs this line.
             let (di, dk) = (s.delta_i.max(2), s.delta_k.max(2));
-            println!(
+            outln!(
                 "paper_bound {}  # ΔI(1 − 1/ΔK) at ΔI={di}, ΔK={dk}",
                 maxmin_lp::core::ratio::threshold(di, dk)
             );
             match maxmin_lp::instance::validate::check(&inst) {
-                Ok(()) => println!("valid true"),
-                Err(e) => println!("valid false  # {e}"),
+                Ok(()) => outln!("valid true"),
+                Err(e) => outln!("valid false  # {e}"),
             }
             Ok(())
         }
@@ -366,7 +413,7 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
                 errors.join("\n  ")
             )));
         }
-        print!("{body}");
+        out!("{body}");
         return Ok(());
     }
 
@@ -405,16 +452,16 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
             ],
         });
     }
-    println!(
+    outln!(
         "# obs timeline R={big_r} ({} solve(s), slowest {})",
         workloads.len(),
         slowest.min(workloads.len())
     );
-    print!("{}", render_timeline(&ring.slowest(slowest)));
+    out!("{}", render_timeline(&ring.slowest(slowest)));
     let lookups = hits + misses + skips;
-    println!("# memo: {hits} hits / {misses} misses / {skips} skips");
+    outln!("# memo: {hits} hits / {misses} misses / {skips} skips");
     if lookups > 0 {
-        println!(
+        outln!(
             "# memo hit rate {:.1}%",
             100.0 * hits as f64 / lookups as f64
         );
@@ -467,12 +514,12 @@ fn obs_trace_cmd(rest: &[String]) -> Result<(), UsageError> {
                 records.len()
             )
         })?;
-    print!("{}", render_span_tree(&tree));
+    out!("{}", render_span_tree(&tree));
     for r in records
         .iter()
         .filter(|r| r.trace_id == trace_id && r.kind != EV_SPAN)
     {
-        println!("event {}: {}", kind_name(r.kind), r.text);
+        outln!("event {}: {}", kind_name(r.kind), r.text);
     }
     if report.corrupt > 0 || report.torn_files > 0 {
         eprintln!(
@@ -514,19 +561,19 @@ fn obs_journal_cmd(rest: &[String]) -> Result<(), UsageError> {
         let id = format_trace_id(r.trace_id);
         if r.kind == EV_SPAN {
             match SpanTree::parse_text(&r.text) {
-                Ok(t) => println!(
+                Ok(t) => outln!(
                     "span  {id}  {}  total {} ns  ({} span(s))",
                     t.label,
                     t.total_ns,
                     t.spans.len()
                 ),
-                Err(e) => println!("span  {id}  <unparseable: {e}>"),
+                Err(e) => outln!("span  {id}  <unparseable: {e}>"),
             }
         } else {
-            println!("{:<5} {id}  {}", kind_name(r.kind), r.text);
+            outln!("{:<5} {id}  {}", kind_name(r.kind), r.text);
         }
     }
-    println!(
+    outln!(
         "# {} record(s) in {} file(s), {} torn, {} corrupt",
         records.len(),
         report.files,
@@ -570,7 +617,7 @@ fn obs_lint_cmd(rest: &[String]) -> Result<(), UsageError> {
             next.families.len()
         ));
     }
-    println!("{checked}");
+    outln!("{checked}");
     Ok(())
 }
 
@@ -602,7 +649,7 @@ fn obs_slo_cmd(rest: &[String]) -> Result<(), UsageError> {
         UsageError::Message(format!("scrape failed lint:\n  {}", errors.join("\n  ")))
     })?;
     let results = evaluate_slos(&specs, &exp);
-    print!("{}", render_slo_report(&results));
+    out!("{}", render_slo_report(&results));
     let violated = results.iter().filter(|r| !r.ok).count();
     if violated > 0 {
         return Err(UsageError::Message(format!(
@@ -668,8 +715,8 @@ fn serve_cmd(rest: &[String]) -> Result<(), UsageError> {
         }
     }
     let server = Server::bind(cfg.clone()).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
-    println!("listening {}", server.local_addr());
-    println!(
+    outln!("listening {}", server.local_addr());
+    outln!(
         "workers {}  queue {}  cache_mb {}  timeout_ms {}",
         cfg.workers,
         cfg.queue_cap,
@@ -677,27 +724,26 @@ fn serve_cmd(rest: &[String]) -> Result<(), UsageError> {
         cfg.timeout.map_or(0, |d| d.as_millis())
     );
     if let Some(dir) = &cfg.store_dir {
-        println!("store_dir {}", dir.display());
+        outln!("store_dir {}", dir.display());
     }
     if let Some(dir) = &cfg.journal_dir {
-        println!("journal_dir {}", dir.display());
+        outln!("journal_dir {}", dir.display());
     }
-    println!("event_loops {}", cfg.event_loops.max(1));
+    outln!("event_loops {}", cfg.event_loops.max(1));
     // The CI smoke (and any supervisor) waits for the "listening" line.
-    use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let summary = server.run().map_err(|e| e.to_string())?;
-    println!("# shutdown");
-    println!("requests {}", summary.requests);
-    println!("cache_hits {}", summary.cache_hits);
-    println!("cache_misses {}", summary.cache_misses);
-    println!("busy {}", summary.busy);
-    println!("errors {}", summary.errors);
-    println!("timeouts {}", summary.timeouts);
-    println!("connections {}", summary.connections);
+    outln!("# shutdown");
+    outln!("requests {}", summary.requests);
+    outln!("cache_hits {}", summary.cache_hits);
+    outln!("cache_misses {}", summary.cache_misses);
+    outln!("busy {}", summary.busy);
+    outln!("errors {}", summary.errors);
+    outln!("timeouts {}", summary.timeouts);
+    outln!("connections {}", summary.connections);
     if !summary.slowest.is_empty() {
-        println!("# slowest solves");
-        print!("{}", maxmin_lp::obs::render_timeline(&summary.slowest));
+        outln!("# slowest solves");
+        out!("{}", maxmin_lp::obs::render_timeline(&summary.slowest));
     }
     Ok(())
 }
@@ -790,7 +836,7 @@ fn loadgen_cmd(rest: &[String]) -> Result<(), UsageError> {
     cfg.instance_text =
         std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let report = loadgen::run_loadgen(&cfg).map_err(UsageError::Message)?;
-    print!("{}", loadgen::render_report(&cfg, &report));
+    out!("{}", loadgen::render_report(&cfg, &report));
     // Any unserved request fails the run: hard errors, but also
     // requests dropped after exhausting their BUSY retries — CI's
     // zero-error gate must not mistake a saturated run for a clean one.
@@ -853,14 +899,14 @@ fn campaign_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
                 journal_dir,
             };
             let summary = campaign::run_campaign(&spec, &dir, &opts).map_err(|e| e.to_string())?;
-            println!("# campaign run {}", dir.display());
-            println!("total {}", summary.total);
-            println!("skipped {}", summary.skipped);
-            println!("executed {}", summary.executed);
-            println!("ok {}", summary.ok);
-            println!("errors {}", summary.errors);
-            println!("panics {}", summary.panics);
-            println!("timeouts {}", summary.timeouts);
+            outln!("# campaign run {}", dir.display());
+            outln!("total {}", summary.total);
+            outln!("skipped {}", summary.skipped);
+            outln!("executed {}", summary.executed);
+            outln!("ok {}", summary.ok);
+            outln!("errors {}", summary.errors);
+            outln!("panics {}", summary.panics);
+            outln!("timeouts {}", summary.timeouts);
             if summary.errors + summary.panics + summary.timeouts > 0 {
                 return Err(UsageError::Message(format!(
                     "{} of {} executed jobs failed (see {})",
@@ -888,11 +934,11 @@ fn campaign_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
                     dir.join(campaign::RESULTS_FILE).display()
                 )));
             }
-            print!("{}", report::render_report(&records));
+            out!("{}", report::render_report(&records));
             if csv {
                 let written = report::write_csv_files(&records, dir).map_err(|e| e.to_string())?;
                 for p in written {
-                    println!("csv {}", p.display());
+                    outln!("csv {}", p.display());
                 }
             }
             if !report::violations(&records).is_empty() {
@@ -923,18 +969,19 @@ fn campaign_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
             let (store, open) = Store::open(&store_dir).map_err(|e| e.to_string())?;
             let summary = maxmin_lp::lab::spill::spill_records(&records, &store)
                 .map_err(|e| e.to_string())?;
-            println!("# spill {} -> {}", dir, store_dir.display());
-            println!("records {}", records.len());
-            println!("instances_put {}", summary.instances);
-            println!("results_put {}", summary.results);
-            println!("skipped {}", summary.skipped);
+            outln!("# spill {} -> {}", dir, store_dir.display());
+            outln!("records {}", records.len());
+            outln!("instances_put {}", summary.instances);
+            outln!("results_put {}", summary.results);
+            outln!("skipped {}", summary.skipped);
             let (live_inst, live_res) = store.counts();
-            println!("store_instances {live_inst}");
-            println!("store_results {live_res}");
+            outln!("store_instances {live_inst}");
+            outln!("store_results {live_res}");
             if open.corrupt > 0 || open.torn_bytes > 0 {
-                println!(
+                outln!(
                     "# store open repaired: corrupt {} torn_bytes {}",
-                    open.corrupt, open.torn_bytes
+                    open.corrupt,
+                    open.torn_bytes
                 );
             }
             Ok(())
@@ -943,16 +990,16 @@ fn campaign_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
             let dir = rest.first().ok_or(UsageError::Usage)?;
             let st = campaign::status(Path::new(dir)).map_err(|e| e.to_string())?;
             if !st.name.is_empty() {
-                println!("name {}", st.name);
+                outln!("name {}", st.name);
             }
-            println!("total {}", st.total);
-            println!("completed {}", st.completed);
-            println!("failed {}", st.failed);
-            println!("pending {}", st.pending);
+            outln!("total {}", st.total);
+            outln!("completed {}", st.completed);
+            outln!("failed {}", st.failed);
+            outln!("pending {}", st.pending);
             if st.stale_records > 0 {
-                println!("stale_records {}", st.stale_records);
+                outln!("stale_records {}", st.stale_records);
             }
-            println!("complete {}", st.is_complete());
+            outln!("complete {}", st.is_complete());
             Ok(())
         }
         _ => Err(UsageError::Usage),
@@ -1013,7 +1060,7 @@ fn store_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
                         let h = store
                             .put_instance(&fam.instance(size, seed))
                             .map_err(|e| e.to_string())?;
-                        println!("imported {} {}", hash_hex(h), fam.name);
+                        outln!("imported {} {}", hash_hex(h), fam.name);
                         imported += 1;
                     }
                 }
@@ -1021,16 +1068,16 @@ fn store_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
                     for path in &rest[1..] {
                         let inst = load_any(path)?;
                         let h = store.put_instance(&inst).map_err(|e| e.to_string())?;
-                        println!("imported {} {path}", hash_hex(h));
+                        outln!("imported {} {path}", hash_hex(h));
                         imported += 1;
                     }
                 }
                 None => return Err(UsageError::Usage),
             }
             let (instances, results) = store.counts();
-            println!("imported_total {imported}");
-            println!("store_instances {instances}");
-            println!("store_results {results}");
+            outln!("imported_total {imported}");
+            outln!("store_instances {instances}");
+            outln!("store_results {results}");
             Ok(())
         }
         // export <dir> <hash> [--out <file>] — text to stdout, or to a
@@ -1055,7 +1102,7 @@ fn store_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
                 .map_err(|e| e.to_string())?
                 .ok_or_else(|| format!("no instance {} in {dir}", hash_hex(hash)))?;
             match out_file {
-                None => print!("{}", textfmt::write_instance(&inst)),
+                None => out!("{}", textfmt::write_instance(&inst)),
                 Some(path) => {
                     let bytes = if path.extension().is_some_and(|e| e == "mmlpb") {
                         codec::encode_instance(&inst)
@@ -1063,7 +1110,7 @@ fn store_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
                         textfmt::write_instance(&inst).into_bytes()
                     };
                     write_atomically(&path, &bytes).map_err(|e| e.to_string())?;
-                    println!("wrote {}", path.display());
+                    outln!("wrote {}", path.display());
                 }
             }
             Ok(())
@@ -1082,7 +1129,7 @@ fn store_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
                 textfmt::write_instance(&inst).into_bytes()
             };
             write_atomically(output, &bytes).map_err(|e| e.to_string())?;
-            println!("wrote {} ({} bytes)", output.display(), bytes.len());
+            outln!("wrote {} ({} bytes)", output.display(), bytes.len());
             Ok(())
         }
         "ls" => {
@@ -1096,7 +1143,7 @@ fn store_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
                     .get_instance(h)
                     .map_err(|e| e.to_string())?
                     .ok_or_else(|| format!("index lied about {}", hash_hex(h)))?;
-                println!(
+                outln!(
                     "instance {} agents {} constraints {} objectives {}",
                     hash_hex(h),
                     inst.n_agents(),
@@ -1107,7 +1154,7 @@ fn store_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
             // Lengths come off the in-memory index (framed on-disk
             // bytes): listing a large store does no record I/O.
             for (k, disk_len) in store.result_records() {
-                println!(
+                outln!(
                     "result {} {} R={} threads={} bytes {}",
                     hash_hex(k.instance),
                     op_name(k.op),
@@ -1117,7 +1164,7 @@ fn store_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
                 );
             }
             let (instances, results) = store.counts();
-            println!("total instances {instances} results {results}");
+            outln!("total instances {instances} results {results}");
             Ok(())
         }
         "gc" => {
@@ -1127,8 +1174,8 @@ fn store_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
             }
             let (store, _) = Store::open(dir).map_err(|e| e.to_string())?;
             let gc = store.gc().map_err(|e| e.to_string())?;
-            println!("records_kept {}", gc.records_kept);
-            println!("bytes_reclaimed {}", gc.bytes_reclaimed);
+            outln!("records_kept {}", gc.records_kept);
+            outln!("bytes_reclaimed {}", gc.bytes_reclaimed);
             Ok(())
         }
         // verify prints the sweep report and exits non-zero on any
@@ -1140,7 +1187,7 @@ fn store_cmd(sub: &str, rest: &[String]) -> Result<(), UsageError> {
             }
             let (store, _) = Store::open(dir).map_err(|e| e.to_string())?;
             let v = store.verify().map_err(|e| e.to_string())?;
-            print!("{}", v.render());
+            out!("{}", v.render());
             if !v.clean() {
                 return Err(UsageError::Message(format!(
                     "store {dir} has damage: {} corrupt record(s), {} torn segment(s)",

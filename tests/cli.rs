@@ -208,3 +208,58 @@ fn every_catalog_family_generates_via_cli() {
         assert!(inst.n_agents() > 0);
     }
 }
+
+#[test]
+fn a_reader_closing_stdout_early_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // About 320 KB: more than a pipe holds, so the writer is still
+    // writing when the reader goes away, as under `| head -1`.
+    let mut child = bin()
+        .args(["generate", "bandwidth", "4000", "7"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert_eq!(first, "maxminlp 1\n");
+    // The reader is dropped here, closing the pipe.
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "exit {:?}", out.status.code());
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+}
+
+#[test]
+fn a_command_whose_reader_left_still_exits_with_its_verdict() {
+    let dir = std::env::temp_dir().join(format!("mmlp-cli-verdict-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    run_ok(&["store", "import", d, "--catalog", "8", "1"], None);
+    // Damage the last record of the largest segment: `store verify`
+    // prints its report, then fails on the checksum mismatch.
+    let seg = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "seg"))
+        .max_by_key(|p| std::fs::metadata(p).unwrap().len())
+        .unwrap();
+    let mut bytes = std::fs::read(&seg).unwrap();
+    *bytes.last_mut().unwrap() ^= 0xff;
+    std::fs::write(&seg, bytes).unwrap();
+    // A pipe whose reader has already gone: every write to stdout
+    // fails with `BrokenPipe`, as once `| grep -q` has matched.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = bin()
+        .args(["store", "verify", d])
+        .stdout(writer)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("has damage"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

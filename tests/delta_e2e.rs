@@ -523,3 +523,196 @@ fn pipelined_inline_deltas_take_effect_in_order() {
     c.shutdown().unwrap();
     assert_eq!(handle.join().unwrap().errors, 1, "the one bad edit");
 }
+
+#[test]
+fn named_inline_revisions_are_rebuilt_from_lineage() {
+    let dir = std::env::temp_dir().join(format!(
+        "mmlp-delta-rebuild-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_cfg = || ServeConfig {
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let hex = |inst: &Instance| maxmin_lp::instance::hash::hash_hex(instance_hash(inst));
+    // `SOLVE inline:` of a revision's own text is the reference reply;
+    // where that would be a cache hit on the reply under test, so is a
+    // from-scratch solve in this process.
+    let scratch =
+        |inst: &Instance| maxmin_lp::serve::engine::execute(Op::Solve, inst, 3, 1).unwrap();
+    let solve_text = |c: &mut Client, inst: &Instance| {
+        c.run_inline(Op::Solve, &textfmt::write_instance(inst), 3)
+            .unwrap()
+            .into_ok()
+            .unwrap()
+    };
+    let solve_hash = |c: &mut Client, inst: &Instance| {
+        c.run_hash(Op::Solve, &hex(inst), 3)
+            .unwrap()
+            .into_ok()
+            .unwrap()
+    };
+    let store_entries = |c: &mut Client| stat(&c.stats().unwrap(), "store_entries");
+
+    let (addr, handle) = spawn_server(store_cfg());
+    let mut c = Client::connect(&addr).unwrap();
+    let base = base_instance();
+    let base_hex = c.put(&textfmt::write_instance(&base)).unwrap().unwrap();
+    c.solve_delta_hash(&base_hex, 3).unwrap().into_ok().unwrap();
+    let mut revisions = vec![base.clone()];
+    for (i, factor) in [1.5, 0.5, 2.0, 0.8, 1.25, 0.6].into_iter().enumerate() {
+        let delta = bump(revisions.last().unwrap(), i as u32, factor);
+        c.solve_delta_inline(&delta.to_text(), 3)
+            .unwrap()
+            .into_ok()
+            .unwrap();
+        revisions.push(delta.apply(revisions.last().unwrap()).unwrap());
+    }
+    // The revisions live in the parked solver and the lineage graph,
+    // not in the instance store.
+    assert_eq!(store_entries(&mut c), 1, "only the PUT base");
+
+    // Revision 2, long after the solver moved on: rebuilt from the
+    // base and stored once.
+    let rev2 = solve_hash(&mut c, &revisions[2]);
+    assert_eq!(store_entries(&mut c), 2, "one entry per rebuilt revision");
+    // A fork off revision 2 with no PUT_DELTA of it first, and one off
+    // revision 1, which neither the store nor a parked solver holds.
+    let mut forks = Vec::new();
+    for (from, row) in [(2, 7), (1, 5)] {
+        let fork = bump(&revisions[from], row, 3.0);
+        let body = c
+            .solve_delta_inline(&fork.to_text(), 3)
+            .unwrap()
+            .into_ok()
+            .unwrap();
+        forks.push((fork.apply(&revisions[from]).unwrap(), body));
+    }
+    // Revision 2 again is a store hit; the fork off revision 1 rebuilt
+    // that revision and stored the fork's own, as PUT_DELTA does.
+    solve_hash(&mut c, &revisions[2]);
+    assert_eq!(store_entries(&mut c), 5, "{:?}", c.stats().unwrap());
+    assert_eq!(rev2, scratch(&revisions[2]));
+    assert_eq!(
+        rev2.as_bytes(),
+        solve_text(&mut c, &revisions[2]).as_bytes()
+    );
+    for (i, (forked, body)) in forks.iter().enumerate() {
+        assert_eq!(
+            body.as_bytes(),
+            solve_text(&mut c, forked).as_bytes(),
+            "fork {i}"
+        );
+    }
+    c.shutdown().unwrap();
+    assert_eq!(handle.join().unwrap().errors, 0);
+
+    // A restart on the same store: revision 3 was never stored, so it
+    // is rebuilt from the persisted base and lineage records.
+    let (addr, handle) = spawn_server(store_cfg());
+    let mut c = Client::connect(&addr).unwrap();
+    let before = store_entries(&mut c);
+    let rev3 = solve_hash(&mut c, &revisions[3]);
+    assert_eq!(store_entries(&mut c), before + 1);
+    assert_eq!(rev3, scratch(&revisions[3]));
+    assert_eq!(
+        rev3.as_bytes(),
+        solve_text(&mut c, &revisions[3]).as_bytes()
+    );
+    c.shutdown().unwrap();
+    assert_eq!(handle.join().unwrap().errors, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn store_churn_between_inline_edits_loses_no_revision() {
+    let base = base_instance();
+    let len = textfmt::write_instance(&base).len() as u64;
+    let shards = maxmin_lp::serve::cache::SHARDS as u64;
+    // About three instances per store shard, so other clients' PUTs
+    // evict the chain's base while its solver waits for edits.
+    let (addr, handle) = spawn_server(ServeConfig {
+        store_bytes: 3 * len * shards,
+        ..ServeConfig::default()
+    });
+    let hex = |inst: &Instance| maxmin_lp::instance::hash::hash_hex(instance_hash(inst));
+    let scratch = |inst: &Instance, big_r: usize| {
+        maxmin_lp::serve::engine::execute(Op::Solve, inst, big_r, 1).unwrap()
+    };
+    let mut churner = Client::connect(&addr).unwrap();
+    let mut next_seed = 100;
+    let mut churn = |n: u64| {
+        let fam = maxmin_lp::gen::catalog();
+        let fam = fam.iter().find(|f| f.name == "special-form").unwrap();
+        for _ in 0..n {
+            let other = textfmt::write_instance(&fam.instance(18, next_seed));
+            churner.put(&other).unwrap().unwrap();
+            next_seed += 1;
+        }
+    };
+
+    let mut c = Client::connect(&addr).unwrap();
+    let base_hex = c.put(&textfmt::write_instance(&base)).unwrap().unwrap();
+    c.solve_delta_hash(&base_hex, 3).unwrap().into_ok().unwrap();
+    churn(120);
+    let mut revisions = vec![base.clone()];
+    for (i, factor) in [1.5, 0.5, 2.0, 0.8, 1.25, 0.6].into_iter().enumerate() {
+        let delta = bump(revisions.last().unwrap(), i as u32, factor);
+        c.solve_delta_inline(&delta.to_text(), 3)
+            .unwrap()
+            .into_ok()
+            .unwrap();
+        revisions.push(delta.apply(revisions.last().unwrap()).unwrap());
+        churn(40);
+    }
+    // Revision 2 by hash, at R 3 and under SOLVE_DELTA at R 2; a fork
+    // off revision 4; and the base itself: each is served from the
+    // chain's root, which the revision graph keeps.
+    let rev2 = c
+        .run_hash(Op::Solve, &hex(&revisions[2]), 3)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(rev2, scratch(&revisions[2], 3));
+    churn(40);
+    let rev3 = c
+        .solve_delta_hash(&hex(&revisions[3]), 2)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(rev3, scratch(&revisions[3], 2));
+    let fork = bump(&revisions[4], 9, 3.0);
+    let body = c
+        .solve_delta_inline(&fork.to_text(), 3)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(body, scratch(&fork.apply(&revisions[4]).unwrap(), 3));
+    let again = c
+        .run_hash(Op::Solve, &base_hex, 2)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(again, scratch(&base, 2));
+    // A PUT_DELTA off revision 5 rebuilds its base on a worker; the
+    // SOLVE pipelined behind it waits for the new revision.
+    let put = bump(&revisions[5], 3, 0.9);
+    let forked = put.apply(&revisions[5]).unwrap();
+    let text = put.to_text();
+    let mut p = PipelinedClient::connect(&addr).unwrap();
+    p.send(&format!("PUT_DELTA {}", text.len()), Some(text.as_bytes()))
+        .unwrap();
+    p.send_run_hash(Op::Solve, &hex(&forked), 3).unwrap();
+    p.flush().unwrap();
+    let lineage = p.recv().unwrap().into_ok().unwrap();
+    assert!(
+        lineage.contains(&format!("new {}", hex(&forked))),
+        "{lineage}"
+    );
+    let body = p.recv().unwrap().into_ok().unwrap();
+    assert_eq!(body, scratch(&forked, 3));
+    c.shutdown().unwrap();
+    assert_eq!(handle.join().unwrap().errors, 0);
+}
