@@ -2,7 +2,7 @@
 //! one, on the same workload as the `distributed-solve` suite.
 //!
 //! The traced path takes four monotonic timestamps per solve and
-//! aggregates the per-worker memo/chunk counters; the overhead contract
+//! copies the `t` batch's probe count; the overhead contract
 //! (`specs/OBSERVABILITY.md`) says that costs ≤ 3% end to end, and the
 //! `trajectory_gate` enforces both `obs-overhead/traced/R` and
 //! `obs-overhead/journaled/R` ≤ 1.03 × `obs-overhead/plain/R` over

@@ -3,9 +3,10 @@
 //!
 //! * **gather** — interned-id view gathering (`gather_views_flat`) at
 //!   increasing horizons,
-//! * **eval** — per-agent `t_u` evaluated memoised over the arena
-//!   (`t_from_arena`) against the centralized `TreeBound::t_bisect`,
-//!   the same bisection, over every agent,
+//! * **eval** — per-agent `t_u` by the replayed search `TreeBound::t`
+//!   over the gathered arena (`ArenaTree`, memoised per interned
+//!   subtree) against the same search over the special form, over
+//!   every agent,
 //! * **distributed-solve** — the end-to-end flat `solve_special_flat`
 //!   against the centralized `smoothing::solve_special`.
 //!
@@ -14,7 +15,7 @@
 //! the same run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mmlp_core::distributed::{solve_special_flat, t_from_arena, FlatScratch};
+use mmlp_core::distributed::{solve_special_flat, ArenaTree};
 use mmlp_core::smoothing::solve_special;
 use mmlp_core::tree_bound::{Scratch, TreeBound};
 use mmlp_core::SpecialForm;
@@ -60,15 +61,17 @@ fn bench_eval(c: &mut Criterion) {
             let mut sc = Scratch::default();
             b.iter(|| {
                 for v in sf.instance().agents() {
-                    std::hint::black_box(tb.t_bisect(v, &mut sc));
+                    std::hint::black_box(tb.t(v, &mut sc));
                 }
             })
         });
-        group.bench_with_input(BenchmarkId::new("memoized", big_r), &big_r, |b, &r| {
-            let mut sc = FlatScratch::default();
+        let tree = ArenaTree::new(&flat.arena);
+        let tb = TreeBound::new(&tree, big_r);
+        group.bench_with_input(BenchmarkId::new("memoized", big_r), &big_r, |b, _| {
+            let mut sc = Scratch::default();
             b.iter(|| {
-                for v in 0..n {
-                    std::hint::black_box(t_from_arena(&flat.arena, flat.roots[v], r, &mut sc));
+                for &root in &flat.roots[..n] {
+                    std::hint::black_box(tb.t(root, &mut sc));
                 }
             })
         });

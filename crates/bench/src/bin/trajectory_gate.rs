@@ -9,10 +9,10 @@
 //! `BENCH_core.json`:
 //!
 //! 2. `view-eval-t/memoized/R` ≤ 5 × `view-eval-t/central/R` at
-//!    R ∈ {3, 4} — `t_u` evaluated over the gathered views, memoised
-//!    per shared subtree, stays within a small factor of the
-//!    centralized `TreeBound::t_bisect` over the same agents, measured
-//!    in the same run;
+//!    R ∈ {3, 4} — the `t_u` replay (`TreeBound::t`) over the gathered
+//!    views, memoised per shared subtree, stays within a small factor
+//!    of the centralized replay over the special form's same agents,
+//!    measured in the same run;
 //! 3. `distributed-solve/flat/R` ≤ 32 × `distributed-solve/central/R`
 //!    at R ∈ {3, 4} — the whole flat network simulation (gather, `t`
 //!    batch, flood, `g±`) stays within a fixed factor of the

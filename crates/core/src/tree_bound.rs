@@ -51,9 +51,17 @@
 //! infinite tree when `G` has cycles), the value `f±_{u,v,d}` depends
 //! only on `(v, d)` and the recursion direction — a node's children in
 //! `A_u` are determined by its agent and role, never by the walk history.
-//! The evaluation therefore memoises on `(v, d)` and runs on the folded
-//! graph `G` directly, in dense per-agent, per-level tables (see
-//! [`Scratch`]).
+//! The evaluation therefore memoises on `(v, d)` in dense per-row,
+//! per-level tables (see [`Scratch`]).
+//!
+//! The walks read a node only through [`AltTree`], so one evaluator
+//! serves two node sets: the folded graph `G` itself ([`SpecialForm`],
+//! whose nodes are agents; the solvers run this one), and a gathered
+//! radius-`(4r+2)` view arena
+//! ([`ArenaTree`](crate::distributed::ArenaTree), whose nodes are
+//! interned view ids; the message-passing simulation runs that one).
+//! Both present the same operands in the same order, so they return the
+//! same bits in the same probes.
 
 use crate::special::SpecialForm;
 use mmlp_instance::{AgentId, Instance, InstanceBuilder};
@@ -66,10 +74,66 @@ pub const BISECT_REL_TOL: f64 = 1e-12;
 /// it falls back to replaying the bisection on its bracket so far.
 const NEWTON_STEPS: u32 = 16;
 
+/// What the recursions (5)–(7) read at a node of an alternating tree.
+///
+/// A node is an agent in a role: entered from its objective (a
+/// down-agent, whose constraints lie below it) or from a constraint (an
+/// up-agent, whose objective lies below it). Every iterator yields in
+/// the order of the node's ports, which fixes the order of each sum and
+/// minimum.
+pub trait AltTree {
+    /// A node of the tree.
+    type Node: Copy;
+    /// Memo rows [`Scratch`] lays out for this tree.
+    fn n_rows(&self) -> usize;
+    /// The memo row of `v`, below [`AltTree::n_rows`]; the walks memoise
+    /// `f±_{u,v,d}` at `(row(v), d)`.
+    fn row(&self, v: Self::Node) -> usize;
+    /// `min_i 1/a_iv` over the constraints of `v`.
+    fn cap(&self, v: Self::Node) -> f64;
+    /// `N(v)`: the other agents of `v`'s objective, in objective-row
+    /// order.
+    fn others(&self, v: Self::Node) -> impl Iterator<Item = Self::Node> + '_;
+    /// `(n(v,i), a_iv, a_{i,n(v,i)})` for each constraint `i` of `v`.
+    fn cons(&self, v: Self::Node) -> impl Iterator<Item = (Self::Node, f64, f64)> + '_;
+}
+
+/// The folded graph: nodes are agents, one memo row each.
+impl AltTree for SpecialForm {
+    type Node = AgentId;
+
+    fn n_rows(&self) -> usize {
+        self.n_agents()
+    }
+
+    #[inline]
+    fn row(&self, v: AgentId) -> usize {
+        v.idx()
+    }
+
+    #[inline]
+    fn cap(&self, v: AgentId) -> f64 {
+        SpecialForm::cap(self, v)
+    }
+
+    #[inline]
+    fn others(&self, v: AgentId) -> impl Iterator<Item = AgentId> + '_ {
+        SpecialForm::others(self, v)
+    }
+
+    #[inline]
+    fn cons(&self, v: AgentId) -> impl Iterator<Item = (AgentId, f64, f64)> + '_ {
+        SpecialForm::cons(self, v)
+            .iter()
+            .map(|cv| (cv.partner, cv.a_own, cv.a_partner))
+    }
+}
+
 /// Evaluator of the `f±` recursions and the bound `t_u` for a fixed
-/// locality parameter `R` (the paper's `R ≥ 2`; `r = R − 2`).
-pub struct TreeBound<'a> {
-    sf: &'a SpecialForm,
+/// locality parameter `R` (the paper's `R ≥ 2`; `r = R − 2`), over any
+/// [`AltTree`].
+pub struct TreeBound<'a, T: AltTree = SpecialForm> {
+    tree: &'a T,
     r: u32,
 }
 
@@ -84,20 +148,22 @@ struct Slot {
 /// Reusable memo tables for the `(u, ω)` evaluations of a [`TreeBound`].
 ///
 /// `f±_{u,v,d}` depends only on `(v, d)`, so each table is **dense**:
-/// one slot per agent and level, at index `v·(r+1) + d`. The tables are
-/// laid out once per `(n_agents, r)` and reused across roots, ω probes
-/// and instances of the same shape; starting a probe is a generation
-/// bump (the `distributed::FlatScratch` pattern), so the hot loop does
-/// no hashing and no table wipes. A margin walk also stores each slot's
-/// slope `d f±/dω` at the same index, live under the slot's stamp.
+/// one slot per memo row ([`AltTree::row`]) and level, at index
+/// `row·(r+1) + d`. The tables are laid out once per `(rows, r)` and
+/// reused across roots, ω probes and trees of the same shape; starting
+/// a probe is a generation bump, so the hot loop does no hashing and no
+/// table wipes. A margin walk also stores each slot's slope `d f±/dω`
+/// at the same index, live under the slot's stamp.
 #[derive(Default)]
 pub struct Scratch {
-    /// Agents the tables are laid out for.
+    /// Rows the tables are laid out for.
     n: usize,
-    /// Levels per agent (`r + 1`); the slot stride.
+    /// Levels per row (`r + 1`); the slot stride.
     levels: usize,
     /// Current probe generation; slots are live iff stamped with it.
     gen: u32,
+    /// ω probes started over this scratch's lifetime.
+    probes: u64,
     fp: Vec<Slot>,
     fm: Vec<Slot>,
     dfp: Vec<f64>,
@@ -105,7 +171,7 @@ pub struct Scratch {
 }
 
 impl Scratch {
-    /// Lays the tables out for `n` agents × `levels` levels (no-op when
+    /// Lays the tables out for `n` rows × `levels` levels (no-op when
     /// already laid out so). Fresh slots carry generation 0, which is
     /// stale by construction: [`Scratch::clear`] always bumps past it.
     fn prepare(&mut self, n: usize, levels: usize) {
@@ -142,21 +208,28 @@ impl Scratch {
             self.gen = 0;
         }
         self.gen += 1;
+        self.probes += 1;
     }
 
-    /// Memo slot of `(v, d)`.
+    /// ω probes (walks of the recursions from a root) this scratch has
+    /// started: plain and margin walks alike.
+    pub fn probes(&self) -> u64 {
+        self.probes
+    }
+
+    /// Memo slot of `(row, d)`.
     #[inline]
-    fn slot(&self, v: u32, d: u32) -> usize {
-        v as usize * self.levels + d as usize
+    fn slot(&self, row: usize, d: u32) -> usize {
+        row * self.levels + d as usize
     }
 }
 
-impl<'a> TreeBound<'a> {
+impl<'a, T: AltTree> TreeBound<'a, T> {
     /// Creates the evaluator; `big_r` is the paper's `R ≥ 2`.
-    pub fn new(sf: &'a SpecialForm, big_r: usize) -> Self {
+    pub fn new(tree: &'a T, big_r: usize) -> Self {
         assert!(big_r >= 2, "the paper requires R ≥ 2");
         TreeBound {
-            sf,
+            tree,
             r: (big_r - 2) as u32,
         }
     }
@@ -168,15 +241,14 @@ impl<'a> TreeBound<'a> {
 
     /// `f⁺_{u,v,d}(ω)` for a down-type agent `v` (level `4(r−d)+1`).
     /// `None` when a negative `f⁺` was encountered (condition (8) fails).
-    fn f_plus(&self, v: u32, d: u32, omega: f64, sc: &mut Scratch) -> Option<f64> {
-        let agent = AgentId::new(v);
+    fn f_plus(&self, v: T::Node, d: u32, omega: f64, sc: &mut Scratch) -> Option<f64> {
         if d == 0 {
             // (5): the deepest agents take the largest single-constraint-
             // feasible value — ω-independent, so it bypasses the memo.
-            let val = self.sf.cap(agent);
+            let val = self.tree.cap(v);
             return if val < 0.0 { None } else { Some(val) };
         }
-        let slot = sc.slot(v, d);
+        let slot = sc.slot(self.tree.row(v), d);
         let Slot { gen, val } = sc.fp[slot];
         if gen == sc.gen {
             return Some(val);
@@ -184,9 +256,9 @@ impl<'a> TreeBound<'a> {
         // (7): largest value not violating any constraint below, given
         // the partners' minimal needs.
         let mut m = f64::INFINITY;
-        for cv in self.sf.cons(agent) {
-            let fm = self.f_minus(cv.partner.raw(), d - 1, omega, sc)?;
-            m = m.min((1.0 - cv.a_partner * fm) / cv.a_own);
+        for (partner, a_own, a_partner) in self.tree.cons(v) {
+            let fm = self.f_minus(partner, d - 1, omega, sc)?;
+            m = m.min((1.0 - a_partner * fm) / a_own);
         }
         if m < 0.0 {
             return None;
@@ -199,17 +271,18 @@ impl<'a> TreeBound<'a> {
     }
 
     /// `f⁻_{u,v,d}(ω)` for an up-type agent `v` (level `4(r−d)−1`).
-    fn f_minus(&self, v: u32, d: u32, omega: f64, sc: &mut Scratch) -> Option<f64> {
-        let slot = sc.slot(v, d);
+    fn f_minus(&self, v: T::Node, d: u32, omega: f64, sc: &mut Scratch) -> Option<f64> {
+        let slot = sc.slot(self.tree.row(v), d);
         let Slot { gen, val } = sc.fm[slot];
         if gen == sc.gen {
             return Some(val);
         }
         // (6): the smallest value for which the objective below still
-        // reaches ω given the down-agents' maxima.
+        // reaches ω given the down-agents' maxima. The sum runs left to
+        // right in objective-row order, never reassociated.
         let mut sum = 0.0;
-        for w in self.sf.others(AgentId::new(v)) {
-            sum += self.f_plus(w.raw(), d, omega, sc)?;
+        for w in self.tree.others(v) {
+            sum += self.f_plus(w, d, omega, sc)?;
         }
         let val = (omega - sum).max(0.0);
         sc.fm[slot] = Slot { gen: sc.gen, val };
@@ -223,28 +296,27 @@ impl<'a> TreeBound<'a> {
     /// slope (level 0 is skipped: a capacity is never negative).
     fn f_plus_slope(
         &self,
-        v: u32,
+        v: T::Node,
         d: u32,
         omega: f64,
         sc: &mut Scratch,
         worst: &mut (f64, f64),
     ) -> (f64, f64) {
-        let agent = AgentId::new(v);
         if d == 0 {
-            return (self.sf.cap(agent), 0.0);
+            return (self.tree.cap(v), 0.0);
         }
-        let slot = sc.slot(v, d);
+        let slot = sc.slot(self.tree.row(v), d);
         let Slot { gen, val } = sc.fp[slot];
         if gen == sc.gen {
             return (val, sc.dfp[slot]);
         }
         let mut m = f64::INFINITY;
         let mut dm = 0.0;
-        for cv in self.sf.cons(agent) {
-            let (fm, dfm) = self.f_minus_slope(cv.partner.raw(), d - 1, omega, sc, worst);
-            let x = (1.0 - cv.a_partner * fm) / cv.a_own;
+        for (partner, a_own, a_partner) in self.tree.cons(v) {
+            let (fm, dfm) = self.f_minus_slope(partner, d - 1, omega, sc, worst);
+            let x = (1.0 - a_partner * fm) / a_own;
             if x < m {
-                dm = -(cv.a_partner * dfm) / cv.a_own;
+                dm = -(a_partner * dfm) / a_own;
             }
             m = m.min(x);
         }
@@ -263,21 +335,21 @@ impl<'a> TreeBound<'a> {
     /// [`TreeBound::f_plus_slope`]).
     fn f_minus_slope(
         &self,
-        v: u32,
+        v: T::Node,
         d: u32,
         omega: f64,
         sc: &mut Scratch,
         worst: &mut (f64, f64),
     ) -> (f64, f64) {
-        let slot = sc.slot(v, d);
+        let slot = sc.slot(self.tree.row(v), d);
         let Slot { gen, val } = sc.fm[slot];
         if gen == sc.gen {
             return (val, sc.dfm[slot]);
         }
         let mut sum = 0.0;
         let mut dsum = 0.0;
-        for w in self.sf.others(AgentId::new(v)) {
-            let (fp, dfp) = self.f_plus_slope(w.raw(), d, omega, sc, worst);
+        for w in self.tree.others(v) {
+            let (fp, dfp) = self.f_plus_slope(w, d, omega, sc, worst);
             sum += fp;
             dsum += dfp;
         }
@@ -290,12 +362,12 @@ impl<'a> TreeBound<'a> {
     }
 
     /// Conditions (8) and (9) at `ω` for root `u`.
-    pub fn feasible(&self, u: AgentId, omega: f64, sc: &mut Scratch) -> bool {
-        sc.prepare(self.sf.n_agents(), self.r as usize + 1);
+    pub fn feasible(&self, u: T::Node, omega: f64, sc: &mut Scratch) -> bool {
+        sc.prepare(self.tree.n_rows(), self.r as usize + 1);
         sc.clear();
-        match self.f_minus(u.raw(), self.r, omega, sc) {
+        match self.f_minus(u, self.r, omega, sc) {
             None => false,
-            Some(fm) => fm <= self.sf.cap(u),
+            Some(fm) => fm <= self.tree.cap(u),
         }
     }
 
@@ -307,12 +379,12 @@ impl<'a> TreeBound<'a> {
     /// plain walk's values in the plain walk's order. So "no `f⁺` was
     /// negative and `f⁻_{u,u,r} ≤ cap(u)`" is exactly the plain answer,
     /// whatever the rounding of `m` itself.
-    fn margin(&self, u: AgentId, omega: f64, sc: &mut Scratch) -> (bool, f64, f64) {
-        sc.prepare(self.sf.n_agents(), self.r as usize + 1);
+    fn margin(&self, u: T::Node, omega: f64, sc: &mut Scratch) -> (bool, f64, f64) {
+        sc.prepare(self.tree.n_rows(), self.r as usize + 1);
         sc.clear();
         let mut worst = (f64::NEG_INFINITY, 0.0);
-        let (fm, dfm) = self.f_minus_slope(u.raw(), self.r, omega, sc, &mut worst);
-        let cap = self.sf.cap(u);
+        let (fm, dfm) = self.f_minus_slope(u, self.r, omega, sc, &mut worst);
+        let cap = self.tree.cap(u);
         let feasible = worst.0 <= 0.0 && fm <= cap;
         let over = fm - cap;
         let (m, dm) = if over > worst.0 { (over, dfm) } else { worst };
@@ -321,14 +393,14 @@ impl<'a> TreeBound<'a> {
 
     /// A trivial upper bound on `t_u`: every agent of `k(u)` is capped by
     /// its own constraints, so `t_u ≤ Σ_{w∈Vk(u)} cap(w)`.
-    pub fn upper_hint(&self, u: AgentId) -> f64 {
-        self.sf.cap(u) + self.sf.others(u).map(|w| self.sf.cap(w)).sum::<f64>()
+    pub fn upper_hint(&self, u: T::Node) -> f64 {
+        self.tree.cap(u) + self.tree.others(u).map(|w| self.tree.cap(w)).sum::<f64>()
     }
 
     /// `t_u`, bit for bit [`TreeBound::t_bisect`]'s value, in a few
     /// probes: the bisection replayed on a bracket of the flip of
     /// `feasible(u, ·)` (see the module docs).
-    pub fn t(&self, u: AgentId, sc: &mut Scratch) -> f64 {
+    pub fn t(&self, u: T::Node, sc: &mut Scratch) -> f64 {
         let hi0 = self.upper_hint(u);
         if hi0 == 0.0 || self.feasible(u, hi0, sc) {
             return hi0;
@@ -355,7 +427,7 @@ impl<'a> TreeBound<'a> {
     /// `t_u` by plain bisection, the paper's suggested search. This is
     /// the reference [`TreeBound::t`] must equal bit for bit, kept for
     /// the tests and the `tree_bound` bench; no solver path calls it.
-    pub fn t_bisect(&self, u: AgentId, sc: &mut Scratch) -> f64 {
+    pub fn t_bisect(&self, u: T::Node, sc: &mut Scratch) -> f64 {
         let hi0 = self.upper_hint(u);
         if hi0 == 0.0 || self.feasible(u, hi0, sc) {
             return hi0;
@@ -377,7 +449,7 @@ impl<'a> TreeBound<'a> {
     /// progress, or [`NEWTON_STEPS`] walks end the search with the
     /// bracket as it stands, so the replay costs at most the
     /// bisection's own probes.
-    fn bracket(&self, u: AgentId, hi0: f64, tol: f64, sc: &mut Scratch) -> (f64, f64) {
+    fn bracket(&self, u: T::Node, hi0: f64, tol: f64, sc: &mut Scratch) -> (f64, f64) {
         let half = 0.5 * tol;
         let (mut a, mut b) = (0.0, hi0);
         let mut omega = hi0;
@@ -411,11 +483,13 @@ impl<'a> TreeBound<'a> {
         }
         (a, b)
     }
+}
 
+impl TreeBound<'_> {
     /// `t_u` for every agent, sequentially.
     pub fn all(&self) -> Vec<f64> {
         let mut sc = Scratch::default();
-        self.sf
+        self.tree
             .instance()
             .agents()
             .map(|u| self.t(u, &mut sc))
@@ -426,8 +500,8 @@ impl<'a> TreeBound<'a> {
     /// the per-node work the local algorithm performs.
     pub fn tree_size(&self, u: AgentId) -> usize {
         // Count via the same traversal as materialize, without building.
-        let mut count = 1 + self.sf.cons(u).len() + 1; // u, leaf cons, k(u)
-        for w in self.sf.others(u) {
+        let mut count = 1 + self.tree.cons(u).len() + 1; // u, leaf cons, k(u)
+        for w in self.tree.others(u) {
             count += self.count_down(w, self.r);
         }
         count
@@ -435,7 +509,7 @@ impl<'a> TreeBound<'a> {
 
     fn count_down(&self, v: AgentId, d: u32) -> usize {
         let mut c = 1; // the agent itself
-        for cv in self.sf.cons(v) {
+        for cv in self.tree.cons(v) {
             c += 1; // the constraint
             if d > 0 {
                 c += self.count_up(cv.partner, d - 1);
@@ -446,7 +520,7 @@ impl<'a> TreeBound<'a> {
 
     fn count_up(&self, v: AgentId, d: u32) -> usize {
         let mut c = 2; // the agent and its objective
-        for w in self.sf.others(v) {
+        for w in self.tree.others(v) {
             c += self.count_down(w, d);
         }
         c
@@ -466,12 +540,12 @@ impl<'a> TreeBound<'a> {
             origin: Vec::new(),
         };
         let root = m.add_agent(u);
-        for cv in self.sf.cons(u) {
+        for cv in self.tree.cons(u) {
             m.b.add_constraint(&[(root, cv.a_own)])
                 .expect("leaf constraint");
         }
         let mut krow = vec![(root, 1.0)];
-        for w in self.sf.others(u) {
+        for w in self.tree.others(u) {
             krow.push((m.down(w, self.r), 1.0));
         }
         m.b.add_objective(&krow).expect("root objective");
@@ -518,7 +592,7 @@ impl Materializer<'_, '_> {
     /// Expands a down-type agent at level `4(r−d)+1` and its subtree.
     fn down(&mut self, v: AgentId, d: u32) -> AgentId {
         let copy = self.add_agent(v);
-        for cv in self.tb.sf.cons(v) {
+        for cv in self.tb.tree.cons(v) {
             if d == 0 {
                 self.b
                     .add_constraint(&[(copy, cv.a_own)])
@@ -538,7 +612,7 @@ impl Materializer<'_, '_> {
     fn up(&mut self, v: AgentId, d: u32) -> AgentId {
         let copy = self.add_agent(v);
         let mut krow = vec![(copy, 1.0)];
-        for w in self.tb.sf.others(v) {
+        for w in self.tb.tree.others(v) {
             krow.push((self.down(w, d), 1.0));
         }
         self.b.add_objective(&krow).expect("inner objective");
@@ -557,20 +631,19 @@ mod tests {
     }
 
     /// Checks `t` against `t_bisect` bit for bit on every agent, and
-    /// returns each agent's `(replay, bisection)` probe counts, read off
-    /// the scratch's generation counter (one bump per ω probe).
-    fn replay_vs_bisect(s: &SpecialForm, big_r: usize, label: &str) -> Vec<(u32, u32)> {
+    /// returns each agent's `(replay, bisection)` probe counts.
+    fn replay_vs_bisect(s: &SpecialForm, big_r: usize, label: &str) -> Vec<(u64, u64)> {
         let tb = TreeBound::new(s, big_r);
         let mut sc = Scratch::default();
         s.instance()
             .agents()
             .map(|u| {
-                let before = sc.gen;
+                let before = sc.probes();
                 let t = tb.t(u, &mut sc);
-                let replay = sc.gen - before;
-                let before = sc.gen;
+                let replay = sc.probes() - before;
+                let before = sc.probes();
                 let want = tb.t_bisect(u, &mut sc);
-                let bisect = sc.gen - before;
+                let bisect = sc.probes() - before;
                 assert_eq!(
                     t.to_bits(),
                     want.to_bits(),
@@ -659,11 +732,11 @@ mod tests {
                 let s = transformed(&fam.instance(64, seed));
                 for (replay, bisect) in replay_vs_bisect(&s, 3, fam.name) {
                     assert!(
-                        replay <= bisect + NEWTON_STEPS + 2,
+                        replay <= bisect + u64::from(NEWTON_STEPS) + 2,
                         "{}: {replay} probes vs bisection {bisect}",
                         fam.name
                     );
-                    probes += replay as u64;
+                    probes += replay;
                     agents += 1;
                 }
             }

@@ -82,7 +82,7 @@ pub fn execute_job(job: &Job) -> JobRecord {
             };
             // The flat (hash-consed) path through the traced entry
             // point (bit-identical to the untraced one): the record
-            // carries the dedup counters plus the per-phase/memo
+            // carries the dedup counters plus the per-phase/probe
             // snapshot the reports and perf-trajectory pipeline use.
             let (run, stats, flat_trace) =
                 distributed::solve_special_flat_traced(&sf, job.big_r, 1);
@@ -137,8 +137,7 @@ pub fn execute_job(job: &Job) -> JobRecord {
         t_eval_ns: trace.t_eval_ns,
         flood_ns: trace.flood_ns,
         g_ns: trace.g_ns,
-        memo_hits: trace.batch.memo_hits,
-        memo_misses: trace.batch.memo_misses,
+        t_probes: trace.t_probes,
         edits: 0,
         recomputed_x: 0,
         error: String::new(),
@@ -282,8 +281,7 @@ fn execute_mutating_job(job: &Job, inst: Instance) -> JobRecord {
         t_eval_ns: 0,
         flood_ns: 0,
         g_ns: 0,
-        memo_hits: 0,
-        memo_misses: 0,
+        t_probes: 0,
         edits,
         recomputed_x,
         error: String::new(),
@@ -293,6 +291,7 @@ fn execute_mutating_job(job: &Job, inst: Instance) -> JobRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmlp_core::tree_bound::{Scratch, TreeBound};
 
     fn job(solver: SolverKind, big_r: usize) -> Job {
         Job {
@@ -341,8 +340,18 @@ mod tests {
         // The phase snapshot rides along: real wall times, coherent sum.
         let phase_sum = dist.gather_ns + dist.t_eval_ns + dist.flood_ns + dist.g_ns;
         assert!(phase_sum > 0, "distributed jobs carry the phase snapshot");
-        assert!(dist.memo_hits + dist.memo_misses > 0);
         assert_eq!(local.gather_ns, 0, "centralized runs are untraced");
+        // The `t` batch made the centralized replay's probes.
+        let j = job(SolverKind::Distributed, 3);
+        let inst = generate_instance(&j).unwrap();
+        let sf = SpecialForm::new(to_special_form(&inst).instance).unwrap();
+        let tb = TreeBound::new(&sf, 3);
+        let mut sc = Scratch::default();
+        for u in sf.instance().agents() {
+            tb.t(u, &mut sc);
+        }
+        assert_eq!(dist.t_probes, sc.probes());
+        assert_eq!(local.t_probes, 0);
     }
 
     #[test]

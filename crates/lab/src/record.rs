@@ -88,7 +88,7 @@ pub struct JobRecord {
     pub arena_bytes: u64,
     /// Wall time of the flat solve's view-gather phase, nanoseconds
     /// (distributed solver only; 0 otherwise — likewise the rest of the
-    /// phase/memo snapshot below).
+    /// phase snapshot below).
     pub gather_ns: u64,
     /// Wall time of the per-agent `t_u` batch phase, nanoseconds.
     pub t_eval_ns: u64,
@@ -96,10 +96,8 @@ pub struct JobRecord {
     pub flood_ns: u64,
     /// Wall time of the smoothing/output phase, nanoseconds.
     pub g_ns: u64,
-    /// Memo-table hits during the flat solve.
-    pub memo_hits: u64,
-    /// Memo-table misses during the flat solve.
-    pub memo_misses: u64,
+    /// ω probes the flat solve's `t` batch made.
+    pub t_probes: u64,
     /// Edits streamed through the dynamic solver (mutating jobs;
     /// 0 otherwise — likewise `recomputed_x` below).
     pub edits: u64,
@@ -140,8 +138,7 @@ impl JobRecord {
             t_eval_ns: 0,
             flood_ns: 0,
             g_ns: 0,
-            memo_hits: 0,
-            memo_misses: 0,
+            t_probes: 0,
             edits: 0,
             recomputed_x: 0,
             error,
@@ -176,8 +173,7 @@ impl JobRecord {
             .int("t_eval_ns", self.t_eval_ns)
             .int("flood_ns", self.flood_ns)
             .int("g_ns", self.g_ns)
-            .int("memo_hits", self.memo_hits)
-            .int("memo_misses", self.memo_misses)
+            .int("t_probes", self.t_probes)
             .int("edits", self.edits)
             .int("recomputed_x", self.recomputed_x);
         if !self.error.is_empty() {
@@ -244,8 +240,7 @@ impl JobRecord {
             t_eval_ns: get("t_eval_ns").and_then(|v| v.as_u64()).unwrap_or(0),
             flood_ns: get("flood_ns").and_then(|v| v.as_u64()).unwrap_or(0),
             g_ns: get("g_ns").and_then(|v| v.as_u64()).unwrap_or(0),
-            memo_hits: get("memo_hits").and_then(|v| v.as_u64()).unwrap_or(0),
-            memo_misses: get("memo_misses").and_then(|v| v.as_u64()).unwrap_or(0),
+            t_probes: get("t_probes").and_then(|v| v.as_u64()).unwrap_or(0),
             // Added with the delta workload: logs written before the
             // mutating job kind decode with a zero edit chain.
             edits: get("edits").and_then(|v| v.as_u64()).unwrap_or(0),
@@ -289,8 +284,7 @@ mod tests {
             t_eval_ns: 80_000,
             flood_ns: 9_000,
             g_ns: 4_000,
-            memo_hits: 512,
-            memo_misses: 64,
+            t_probes: 212,
             edits: 3,
             recomputed_x: 17,
             error: String::new(),
@@ -357,19 +351,25 @@ mod tests {
     #[test]
     fn pre_obs_lines_decode_with_zero_phase_snapshot() {
         // Logs written before the mmlp-obs phase snapshot lack the
-        // phase/memo fields; they decode with an all-zero breakdown.
+        // phase/probe fields; they decode with an all-zero breakdown.
         let line = sample().to_json_line();
         let stripped = line.replace(
             ",\"gather_ns\":120000,\"t_eval_ns\":80000,\"flood_ns\":9000,\
-             \"g_ns\":4000,\"memo_hits\":512,\"memo_misses\":64",
+             \"g_ns\":4000,\"t_probes\":212",
             "",
         );
         assert_ne!(line, stripped, "sample must carry the phase fields");
         let back = JobRecord::from_json_line(&stripped).unwrap();
         assert_eq!(back.gather_ns, 0);
         assert_eq!(back.t_eval_ns, 0);
-        assert_eq!(back.memo_hits, 0);
-        assert_eq!(back.memo_misses, 0);
+        assert_eq!(back.t_probes, 0);
+        // Logs from before the probe count carry memo counters in its
+        // place; those keys are unknown now, and the count reads 0.
+        let memo = line.replace("\"t_probes\":212", "\"memo_hits\":512,\"memo_misses\":64");
+        assert_ne!(line, memo);
+        let back = JobRecord::from_json_line(&memo).unwrap();
+        assert_eq!(back.t_probes, 0);
+        assert_eq!(back.g_ns, 4000);
     }
 
     #[test]

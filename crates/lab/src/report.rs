@@ -424,8 +424,7 @@ mod tests {
             t_eval_ns: 0,
             flood_ns: 0,
             g_ns: 0,
-            memo_hits: 0,
-            memo_misses: 0,
+            t_probes: 0,
             edits: 0,
             recomputed_x: 0,
             status: JobStatus::Ok,

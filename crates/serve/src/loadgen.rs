@@ -25,6 +25,12 @@
 //! revision — two independent server-side computations that must agree
 //! exactly. Requires a special-form instance (that is what the
 //! incremental solver repairs).
+//!
+//! In every mode each `OK` body that opens with the `SOLVE` header
+//! (`utility`, `guarantee`, `optimum_upper_bound`) is also checked
+//! against Lemma 2's certificate: `optimum_upper_bound` is at least the
+//! optimum, so a reply with positive utility certifies its own
+//! Theorem 1 ratio without an LP. A violation counts as an error.
 
 use crate::client::{Client, ClientReply, PipelinedClient};
 use crate::protocol::{ErrorCode, Op};
@@ -122,6 +128,11 @@ pub struct LoadReport {
     pub delta_checks: u64,
     /// Mutate mode: probes where the bytes differed (must be 0).
     pub delta_mismatches: u64,
+    /// `OK` bodies whose Lemma 2 certificate was checked.
+    pub certificate_checks: u64,
+    /// Checked bodies whose ratio exceeded their guarantee (must be 0;
+    /// each is also an error).
+    pub certificate_violations: u64,
     /// Requests sent with a client-minted `TRACE` line.
     pub traced: u64,
     /// The last trace id minted, so smoke scripts can `obs trace` it.
@@ -153,6 +164,8 @@ struct ClientTally {
     first_error: Option<String>,
     delta_checks: u64,
     delta_mismatches: u64,
+    certificate_checks: u64,
+    certificate_violations: u64,
     traced: u64,
     last_trace_id: Option<u64>,
 }
@@ -169,6 +182,8 @@ impl ClientTally {
             first_error: None,
             delta_checks: 0,
             delta_mismatches: 0,
+            certificate_checks: 0,
+            certificate_violations: 0,
             traced: 0,
             last_trace_id: None,
         }
@@ -186,6 +201,50 @@ impl ClientTally {
             self.first_error = Some(msg);
         }
     }
+
+    /// Checks an `OK` body's Lemma 2 certificate, if it carries one; a
+    /// violation is noted as an error. Returns whether the body passed.
+    fn check_certificate(&mut self, body: &str) -> bool {
+        match certificate_holds(body) {
+            None => true,
+            Some(holds) => {
+                self.certificate_checks += 1;
+                if !holds {
+                    self.certificate_violations += 1;
+                    let header: Vec<&str> = body.lines().take(3).collect();
+                    self.note_err(format!("certificate violated: {}", header.join(", ")));
+                }
+                holds
+            }
+        }
+    }
+}
+
+/// Relative slack of the certificate check. The bound is tight — cycle
+/// and bandwidth meet it with equality — so the three rendered values
+/// can overshoot by an ulp: on `bandwidth 48 7` at R = 3,
+/// `optimum_upper_bound / utility` reads 2.2500000000000004 against a
+/// guarantee of 2.25.
+const CERTIFICATE_SLACK: f64 = 1e-9;
+
+/// Lemma 2's certificate on a reply body: `None` unless the body opens
+/// with the `utility`, `guarantee` and `optimum_upper_bound` lines of a
+/// `SOLVE` body and `utility > 0`; otherwise whether
+/// `optimum_upper_bound ≤ guarantee · utility · (1 + 1e-9)`.
+fn certificate_holds(body: &str) -> Option<bool> {
+    let mut lines = body.lines();
+    let mut value = |key: &str| -> Option<f64> {
+        lines
+            .next()?
+            .strip_prefix(key)?
+            .strip_prefix(' ')?
+            .parse()
+            .ok()
+    };
+    let utility = value("utility")?;
+    let guarantee = value("guarantee")?;
+    let upper_bound = value("optimum_upper_bound")?;
+    (utility > 0.0).then_some(upper_bound <= guarantee * utility * (1.0 + CERTIFICATE_SLACK))
 }
 
 /// How many times a `BUSY` reply is retried (with backoff) before the
@@ -268,7 +327,9 @@ fn client_loop(cfg: &LoadConfig, n_requests: usize, client_id: usize) -> ClientT
         match drive_one(&mut client, cfg, hash.as_deref(), trace_id) {
             Ok(ClientReply::Ok(body)) => {
                 tally.histogram.record(started.elapsed().as_micros() as u64);
-                tally.ok += 1;
+                if tally.check_certificate(&body) {
+                    tally.ok += 1;
+                }
                 tally
                     .bodies
                     .insert(mmlp_instance::hash::fnv1a64(body.as_bytes()));
@@ -371,7 +432,9 @@ fn pipeline_loop(cfg: &LoadConfig, n_requests: usize, client_id: usize) -> Clien
         match pc.recv() {
             Ok(ClientReply::Ok(body)) => {
                 tally.histogram.record(started.elapsed().as_micros() as u64);
-                tally.ok += 1;
+                if tally.check_certificate(&body) {
+                    tally.ok += 1;
+                }
                 tally
                     .bodies
                     .insert(mmlp_instance::hash::fnv1a64(body.as_bytes()));
@@ -527,8 +590,12 @@ fn mutate_loop(cfg: &LoadConfig, n_requests: usize, client_id: usize) -> ClientT
         match scratch {
             Ok(ClientReply::Ok(body)) => {
                 tally.delta_checks += 1;
+                let incr_certified = tally.check_certificate(&incr);
+                let scratch_certified = tally.check_certificate(&body);
                 if body.as_bytes() == incr.as_bytes() {
-                    tally.ok += 1;
+                    if incr_certified && scratch_certified {
+                        tally.ok += 1;
+                    }
                 } else {
                     tally.delta_mismatches += 1;
                     tally.note_err(format!(
@@ -611,6 +678,8 @@ pub fn run_loadgen(cfg: &LoadConfig) -> Result<LoadReport, String> {
         first_error: None,
         delta_checks: 0,
         delta_mismatches: 0,
+        certificate_checks: 0,
+        certificate_violations: 0,
         traced: 0,
         last_trace_id: None,
         server_delta_us: None,
@@ -623,6 +692,8 @@ pub fn run_loadgen(cfg: &LoadConfig) -> Result<LoadReport, String> {
         report.errors += t.errors;
         report.delta_checks += t.delta_checks;
         report.delta_mismatches += t.delta_mismatches;
+        report.certificate_checks += t.certificate_checks;
+        report.certificate_violations += t.certificate_violations;
         report.traced += t.traced;
         report.histogram.merge(&t.histogram);
         bodies.extend(t.bodies);
@@ -693,6 +764,8 @@ pub fn render_report(cfg: &LoadConfig, r: &LoadReport) -> String {
     if let Some(e) = &r.first_error {
         let _ = writeln!(out, "first_error {e}");
     }
+    let _ = writeln!(out, "certificate_checks {}", r.certificate_checks);
+    let _ = writeln!(out, "certificate_violations {}", r.certificate_violations);
     if cfg.mutate {
         let _ = writeln!(out, "delta_checks {}", r.delta_checks);
         let _ = writeln!(out, "delta_mismatches {}", r.delta_mismatches);
@@ -722,4 +795,50 @@ pub fn render_report(cfg: &LoadConfig, r: &LoadReport) -> String {
     out.push('\n');
     out.push_str(&r.histogram.render());
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The header of the `SOLVE` reply for `generate bandwidth 48 7` at
+    /// R = 3, where the bound holds with equality up to rounding.
+    const BANDWIDTH_R3: &str = "utility 0.5412624394686472\n\
+                                guarantee 2.25\n\
+                                optimum_upper_bound 1.2178404888044563\n\
+                                x 0 0.29175936402876623\n";
+
+    #[test]
+    fn the_certificate_check_allows_rounding_but_not_a_real_excess() {
+        let (utility, guarantee) = (0.5412624394686472, 2.25);
+        // Exact arithmetic rejects the tight bandwidth reply by an ulp;
+        // the check's slack accepts it.
+        assert!(1.2178404888044563 > guarantee * utility);
+        assert_eq!(certificate_holds(BANDWIDTH_R3), Some(true));
+        let over = format!(
+            "utility {utility}\nguarantee {guarantee}\noptimum_upper_bound {}\n",
+            guarantee * utility * (1.0 + 1e-6)
+        );
+        assert_eq!(certificate_holds(&over), Some(false));
+        let mut tally = ClientTally::new();
+        assert!(tally.check_certificate(BANDWIDTH_R3));
+        assert!(!tally.check_certificate(&over));
+        assert_eq!(
+            (
+                tally.certificate_checks,
+                tally.certificate_violations,
+                tally.errors
+            ),
+            (2, 1, 1)
+        );
+        // Bodies without the SOLVE header, or with nothing to certify,
+        // are not checked: a SAFE body, an OPTIMUM body, zero utility.
+        for body in [
+            "utility 0.5\nx 0 0.5\n",
+            "optimum 1.5\nx 0 0.5\n",
+            "utility 0\nguarantee 2\noptimum_upper_bound 1\n",
+        ] {
+            assert_eq!(certificate_holds(body), None, "{body}");
+        }
+    }
 }

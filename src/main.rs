@@ -427,15 +427,14 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
             .collect(),
     };
     let ring = TraceRing::new(workloads.len().max(1));
-    let (mut hits, mut misses, mut skips) = (0u64, 0u64, 0u64);
+    let (mut probes, mut agents) = (0u64, 0usize);
     for (name, inst) in &workloads {
         let transformed = try_to_special_form(inst).map_err(|e| format!("{name}: {e}"))?;
         let sf = SpecialForm::new(transformed.instance.clone())
             .map_err(|e| format!("{name}: special form: {e:?}"))?;
         let (_, stats, trace) = solve_special_flat_traced(&sf, big_r, 1);
-        hits += trace.batch.memo_hits;
-        misses += trace.batch.memo_misses;
-        skips += trace.batch.memo_skips;
+        probes += trace.t_probes;
+        agents += sf.n_agents();
         ring.push(SolveTrace {
             trace_id: next_trace_id(),
             label: format!(
@@ -458,14 +457,10 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
         slowest.min(workloads.len())
     );
     out!("{}", render_timeline(&ring.slowest(slowest)));
-    let lookups = hits + misses + skips;
-    outln!("# memo: {hits} hits / {misses} misses / {skips} skips");
-    if lookups > 0 {
-        outln!(
-            "# memo hit rate {:.1}%",
-            100.0 * hits as f64 / lookups as f64
-        );
-    }
+    outln!(
+        "# t: {probes} ω probes over {agents} agents ({:.2} per agent)",
+        probes as f64 / agents.max(1) as f64
+    );
     Ok(())
 }
 

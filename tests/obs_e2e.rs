@@ -11,6 +11,7 @@
 use maxmin_lp::core::distributed::{solve_special_flat, solve_special_flat_traced};
 use maxmin_lp::core::smoothing::{solve_special, solve_special_traced};
 use maxmin_lp::core::transform::to_special_form;
+use maxmin_lp::core::tree_bound::{Scratch, TreeBound};
 use maxmin_lp::core::SpecialForm;
 use maxmin_lp::gen::catalog;
 use maxmin_lp::instance::textfmt;
@@ -220,11 +221,13 @@ fn traced_flat_solve_is_bit_identical_to_untraced_catalog_wide() {
         assert!(trace.total_ns > 0, "{}", fam.name);
         let phases = trace.gather_ns + trace.t_eval_ns + trace.flood_ns + trace.g_ns;
         assert!(phases > 0 && phases <= trace.total_ns, "{}", fam.name);
-        assert!(
-            trace.batch.memo_hits + trace.batch.memo_misses + trace.batch.memo_skips > 0,
-            "{}: memo telemetry empty",
-            fam.name
-        );
+        // The `t` batch made exactly the centralized replay's probes.
+        let tb = TreeBound::new(&sf, 3);
+        let mut sc = Scratch::default();
+        for u in sf.instance().agents() {
+            tb.t(u, &mut sc);
+        }
+        assert_eq!(trace.t_probes, sc.probes(), "{}: t probes", fam.name);
 
         // The centralized entry point serve runs, under the same
         // contract.
