@@ -13,15 +13,14 @@
 //! - [`hist`] — the HDR-style log-linear [`Histogram`] (formerly in
 //!   `mmlp-serve`), with well-defined empty/`q = 1.0` percentile edges,
 //!   plus its lock-free [`AtomicHistogram`] twin.
-//! - [`trace`] — lightweight solve spans: monotonic-clock phase
-//!   breakdowns with process-unique trace ids, kept in a bounded
-//!   [`TraceRing`] that can always dump the N slowest recent solves.
-//! - [`report`] — renders ring contents as a flamegraph-style text
-//!   phase timeline (the `maxmin-lp obs` report).
-//! - [`span`] — request-scoped span trees: a `trace_id` minted by the
-//!   client (or sampled server-side) is threaded queue → cache →
-//!   execute → store, recorded through a [`SpanRecorder`] and kept in
-//!   a bounded [`SpanRing`] plus the journal.
+//! - [`span`] — the one trace pipeline: request-scoped span trees. A
+//!   process-unique `trace_id` minted by the client (or sampled
+//!   server-side) is threaded queue → cache → execute (the solver's
+//!   phases) → store, recorded through a [`SpanRecorder`] and kept in a
+//!   bounded [`SpanRing`] plus the journal. The ring ranks its N
+//!   slowest trees and [`render_span_tree`] draws one as an indented
+//!   timeline (the server's shutdown summary, `maxmin-lp obs` and
+//!   `obs trace`).
 //! - [`journal`] — a crash-safe append-only event journal:
 //!   length-framed, FNV-checksummed records written by a dedicated
 //!   drainer thread (the hot path pays one bounded-queue push), with
@@ -44,18 +43,15 @@ pub mod hist;
 pub mod journal;
 pub mod lint;
 pub mod registry;
-pub mod report;
 pub mod slo;
 pub mod span;
-pub mod trace;
 
 pub use hist::{AtomicHistogram, Histogram};
 pub use journal::{Journal, JournalConfig, JournalRecord};
 pub use lint::{lint_pair, parse_exposition, Exposition};
 pub use registry::{Counter, Gauge, HistogramHandle, Registry};
-pub use report::render_timeline;
 pub use slo::{evaluate_slos, parse_slo_specs, render_slo_report, SloSpec};
 pub use span::{
-    format_trace_id, parse_trace_id, render_span_tree, SpanRecorder, SpanRing, SpanTree,
+    format_trace_id, next_trace_id, parse_trace_id, render_span_tree, SpanRecorder, SpanRing,
+    SpanTree,
 };
-pub use trace::{next_trace_id, SolveTrace, TraceRing};

@@ -8,13 +8,17 @@
 //! `finish()`es the tree into a bounded [`SpanRing`] and the event
 //! journal. Trace ids travel over the wire in the optional `TRACE
 //! <hex>` protocol line (`specs/PROTOCOL.md`), so a loadgen-minted id
-//! can be found again with `maxmin-lp obs trace <id>`.
+//! can be found again in the journal with `maxmin-lp obs trace <id>`.
+//! The ring answers "the N slowest recent traces" ([`SpanRing::slowest`])
+//! for the server's shutdown summary and the offline `maxmin-lp obs`
+//! report, both drawn with [`render_span_tree`].
 //!
 //! The text serialisation ([`SpanTree::to_text`] /
 //! [`SpanTree::parse_text`]) is what the journal stores: versioned,
 //! line-oriented, and parseable without this process's state.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -53,6 +57,13 @@ pub struct SpanTree {
     pub spans: Vec<Span>,
 }
 
+/// Hands out process-unique trace ids, starting at 1 (0 reads as
+/// "untraced").
+pub fn next_trace_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// Formats a trace id the way the wire protocol and CLI expect it:
 /// 16 lowercase hex digits, zero-padded.
 pub fn format_trace_id(id: u64) -> String {
@@ -60,10 +71,11 @@ pub fn format_trace_id(id: u64) -> String {
 }
 
 /// Parses a trace id as produced by [`format_trace_id`] (1–16 hex
-/// digits, any case). Returns `None` for empty, overlong, non-hex, or
-/// zero input — zero is the "untraced" sentinel and never a valid id.
+/// digits, any case). Returns `None` for empty, overlong, non-hex
+/// (a sign included), or zero input — zero is the "untraced" sentinel
+/// and never a valid id.
 pub fn parse_trace_id(s: &str) -> Option<u64> {
-    if s.is_empty() || s.len() > 16 {
+    if s.is_empty() || s.len() > 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
     let id = u64::from_str_radix(s, 16).ok()?;
@@ -156,34 +168,61 @@ impl SpanTree {
     }
 }
 
+fn fmt_ns(ns: u64) -> String {
+    if ns >= 1_000_000_000 {
+        format!("{:.2} s", ns as f64 / 1e9)
+    } else if ns >= 1_000_000 {
+        format!("{:.2} ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.1} µs", ns as f64 / 1e3)
+    } else {
+        format!("{ns} ns")
+    }
+}
+
 /// Renders a span tree as an indented timeline, children under their
-/// parents, each line showing share-of-total and wall time.
+/// parents, each line showing share-of-total and wall time. Under the
+/// root, and under every span with children, an `(other)` line shows
+/// the time the children leave unexplained, when there is any.
 pub fn render_span_tree(tree: &SpanTree) -> String {
     let mut out = format!(
         "trace {}  {}  total {}\n",
         format_trace_id(tree.trace_id),
         tree.label,
-        crate::report::fmt_ns(tree.total_ns)
+        fmt_ns(tree.total_ns)
     );
-    let total = tree.total_ns.max(1);
-    fn walk(out: &mut String, tree: &SpanTree, parent: u32, depth: usize, total: u64) {
-        for s in tree.spans.iter().filter(|s| s.parent == parent) {
-            let share = 100.0 * s.dur_ns as f64 / total as f64;
-            out.push_str(&format!(
-                "{:indent$}{:<24} {:>5.1}%  {}\n",
-                "",
-                s.name,
-                share,
-                crate::report::fmt_ns(s.dur_ns),
-                indent = 2 + depth * 2,
-            ));
-            if s.id != ROOT_SPAN {
-                walk(out, tree, s.id, depth + 1, total);
-            }
+    render_children(&mut out, tree, ROOT_SPAN, tree.total_ns, 0);
+    out
+}
+
+/// Renders the children of span `parent` (which lasted `parent_ns`)
+/// at `depth`, each followed by its own children, then the `(other)`
+/// remainder of `parent_ns`.
+fn render_children(out: &mut String, tree: &SpanTree, parent: u32, parent_ns: u64, depth: usize) {
+    let (mut has_children, mut children_ns) = (false, 0u64);
+    for s in tree.spans.iter().filter(|s| s.parent == parent) {
+        render_line(out, tree, depth, &s.name, s.dur_ns);
+        has_children = true;
+        children_ns = children_ns.saturating_add(s.dur_ns);
+        if s.id != ROOT_SPAN {
+            render_children(out, tree, s.id, s.dur_ns, depth + 1);
         }
     }
-    walk(&mut out, tree, ROOT_SPAN, 0, total);
-    out
+    let other = parent_ns.saturating_sub(children_ns);
+    if other > 0 && (parent == ROOT_SPAN || has_children) {
+        render_line(out, tree, depth, "(other)", other);
+    }
+}
+
+fn render_line(out: &mut String, tree: &SpanTree, depth: usize, name: &str, ns: u64) {
+    out.push_str(&format!(
+        "{:indent$}{:<24} {:>5.1}%  {}\n",
+        "",
+        name,
+        100.0 * ns as f64 / tree.total_ns.max(1) as f64,
+        fmt_ns(ns),
+        indent = 2 + depth * 2,
+    ));
 }
 
 /// Collects spans for one in-flight request.
@@ -282,8 +321,9 @@ impl SpanRecorder {
     }
 }
 
-/// A bounded ring of finished span trees (newest evicts oldest), the
-/// in-memory half of "ring or journal" that `obs trace` reads.
+/// A bounded ring of finished span trees (newest evicts oldest). The
+/// server keeps every traced request's tree here, and its shutdown
+/// summary reads back the slowest; `obs trace` reads the journal.
 #[derive(Debug)]
 pub struct SpanRing {
     cap: usize,
@@ -292,7 +332,7 @@ pub struct SpanRing {
 
 #[derive(Debug, Default)]
 struct SpanRingInner {
-    buf: std::collections::VecDeque<SpanTree>,
+    buf: VecDeque<SpanTree>,
     recorded: u64,
 }
 
@@ -320,26 +360,17 @@ impl SpanRing {
         self.inner.lock().expect("span ring").recorded
     }
 
-    /// The most recent tree with this trace id, if still in the ring.
-    pub fn find(&self, trace_id: u64) -> Option<SpanTree> {
+    /// The `n` slowest trees still held, slowest first; equal totals
+    /// go to the smaller trace id.
+    pub fn slowest(&self, n: usize) -> Vec<SpanTree> {
         let inner = self.inner.lock().expect("span ring");
-        inner
-            .buf
-            .iter()
-            .rev()
-            .find(|t| t.trace_id == trace_id)
-            .cloned()
-    }
-
-    /// Trees currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("span ring").buf.len()
-    }
-
-    /// True when nothing has been pushed (or everything was evicted…
-    /// which cannot happen: eviction implies a newer entry).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let mut all: Vec<&SpanTree> = inner.buf.iter().collect();
+        all.sort_by(|a, b| {
+            b.total_ns
+                .cmp(&a.total_ns)
+                .then(a.trace_id.cmp(&b.trace_id))
+        });
+        all.into_iter().take(n).cloned().collect()
     }
 }
 
@@ -356,7 +387,23 @@ mod tests {
         assert_eq!(parse_trace_id("0"), None, "zero is the untraced sentinel");
         assert_eq!(parse_trace_id("00000000000000000"), None, "17 digits");
         assert_eq!(parse_trace_id("xyz"), None);
+        assert_eq!(parse_trace_id("+1"), None, "a sign is not a hex digit");
         assert_eq!(parse_trace_id("ABC"), Some(0xabc), "case-insensitive");
+    }
+
+    #[test]
+    fn trace_ids_are_unique_and_nonzero() {
+        let a = next_trace_id();
+        let b = next_trace_id();
+        assert!(a > 0 && b > a);
+    }
+
+    #[test]
+    fn units_scale() {
+        assert_eq!(fmt_ns(17), "17 ns");
+        assert_eq!(fmt_ns(1_700), "1.7 µs");
+        assert_eq!(fmt_ns(1_700_000), "1.70 ms");
+        assert_eq!(fmt_ns(1_700_000_000), "1.70 s");
     }
 
     fn sample_tree() -> SpanTree {
@@ -416,6 +463,15 @@ mod tests {
         // The child is indented two levels (2 + 2 spaces).
         assert!(r.contains("\n    gather views"), "{r}");
         assert!(r.contains("80.0%"), "{r}");
+        // What the children leave of the root (10 − 1 − 8 µs) and of
+        // `execute` (8 − 4 µs); `queue` has no children, so no line.
+        let other: Vec<&str> = r.lines().filter(|l| l.contains("(other)")).collect();
+        assert_eq!(other.len(), 2, "{r}");
+        assert!(other[0].starts_with("    (other)"), "{r}");
+        assert!(other[0].ends_with("40.0%  4.0 µs"), "{r}");
+        assert!(other[1].starts_with("  (other)"), "{r}");
+        assert!(other[1].ends_with("10.0%  1.0 µs"), "{r}");
+        assert_eq!(r.lines().last(), Some(other[1]), "root remainder last");
     }
 
     #[test]
@@ -437,18 +493,105 @@ mod tests {
         assert!(store.start_ns <= tree.total_ns);
     }
 
-    #[test]
-    fn ring_evicts_oldest_and_finds_by_id() {
-        let ring = SpanRing::new(2);
-        assert!(ring.is_empty());
-        for id in 1..=3u64 {
-            let mut t = sample_tree();
-            t.trace_id = id;
-            ring.push(t);
+    fn tree(id: u64, total_ns: u64) -> SpanTree {
+        SpanTree {
+            trace_id: id,
+            label: format!("solve #{id}"),
+            total_ns,
+            spans: vec![Span {
+                id: 1,
+                parent: ROOT_SPAN,
+                name: "execute".into(),
+                start_ns: 0,
+                dur_ns: total_ns / 2,
+            }],
         }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.recorded(), 3);
-        assert!(ring.find(1).is_none(), "evicted");
-        assert_eq!(ring.find(3).unwrap().trace_id, 3);
+    }
+
+    #[test]
+    fn ring_evicts_oldest_and_ranks_slowest() {
+        let ring = SpanRing::new(3);
+        assert!(ring.slowest(3).is_empty());
+        for (id, total) in [(1, 50), (2, 900), (3, 10), (4, 200)] {
+            ring.push(tree(id, total));
+        }
+        assert_eq!(ring.recorded(), 4, "recorded counts evictions too");
+        let ids = |trees: Vec<SpanTree>| trees.iter().map(|t| t.trace_id).collect::<Vec<_>>();
+        assert_eq!(ids(ring.slowest(2)), [2, 4]);
+        // Asking for more than held returns everything, still sorted;
+        // the oldest (id 1) was evicted.
+        assert_eq!(ids(ring.slowest(10)), [2, 4, 3]);
+        // Ties on total_ns break towards the smaller trace id.
+        let tied = SpanRing::new(4);
+        for id in [3u64, 1, 2] {
+            tied.push(tree(id, 100));
+        }
+        assert_eq!(ids(tied.slowest(4)), [1, 2, 3]);
+    }
+
+    /// Hammer the ring from many writer threads while readers pull
+    /// `slowest(n)` snapshots: every observed tree must be internally
+    /// consistent (no torn reads — label, total and span are all
+    /// derived from the trace id, so any mix-up is detectable),
+    /// `slowest` must stay sorted, and after the dust settles the
+    /// wraparound accounting must be exact.
+    #[test]
+    fn concurrent_writers_never_tear_trees() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        const WRITERS: u64 = 8;
+        const PER_WRITER: u64 = 500;
+        const CAP: usize = 64;
+
+        fn check(t: &SpanTree) {
+            let id = t.trace_id;
+            assert_eq!(t.label, format!("solve #{id}"), "torn label");
+            assert_eq!(t.total_ns, id * 10, "torn total");
+            assert_eq!(t.spans.len(), 1, "torn spans");
+            assert_eq!(t.spans[0].dur_ns, id * 10 / 2, "torn span ns");
+        }
+
+        let ring = Arc::new(SpanRing::new(CAP));
+        let stop = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let ring = Arc::clone(&ring);
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Acquire) {
+                        let slow = ring.slowest(16);
+                        for w in slow.windows(2) {
+                            assert!(w[0].total_ns >= w[1].total_ns, "slowest(n) out of order");
+                        }
+                        slow.iter().for_each(check);
+                    }
+                })
+            })
+            .collect();
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    for i in 0..PER_WRITER {
+                        let id = w * PER_WRITER + i + 1;
+                        ring.push(tree(id, id * 10));
+                    }
+                })
+            })
+            .collect();
+        for t in writers {
+            t.join().unwrap();
+        }
+        stop.store(true, Ordering::Release);
+        for r in readers {
+            r.join().unwrap();
+        }
+
+        // Wraparound accounting: every push counted, only CAP retained.
+        assert_eq!(ring.recorded(), WRITERS * PER_WRITER);
+        let survivors = ring.slowest(usize::MAX);
+        assert_eq!(survivors.len(), CAP);
+        survivors.iter().for_each(check);
     }
 }

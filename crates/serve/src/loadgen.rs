@@ -66,7 +66,9 @@ pub struct LoadConfig {
     /// probing bit-identity against from-scratch `SOLVE`s (ignores
     /// `op` and `by_hash`).
     pub mutate: bool,
-    /// PRNG seed for mutate mode (each client derives its own stream).
+    /// Seeds mutate mode's PRNG (each client derives its own stream)
+    /// and the ids `trace` mints: two runs on one seed send the same
+    /// trace ids.
     pub seed: u64,
     /// Mint a deterministic client-side trace id per request and send
     /// it ahead of the command as a `TRACE <hex>` line, making every

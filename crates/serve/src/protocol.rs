@@ -558,6 +558,7 @@ mod tests {
             "TRACE zz",
             "TRACE 1 2",
             "TRACE 00000000000000000",
+            "TRACE +1",
         ] {
             assert!(matches!(parse_trace_line(bad), Some(Err(_))), "{bad:?}");
         }

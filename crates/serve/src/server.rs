@@ -46,8 +46,7 @@ use mmlp_lab::pool::{Outcome, SubmitError, TaskPool, TaskPoolConfig};
 use mmlp_obs::journal::{EV_BUSY, EV_CACHE, EV_DELTA, EV_SPAN, EV_STORE};
 use mmlp_obs::span::ROOT_SPAN;
 use mmlp_obs::{
-    next_trace_id, Journal, JournalConfig, JournalRecord, SolveTrace, SpanRecorder, SpanRing,
-    TraceRing,
+    next_trace_id, Journal, JournalConfig, JournalRecord, SpanRecorder, SpanRing, SpanTree,
 };
 use reactor::{Event, Events, Interest, Poll, Token, Waker};
 use std::collections::{HashMap, VecDeque};
@@ -132,16 +131,15 @@ pub struct ServerSummary {
     pub timeouts: u64,
     /// Connections accepted over the server's lifetime.
     pub connections: u64,
-    /// The slowest recent cold solves still held in the trace ring at
-    /// shutdown, slowest first (render with
-    /// [`mmlp_obs::render_timeline`]).
-    pub slowest: Vec<SolveTrace>,
+    /// The slowest traced requests whose span trees the span ring
+    /// still held at shutdown, slowest first (render with
+    /// [`mmlp_obs::render_span_tree`]). Traced means the client sent a
+    /// `TRACE` line or the 1-in-64 sampler picked the request, so an
+    /// untraced cold solve is not here however slow it was.
+    pub slowest: Vec<SpanTree>,
 }
 
-/// Cold solves the trace ring remembers (the `N` in "the N slowest
-/// recent solves").
-const TRACE_RING_CAP: usize = 64;
-/// How many of those the final [`ServerSummary`] carries.
+/// How many span trees the final [`ServerSummary`] carries.
 const SUMMARY_SLOWEST: usize = 8;
 /// Finished request span trees kept in memory ([`SpanRing`]).
 const SPAN_RING_CAP: usize = 256;
@@ -209,8 +207,7 @@ struct Shared {
     engine: Engine,
     pool: TaskPool,
     metrics: ServeMetrics,
-    ring: Arc<TraceRing>,
-    spans: Arc<SpanRing>,
+    spans: SpanRing,
     journal: Option<Arc<Journal>>,
     trace_counter: AtomicU64,
     shutting_down: AtomicBool,
@@ -272,8 +269,7 @@ impl Server {
             engine,
             pool,
             metrics: ServeMetrics::new(),
-            ring: Arc::new(TraceRing::new(TRACE_RING_CAP)),
-            spans: Arc::new(SpanRing::new(SPAN_RING_CAP)),
+            spans: SpanRing::new(SPAN_RING_CAP),
             journal,
             trace_counter: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
@@ -349,19 +345,19 @@ impl Server {
         match Arc::try_unwrap(shared) {
             Ok(s) => {
                 s.pool.shutdown(); // blocks until accepted work ran
-                Ok(summary_of(&s.metrics, &s.ring))
+                Ok(summary_of(&s.metrics, &s.spans))
             }
             Err(shared) => {
                 // A straggler still holds the Arc (a pooled task still
                 // running: timed out, or its client gone); the pool
                 // drains when the task drops it, on the task's thread.
-                Ok(summary_of(&shared.metrics, &shared.ring))
+                Ok(summary_of(&shared.metrics, &shared.spans))
             }
         }
     }
 }
 
-fn summary_of(m: &ServeMetrics, ring: &TraceRing) -> ServerSummary {
+fn summary_of(m: &ServeMetrics, spans: &SpanRing) -> ServerSummary {
     ServerSummary {
         requests: m.requests.get(),
         cache_hits: m.cache_hits_total(),
@@ -370,7 +366,7 @@ fn summary_of(m: &ServeMetrics, ring: &TraceRing) -> ServerSummary {
         errors: m.errors.get(),
         timeouts: m.timeouts.get(),
         connections: m.connections.get(),
-        slowest: ring.slowest(SUMMARY_SLOWEST),
+        slowest: spans.slowest(SUMMARY_SLOWEST),
     }
 }
 
@@ -1099,8 +1095,6 @@ fn execute_command(
                 rec.add(ROOT_SPAN, "cache:miss", probe, probe.elapsed());
             }
             let worker_shared = Arc::clone(shared);
-            let ring = Arc::clone(&shared.ring);
-            let label = format!("{} {} R={big_r}", op.tag(), hash_hex(hash));
             let span_rec = ctx.span.clone();
             submit_pooled(shared, me, token, conn, ctx, Some((key, op)), move || {
                 let inst = match stored {
@@ -1114,21 +1108,6 @@ fn execute_command(
                     if let Some(rec) = &span_rec {
                         record_phase_spans(rec, &t.phase_spans());
                     }
-                    ring.push(SolveTrace {
-                        // A traced request keeps its wire trace id so
-                        // the slowest-solves ring and `obs trace` agree
-                        // on names.
-                        trace_id: span_rec
-                            .as_ref()
-                            .map_or_else(next_trace_id, |rec| rec.trace_id()),
-                        label,
-                        total_ns: t.total_ns,
-                        phases: t
-                            .phase_spans()
-                            .iter()
-                            .map(|&(name, ns)| (name.into(), ns))
-                            .collect(),
-                    });
                 }
                 Ok(Done::Body(body))
             });
@@ -1738,7 +1717,6 @@ fn render_stats(shared: &Shared) -> String {
         "execute_p95_us {}",
         m.execute.snapshot().percentile(0.95)
     );
-    let _ = writeln!(out, "traces_recorded {}", shared.ring.recorded());
     // The delta workload surface (appended keys, older parsers keep
     // working).
     let (lineage_entries, delta_solvers, delta_solver_bytes) = shared.engine.delta_stats();

@@ -31,9 +31,10 @@
 //!   and ratio/scaling reports (`maxmin-lp campaign …`).
 //! * [`obs`] — the observability layer: a lock-free metrics registry
 //!   (counters, gauges, log-bucketed histograms) with Prometheus text
-//!   exposition, solve spans with per-phase breakdowns, a bounded
-//!   trace ring and the phase-timeline renderer (`maxmin-lp obs`,
-//!   the server's `METRICS` op; `specs/OBSERVABILITY.md`).
+//!   exposition, request span trees with the solver phases nested
+//!   inside, a bounded ring of them, the event journal and the
+//!   span-tree renderer (`maxmin-lp obs`, the server's `METRICS` op;
+//!   `specs/OBSERVABILITY.md`).
 //! * [`serve`] — the concurrent solver service: a TCP line protocol
 //!   with a content-addressed result cache, bounded-queue backpressure
 //!   and a closed-loop load generator (`maxmin-lp serve` /

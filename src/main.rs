@@ -7,7 +7,7 @@
 //! maxmin-lp generate <family> <size> <seed> [--out <f>]  emit an instance
 //! maxmin-lp info <instance.mmlp>                         sizes, degrees, paper bound
 //! maxmin-lp obs [--file <f>] [--size <n>] [--seed <s>] [-R <R>]
-//!               [--slowest <n>]                        phase timelines
+//!               [--slowest <n>]                        slowest span trees
 //! maxmin-lp obs --addr <a>                             scrape + lint METRICS
 //! maxmin-lp obs trace <id> --journal <dir>             render a span tree
 //! maxmin-lp obs journal --journal <dir> [--tail <n>]   dump the event journal
@@ -337,13 +337,14 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// With `--addr`, scrapes a running server's `METRICS` op and prints
 /// the Prometheus text body. Otherwise runs **traced** flat distributed
 /// solves locally — over one `--file`, or the whole generator catalogue
-/// at `--size`/`--seed` — and renders the phase timeline of the slowest
-/// solves plus the memo-table aggregate.
+/// at `--size`/`--seed` — and renders the span trees of the slowest
+/// solves plus the `t` batches' probe total.
 fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
     use maxmin_lp::core::distributed::solve_special_flat_traced;
     use maxmin_lp::core::transform::try_to_special_form;
     use maxmin_lp::core::SpecialForm;
-    use maxmin_lp::obs::{next_trace_id, render_timeline, SolveTrace, TraceRing};
+    use maxmin_lp::obs::span::{Span, ROOT_SPAN};
+    use maxmin_lp::obs::{next_trace_id, render_span_tree, SpanRing, SpanTree};
 
     match rest.first().map(String::as_str) {
         Some("trace") => return obs_trace_cmd(&rest[1..]),
@@ -417,8 +418,9 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
         return Ok(());
     }
 
-    // Trace mode: one traced solve per workload, ring-buffered exactly
-    // like the server's, then the slowest-first timeline.
+    // Trace mode: one traced solve per workload as a span tree, its
+    // phases laid end to end under the root, ring-buffered exactly like
+    // the server's; then the slowest trees.
     let workloads: Vec<(String, Instance)> = match file {
         Some(path) => vec![(path.clone(), load(&path)?)],
         None => catalog()
@@ -426,7 +428,7 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
             .map(|f| (f.name.to_string(), f.instance(size, seed)))
             .collect(),
     };
-    let ring = TraceRing::new(workloads.len().max(1));
+    let ring = SpanRing::new(workloads.len());
     let (mut probes, mut agents) = (0u64, 0usize);
     for (name, inst) in &workloads {
         let transformed = try_to_special_form(inst).map_err(|e| format!("{name}: {e}"))?;
@@ -435,7 +437,18 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
         let (_, stats, trace) = solve_special_flat_traced(&sf, big_r, 1);
         probes += trace.t_probes;
         agents += sf.n_agents();
-        ring.push(SolveTrace {
+        let (mut spans, mut start_ns) = (Vec::new(), 0);
+        for (id, (name, dur_ns)) in (1..).zip(trace.phase_spans()) {
+            spans.push(Span {
+                id,
+                parent: ROOT_SPAN,
+                name: name.into(),
+                start_ns,
+                dur_ns,
+            });
+            start_ns += dur_ns;
+        }
+        ring.push(SpanTree {
             trace_id: next_trace_id(),
             label: format!(
                 "{name} n={} R={big_r} rounds={}",
@@ -443,12 +456,7 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
                 stats.rounds
             ),
             total_ns: trace.total_ns,
-            phases: vec![
-                ("gather".into(), trace.gather_ns),
-                ("t_eval".into(), trace.t_eval_ns),
-                ("flood".into(), trace.flood_ns),
-                ("g".into(), trace.g_ns),
-            ],
+            spans,
         });
     }
     outln!(
@@ -456,7 +464,9 @@ fn obs_cmd(rest: &[String]) -> Result<(), UsageError> {
         workloads.len(),
         slowest.min(workloads.len())
     );
-    out!("{}", render_timeline(&ring.slowest(slowest)));
+    for tree in ring.slowest(slowest) {
+        out!("{}", render_span_tree(&tree));
+    }
     outln!(
         "# t: {probes} ω probes over {agents} agents ({:.2} per agent)",
         probes as f64 / agents.max(1) as f64
@@ -737,8 +747,10 @@ fn serve_cmd(rest: &[String]) -> Result<(), UsageError> {
     outln!("timeouts {}", summary.timeouts);
     outln!("connections {}", summary.connections);
     if !summary.slowest.is_empty() {
-        outln!("# slowest solves");
-        out!("{}", maxmin_lp::obs::render_timeline(&summary.slowest));
+        outln!("# slowest traced requests");
+        for tree in &summary.slowest {
+            out!("{}", maxmin_lp::obs::render_span_tree(tree));
+        }
     }
     Ok(())
 }

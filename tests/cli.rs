@@ -263,3 +263,43 @@ fn a_command_whose_reader_left_still_exits_with_its_verdict() {
     assert!(stderr.contains("has damage"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The offline `obs` report: one span tree per slowest solve, each a
+/// 16-hex trace line followed by the flat solve's four phases, between
+/// the header and the probe line.
+#[test]
+fn obs_report_renders_the_slowest_solves_as_span_trees() {
+    let out = run_ok(&["obs", "--size", "12", "-R", "3", "--slowest", "2"], None);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(
+        lines[0], "# obs timeline R=3 (8 solve(s), slowest 2)",
+        "{out}"
+    );
+    let traces: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].starts_with("trace "))
+        .collect();
+    assert_eq!(traces.len(), 2, "{out}");
+    for &i in &traces {
+        let id = lines[i]["trace ".len()..]
+            .split_once("  ")
+            .map_or("", |(id, _)| id);
+        assert!(
+            id.len() == 16 && id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')),
+            "{out}"
+        );
+        let phases: Vec<&str> = lines[i + 1..i + 5]
+            .iter()
+            .map(|l| l.split_whitespace().next().unwrap_or(""))
+            .collect();
+        assert_eq!(phases, ["gather", "t_eval", "flood", "g"], "{out}");
+    }
+    assert!(
+        lines.iter().any(|l| l.starts_with("# t: ")
+            && l.contains(" ω probes over ")
+            && l.ends_with(" per agent)")),
+        "{out}"
+    );
+
+    let out = bin().args(["obs", "--slowest", "0"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "--slowest 0 → usage");
+}

@@ -7,7 +7,7 @@
 
 use maxmin_lp::instance::textfmt;
 use maxmin_lp::obs::journal::{read_journal_dir, EV_DELTA, EV_SPAN};
-use maxmin_lp::obs::{format_trace_id, SpanTree};
+use maxmin_lp::obs::{format_trace_id, parse_trace_id, SpanTree};
 use maxmin_lp::serve::client::{stat, Client, ClientReply};
 use maxmin_lp::serve::protocol::{ErrorCode, Op};
 use maxmin_lp::serve::server::{ServeConfig, Server, ServerSummary};
@@ -140,7 +140,25 @@ fn client_minted_trace_id_round_trips_into_a_full_span_tree() {
     );
 
     c.shutdown().unwrap();
-    handle.join().unwrap();
+    let summary = handle.join().unwrap();
+    // The shutdown summary and the journal hold the same trees, under
+    // ids that `obs trace` accepts.
+    let summary_ids: Vec<u64> = summary.slowest.iter().map(|t| t.trace_id).collect();
+    for id in [trace_id, warm_id] {
+        assert!(summary_ids.contains(&id), "{id:x} not in {summary_ids:x?}");
+    }
+    for tree in &summary.slowest {
+        assert_eq!(
+            journaled_trees(&journal, tree.trace_id),
+            std::slice::from_ref(tree),
+            "summary tree {:x} differs from its journal record",
+            tree.trace_id
+        );
+        assert_eq!(
+            parse_trace_id(&format_trace_id(tree.trace_id)),
+            Some(tree.trace_id)
+        );
+    }
 }
 
 #[test]
