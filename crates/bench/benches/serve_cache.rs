@@ -13,11 +13,13 @@
 //! `trajectory_gate` holds "cold" to, so a slower solver path on the
 //! serve side fails on any host.
 //!
-//! "parse" and "special_form" are two layers of a cold `SOLVE inline:`
-//! for every catalog family at 64 agents: the text parse of the
-//! instance, and the §4 transform of the parsed instance
-//! (`to_special_form`). `trajectory_gate` holds the second to 1.5× the
-//! first, measured in the same run.
+//! "parse", "hash" and "special_form" are three layers of a cold
+//! `SOLVE inline:` for every catalog family at 64 agents: the text
+//! parse of the instance, its content hash (`instance_hash`, hash v2
+//! over the parsed structure) and the §4 transform of the parsed
+//! instance (`to_special_form`). `trajectory_gate` holds the hash to
+//! 0.1× the parse and the §4 transform to 1.5× the parse, measured in
+//! the same run.
 //!
 //! "pool_round_trip" is the hand-off of every pooled request: one empty
 //! task through `TaskPool::submit_with` to its completion callback and
@@ -74,6 +76,9 @@ fn bench_serve_cache(c: &mut Criterion) {
         let name = fam.name.replace('/', "-");
         group.bench_with_input(BenchmarkId::new("parse", &name), &text, |b, text| {
             b.iter(|| std::hint::black_box(textfmt::parse_instance(text).unwrap()));
+        });
+        group.bench_with_input(BenchmarkId::new("hash", &name), &inst, |b, inst| {
+            b.iter(|| instance_hash(std::hint::black_box(inst)))
         });
         group.bench_with_input(BenchmarkId::new("special_form", &name), &inst, |b, inst| {
             b.iter(|| std::hint::black_box(to_special_form(inst)))

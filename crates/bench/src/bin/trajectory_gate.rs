@@ -56,6 +56,13 @@
 //!     another cost 2.5–7× the parse; the one-pass build costs well
 //!     under 1×.
 //!
+//! 11a. `serve_cache/hash/<f>` ≤ 0.1 × `serve_cache/parse/<f>` for
+//!     every catalog family `f` at 64 agents — the content hash of a
+//!     cold `SOLVE inline:` (hash v2, over the parsed structure) costs
+//!     at most a tenth of the text parse it follows, measured in the
+//!     same run. Hashing a re-rendered canonical text (hash v1: render
+//!     plus FNV-1a) cost more than the parse on 7 of the 8 families.
+//!
 //! 12. `serve_cache/pool_round_trip/timeout` ≤ 1.5 ×
 //!     `serve_cache/pool_round_trip/no_timeout` — one empty task through
 //!     the worker pool to its completion callback costs about the same
@@ -72,18 +79,26 @@
 //! 9. edit cost grows strictly slower than scratch cost across the
 //!    size axis (`edit·256 / edit·64 < scratch·256 / scratch·64`,
 //!    cross-multiplied) — delta cost tracks the ball, not the instance;
-//! 10. `delta-solve/request-r2/n` ≤ `delta-solve/edit-r2/n` + 3 ×
-//!     `delta-solve/hash/n` at n ∈ {256, 1024} — the whole
-//!     `SOLVE_DELTA inline:` request (parse, repair, revision hash,
-//!     render, registration) costs its dirty ball plus one hash, with
-//!     two more hashes of headroom for rendering and registration. A
-//!     request can never go below one FNV pass over the revision's
-//!     canonical text (`hash/n`, the v1 content hash that names it), so
-//!     the rule gates the request against its own unavoidable parts,
-//!     measured in the same run. Size 64 is reported but not gated.
-//!     Rule 9 is not applied to `request-*`: its FNV pass keeps it
-//!     linear in n, and a growth-ratio test on a linear cost flips on
-//!     noise.
+//!    and `delta-solve/edit-r2/1024` ≤ 2 × `delta-solve/edit-r2/256`
+//!    (it reads about 0.7×), so an O(n) pass inside the repair kernel
+//!    fails even where it leaves the 64 → 256 growth under 3.5× (one
+//!    FNV-1a pass over the canonical text per edit reads 3.5×);
+//! 10. `delta-solve/request-r2/n` ≤ `delta-solve/edit-r2/n` + 10 ×
+//!     `delta-solve/warm-r2/n` at n ∈ {256, 1024} — the whole
+//!     `SOLVE_DELTA inline:` request (delta parse, repair, revision
+//!     hash, x-line refresh, body render, lineage record, cache insert)
+//!     costs what it cannot avoid: its dirty ball (`edit-r2/n`, which
+//!     also swaps the edited row's hash term) plus the O(n) copying and
+//!     formatting of its reply and a few microseconds of fixed
+//!     bookkeeping, together gated at ten body renders (`warm-r2/n`,
+//!     the body of a parked revision) measured in the same run. The
+//!     request reads 4.5–6 renders above its repair at 256 agents and
+//!     2.4–2.9 at 1 024; with one FNV-1a pass over the revision's
+//!     canonical text per edit (the v1 identity) put back, it read 17
+//!     and 16, so that pass fails at both sizes. Size 64 is reported
+//!     but not gated. Rule 9 is not applied to `request-*`: the reply
+//!     keeps it linear in n, and a growth-ratio test on a linear cost
+//!     flips on noise.
 //!
 //! CI runs this against the **committed** files (not a fresh run), so
 //! the gate is deterministic: it catches a PR committing numbers that
@@ -263,15 +278,13 @@ fn gate_serve(g: &mut Gate) {
             2,
         );
     }
-    // §4 costs at most 1.5 × the text parse of the same instance.
+    // §4 costs at most 1.5 × the text parse of the same instance, the
+    // content hash at most 0.1 ×.
     for fam in mmlp_gen::catalog() {
         let name = fam.name.replace('/', "-");
-        g.check_ratio(
-            &format!("serve_cache/special_form/{name}"),
-            &format!("serve_cache/parse/{name}"),
-            3,
-            2,
-        );
+        let parse = format!("serve_cache/parse/{name}");
+        g.check_ratio(&format!("serve_cache/special_form/{name}"), &parse, 3, 2);
+        g.check_ratio(&format!("serve_cache/hash/{name}"), &parse, 1, 10);
     }
     // A timeout costs the pool hand-off no thread per task.
     g.check_ratio(
@@ -322,6 +335,8 @@ fn gate_delta(g: &mut Gate) {
                 .push(format!("missing delta-solve entries at R={big_r}")),
         }
     }
+    // The repair stays flat up to delta-edit's ~1000-agent bases.
+    g.check_ratio("delta-solve/edit-r2/1024", "delta-solve/edit-r2/256", 2, 1);
     for size in [64u32, 256] {
         g.check(
             &format!("delta-solve/edit-r2/{size}"),
@@ -334,8 +349,8 @@ fn gate_delta(g: &mut Gate) {
         g.check_sum(
             &format!("delta-solve/request-r2/{size}"),
             &format!("delta-solve/edit-r2/{size}"),
-            &format!("delta-solve/hash/{size}"),
-            3,
+            &format!("delta-solve/warm-r2/{size}"),
+            10,
         );
     }
 }
@@ -399,7 +414,7 @@ mod tests {
     #[test]
     fn a_host_stamped_document_parses_to_the_same_entries() {
         let entries = "  \"benchmarks\": [\n    \
-             {\"name\": \"delta-solve/hash/64\", \"median_ns\": 5000, \"min_ns\": 4900, \"max_ns\": 6000},\n    \
+             {\"name\": \"delta-solve/warm-r2/64\", \"median_ns\": 5000, \"min_ns\": 4900, \"max_ns\": 6000},\n    \
              {\"name\": \"delta-solve/edit-r2/64\", \"median_ns\": 800, \"min_ns\": 700, \"max_ns\": 900}\n  \
              ]\n}\n";
         let plain = format!("{{\n  \"schema\": \"mmlp-bench-json-v1\",\n{entries}");
@@ -411,6 +426,6 @@ mod tests {
         let parsed = parse_entries(&stamped);
         assert_eq!(parsed, parse_entries(&plain));
         assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed["delta-solve/hash/64"], (5000, 4900));
+        assert_eq!(parsed["delta-solve/warm-r2/64"], (5000, 4900));
     }
 }

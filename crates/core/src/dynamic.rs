@@ -25,13 +25,13 @@
 //! state is **bit-identical** to a from-scratch solve by construction
 //! (and asserted across the generator catalogue in tests).
 //!
-//! The solver also maintains its revision's identity: the canonical
-//! text ([`CanonicalText`]) and its content hash
-//! ([`mmlp_instance::instance_hash`]). A coefficient edit re-renders its
-//! row in place (the row plus one `memmove`); the next
-//! [`DynamicSolver::revision`] re-hashes the text in one FNV pass —
-//! never a full re-render — and [`DynamicSolver::apply_delta`]'s base
-//! check is O(1) between edits.
+//! The solver also maintains its revision's identity, the content
+//! hash ([`mmlp_instance::instance_hash`], hash v2) of its instance.
+//! Hash v2 finalizes a sum of one term per row entry, so a coefficient
+//! edit updates the sum in O(row): the edited row's old term out, its
+//! new term in ([`mmlp_instance::hash::constraint_term`]). Nothing is
+//! rendered or re-hashed whole; [`DynamicSolver::revision`] and
+//! [`DynamicSolver::apply_delta`]'s base check are O(1).
 //!
 //! Structural edits (edge/agent/row changes, from
 //! [`mmlp_instance::delta`]) are handled by [`DynamicSolver::apply_delta`]
@@ -43,7 +43,7 @@ use crate::smoothing::{solve_special, SpecialRun};
 use crate::special::{SpecialForm, SpecialFormError};
 use crate::tree_bound::{Scratch, TreeBound};
 use mmlp_instance::delta::{Delta, DeltaError, Edit, RowKind};
-use mmlp_instance::textfmt::CanonicalText;
+use mmlp_instance::hash::{constraint_term, hash_of_sum, instance_sum};
 use mmlp_instance::{AgentId, CommGraph, ConstraintId};
 
 /// Incremental maintainer of a special-form solution under edits.
@@ -52,11 +52,9 @@ pub struct DynamicSolver {
     graph: CommGraph,
     big_r: usize,
     run: SpecialRun,
-    /// Canonical text of the maintained revision.
-    text: CanonicalText,
-    /// Content hash of `text`; `None` until first asked for after a
-    /// change.
-    revision: Option<u64>,
+    /// Hash-v2 sum of the maintained instance ([`instance_sum`]), kept
+    /// current per edit; [`hash_of_sum`] of it names the revision.
+    revision_sum: u64,
     /// Dense `f±` memo tables for the `t_u` repairs, laid out once.
     scratch: Scratch,
     /// Buffers reused across updates so an update allocates nothing
@@ -112,18 +110,16 @@ impl From<DeltaError> for DynamicError {
 
 impl DynamicSolver {
     /// Solves from scratch and retains the state, plus the revision's
-    /// canonical text and hash.
+    /// content hash.
     ///
     /// `_threads`: ignored; the benchmark PR (ROADMAP item 9) removes it.
     pub fn new(sf: SpecialForm, big_r: usize, _threads: usize) -> Self {
         assert!(big_r >= 2);
         let run = solve_special(&sf, big_r, 1);
         let graph = CommGraph::new(sf.instance());
-        let text = CanonicalText::render(sf.instance());
         let n_nodes = graph.n_nodes();
         DynamicSolver {
-            text,
-            revision: None,
+            revision_sum: instance_sum(sf.instance()),
             sf,
             graph,
             big_r,
@@ -159,18 +155,10 @@ impl DynamicSolver {
     }
 
     /// Content hash of the maintained revision — equal to
-    /// [`mmlp_instance::instance_hash`] of the current instance. Costs
-    /// nothing unless the text changed since the last call; then it is
-    /// one FNV pass over the text.
-    pub fn revision(&mut self) -> u64 {
-        *self.revision.get_or_insert_with(|| self.text.hash())
-    }
-
-    /// The maintained revision's canonical text
-    /// ([`mmlp_instance::textfmt::write_instance`] of the current
-    /// instance).
-    pub fn canonical_text(&self) -> &str {
-        self.text.as_str()
+    /// [`mmlp_instance::instance_hash`] of the current instance, kept
+    /// current by every edit.
+    pub fn revision(&self) -> u64 {
+        hash_of_sum(self.revision_sum)
     }
 
     /// Applies a content-addressed [`Delta`] to the maintained instance.
@@ -304,10 +292,14 @@ impl DynamicSolver {
         };
 
         // Mutate the maintained inputs in place: instance CSR + partner
-        // tables (special form) and the row's canonical text.
+        // tables (special form), and the revision's hash sum by the
+        // edited row's term.
+        let old_term = constraint_term(self.sf.instance(), i);
         self.sf.set_constraint_coefs(i, new_coefs);
-        self.text.rerender_constraint(self.sf.instance(), i);
-        self.revision = None;
+        self.revision_sum = self
+            .revision_sum
+            .wrapping_sub(old_term)
+            .wrapping_add(constraint_term(self.sf.instance(), i));
 
         // t: re-evaluate each dirty agent's bound on the folded graph.
         let tb = TreeBound::new(&self.sf, self.big_r);
@@ -414,7 +406,7 @@ impl DynamicSolver {
     }
 
     /// Structural fallback: adopt `sf` as the new revision, re-solve from
-    /// scratch and re-render its text.
+    /// scratch and hash it whole.
     fn rebuild(&mut self, sf: SpecialForm) -> UpdateReport {
         let n = sf.n_agents();
         *self = DynamicSolver {
@@ -523,15 +515,30 @@ mod tests {
         let mut dynamic = DynamicSolver::new(sf, 3, 1);
         let inst_hash = |d: &DynamicSolver| instance_hash(d.special_form().instance());
         assert_eq!(dynamic.revision(), inst_hash(&dynamic));
-        // The bare kernel keeps the text current, including a row
-        // edited twice in a row.
-        for cons in [3u32, 3, 0, 11] {
-            dynamic.update_constraint_coefs(ConstraintId::new(cons), [0.1 + 0.2, 1.75]);
+        // The bare kernel keeps the hash current after every edit,
+        // including a row edited twice in a row and an edit back to a
+        // row's original coefficients.
+        let row0 = dynamic
+            .special_form()
+            .instance()
+            .constraint_row(ConstraintId::new(0));
+        let original = [row0[0].coef, row0[1].coef];
+        let start = dynamic.revision();
+        for (cons, coefs) in [
+            (3u32, [0.1 + 0.2, 1.75]),
+            (3, [2.5, 0.5]),
+            (0, [1.0, 1.0]),
+            (11, [0.1 + 0.2, 1.75]),
+            (11, [1.25, 1.5]),
+            (0, original),
+        ] {
+            let before = dynamic.revision();
+            dynamic.update_constraint_coefs(ConstraintId::new(cons), coefs);
+            assert_eq!(dynamic.revision(), inst_hash(&dynamic), "row {cons}");
+            assert_ne!(dynamic.revision(), before, "row {cons}");
         }
-        assert_eq!(dynamic.revision(), inst_hash(&dynamic));
-        let fresh = mmlp_instance::textfmt::write_instance(dynamic.special_form().instance());
-        assert_eq!(dynamic.canonical_text(), fresh);
-        // A structural delta rebuilds, text included.
+        assert_ne!(dynamic.revision(), start, "rows 3 and 11 stay edited");
+        // A structural delta rebuilds and hashes the new instance whole.
         let base = dynamic.revision();
         let d = Delta::single(
             base,
@@ -542,6 +549,22 @@ mod tests {
         );
         dynamic.apply_delta(&d).unwrap();
         assert_ne!(dynamic.revision(), base);
+        assert_eq!(dynamic.revision(), inst_hash(&dynamic));
+        // And a coefficient edit on top of the rebuild updates it again.
+        let d = Delta::single(
+            dynamic.revision(),
+            Edit::SetCoef {
+                row: RowKind::Constraint,
+                row_id: 0,
+                agent: dynamic
+                    .special_form()
+                    .instance()
+                    .constraint_row(ConstraintId::new(0))[1]
+                    .agent,
+                coef: 0.625,
+            },
+        );
+        dynamic.apply_delta(&d).unwrap();
         assert_eq!(dynamic.revision(), inst_hash(&dynamic));
     }
 

@@ -28,10 +28,10 @@
 //! * a length-framed **binary** form (the storage format), with a magic,
 //!   a version byte and little-endian fields.
 //!
-//! The **delta hash** is FNV-1a over the canonical text — the same
-//! convention as [`crate::hash::instance_hash`] — so a delta's identity
-//! survives comment/whitespace noise but changes with any semantic
-//! difference, including edit order.
+//! The **delta hash** is FNV-1a over the canonical text, so a delta's
+//! identity survives comment/whitespace noise but changes with any
+//! semantic difference, including edit order. Revisions are named by
+//! [`crate::hash::instance_hash`] of the edited instance.
 
 use crate::hash::{fnv1a64, hash_hex, instance_hash, parse_hash_hex};
 use crate::ids::AgentId;

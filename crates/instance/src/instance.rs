@@ -163,6 +163,18 @@ impl Instance {
             .fold(f64::INFINITY, |m, e| m.min(1.0 / e.coef))
     }
 
+    /// Heap bytes of the instance's arrays, by length: the row offsets
+    /// and entries of both matrices and of both transposes. O(1), so
+    /// the serve layer's instance store charges it per entry.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let offsets = self.a_off.len() + self.c_off.len() + self.va_off.len() + self.vc_off.len();
+        offsets * size_of::<u32>()
+            + (self.a_entries.len() + self.c_entries.len()) * size_of::<Entry>()
+            + self.va_entries.len() * size_of::<AgentConstraint>()
+            + self.vc_entries.len() * size_of::<AgentObjective>()
+    }
+
     /// Replaces the coefficients of constraint `i`'s row **in place** —
     /// row and agent-side transpose together, in O(|V_i| · Δ) with no
     /// reallocation. `new` is in port order and must match the row
@@ -873,5 +885,26 @@ mod tests {
             Err(BuildError::BadCoefficient { .. })
         ));
         assert_eq!(inst.a_coef(ConstraintId::new(0), v0), Some(1.0));
+    }
+
+    #[test]
+    fn heap_bytes_counts_every_array_by_length() {
+        let mut b = InstanceBuilder::new();
+        let v0 = b.add_agent();
+        let v1 = b.add_agent();
+        let v2 = b.add_agent();
+        b.add_constraint(&[(v0, 1.0), (v1, 2.0)]).unwrap();
+        b.add_constraint(&[(v1, 3.0), (v2, 0.5)]).unwrap();
+        b.add_objective(&[(v0, 1.0), (v2, 1.0)]).unwrap();
+        let inst = b.build().unwrap();
+        // Offsets: 3 + 2 row offsets, 4 + 4 agent offsets, 4 bytes each;
+        // entries: 4 + 2 row entries and 4 + 2 transposed, 16 bytes each.
+        assert_eq!(inst.heap_bytes(), 13 * 4 + 12 * 16);
+        // A coefficient edit moves no length, so no cost.
+        let mut edited = inst.clone();
+        edited
+            .set_constraint_coefs(ConstraintId::new(0), &[7.0, 8.0])
+            .unwrap();
+        assert_eq!(edited.heap_bytes(), inst.heap_bytes());
     }
 }

@@ -38,9 +38,10 @@
 //!   batches of [`Edit`]s with canonical text/binary encodings and the
 //!   revision [`Lineage`] `(base_hash, delta_hash) → new_hash` consumed
 //!   by the serve layer's `PUT_DELTA`/`SOLVE_DELTA` ops.
-//! * [`hash`] — stable FNV-1a content hashing and the canonical
-//!   [`instance_hash`] identity shared by the campaign log and the
-//!   solver service's content-addressed cache.
+//! * [`hash`] — stable FNV-1a hashing of bytes, and [`instance_hash`],
+//!   the canonical instance identity (hash v2, over the parsed
+//!   structure) shared by the campaign log and the solver service's
+//!   content-addressed cache.
 //!
 //! Everything downstream (`mmlp-lp`, `mmlp-net`, `mmlp-core`, `mmlp-gen`)
 //! consumes these types.

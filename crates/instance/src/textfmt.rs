@@ -19,8 +19,7 @@
 //! instance whose isolated agents (in no row) outnumber the bytes of
 //! its text cannot be written in this format.
 
-use crate::hash::fnv1a64;
-use crate::ids::{AgentId, ConstraintId};
+use crate::ids::AgentId;
 use crate::instance::{Entry, Instance, InstanceBuilder};
 use std::fmt::Write as _;
 
@@ -54,74 +53,16 @@ impl std::error::Error for ParseError {}
 
 /// Serialises an instance to the text format.
 pub fn write_instance(inst: &Instance) -> String {
-    CanonicalText::render(inst).into_string()
-}
-
-/// The canonical text of an instance ([`write_instance`]'s output),
-/// with the byte span of every constraint row recorded so that one row
-/// can be re-rendered in place after a coefficient edit.
-///
-/// Re-rendering a row costs the row plus one `memmove` of the text
-/// behind it, instead of a fresh render of the whole instance. The
-/// content hash ([`CanonicalText::hash`]) is one FNV-1a pass over the
-/// text — the identity is byte-serial FNV-1a of the whole text
-/// (`specs/DELTA.md`).
-#[derive(Clone, Debug)]
-pub struct CanonicalText {
-    text: String,
-    /// `rows[i]` is the byte offset at which constraint row `i`'s line
-    /// starts; one trailing entry marks the end of the last one.
-    rows: Vec<usize>,
-}
-
-impl CanonicalText {
-    /// Renders `inst` and records its constraint rows' offsets.
-    pub fn render(inst: &Instance) -> Self {
-        let mut text = String::new();
-        text.push_str("maxminlp 1\n");
-        let _ = writeln!(text, "agents {}", inst.n_agents());
-        let mut rows = Vec::with_capacity(inst.n_constraints() + 1);
-        for i in inst.constraints() {
-            rows.push(text.len());
-            write_row(&mut text, 'c', inst.constraint_row(i));
-        }
-        rows.push(text.len());
-        for k in inst.objectives() {
-            write_row(&mut text, 'o', inst.objective_row(k));
-        }
-        CanonicalText { text, rows }
+    let mut text = String::new();
+    text.push_str("maxminlp 1\n");
+    let _ = writeln!(text, "agents {}", inst.n_agents());
+    for i in inst.constraints() {
+        write_row(&mut text, 'c', inst.constraint_row(i));
     }
-
-    /// Re-renders constraint row `i` from `inst`, in place. `inst` must
-    /// be the rendered instance up to edits of row `i`'s coefficients
-    /// (the row keeps its agents).
-    pub fn rerender_constraint(&mut self, inst: &Instance, i: ConstraintId) {
-        let (start, end) = (self.rows[i.idx()], self.rows[i.idx() + 1]);
-        let mut line = String::with_capacity(end - start + 16);
-        write_row(&mut line, 'c', inst.constraint_row(i));
-        let (old_len, new_len) = (end - start, line.len());
-        self.text.replace_range(start..end, &line);
-        if new_len != old_len {
-            for off in &mut self.rows[i.idx() + 1..] {
-                *off = *off + new_len - old_len;
-            }
-        }
+    for k in inst.objectives() {
+        write_row(&mut text, 'o', inst.objective_row(k));
     }
-
-    /// The canonical text.
-    pub fn as_str(&self) -> &str {
-        &self.text
-    }
-
-    /// The canonical text, by value.
-    pub fn into_string(self) -> String {
-        self.text
-    }
-
-    /// The instance's content hash ([`crate::hash::instance_hash`]).
-    pub fn hash(&self) -> u64 {
-        fnv1a64(self.text.as_bytes())
-    }
+    text
 }
 
 /// One `c`/`o` line: the tag, then ` agent:coef` per entry in port order.
@@ -140,8 +81,9 @@ fn write_row(out: &mut String, tag: char, row: &[Entry]) {
 /// and even lone-`\r` (classic Mac) line endings are accepted, and
 /// leading/trailing whitespace on any line — including trailing tabs
 /// after the last token — is ignored. None of this changes the
-/// canonical form: [`write_instance`] always emits bare `\n`, so
-/// content hashes (see `crate::hash`) are unaffected.
+/// canonical form: [`write_instance`] always emits bare `\n`, and
+/// content hashes (see `crate::hash`) are taken over the parsed
+/// structure, so none of it reaches them.
 pub fn parse_instance(text: &str) -> Result<Instance, ParseError> {
     // `str::lines` already strips a trailing `\r` (CRLF files); a file
     // using *lone* `\r` as its separator would otherwise arrive as one
@@ -292,27 +234,6 @@ mod tests {
         let orig = inst.objective_row(ObjectiveId::new(0))[1].coef;
         let rt = back.objective_row(ObjectiveId::new(0))[1].coef;
         assert_eq!(orig.to_bits(), rt.to_bits());
-    }
-
-    #[test]
-    fn rerendered_rows_match_a_fresh_render() {
-        let mut inst = sample();
-        let mut text = CanonicalText::render(&inst);
-        assert_eq!(text.as_str(), write_instance(&inst));
-        // Longer, shorter and equal-length coefficient spellings, on the
-        // first row (text behind it shifts) and the last.
-        for (row, coefs) in [
-            (0, &[0.1 + 0.2, 3.5][..]),
-            (0, &[1.0, 2.0]),
-            (1, &[123456.789]),
-            (0, &[0.125, 3.5]),
-        ] {
-            let i = ConstraintId::new(row);
-            inst.set_constraint_coefs(i, coefs).unwrap();
-            text.rerender_constraint(&inst, i);
-            assert_eq!(text.as_str(), write_instance(&inst), "row {row} {coefs:?}");
-            assert_eq!(text.hash(), crate::hash::instance_hash(&inst));
-        }
     }
 
     #[test]

@@ -210,6 +210,8 @@ pub struct JournalOpenReport {
     pub corrupt: usize,
     /// Journal files present after recovery.
     pub files: usize,
+    /// The largest trace id among the recovered records (0 when none).
+    pub max_trace_id: u64,
 }
 
 enum Msg {
@@ -271,6 +273,8 @@ impl Journal {
             let bytes = fs::read(path)?;
             let (recs, scan) = scan_file(&bytes);
             report.recovered += recs.len();
+            let file_max = recs.iter().map(|r| r.trace_id).max().unwrap_or(0);
+            report.max_trace_id = report.max_trace_id.max(file_max);
             report.corrupt += scan.corrupt_at.len();
             if i == files.len() - 1 {
                 if let Some(torn) = scan.torn_at {
@@ -534,7 +538,7 @@ mod tests {
     fn open_emit_flush_read_round_trips() {
         let dir = temp_dir("rt");
         let (j, open) = Journal::open(JournalConfig::new(&dir)).unwrap();
-        assert_eq!(open.recovered, 0);
+        assert_eq!((open.recovered, open.max_trace_id), (0, 0));
         for i in 0..50u64 {
             j.emit(rec(EV_SPAN, i + 1, &format!("event {i}")));
         }
@@ -568,6 +572,7 @@ mod tests {
         let (j2, open) = Journal::open(JournalConfig::new(&dir)).unwrap();
         assert_eq!(open.recovered, 10);
         assert_eq!(open.torn_truncated, 4);
+        assert_eq!(open.max_trace_id, 10, "the survivors' largest id");
         j2.emit(rec(EV_BUSY, 0, "after recovery"));
         j2.flush();
         drop(j2);

@@ -52,6 +52,6 @@ pub use lint::{lint_pair, parse_exposition, Exposition};
 pub use registry::{Counter, Gauge, HistogramHandle, Registry};
 pub use slo::{evaluate_slos, parse_slo_specs, render_slo_report, SloSpec};
 pub use span::{
-    format_trace_id, next_trace_id, parse_trace_id, render_span_tree, SpanRecorder, SpanRing,
-    SpanTree,
+    format_trace_id, mint_trace_ids_after, next_trace_id, parse_trace_id, render_span_tree,
+    SpanRecorder, SpanRing, SpanTree,
 };

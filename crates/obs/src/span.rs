@@ -57,11 +57,23 @@ pub struct SpanTree {
     pub spans: Vec<Span>,
 }
 
+/// The id [`next_trace_id`] hands out next.
+static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
+
 /// Hands out process-unique trace ids, starting at 1 (0 reads as
-/// "untraced").
+/// "untraced", so it is skipped should the counter ever wrap).
 pub fn next_trace_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+    match NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed) {
+        0 => NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
+        id => id,
+    }
+}
+
+/// Moves [`next_trace_id`] past `id`: ids minted from now on are all
+/// larger. A server calls it with the largest id its journal holds, so
+/// a new life on the same journal never reuses an earlier life's ids.
+pub fn mint_trace_ids_after(id: u64) {
+    NEXT_TRACE_ID.fetch_max(id.saturating_add(1), Ordering::Relaxed);
 }
 
 /// Formats a trace id the way the wire protocol and CLI expect it:
@@ -396,6 +408,16 @@ mod tests {
         let a = next_trace_id();
         let b = next_trace_id();
         assert!(a > 0 && b > a);
+    }
+
+    #[test]
+    fn minting_moves_past_an_earlier_lifes_ids() {
+        let earlier = next_trace_id() + 1_000;
+        mint_trace_ids_after(earlier);
+        assert!(next_trace_id() > earlier);
+        // Never backwards.
+        mint_trace_ids_after(1);
+        assert!(next_trace_id() > earlier);
     }
 
     #[test]

@@ -224,7 +224,8 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 /// Maps a key to its shard index (must be `< SHARDS`).
 ///
 /// Implementations use the key's *low bits* so content hashes spread
-/// uniformly — `fnv1a64` already mixes well in the low nibble.
+/// uniformly — `instance_hash` ends in a full finalizer, so every bit
+/// of its input reaches the low nibble.
 pub trait ShardKey {
     /// The shard this key lives in.
     fn shard(&self) -> usize;

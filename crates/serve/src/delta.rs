@@ -14,15 +14,16 @@
 //!    [`DynamicSolver::apply_delta`], which repairs ball-locally for
 //!    coefficient edits, then re-park it at `<rev>`;
 //! 3. **booted** — no solver for this `R` anywhere on the chain: boot
-//!    one from the chain's root (the revision with no lineage edge) —
-//!    its stored instance, else the one the revision graph keeps for
-//!    it — and replay forward. This is also how a restarted node
+//!    one from the nearest revision the instance store holds (`<rev>`
+//!    itself included), else from the chain's root (the revision with
+//!    no lineage edge) and the instance the revision graph keeps for
+//!    it, and replay forward. This is also how a restarted node
 //!    recovers — lineage records are persisted through `mmlp-store`,
 //!    so the chain replays from segments.
 //!
 //! Every replayed edge is checked against the revision it was recorded
-//! under (the solver's maintained hash: one FNV pass of its text, no
-//! render); a mismatch is `ERR INTERNAL` and parks nothing.
+//! under (the solver's maintained hash, updated per edited row); a
+//! mismatch is `ERR INTERNAL` and parks nothing.
 //!
 //! `SOLVE_DELTA inline:` of a coefficient delta whose base has a parked
 //! solver skips the revision graph walk: the server checks the solver
@@ -55,8 +56,8 @@ use crate::protocol::ErrorCode;
 use mmlp_core::dynamic::{DynamicError, DynamicSolver, UpdateReport};
 use mmlp_core::special::SpecialForm;
 use mmlp_instance::delta::Delta;
-use mmlp_instance::hash::{fnv1a64, hash_hex};
-use mmlp_instance::{textfmt, DegreeStats, Instance};
+use mmlp_instance::hash::{hash_hex, instance_hash};
+use mmlp_instance::{DegreeStats, Instance};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -150,8 +151,8 @@ struct Walk<T> {
 
 /// The instance a rebuild starts from.
 enum Origin {
-    /// Copied from a parked solver, with its canonical text length.
-    Parked(Instance, u64),
+    /// Copied from a parked solver.
+    Parked(Instance),
     /// The instance store's entry, or a root's kept instance.
     Stored(Arc<Instance>),
 }
@@ -292,19 +293,16 @@ impl Parked {
     /// Approximate resident bytes: per agent `t`/`s`/`x`, the `g±`
     /// tables (`2(R−1)` levels of 8 bytes) and the x-line offset and
     /// bits; per graph node the BFS distance and visit slot and two
-    /// flood values; per constraint row its text offset; then the
-    /// canonical text, both x-line buffers and the `t_u` repair memo as
-    /// laid out (per agent and level, two 16-byte `f±` slots and two
+    /// flood values; then both x-line buffers and the `t_u` repair memo
+    /// as laid out (per agent and level, two 16-byte `f±` slots and two
     /// 8-byte slopes once the first repair has run).
     fn cost(&self) -> u64 {
-        let text = self.solver.canonical_text().len() as u64;
-        let inst = self.solver.special_form().instance();
-        let (n, rows) = (inst.n_agents() as u64, inst.n_constraints() as u64);
+        let n = self.solver.special_form().n_agents() as u64;
         let nodes = self.solver.graph().n_nodes() as u64;
         let levels = (self.solver.big_r() - 1) as u64;
         let xlines = (self.xlines.text.capacity() + self.xlines.spare.capacity()) as u64;
         let memo = self.solver.scratch_bytes() as u64;
-        n * (24 + 16 * levels + 16) + nodes * 24 + rows * 8 + text + xlines + memo
+        n * (24 + 16 * levels + 16) + nodes * 24 + xlines + memo
     }
 }
 
@@ -372,28 +370,50 @@ impl DeltaCoordinator {
         true
     }
 
-    /// Loads persisted edges, one per revision, into an empty graph and
-    /// returns how many it kept (self-edges are dropped). A store lists
-    /// them by segment, not in the order they were recorded, so the
-    /// roots are found once all are in: every base without an edge,
-    /// with `root`'s instance for it.
+    /// Loads persisted edges, one per revision, into an empty graph. A
+    /// store lists them by segment, not in the order they were
+    /// recorded, so the roots are found once all are in: every base
+    /// without an edge, with `root`'s instance for it. A chain whose
+    /// root instance does not hash to the root's key (one recorded
+    /// under another hash version) can never replay onto its recorded
+    /// revisions, so every edge of it is dropped. Returns the edges
+    /// kept and dropped; self-edges are dropped uncounted.
     pub fn restore(
         &self,
         edges: Vec<(u64, LineageEdge)>,
         root: impl Fn(u64) -> Option<Arc<Instance>>,
-    ) -> usize {
+    ) -> (usize, usize) {
         let mut graph = self.lineage.lock().expect("lineage lock");
         graph.edges = edges
             .into_iter()
             .filter(|(new, e)| *new != e.base)
             .collect();
         let bases: HashSet<u64> = graph.edges.values().map(|e| e.base).collect();
-        graph.roots = bases
-            .into_iter()
-            .filter(|b| !graph.edges.contains_key(b))
-            .map(|b| (b, root(b)))
-            .collect();
-        graph.edges.len()
+        let mut stale = Vec::new();
+        let mut roots = HashMap::new();
+        for b in bases.into_iter().filter(|b| !graph.edges.contains_key(b)) {
+            let inst = root(b);
+            if inst.as_ref().is_some_and(|i| instance_hash(i) != b) {
+                stale.push(b);
+            } else {
+                roots.insert(b, inst);
+            }
+        }
+        graph.roots = roots;
+        let before = graph.edges.len();
+        if !stale.is_empty() {
+            let mut children: HashMap<u64, Vec<u64>> = HashMap::new();
+            for (&new, e) in &graph.edges {
+                children.entry(e.base).or_default().push(new);
+            }
+            while let Some(b) = stale.pop() {
+                for new in children.remove(&b).unwrap_or_default() {
+                    graph.edges.remove(&new);
+                    stale.push(new);
+                }
+            }
+        }
+        (graph.edges.len(), before - graph.edges.len())
     }
 
     /// Number of lineage edges known.
@@ -440,7 +460,7 @@ impl DeltaCoordinator {
     }
 
     /// Parks `parked` at its current revision.
-    pub fn park(&self, mut parked: Parked, big_r: usize) {
+    pub fn park(&self, parked: Parked, big_r: usize) {
         let key = SolverKey {
             revision: parked.solver.revision(),
             big_r,
@@ -453,9 +473,10 @@ impl DeltaCoordinator {
     }
 
     /// Worker half of an inline delta: applies it to the checked-out
-    /// solver in place — one repair of the dirty ball, one hash of the
-    /// maintained text — and renders the new revision's body. An invalid
-    /// delta leaves the solver untouched and parks it back.
+    /// solver in place — one repair of the dirty ball, which also swaps
+    /// the edited rows' hash terms — and renders the new revision's
+    /// body. An invalid delta leaves the solver untouched and parks it
+    /// back.
     pub fn advance(&self, job: InlineDelta) -> Result<Advanced, EngineError> {
         let InlineDelta {
             mut parked,
@@ -492,7 +513,8 @@ impl DeltaCoordinator {
     /// Resolves `revision` to a solver (warm / advanced / booted, see
     /// the module docs), renders the `SOLVE`-format body from its
     /// state, and re-parks it. `fetch` resolves a revision hash to its
-    /// stored instance (the engine's instance store).
+    /// stored instance (the engine's instance store); it is asked once
+    /// per walked revision until one is stored.
     pub fn solve<F>(
         &self,
         revision: u64,
@@ -520,8 +542,16 @@ impl DeltaCoordinator {
         // Stop at an ancestor with a solver parked for this `R`.
         // Taking it out (rather than cloning) keeps one canonical
         // solver per chain tip; a later request for the old revision
-        // just re-boots.
+        // just re-boots. On the way, note the nearest revision the
+        // store holds (`revision` itself included) and how many edges
+        // below `revision` it sits: a boot starts there.
+        let mut nearest_stored = None;
+        let mut depth = 0;
         let walk = self.walk(revision, |at| {
+            if nearest_stored.is_none() {
+                nearest_stored = fetch(at).map(|inst| (depth, at, inst));
+            }
+            depth += 1;
             if at == revision {
                 None
             } else {
@@ -532,16 +562,22 @@ impl DeltaCoordinator {
         let (mut parked, mode) = match walk.found {
             Some(parked) => (parked, DeltaMode::Advanced),
             None => {
-                // Chain root (or a directly-PUT revision): boot from
-                // its stored or kept instance.
-                let root = walk.at;
-                let inst = fetch(root).or_else(|| self.root_instance(root));
+                // No parked solver on the chain: boot from the nearest
+                // stored revision, else from the chain's root and the
+                // instance the graph keeps for it.
+                let (at, inst) = match nearest_stored {
+                    Some((depth, at, inst)) => {
+                        pending.truncate(depth);
+                        (at, Some(inst))
+                    }
+                    None => (walk.at, self.root_instance(walk.at)),
+                };
                 let inst = inst.ok_or_else(|| {
                     (
                         ErrorCode::NoBase,
                         format!(
                             "no stored revision {} to boot the delta chain from",
-                            hash_hex(root)
+                            hash_hex(at)
                         ),
                     )
                 })?;
@@ -551,7 +587,7 @@ impl DeltaCoordinator {
                         format!(
                             "revision {} is not in special form ({e}); \
                              SOLVE_DELTA serves special-form chains — use SOLVE",
-                            hash_hex(root)
+                            hash_hex(at)
                         ),
                     )
                 })?;
@@ -664,21 +700,16 @@ impl DeltaCoordinator {
     /// it, oldest first, through [`Delta::apply_unchecked`]. A replayed
     /// result must hash to `revision`.
     ///
-    /// Returns the instance and its canonical text length (what `PUT`
-    /// charges the store for it), or `None` when the walk ends at a
-    /// revision with no instance to start from. A replay failure or a
-    /// hash mismatch is `ERR INTERNAL`.
-    pub fn rebuild<F>(
-        &self,
-        revision: u64,
-        stored: F,
-    ) -> Result<Option<(Instance, u64)>, EngineError>
+    /// Returns the instance, or `None` when the walk ends at a revision
+    /// with no instance to start from. A replay failure or a hash
+    /// mismatch is `ERR INTERNAL`.
+    pub fn rebuild<F>(&self, revision: u64, stored: F) -> Result<Option<Instance>, EngineError>
     where
         F: Fn(u64) -> Option<Arc<Instance>>,
     {
         let walk = self.walk(revision, |at| {
-            if let Some((inst, len)) = self.copy_parked(at) {
-                return Some(Origin::Parked(inst, len));
+            if let Some(inst) = self.copy_parked(at) {
+                return Some(Origin::Parked(inst));
             }
             if at == revision {
                 return None;
@@ -692,10 +723,8 @@ impl DeltaCoordinator {
             None => return Ok(None),
             // A solver's maintained revision is the key it is parked
             // under: nothing to check.
-            Some(Origin::Parked(inst, len)) if walk.pending.is_empty() => {
-                return Ok(Some((inst, len)))
-            }
-            Some(Origin::Parked(inst, _)) => inst,
+            Some(Origin::Parked(inst)) if walk.pending.is_empty() => return Ok(Some(inst)),
+            Some(Origin::Parked(inst)) => inst,
             Some(Origin::Stored(inst)) => (*inst).clone(),
         };
         for (expect, text) in walk.pending.iter().rev() {
@@ -709,8 +738,7 @@ impl DeltaCoordinator {
                     )
                 })?;
         }
-        let canonical = textfmt::write_instance(&inst);
-        let got = fnv1a64(canonical.as_bytes());
+        let got = instance_hash(&inst);
         if got != revision {
             return Err((
                 ErrorCode::Internal,
@@ -721,18 +749,15 @@ impl DeltaCoordinator {
                 ),
             ));
         }
-        Ok(Some((inst, canonical.len() as u64)))
+        Ok(Some(inst))
     }
 
     /// A copy of the instance of a solver parked at `revision`, for any
-    /// `R`, and its canonical text length. Leaves recency alone.
-    fn copy_parked(&self, revision: u64) -> Option<(Instance, u64)> {
+    /// `R`. Leaves recency alone.
+    fn copy_parked(&self, revision: u64) -> Option<Instance> {
         let solvers = self.solvers.lock().expect("solver lock");
         let parked = solvers.find(|k| k.revision == revision)?;
-        Some((
-            parked.solver.special_form().instance().clone(),
-            parked.solver.canonical_text().len() as u64,
-        ))
+        Some(parked.solver.special_form().instance().clone())
     }
 
     /// Every lineage edge, for warm-start round-trip tests.
@@ -975,10 +1000,8 @@ mod tests {
             cur = next;
         }
         for (rev, inst) in &revisions {
-            let (got, len) = coordinator.rebuild(*rev, stored).unwrap().unwrap();
-            let text = textfmt::write_instance(inst);
-            assert_eq!(textfmt::write_instance(&got), text);
-            assert_eq!(len, text.len() as u64);
+            let got = coordinator.rebuild(*rev, stored).unwrap().unwrap();
+            assert_eq!(textfmt::write_instance(&got), textfmt::write_instance(inst));
         }
         // The root and unknown hashes are not the graph's to rebuild.
         assert!(coordinator.rebuild(h0, stored).unwrap().is_none());
@@ -987,14 +1010,13 @@ mod tests {
         // revisions below it still replay from the stored root.
         let (tip, tip_inst) = &revisions[2];
         coordinator.solve(*tip, 2, stored).unwrap();
-        let (got, len) = coordinator.rebuild(*tip, |_| None).unwrap().unwrap();
-        let text = textfmt::write_instance(tip_inst);
+        let got = coordinator.rebuild(*tip, |_| None).unwrap().unwrap();
         assert_eq!(
-            (textfmt::write_instance(&got), len),
-            (text.clone(), text.len() as u64)
+            textfmt::write_instance(&got),
+            textfmt::write_instance(tip_inst)
         );
         let (mid, mid_inst) = &revisions[1];
-        let (got, _) = coordinator.rebuild(*mid, stored).unwrap().unwrap();
+        let got = coordinator.rebuild(*mid, stored).unwrap().unwrap();
         assert_eq!(
             textfmt::write_instance(&got),
             textfmt::write_instance(mid_inst)
@@ -1020,7 +1042,7 @@ mod tests {
         assert_eq!(coordinator.lineage_len(), 1);
         // With nothing stored, v1 is rebuilt and booted from the root.
         assert!(coordinator.knows(lin.new) && coordinator.knows(h0));
-        let (got, _) = coordinator.rebuild(lin.new, |_| None).unwrap().unwrap();
+        let got = coordinator.rebuild(lin.new, |_| None).unwrap().unwrap();
         assert_eq!(textfmt::write_instance(&got), textfmt::write_instance(&v1));
         let (body, info) = coordinator.solve(lin.new, 3, |_| None).unwrap();
         assert_eq!(info.mode, DeltaMode::Booted);
@@ -1042,7 +1064,7 @@ mod tests {
             delta_text: delta.to_text(),
         };
         let edges = vec![(lin.new, edge(h0, &d)), (h0, edge(lin.new, &back))];
-        assert_eq!(coordinator.restore(edges, |_| None), 2);
+        assert_eq!(coordinator.restore(edges, |_| None), (2, 0));
         // Walks end where they come round instead of running to
         // CHAIN_CAP: no root, so nothing to boot or rebuild from.
         let err = coordinator.solve(lin.new, 3, |_| None).unwrap_err();
@@ -1051,8 +1073,44 @@ mod tests {
         // A rebuild stops at the stored revision before it comes round.
         let v0 = Arc::new(v0);
         let stored = |h: u64| (h == h0).then(|| Arc::clone(&v0));
-        let (got, _) = coordinator.rebuild(lin.new, stored).unwrap().unwrap();
+        let got = coordinator.rebuild(lin.new, stored).unwrap().unwrap();
         assert_eq!(textfmt::write_instance(&got), textfmt::write_instance(&v1));
+    }
+
+    #[test]
+    fn restore_drops_chains_whose_root_does_not_hash_to_its_key() {
+        let v0 = special_instance(20, 3);
+        let h0 = instance_hash(&v0);
+        let d = coef_delta(&v0, 0, 2.0);
+        let (v1, lin) = d.apply_hashed(&v0).unwrap();
+        let edge = |base: u64, text: String| LineageEdge {
+            base,
+            delta_text: text,
+        };
+        // A chain recorded under another hash version: its root key
+        // names `v0`, but `v0` hashes to `h0` now, so replaying its
+        // edges could never land on the keys they were recorded under.
+        let (old_root, old_1, old_2) = (0x1111, 0x2222, 0x3333);
+        let edges = vec![
+            (lin.new, edge(h0, d.to_text())),
+            (old_1, edge(old_root, d.to_text())),
+            (old_2, edge(old_1, coef_delta(&v1, 1, 0.5).to_text())),
+        ];
+        let v0 = Arc::new(v0);
+        let root = |h: u64| (h == h0 || h == old_root).then(|| Arc::clone(&v0));
+        let coordinator = DeltaCoordinator::new(1 << 20);
+        assert_eq!(coordinator.restore(edges, root), (1, 2));
+        assert_eq!(coordinator.lineage_len(), 1);
+        // The dropped revisions are unknown, not broken: a rebuild has
+        // nothing to start from and a solve nothing to boot.
+        assert!(!coordinator.knows(old_2) && !coordinator.knows(old_root));
+        assert!(coordinator.rebuild(old_2, |_| None).unwrap().is_none());
+        let err = coordinator.solve(old_2, 3, |_| None).unwrap_err();
+        assert_eq!(err.0, ErrorCode::NoBase, "{err:?}");
+        // The chain whose root hashes to its key replays as before.
+        let (body, info) = coordinator.solve(lin.new, 3, |_| None).unwrap();
+        assert_eq!((info.mode, info.replayed), (DeltaMode::Booted, 1));
+        assert_eq!(body, execute(Op::Solve, &v1, 3, 1).unwrap());
     }
 
     #[test]

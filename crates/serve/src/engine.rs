@@ -107,6 +107,11 @@ pub struct WarmStart {
     pub results: u64,
     /// Delta lineage edges replayed into the revision graph.
     pub lineage: u64,
+    /// Lineage edges dropped because their chain's root instance does
+    /// not hash to the key the chain was recorded under (chains a
+    /// hash-v1 server wrote): replaying them could never land on their
+    /// recorded revisions.
+    pub lineage_dropped: u64,
 }
 
 /// The cache + store pair behind the server (and the bench), with an
@@ -154,23 +159,21 @@ impl Engine {
             // gone. The running totals track successful inserts, so
             // what's loaded is exactly what's resident (an insert can
             // also be refused by a full *shard* before the total is hit).
+            // Every record loads under the key it was written with:
+            // nothing is re-hashed, so a store whose keys some older
+            // identity computed still answers `hash:` requests for them.
             let mut store_used = 0u64;
-            for (hash, disk_len) in persist.instance_records() {
-                // Cost proxy: the framed on-disk length (the binary
-                // blob is within ~2× of the canonical text `put` uses,
-                // and reading it off the index avoids re-rendering
-                // every instance at boot).
-                if store_used + u64::from(disk_len) > engine.store.budget() {
+            for (hash, _) in persist.instance_records() {
+                let Some(inst) = persist.get_instance(hash)? else {
+                    continue;
+                };
+                let cost = inst.heap_bytes() as u64;
+                if store_used + cost > engine.store.budget() {
                     break;
                 }
-                if let Some(inst) = persist.get_instance(hash)? {
-                    if engine
-                        .store
-                        .insert(hash, Arc::new(inst), u64::from(disk_len))
-                    {
-                        warm.instances += 1;
-                        store_used += u64::from(disk_len);
-                    }
+                if engine.store.insert(hash, Arc::new(inst), cost) {
+                    warm.instances += 1;
+                    store_used += cost;
                 }
             }
             let mut results_used = 0u64;
@@ -223,7 +226,9 @@ impl Engine {
                     Some(Arc::new(inst))
                 })
             };
-            warm.lineage = engine.delta.restore(edges, root) as u64;
+            let (kept, dropped) = engine.delta.restore(edges, root);
+            warm.lineage = kept as u64;
+            warm.lineage_dropped = dropped as u64;
         }
         Ok(Engine {
             persist: Some(persist),
@@ -256,14 +261,14 @@ impl Engine {
     }
 
     /// Parses and stores an instance; returns its canonical content
-    /// hash. Semantically identical uploads (modulo comments,
-    /// whitespace, line endings) dedupe onto one entry.
+    /// hash, taken over the parsed structure. Semantically identical
+    /// uploads (modulo comments, whitespace, line endings) dedupe onto
+    /// one entry. The store charges the instance's heap bytes.
     pub fn put(&self, text: &str) -> Result<u64, EngineError> {
         let inst = textfmt::parse_instance(text)
             .map_err(|e| (ErrorCode::BadReq, format!("parse: {e}")))?;
-        let canonical = textfmt::write_instance(&inst);
-        let h = fnv1a64(canonical.as_bytes());
-        let cost = canonical.len() as u64;
+        let h = instance_hash(&inst);
+        let cost = inst.heap_bytes() as u64;
         let inst = Arc::new(inst);
         if self.store.get(&h).is_none() && !self.store.insert(h, Arc::clone(&inst), cost) {
             return Err((
@@ -305,9 +310,10 @@ impl Engine {
         if let Some(inst) = self.store.get(&hash) {
             return Ok(Some(inst));
         }
-        let Some((inst, cost)) = self.delta.rebuild(hash, |h| self.store.get(&h))? else {
+        let Some(inst) = self.delta.rebuild(hash, |h| self.store.get(&h))? else {
             return Ok(None);
         };
+        let cost = inst.heap_bytes() as u64;
         let inst = Arc::new(inst);
         // A revision too large for its shard is still served, unstored.
         self.store.insert(hash, Arc::clone(&inst), cost);
@@ -366,8 +372,8 @@ impl Engine {
 
     /// [`Engine::put_delta`] of a parsed delta. The base is resolved by
     /// hash, like [`Engine::fetch`] (a rebuild when it is not stored),
-    /// so it is not re-hashed; the new revision is rendered and hashed
-    /// once, and stored exactly like a `PUT` of its text would be.
+    /// so it is not re-hashed; the new revision is hashed once, and
+    /// stored exactly like a `PUT` of its text would be.
     pub fn register_delta(&self, delta: &Delta) -> Result<Lineage, EngineError> {
         let base = self.resolve(delta.base)?.ok_or_else(|| {
             (
@@ -381,12 +387,11 @@ impl Engine {
         let new_inst = delta
             .apply_unchecked(&base)
             .map_err(|e| (ErrorCode::BadDelta, format!("delta apply: {e}")))?;
-        let canonical = textfmt::write_instance(&new_inst);
         let canonical_delta = delta.to_text();
         let lineage = Lineage {
             base: delta.base,
             delta: fnv1a64(canonical_delta.as_bytes()),
-            new: fnv1a64(canonical.as_bytes()),
+            new: instance_hash(&new_inst),
         };
         self.record_lineage(lineage.base, lineage.new, canonical_delta, || {
             Some(Arc::clone(&base))
@@ -394,7 +399,7 @@ impl Engine {
         let stored = match self.store.get(&lineage.new) {
             Some(stored) => stored,
             None => {
-                let cost = canonical.len() as u64;
+                let cost = new_inst.heap_bytes() as u64;
                 let stored = Arc::new(new_inst);
                 if !self.store.insert(lineage.new, Arc::clone(&stored), cost) {
                     return Err((
@@ -784,7 +789,7 @@ mod tests {
             WarmStart {
                 instances: 1,
                 results: 1,
-                lineage: 0
+                ..WarmStart::default()
             }
         );
         let back = e.fetch(key.instance).unwrap();
@@ -827,7 +832,7 @@ mod tests {
             WarmStart {
                 instances: 1,
                 results: 1,
-                lineage: 0
+                ..WarmStart::default()
             }
         );
         assert_eq!(e.cache_stats().0, 1);
@@ -867,8 +872,7 @@ mod tests {
             e.warm_start(),
             WarmStart {
                 instances: 1,
-                results: 0,
-                lineage: 0
+                ..WarmStart::default()
             }
         );
         assert_eq!(e.cache_stats().0, 0);
@@ -904,11 +908,13 @@ mod tests {
         assert_eq!(lin.base, instance_hash(&base));
         assert_ne!(lin.new, lin.base);
         // The new revision is fetchable and SOLVE_DELTA's body is
-        // bit-identical to a from-scratch SOLVE of it.
+        // bit-identical to a from-scratch SOLVE of it. `PUT_DELTA`
+        // stored the revision, so the solver boots there: nothing to
+        // replay.
         let new_inst = e.fetch(lin.new).unwrap();
         let (body, info) = e.solve_delta(lin.new, 3, 1).unwrap();
         assert_eq!(body, execute(Op::Solve, &new_inst, 3, 1).unwrap());
-        assert!(info.recomputed_x > 0);
+        assert_eq!((info.mode, info.replayed), (DeltaMode::Booted, 0));
         let (edges, solvers, bytes) = e.delta_stats();
         assert_eq!((edges, solvers), (1, 1));
         assert!(bytes > 0);
@@ -1016,15 +1022,17 @@ mod tests {
             assert_eq!(e.persist_errors(), 0);
         }
         // A fresh engine on the same segments: the lineage edge is
-        // replayed at warm start and the chain re-solves from the
-        // stored base, bit-identically.
+        // replayed at warm start, and the revision, whose instance
+        // `PUT_DELTA` persisted, boots where it is stored and solves
+        // bit-identically with nothing to replay.
         let (store, _) = Store::open(&dir).unwrap();
         let e = Engine::with_store(1 << 20, 1 << 20, store).unwrap();
         assert_eq!(e.warm_start().lineage, 1);
+        assert_eq!(e.warm_start().lineage_dropped, 0);
         assert_eq!(e.warm_start().instances, 2, "base + revision persisted");
         let (after, info) = e.solve_delta(lin.new, 3, 1).unwrap();
         assert_eq!(after, before);
-        assert_eq!(info.replayed, 1, "restart chain is re-derived, not warm");
+        assert_eq!((info.mode, info.replayed), (DeltaMode::Booted, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1094,7 +1102,7 @@ mod tests {
     fn inline_revisions_are_rebuilt_when_named_not_stored_per_edit() {
         let e = Engine::new(1 << 24, 1 << 24);
         let base = special_inst();
-        let base_len = textfmt::write_instance(&base).len() as u64;
+        let base_len = base.heap_bytes() as u64;
         e.put(&textfmt::write_instance(&base)).unwrap();
         let chain = inline_chain(&e, &base, 60);
         // Each edit's revision lives in the parked solver and the
@@ -1109,7 +1117,7 @@ mod tests {
             assert_eq!(instance_hash(&got), *rev, "{label}");
             assert_eq!(execute(Op::Solve, &got, 3, 1).unwrap(), *body, "{label}");
             // Stored at what `PUT` of its text would charge.
-            used += textfmt::write_instance(inst).len() as u64;
+            used += inst.heap_bytes() as u64;
             assert_eq!(e.store_stats().1, used, "{label}");
         }
         assert_eq!(e.store_stats().0, 4, "one entry per rebuilt revision");
@@ -1119,10 +1127,58 @@ mod tests {
     }
 
     #[test]
+    fn solve_delta_boots_at_the_stored_tip_of_a_put_delta_chain() {
+        let e = Engine::new(1 << 24, 1 << 24);
+        let mut cur = special_inst();
+        e.put(&textfmt::write_instance(&cur)).unwrap();
+        let mut tip = 0;
+        for step in 0..50 {
+            let delta = scale_delta(&cur, step, [1.5, 0.7][step % 2]);
+            tip = e.put_delta(&delta.to_text()).unwrap().new;
+            cur = delta.apply(&cur).unwrap();
+        }
+        // `PUT_DELTA` stored every revision: the boot starts at the
+        // requested one instead of replaying 50 edges from the root.
+        let (body, info) = e.solve_delta(tip, 3, 1).unwrap();
+        assert_eq!((info.mode, info.replayed), (DeltaMode::Booted, 0));
+        assert_eq!(body, execute(Op::Solve, &cur, 3, 1).unwrap());
+    }
+
+    #[test]
+    fn solve_delta_boots_at_the_nearest_stored_revision_and_a_parked_solver_still_wins() {
+        let e = Engine::new(1 << 24, 1 << 24);
+        let base = special_inst();
+        e.put(&textfmt::write_instance(&base)).unwrap();
+        // Twelve inline edits: revision j is `chain[j - 1]`, and none
+        // is stored. `SOLVE hash:` of revision 5 rebuilds and stores it.
+        let chain = inline_chain(&e, &base, 12);
+        e.fetch(chain[4].0).unwrap();
+        // No solver for R = 2 anywhere on the chain: the boot starts
+        // at revision 5, the nearest stored one, not at the root.
+        let (rev, inst, _) = &chain[11];
+        let (body, info) = e.solve_delta(*rev, 2, 1).unwrap();
+        assert_eq!((info.mode, info.replayed), (DeltaMode::Booted, 12 - 5));
+        assert_eq!(body, execute(Op::Solve, inst, 2, 1).unwrap());
+        // Three stored revisions on top: the R = 2 solver parked at
+        // revision 12 is advanced rather than a boot at the stored
+        // revision 15 itself.
+        let mut cur = inst.clone();
+        let mut tip = *rev;
+        for step in 0..3 {
+            let delta = scale_delta(&cur, step, 1.25);
+            tip = e.put_delta(&delta.to_text()).unwrap().new;
+            cur = delta.apply(&cur).unwrap();
+        }
+        let (body, info) = e.solve_delta(tip, 2, 1).unwrap();
+        assert_eq!((info.mode, info.replayed), (DeltaMode::Advanced, 3));
+        assert_eq!(body, execute(Op::Solve, &cur, 2, 1).unwrap());
+    }
+
+    #[test]
     fn a_small_store_keeps_the_chain_root_and_rebuilds_old_revisions() {
         let base = special_inst();
         let base_hash = instance_hash(&base);
-        let len = textfmt::write_instance(&base).len() as u64;
+        let len = base.heap_bytes() as u64;
         // About three revisions per store shard. Had every edit stored
         // its revision, 200 of them would evict the chain's root, and
         // with it every way back to the early revisions.
@@ -1169,7 +1225,7 @@ mod tests {
     fn store_churn_between_inline_edits_loses_no_revision() {
         let base = special_inst();
         let base_hash = instance_hash(&base);
-        let len = textfmt::write_instance(&base).len() as u64;
+        let len = base.heap_bytes() as u64;
         // About three instances per store shard.
         let e = Engine::new(1 << 20, 3 * len * SHARDS as u64);
         let churn = |seeds: std::ops::Range<u64>| {

@@ -46,7 +46,8 @@ use mmlp_lab::pool::{Outcome, SubmitError, TaskPool, TaskPoolConfig};
 use mmlp_obs::journal::{EV_BUSY, EV_CACHE, EV_DELTA, EV_SPAN, EV_STORE};
 use mmlp_obs::span::ROOT_SPAN;
 use mmlp_obs::{
-    next_trace_id, Journal, JournalConfig, JournalRecord, SpanRecorder, SpanRing, SpanTree,
+    mint_trace_ids_after, next_trace_id, Journal, JournalConfig, JournalRecord, SpanRecorder,
+    SpanRing, SpanTree,
 };
 use reactor::{Event, Events, Interest, Poll, Token, Waker};
 use std::collections::{HashMap, VecDeque};
@@ -252,7 +253,10 @@ impl Server {
         let journal = match &cfg.journal_dir {
             None => None,
             Some(dir) => {
-                let (j, _report) = Journal::open(JournalConfig::new(dir))?;
+                let (j, report) = Journal::open(JournalConfig::new(dir))?;
+                // Server-minted ids count from 1 in every process: start
+                // past the earlier lives' ids so none is journaled twice.
+                mint_trace_ids_after(report.max_trace_id);
                 Some(Arc::new(j))
             }
         };
@@ -265,10 +269,14 @@ impl Server {
                 text: note,
             });
         }
+        let metrics = ServeMetrics::new();
+        metrics
+            .warm_lineage_dropped
+            .set(engine.warm_start().lineage_dropped);
         let shared = Arc::new(Shared {
             engine,
             pool,
-            metrics: ServeMetrics::new(),
+            metrics,
             spans: SpanRing::new(SPAN_RING_CAP),
             journal,
             trace_counter: AtomicU64::new(0),
@@ -1760,5 +1768,6 @@ fn render_stats(shared: &Shared) -> String {
     let _ = writeln!(out, "delta_latency_p50_us {}", delta_lat.percentile(0.50));
     let _ = writeln!(out, "delta_latency_p95_us {}", delta_lat.percentile(0.95));
     let _ = writeln!(out, "delta_latency_p99_us {}", delta_lat.percentile(0.99));
+    let _ = writeln!(out, "warm_lineage_dropped {}", warm.lineage_dropped);
     out
 }

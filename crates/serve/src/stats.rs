@@ -100,6 +100,9 @@ pub struct ServeMetrics {
     pub store_entries: Gauge,
     /// Instance-store resident bytes (scrape-time).
     pub store_bytes: Gauge,
+    /// Lineage edges the warm start dropped: chains whose root
+    /// instance does not hash to the key they were recorded under.
+    pub warm_lineage_dropped: Gauge,
 }
 
 const OPS: [Op; 5] = [Op::Solve, Op::Optimum, Op::Safe, Op::Info, Op::SolveDelta];
@@ -263,6 +266,10 @@ impl ServeMetrics {
             cache_shard_evictions,
             store_entries: reg.gauge("mmlp_serve_store_entries", "Instance-store entries"),
             store_bytes: reg.gauge("mmlp_serve_store_bytes", "Instance-store resident bytes"),
+            warm_lineage_dropped: reg.gauge(
+                "mmlp_serve_warm_lineage_dropped",
+                "Lineage edges dropped at warm start: their chain's root does not hash to its key",
+            ),
             registry: reg,
         }
     }

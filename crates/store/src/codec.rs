@@ -18,8 +18,9 @@
 //! decode speed. A **solution** is `DIMS` (value count) then `VALS`
 //! (dense `f64` bits). Coefficients travel as IEEE-754 bit patterns, so a
 //! round trip is **bit-identical** — decode(encode(i)) has the same
-//! canonical text serialisation, hence the same
-//! [`mmlp_instance::hash::instance_hash`], as `i`. Decoding goes
+//! rows, in the same order, down to the float bits, hence the same
+//! canonical text serialisation and the same
+//! [`mmlp_instance::hash::instance_hash`] as `i`. Decoding goes
 //! through [`Instance::from_csr`], which enforces every shape and
 //! coefficient invariant the incremental builder would, so untrusted
 //! bytes cannot produce an instance the builder would have rejected.

@@ -75,7 +75,10 @@ fn solve_delta_is_bit_identical_to_solve_of_the_revision() {
     let stats = c.stats().unwrap();
     assert_eq!(stat(&stats, "delta_puts"), 1, "{stats:?}");
     assert_eq!(stat(&stats, "delta_solves_booted"), 1, "{stats:?}");
-    assert!(stat(&stats, "delta_recomputed_x") > 0, "{stats:?}");
+    // `PUT_DELTA` stored the revision, so the solver boots right there:
+    // nothing is replayed, so no dirty ball is recomputed.
+    assert_eq!(stat(&stats, "delta_replayed"), 0, "{stats:?}");
+    assert_eq!(stat(&stats, "delta_recomputed_x"), 0, "{stats:?}");
     assert_eq!(stat(&stats, "lineage_entries"), 1, "{stats:?}");
     assert_eq!(stat(&stats, "delta_solvers"), 1, "{stats:?}");
 
@@ -257,13 +260,19 @@ fn restart_replays_lineage_from_segments() {
     let d1 = bump(&base, 0, 1.5);
     let v1 = d1.apply(&base).unwrap();
     let d2 = bump(&v1, 1, 2.0);
+    let v2 = d2.apply(&v1).unwrap();
+    let d3 = bump(&v2, 2, 0.5);
+    let tip_hex = maxmin_lp::instance::hash::hash_hex(instance_hash(&d3.apply(&v2).unwrap()));
 
     let store_cfg = || ServeConfig {
         store_dir: Some(dir.clone()),
         ..ServeConfig::default()
     };
 
-    // First life: register a two-edit chain and solve its head.
+    // First life: register a two-edit chain and solve its head, then
+    // edit the head inline. `PUT_DELTA` stores its revisions; the
+    // inline edit advances the parked solver and persists only its
+    // lineage record.
     let head_hex;
     let before;
     {
@@ -274,30 +283,37 @@ fn restart_replays_lineage_from_segments() {
         let (_, _, new_hex) = c.put_delta(&d2.to_text()).unwrap().unwrap();
         head_hex = new_hex;
         before = c.solve_delta_hash(&head_hex, 3).unwrap().into_ok().unwrap();
+        c.solve_delta_inline(&d3.to_text(), 3)
+            .unwrap()
+            .into_ok()
+            .unwrap();
         c.shutdown().unwrap();
         assert_eq!(handle.join().unwrap().errors, 0);
     }
 
     // Second life on the same segments: the lineage graph is replayed
-    // at warm start. R=4 keys past the persisted R=3 body, forcing a
-    // real boot-and-replay from the stored base — the chain is
-    // re-derived from segments, not from memory — and the result is
-    // bit-identical to a from-scratch SOLVE at that R.
+    // at warm start. R=4 keys past the persisted R=3 bodies. The head
+    // boots where its persisted instance is, with nothing to replay;
+    // the inline tip, which no instance record holds, boots at R=5
+    // from the head and replays the edge read back from segments. Both
+    // are bit-identical to a from-scratch SOLVE at their R.
     let (addr, handle) = spawn_server(store_cfg());
     let mut c = Client::connect(&addr).unwrap();
     let stats = c.stats().unwrap();
-    assert_eq!(stat(&stats, "warm_lineage"), 2, "{stats:?}");
-    assert_eq!(stat(&stats, "lineage_entries"), 2, "{stats:?}");
-    let after = c.solve_delta_hash(&head_hex, 4).unwrap().into_ok().unwrap();
-    let scratch = c
-        .run_hash(Op::Solve, &head_hex, 4)
-        .unwrap()
-        .into_ok()
-        .unwrap();
-    assert_eq!(after.as_bytes(), scratch.as_bytes());
+    assert_eq!(stat(&stats, "warm_lineage"), 3, "{stats:?}");
+    assert_eq!(stat(&stats, "lineage_entries"), 3, "{stats:?}");
+    for (hex, big_r) in [(&head_hex, 4), (&tip_hex, 5)] {
+        let after = c.solve_delta_hash(hex, big_r).unwrap().into_ok().unwrap();
+        let scratch = c
+            .run_hash(Op::Solve, hex, big_r)
+            .unwrap()
+            .into_ok()
+            .unwrap();
+        assert_eq!(after.as_bytes(), scratch.as_bytes(), "R {big_r}");
+    }
     let stats = c.stats().unwrap();
-    assert_eq!(stat(&stats, "delta_solves_booted"), 1, "{stats:?}");
-    assert_eq!(stat(&stats, "delta_replayed"), 2, "whole chain replayed");
+    assert_eq!(stat(&stats, "delta_solves_booted"), 2, "{stats:?}");
+    assert_eq!(stat(&stats, "delta_replayed"), 1, "the tip's edge only");
     // The first life's cached body also survives, as a warm hit under
     // SOLVE_DELTA's own namespace.
     let hit = c.solve_delta_hash(&head_hex, 3).unwrap().into_ok().unwrap();
@@ -388,9 +404,11 @@ fn inline_chain_advances_the_parked_solver_in_place() {
     c.shutdown().unwrap();
     assert_eq!(handle.join().unwrap().errors, 0);
 
-    // A restart on the same store replays the whole chain from disk.
-    // R=4 keys past the tip's persisted R=3 body, so the replay is real
-    // and is checked against a from-scratch SOLVE at that R.
+    // A restart on the same store restores the whole chain from disk.
+    // R=4 keys past the tip's persisted R=3 body, so the solve is real
+    // and is checked against a from-scratch SOLVE at that R. Each
+    // explicit `PUT_DELTA` above persisted its revision's instance, the
+    // tip's too, so the boot starts at the tip: nothing to replay.
     let (addr, handle) = spawn_server(store_cfg());
     let mut c = Client::connect(&addr).unwrap();
     let stats = c.stats().unwrap();
@@ -407,7 +425,8 @@ fn inline_chain_advances_the_parked_solver_in_place() {
         .unwrap();
     assert_eq!(replayed.as_bytes(), scratch.as_bytes());
     let stats = c.stats().unwrap();
-    assert_eq!(stat(&stats, "delta_replayed"), 5, "{stats:?}");
+    assert_eq!(stat(&stats, "delta_solves_booted"), 1, "{stats:?}");
+    assert_eq!(stat(&stats, "delta_replayed"), 0, "{stats:?}");
     // The tip's R=3 body from the first life comes back from disk.
     let warm = c
         .solve_delta_hash(&hex(&cur), 3)
@@ -629,7 +648,7 @@ fn named_inline_revisions_are_rebuilt_from_lineage() {
 #[test]
 fn store_churn_between_inline_edits_loses_no_revision() {
     let base = base_instance();
-    let len = textfmt::write_instance(&base).len() as u64;
+    let len = base.heap_bytes() as u64;
     let shards = maxmin_lp::serve::cache::SHARDS as u64;
     // About three instances per store shard, so other clients' PUTs
     // evict the chain's base while its solver waits for edits.

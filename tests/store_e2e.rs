@@ -211,3 +211,136 @@ fn kill_nine_mid_load_then_restart_serves_warm_bit_identical_replies() {
     assert!(report.contains("clean true"), "{report}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The key a hash-v1 server wrote an instance's records under:
+/// FNV-1a over its canonical text.
+fn v1_key(inst: &maxmin_lp::instance::Instance) -> u64 {
+    maxmin_lp::instance::fnv1a64(textfmt::write_instance(inst).as_bytes())
+}
+
+/// Appends `records`, framed, to their shards' segment files under
+/// `dir` (`specs/STORAGE.md`), whatever key each carries: the records
+/// a server of another hash version wrote.
+fn append_records(dir: &Path, records: &[maxmin_lp::store::Record]) {
+    use maxmin_lp::store::{store::shard_of, Record};
+    drop(maxmin_lp::store::Store::open(dir).expect("create the shards"));
+    for record in records {
+        let hash = match record {
+            Record::Instance { hash, .. } => *hash,
+            Record::Result { key, .. } => key.instance,
+        };
+        let path = dir.join(format!("shard-{:02}.seg", shard_of(hash)));
+        let mut f = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(&record.encode().unwrap()).unwrap();
+    }
+}
+
+#[test]
+fn a_store_keyed_by_hash_v1_serves_its_keys_and_drops_its_chains() {
+    use maxmin_lp::instance::delta::{Delta, Edit, RowKind};
+    use maxmin_lp::instance::{hash_hex, ConstraintId};
+    use maxmin_lp::serve::client::ClientReply;
+    use maxmin_lp::serve::protocol::{ErrorCode, LINEAGE_OP_CODE};
+    use maxmin_lp::store::codec::encode_instance;
+    use maxmin_lp::store::{Record, ResultKey};
+
+    let dir = temp_dir("v1keys");
+    let fams = catalog();
+    let family = |name: &str| fams.iter().find(|f| f.name == name).unwrap();
+    let inst = family("bandwidth").instance(32, 3);
+    let body = maxmin_lp::serve::engine::execute(Op::Solve, &inst, 3, 1).unwrap();
+    // A two-edit chain off a special-form base, every key v1.
+    let base = family("special-form").instance(18, 2);
+    let mut chain = Vec::new();
+    let mut cur = base.clone();
+    for (row, factor) in [(0u32, 1.5), (1, 0.75)] {
+        let e = cur.constraint_row(ConstraintId::new(row))[0];
+        let delta = Delta::single(
+            v1_key(&cur),
+            Edit::SetCoef {
+                row: RowKind::Constraint,
+                row_id: row,
+                agent: e.agent,
+                coef: e.coef * factor,
+            },
+        );
+        cur = delta.apply_unchecked(&cur).unwrap();
+        chain.push((v1_key(&cur), delta.to_text()));
+    }
+    let instance_record = |i: &maxmin_lp::instance::Instance| Record::Instance {
+        hash: v1_key(i),
+        blob: encode_instance(i),
+    };
+    let result_record = |instance: u64, op: u8, big_r: u32, body: &str| Record::Result {
+        key: ResultKey {
+            instance,
+            op,
+            big_r,
+            threads: u32::from(op != LINEAGE_OP_CODE),
+        },
+        body: body.as_bytes().to_vec(),
+    };
+    let mut records = vec![
+        instance_record(&inst),
+        result_record(v1_key(&inst), Op::Solve.code(), 3, &body),
+        instance_record(&base),
+    ];
+    for (key, text) in &chain {
+        records.push(result_record(*key, LINEAGE_OP_CODE, 0, text));
+    }
+    append_records(&dir, &records);
+
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run().expect("run"));
+    let mut c = Client::connect(&addr).unwrap();
+    // The stored result answers under the key it was written with.
+    let v1 = hash_hex(v1_key(&inst));
+    let got = c.run_hash(Op::Solve, &v1, 3).unwrap().into_ok().unwrap();
+    assert_eq!(got, body);
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "cache_misses"), 0, "{stats:?}");
+    assert_eq!(stat(&stats, "cache_hits"), 1, "{stats:?}");
+    assert_eq!(stat(&stats, "warm_instances"), 2, "{stats:?}");
+    // The v1 chain cannot replay onto its v1 revisions: dropped at
+    // boot and counted, so its revisions are unknown, not INTERNAL.
+    assert_eq!(stat(&stats, "warm_lineage"), 0, "{stats:?}");
+    assert_eq!(stat(&stats, "warm_lineage_dropped"), 2, "{stats:?}");
+    assert!(c
+        .metrics()
+        .unwrap()
+        .lines()
+        .any(|l| l == "mmlp_serve_warm_lineage_dropped 2"));
+    let tip = hash_hex(chain[1].0);
+    let not_found = |r: ClientReply| match r {
+        ClientReply::Err(code, _) => code,
+        ClientReply::Ok(body) => panic!("expected an error, got {body}"),
+    };
+    assert_eq!(
+        not_found(c.run_hash(Op::Solve, &tip, 3).unwrap()),
+        ErrorCode::NotFound
+    );
+    assert_eq!(
+        not_found(c.solve_delta_hash(&tip, 3).unwrap()),
+        ErrorCode::NoBase
+    );
+    // The chain's root instance still answers under its v1 key.
+    let root = c
+        .run_hash(Op::Solve, &hash_hex(v1_key(&base)), 3)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(
+        root,
+        maxmin_lp::serve::engine::execute(Op::Solve, &base, 3, 1).unwrap()
+    );
+    c.shutdown().unwrap();
+    assert_eq!(handle.join().unwrap().errors, 2, "the two refusals");
+    std::fs::remove_dir_all(&dir).ok();
+}

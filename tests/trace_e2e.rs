@@ -345,8 +345,10 @@ fn journal_recovers_from_a_torn_tail_across_server_restarts() {
     );
     assert_eq!(report.torn_files, 1, "{report:?}");
 
-    // ...and the second life truncates it on open, then appends.
-    let second_id = 0xabad_1dea_0000_0002;
+    // ...and the second life truncates it on open, then appends. Its
+    // client id is not `first_id + 1`: the server's own sampled ids
+    // start right past the largest id its journal holds, `first_id`.
+    let second_id = 0xabad_1dea_0000_0020;
     {
         let (addr, handle) = spawn_server(ServeConfig {
             journal_dir: Some(journal.clone()),
@@ -443,5 +445,64 @@ fn obs_trace_cli_renders_the_journaled_span_tree() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("error:"), "{stderr}");
 
+    let _ = std::fs::remove_dir_all(&journal);
+}
+
+/// One `maxmin-lp serve` life on `journal`: a `PUT`, the first request
+/// of the process and so sampled under a server-minted trace id, then
+/// `SHUTDOWN`. Returns the ids of the span trees in the shutdown
+/// summary.
+fn one_serve_life(journal: &std::path::Path) -> Vec<u64> {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_maxmin-lp"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+        .arg("--journal-dir")
+        .arg(journal)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve");
+    let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+    let addr = loop {
+        let line = lines.next().expect("serve printed no address").unwrap();
+        if let Some(a) = line.strip_prefix("listening ") {
+            break a.trim().to_string();
+        }
+    };
+    let mut c = Client::connect(&addr).unwrap();
+    c.put(&instance_text()).unwrap().unwrap();
+    c.shutdown().unwrap();
+    let ids = lines
+        .map(|l| l.unwrap())
+        .filter_map(|l| parse_trace_id(l.strip_prefix("trace ")?.split_whitespace().next()?))
+        .collect();
+    assert!(child.wait().unwrap().success());
+    ids
+}
+
+#[test]
+fn server_minted_trace_ids_do_not_repeat_across_lives() {
+    // Two server processes on one journal directory: each counts its
+    // own ids from 1, so the second must start past the first's.
+    let journal = temp_dir("lives");
+    let first = one_serve_life(&journal);
+    let second = one_serve_life(&journal);
+    assert_eq!((first.len(), second.len()), (1, 1), "{first:?} {second:?}");
+    assert_ne!(first[0], second[0], "the second life reused an id");
+    for id in [first[0], second[0]] {
+        // One tree per id in the journal, and `obs trace` renders it.
+        assert_eq!(journaled_trees(&journal, id).len(), 1, "{id:x}");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_maxmin-lp"))
+            .args(["obs", "trace", &format_trace_id(id), "--journal"])
+            .arg(&journal)
+            .output()
+            .expect("run obs trace");
+        assert!(out.status.success());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let header = format!("trace {}  PUT", format_trace_id(id));
+        assert_eq!(stdout.matches("trace ").count(), 1, "{stdout}");
+        assert!(stdout.starts_with(&header), "{stdout}");
+    }
     let _ = std::fs::remove_dir_all(&journal);
 }
