@@ -100,6 +100,17 @@
 //!     keeps it linear in n, and a growth-ratio test on a linear cost
 //!     flips on noise.
 //!
+//! `BENCH_store.json`:
+//!
+//! 13. `store_open/warm_start/n` ≤ 2 × `store_open/open/n` at
+//!     n ∈ {256, 1024} — a server's boot over a store of n instance
+//!     records and n result bodies (`Engine::open_store`) costs at most
+//!     twice the bare `Store::open` of the same store, measured in the
+//!     same run: the warm start copies result bodies out of the bytes
+//!     the open scan has just read and verified, and decodes no
+//!     instance record. Decoding every instance at boot, each read back
+//!     with a seek and a second checksum, fails it.
+//!
 //! CI runs this against the **committed** files (not a fresh run), so
 //! the gate is deterministic: it catches a PR committing numbers that
 //! lose an ordering, not machine noise. The procedure for regenerating
@@ -355,6 +366,17 @@ fn gate_delta(g: &mut Gate) {
     }
 }
 
+fn gate_store(g: &mut Gate) {
+    for size in [256u32, 1024] {
+        g.check_ratio(
+            &format!("store_open/warm_start/{size}"),
+            &format!("store_open/open/{size}"),
+            2,
+            1,
+        );
+    }
+}
+
 fn main() -> ExitCode {
     let mut paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
@@ -389,7 +411,8 @@ fn main() -> ExitCode {
             s if s.contains("core") => gate_core(&mut g),
             s if s.contains("serve") => gate_serve(&mut g),
             s if s.contains("delta") => gate_delta(&mut g),
-            _ => {} // e.g. BENCH_store.json: parse-only for now
+            s if s.contains("store") => gate_store(&mut g),
+            _ => {}
         }
     }
 

@@ -14,12 +14,12 @@
 //!    [`DynamicSolver::apply_delta`], which repairs ball-locally for
 //!    coefficient edits, then re-park it at `<rev>`;
 //! 3. **booted** — no solver for this `R` anywhere on the chain: boot
-//!    one from the nearest revision the instance store holds (`<rev>`
-//!    itself included), else from the chain's root (the revision with
-//!    no lineage edge) and the instance the revision graph keeps for
-//!    it, and replay forward. This is also how a restarted node
-//!    recovers — lineage records are persisted through `mmlp-store`,
-//!    so the chain replays from segments.
+//!    one from the nearest revision the instance store holds, in memory
+//!    or as a record on disk (`<rev>` itself included), else from the
+//!    chain's root (the revision with no lineage edge) and the instance
+//!    the revision graph keeps for it, and replay forward. This is also
+//!    how a restarted node recovers — lineage records are persisted
+//!    through `mmlp-store`, so the chain replays from segments.
 //!
 //! Every replayed edge is checked against the revision it was recorded
 //! under (the solver's maintained hash, updated per edited row); a
@@ -513,8 +513,9 @@ impl DeltaCoordinator {
     /// Resolves `revision` to a solver (warm / advanced / booted, see
     /// the module docs), renders the `SOLVE`-format body from its
     /// state, and re-parks it. `fetch` resolves a revision hash to its
-    /// stored instance (the engine's instance store); it is asked once
-    /// per walked revision until one is stored.
+    /// stored instance (the engine's instance store, reading through to
+    /// disk); it is asked once per walked revision until one is stored,
+    /// and its error ends the walk.
     pub fn solve<F>(
         &self,
         revision: u64,
@@ -522,7 +523,7 @@ impl DeltaCoordinator {
         fetch: F,
     ) -> Result<(String, DeltaSolveInfo), EngineError>
     where
-        F: Fn(u64) -> Option<Arc<Instance>>,
+        F: Fn(u64) -> Result<Option<Arc<Instance>>, EngineError>,
     {
         let key = SolverKey { revision, big_r };
         // The gate guards no data, so a resolve that panicked leaves
@@ -549,14 +550,14 @@ impl DeltaCoordinator {
         let mut depth = 0;
         let walk = self.walk(revision, |at| {
             if nearest_stored.is_none() {
-                nearest_stored = fetch(at).map(|inst| (depth, at, inst));
+                nearest_stored = fetch(at)?.map(|inst| (depth, at, inst));
             }
             depth += 1;
-            if at == revision {
+            Ok(if at == revision {
                 None
             } else {
                 self.checkout(at, big_r)
-            }
+            })
         })?;
         let mut pending = walk.pending;
         let (mut parked, mode) = match walk.found {
@@ -645,7 +646,8 @@ impl DeltaCoordinator {
     }
 
     /// Walks lineage back from `revision`, at most [`CHAIN_CAP`] edges,
-    /// until `stop` takes something at the revision the walk is on.
+    /// until `stop` takes something at the revision the walk is on (or
+    /// fails, which ends the walk with its error).
     /// Each step tries `stop` first, then follows the revision's edge; a
     /// revision with no edge (the chain's root), or one the walk has
     /// already passed (a cycle in a store written before edges were kept
@@ -654,7 +656,7 @@ impl DeltaCoordinator {
     fn walk<T>(
         &self,
         revision: u64,
-        mut stop: impl FnMut(u64) -> Option<T>,
+        mut stop: impl FnMut(u64) -> Result<Option<T>, EngineError>,
     ) -> Result<Walk<T>, EngineError> {
         let mut pending = Vec::new();
         let mut seen = HashSet::new();
@@ -666,7 +668,7 @@ impl DeltaCoordinator {
                     format!("lineage chain exceeds {CHAIN_CAP} edges"),
                 ));
             }
-            if let Some(found) = stop(at) {
+            if let Some(found) = stop(at)? {
                 return Ok(Walk {
                     found: Some(found),
                     at,
@@ -695,26 +697,27 @@ impl DeltaCoordinator {
     /// for a request that names a revision the instance store does not
     /// hold. The walk stops at the first revision with a solver parked
     /// at it (for any `R`) or, below `revision`, a stored instance
-    /// (`stored`), else at the chain's root and its kept instance; the
-    /// rebuild copies that instance and replays the walked deltas on
-    /// it, oldest first, through [`Delta::apply_unchecked`]. A replayed
-    /// result must hash to `revision`.
+    /// (`stored`, whose error ends the walk), else at the chain's root
+    /// and its kept instance; the rebuild copies that instance and
+    /// replays the walked deltas on it, oldest first, through
+    /// [`Delta::apply_unchecked`]. A replayed result must hash to
+    /// `revision`.
     ///
     /// Returns the instance, or `None` when the walk ends at a revision
     /// with no instance to start from. A replay failure or a hash
     /// mismatch is `ERR INTERNAL`.
     pub fn rebuild<F>(&self, revision: u64, stored: F) -> Result<Option<Instance>, EngineError>
     where
-        F: Fn(u64) -> Option<Arc<Instance>>,
+        F: Fn(u64) -> Result<Option<Arc<Instance>>, EngineError>,
     {
         let walk = self.walk(revision, |at| {
             if let Some(inst) = self.copy_parked(at) {
-                return Some(Origin::Parked(inst));
+                return Ok(Some(Origin::Parked(inst)));
             }
             if at == revision {
-                return None;
+                return Ok(None);
             }
-            stored(at).map(Origin::Stored)
+            Ok(stored(at)?.map(Origin::Stored))
         })?;
         let origin = walk
             .found
@@ -858,7 +861,7 @@ mod tests {
             .lock()
             .unwrap()
             .insert(instance_hash(&v0), Arc::new(v0.clone()));
-        let fetch = |h: u64| store.lock().unwrap().get(&h).cloned();
+        let fetch = |h: u64| Ok(store.lock().unwrap().get(&h).cloned());
 
         // Register a 3-edit chain v0 → v1 → v2 → v3.
         let mut cur = v0.clone();
@@ -902,7 +905,7 @@ mod tests {
         let v0 = special_instance(20, 3);
         let h0 = instance_hash(&v0);
         let v0 = Arc::new(v0);
-        let fetch = |h: u64| (h == h0).then(|| Arc::clone(&v0));
+        let fetch = |h: u64| Ok((h == h0).then(|| Arc::clone(&v0)));
         coordinator.solve(h0, 3, fetch).unwrap();
         let d = Delta::single(
             h0,
@@ -930,7 +933,7 @@ mod tests {
     #[test]
     fn unknown_root_is_nobase_and_non_special_is_baddelta() {
         let coordinator = DeltaCoordinator::new(1 << 20);
-        let err = coordinator.solve(0xdead, 3, |_| None).unwrap_err();
+        let err = coordinator.solve(0xdead, 3, |_| Ok(None)).unwrap_err();
         assert_eq!(err.0, ErrorCode::NoBase);
 
         // A general (non-special-form) instance at the chain root.
@@ -942,7 +945,7 @@ mod tests {
         let h = instance_hash(&general);
         let general = Arc::new(general);
         let err = coordinator
-            .solve(h, 3, |q| (q == h).then(|| Arc::clone(&general)))
+            .solve(h, 3, |q| Ok((q == h).then(|| Arc::clone(&general))))
             .unwrap_err();
         assert_eq!(err.0, ErrorCode::BadDelta);
     }
@@ -954,7 +957,7 @@ mod tests {
         let h0 = instance_hash(&v0);
         let d = coef_delta(&v0, 0, 1.5);
         let v0 = Arc::new(v0);
-        let fetch = |h: u64| (h == h0).then(|| Arc::clone(&v0));
+        let fetch = |h: u64| Ok((h == h0).then(|| Arc::clone(&v0)));
         // An edge whose key is not the content hash its delta replays
         // to: serving it would cache the wrong revision's body under it.
         let bogus = 0x0123_4567_89ab_cdef;
@@ -974,7 +977,7 @@ mod tests {
         let v0 = special_instance(20, 3);
         let h0 = instance_hash(&v0);
         let v0 = Arc::new(v0);
-        let stored = |h: u64| (h == h0).then(|| Arc::clone(&v0));
+        let stored = |h: u64| Ok((h == h0).then(|| Arc::clone(&v0)));
         // v0 → v1 (coefficient) → v2 (new constraint) → v3
         // (coefficient), with only v0 stored and nothing parked.
         let mut revisions = Vec::new();
@@ -1010,7 +1013,7 @@ mod tests {
         // revisions below it still replay from the stored root.
         let (tip, tip_inst) = &revisions[2];
         coordinator.solve(*tip, 2, stored).unwrap();
-        let got = coordinator.rebuild(*tip, |_| None).unwrap().unwrap();
+        let got = coordinator.rebuild(*tip, |_| Ok(None)).unwrap().unwrap();
         assert_eq!(
             textfmt::write_instance(&got),
             textfmt::write_instance(tip_inst)
@@ -1021,7 +1024,7 @@ mod tests {
             textfmt::write_instance(&got),
             textfmt::write_instance(mid_inst)
         );
-        assert!(coordinator.rebuild(*mid, |_| None).unwrap().is_none());
+        assert!(coordinator.rebuild(*mid, |_| Ok(None)).unwrap().is_none());
     }
 
     #[test]
@@ -1042,9 +1045,9 @@ mod tests {
         assert_eq!(coordinator.lineage_len(), 1);
         // With nothing stored, v1 is rebuilt and booted from the root.
         assert!(coordinator.knows(lin.new) && coordinator.knows(h0));
-        let got = coordinator.rebuild(lin.new, |_| None).unwrap().unwrap();
+        let got = coordinator.rebuild(lin.new, |_| Ok(None)).unwrap().unwrap();
         assert_eq!(textfmt::write_instance(&got), textfmt::write_instance(&v1));
-        let (body, info) = coordinator.solve(lin.new, 3, |_| None).unwrap();
+        let (body, info) = coordinator.solve(lin.new, 3, |_| Ok(None)).unwrap();
         assert_eq!(info.mode, DeltaMode::Booted);
         assert_eq!(body, execute(Op::Solve, &v1, 3, 1).unwrap());
     }
@@ -1067,12 +1070,15 @@ mod tests {
         assert_eq!(coordinator.restore(edges, |_| None), (2, 0));
         // Walks end where they come round instead of running to
         // CHAIN_CAP: no root, so nothing to boot or rebuild from.
-        let err = coordinator.solve(lin.new, 3, |_| None).unwrap_err();
+        let err = coordinator.solve(lin.new, 3, |_| Ok(None)).unwrap_err();
         assert_eq!(err.0, ErrorCode::NoBase, "{err:?}");
-        assert!(coordinator.rebuild(lin.new, |_| None).unwrap().is_none());
+        assert!(coordinator
+            .rebuild(lin.new, |_| Ok(None))
+            .unwrap()
+            .is_none());
         // A rebuild stops at the stored revision before it comes round.
         let v0 = Arc::new(v0);
-        let stored = |h: u64| (h == h0).then(|| Arc::clone(&v0));
+        let stored = |h: u64| Ok((h == h0).then(|| Arc::clone(&v0)));
         let got = coordinator.rebuild(lin.new, stored).unwrap().unwrap();
         assert_eq!(textfmt::write_instance(&got), textfmt::write_instance(&v1));
     }
@@ -1104,11 +1110,11 @@ mod tests {
         // The dropped revisions are unknown, not broken: a rebuild has
         // nothing to start from and a solve nothing to boot.
         assert!(!coordinator.knows(old_2) && !coordinator.knows(old_root));
-        assert!(coordinator.rebuild(old_2, |_| None).unwrap().is_none());
-        let err = coordinator.solve(old_2, 3, |_| None).unwrap_err();
+        assert!(coordinator.rebuild(old_2, |_| Ok(None)).unwrap().is_none());
+        let err = coordinator.solve(old_2, 3, |_| Ok(None)).unwrap_err();
         assert_eq!(err.0, ErrorCode::NoBase, "{err:?}");
         // The chain whose root hashes to its key replays as before.
-        let (body, info) = coordinator.solve(lin.new, 3, |_| None).unwrap();
+        let (body, info) = coordinator.solve(lin.new, 3, |_| Ok(None)).unwrap();
         assert_eq!((info.mode, info.replayed), (DeltaMode::Booted, 1));
         assert_eq!(body, execute(Op::Solve, &v1, 3, 1).unwrap());
     }
@@ -1139,7 +1145,7 @@ mod tests {
         let h0 = instance_hash(&v0);
         let v0 = Arc::new(v0);
         let (_, info) = coordinator
-            .solve(h0, 3, |h| (h == h0).then(|| Arc::clone(&v0)))
+            .solve(h0, 3, |h| Ok((h == h0).then(|| Arc::clone(&v0))))
             .unwrap();
         assert_eq!(info.mode, DeltaMode::Booted);
         let d = coef_delta(&v0, 2, 0.75);

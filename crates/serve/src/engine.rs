@@ -18,6 +18,7 @@
 use crate::cache::{ShardKey, ShardedLru, SHARDS};
 use crate::delta::{Advanced, DeltaCoordinator, DeltaSolveInfo, InlineDelta, LineageEdge};
 use crate::protocol::{ErrorCode, Op, LINEAGE_OP_CODE};
+use crate::stats::StoreMetrics;
 use mmlp_core::safe::safe_solution;
 use mmlp_core::smoothing::SpecialTrace;
 use mmlp_core::solver::LocalSolver;
@@ -25,8 +26,9 @@ use mmlp_instance::delta::{Delta, Lineage};
 use mmlp_instance::hash::{fnv1a64, hash_hex, instance_hash};
 use mmlp_instance::{textfmt, DegreeStats, Instance};
 use mmlp_lp::solve_maxmin;
-use mmlp_store::{ResultKey, Store};
+use mmlp_store::{OpenReport, RecordRef, ResultKey, Store, StoreConfig};
 use std::fmt::Write as _;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -80,9 +82,10 @@ pub enum InlineStart {
     /// The delta was registered like `PUT_DELTA`; serve its new revision
     /// from the cache or [`Engine::solve_delta`].
     Registered(Lineage),
-    /// The delta's base must first be rebuilt from the revision graph:
-    /// register it ([`Engine::register_delta`]) on a pool worker.
-    Rebuild(Delta),
+    /// The delta's base must first be read from its record on disk or
+    /// rebuilt from the revision graph: register it
+    /// ([`Engine::register_delta`]) on a pool worker.
+    Fetch(Delta),
 }
 
 /// Where the event loop finds a revision named by hash
@@ -90,18 +93,19 @@ pub enum InlineStart {
 pub enum Lookup {
     /// The instance store holds it.
     Stored(Arc<Instance>),
-    /// The revision graph can rebuild it: [`Engine::fetch`] it on a
-    /// pool worker, where the walk and replays run under the request
-    /// timeout rather than on the loop.
-    Rebuild,
-    /// Neither knows it.
+    /// Its record on disk or the revision graph has it: [`Engine::fetch`]
+    /// it on a pool worker, where the read and decode, or the walk and
+    /// replays, run under the request timeout rather than on the loop.
+    Fetch,
+    /// Memory, disk and the revision graph all miss it.
     Missing,
 }
 
 /// What a warm start loaded from the persistent store at boot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WarmStart {
-    /// Instances loaded into the in-memory instance store.
+    /// Instance records indexed. None is decoded at boot (chain roots
+    /// aside): each is read from its record when a request names it.
     pub instances: u64,
     /// Result bodies loaded into the result cache.
     pub results: u64,
@@ -116,10 +120,12 @@ pub struct WarmStart {
 
 /// The cache + store pair behind the server (and the bench), with an
 /// optional persistent [`Store`] underneath: when mounted, `PUT`
-/// instances and solved results are appended to disk as they arrive,
-/// and a fresh engine warm-starts its LRUs from the store at
-/// construction — so a restart turns previously-solved requests back
-/// into bit-identical cache hits.
+/// instances and solved results are appended to disk as they arrive; a
+/// fresh engine loads the result cache and the revision graph from the
+/// store's open scan, so a restart turns previously-solved requests
+/// back into bit-identical cache hits. The instance store is then a
+/// read-through cache over the persistent one: an instance is decoded
+/// from its record the first time a request names it.
 pub struct Engine {
     results: ShardedLru<CacheKey, Arc<String>>,
     store: ShardedLru<u64, Arc<Instance>>,
@@ -127,6 +133,66 @@ pub struct Engine {
     persist: Option<Store>,
     persist_errors: AtomicU64,
     warm: WarmStart,
+    metrics: StoreMetrics,
+}
+
+/// What the warm start takes from the live records the store hands it:
+/// result bodies into the result cache, lineage edges for the revision
+/// graph, and a count of the instance records, none of which it
+/// decodes.
+#[derive(Default)]
+struct WarmLoad {
+    instances: u64,
+    /// Body bytes loaded per result-cache shard.
+    shard_used: [u64; SHARDS],
+    edges: Vec<(u64, LineageEdge)>,
+}
+
+impl WarmLoad {
+    fn load(&mut self, engine: &Engine, record: RecordRef<'_>) {
+        let (rkey, body) = match record {
+            RecordRef::Instance { .. } => {
+                self.instances += 1;
+                return;
+            }
+            RecordRef::Result { key, body } => (key, body),
+        };
+        let Ok(text) = std::str::from_utf8(body) else {
+            return; // a damaged body is skipped, not served
+        };
+        // Lineage records (op namespace 5) rebuild the revision graph
+        // in full: they are tiny (one delta text each) and not
+        // LRU-budgeted, so a restarted node can replay any registered
+        // chain on demand.
+        if rkey.op == LINEAGE_OP_CODE {
+            // A damaged record is tolerated: its chain re-boots.
+            if let Ok(delta) = Delta::parse_text(text) {
+                let edge = LineageEdge {
+                    base: delta.base,
+                    delta_text: text.to_owned(),
+                };
+                self.edges.push((rkey.instance, edge));
+            }
+            return;
+        }
+        let Some(op) = Op::from_code(rkey.op) else {
+            return; // a foreign producer's namespace
+        };
+        // Every persisted `threads` value reads onto the one key: bodies
+        // never depended on it, so a later record replaces an equal
+        // body. A shard stops loading at its slice of the budget:
+        // inserting a body only to evict an earlier one would cost boot
+        // time for nothing, so what is loaded is exactly what is
+        // resident.
+        let key = CacheKey::new(rkey.instance, op, rkey.big_r as usize, 1);
+        let cost = text.len() as u64;
+        let used = &mut self.shard_used[key.shard()];
+        if *used + cost <= engine.results.budget() / SHARDS as u64
+            && engine.results.insert(key, Arc::new(text.to_owned()), cost)
+        {
+            *used += cost;
+        }
+    }
 }
 
 impl Engine {
@@ -142,99 +208,68 @@ impl Engine {
             persist: None,
             persist_errors: AtomicU64::new(0),
             warm: WarmStart::default(),
+            metrics: StoreMetrics::detached(),
         }
     }
 
-    /// Creates an engine backed by a persistent store, warm-starting
-    /// both LRUs from it. Result records in foreign `op` namespaces
-    /// (e.g. lab spills sharing the store) are left on disk untouched.
+    /// Opens the persistent store at `dir` and warm-starts from the
+    /// same scan: each live record comes borrowed from the segment
+    /// bytes `Store::open` has just read and verified, so result bodies
+    /// and lineage texts load with no further read or checksum, and no
+    /// instance record is decoded but a lineage chain's root. This is
+    /// how a server boots; `metrics` receive the store's reads and
+    /// appends. Result records in foreign `op` namespaces (e.g. lab
+    /// spills sharing the store) are left on disk untouched.
+    pub fn open_store(
+        cache_bytes: u64,
+        store_bytes: u64,
+        dir: &Path,
+        metrics: StoreMetrics,
+    ) -> std::io::Result<(Self, OpenReport)> {
+        let engine = Engine {
+            metrics,
+            ..Engine::new(cache_bytes, store_bytes)
+        };
+        let mut warm = WarmLoad::default();
+        let (persist, report) = Store::open_visit(dir, StoreConfig::default(), |record| {
+            warm.load(&engine, record)
+        })?;
+        Ok((engine.mount(persist, warm), report))
+    }
+
+    /// Warm-starts an engine from a store opened elsewhere, like
+    /// [`Engine::open_store`] but with one more sequential read and
+    /// verification of each shard ([`Store::visit_live`]).
     pub fn with_store(cache_bytes: u64, store_bytes: u64, persist: Store) -> std::io::Result<Self> {
         let engine = Engine::new(cache_bytes, store_bytes);
-        let mut warm = WarmStart::default();
-        {
-            // Loading stops once the total budget is reached: decoding a
-            // record only to evict an earlier one would make boot time
-            // O(store size) for a budget-bounded benefit, and would
-            // inflate the warm counters with entries that are already
-            // gone. The running totals track successful inserts, so
-            // what's loaded is exactly what's resident (an insert can
-            // also be refused by a full *shard* before the total is hit).
-            // Every record loads under the key it was written with:
-            // nothing is re-hashed, so a store whose keys some older
-            // identity computed still answers `hash:` requests for them.
-            let mut store_used = 0u64;
-            for (hash, _) in persist.instance_records() {
-                let Some(inst) = persist.get_instance(hash)? else {
-                    continue;
-                };
-                let cost = inst.heap_bytes() as u64;
-                if store_used + cost > engine.store.budget() {
-                    break;
-                }
-                if engine.store.insert(hash, Arc::new(inst), cost) {
-                    warm.instances += 1;
-                    store_used += cost;
-                }
-            }
-            let mut results_used = 0u64;
-            for (rkey, disk_len) in persist.result_records() {
-                let Some(op) = Op::from_code(rkey.op) else {
-                    continue; // a foreign producer's namespace
-                };
-                // Every persisted `threads` value reads onto the one key
-                // (bodies never depended on it); the first record wins.
-                let key = CacheKey::new(rkey.instance, op, rkey.big_r as usize, 1);
-                if engine.results.contains(&key) {
-                    continue;
-                }
-                if results_used + u64::from(disk_len) > engine.results.budget() {
-                    break;
-                }
-                if let Some(body) = persist.get_result(&rkey)? {
-                    let cost = body.len() as u64;
-                    if engine.results.insert(key, Arc::new(body), cost) {
-                        warm.results += 1;
-                        results_used += cost;
-                    }
-                }
-            }
-            // Lineage records (op namespace 5) rebuild the revision
-            // graph in full — they are tiny (one delta text each) and
-            // not LRU-budgeted, so a restarted node can replay any
-            // registered chain from segments on demand. A chain's root
-            // comes from the store, else from its instance record.
-            let mut edges = Vec::new();
-            for (rkey, _len) in persist.result_records() {
-                if rkey.op != LINEAGE_OP_CODE {
-                    continue;
-                }
-                let Some(text) = persist.get_result(&rkey)? else {
-                    continue;
-                };
-                let Ok(delta) = Delta::parse_text(&text) else {
-                    continue; // tolerate a damaged record; chains re-boot
-                };
-                let edge = LineageEdge {
-                    base: delta.base,
-                    delta_text: text,
-                };
-                edges.push((rkey.instance, edge));
-            }
-            let root = |h: u64| {
-                engine.store.get(&h).or_else(|| {
-                    let inst = persist.get_instance(h).ok().flatten()?;
-                    Some(Arc::new(inst))
-                })
-            };
-            let (kept, dropped) = engine.delta.restore(edges, root);
-            warm.lineage = kept as u64;
-            warm.lineage_dropped = dropped as u64;
-        }
-        Ok(Engine {
+        let mut warm = WarmLoad::default();
+        persist.visit_live(|record| warm.load(&engine, record))?;
+        Ok(engine.mount(persist, warm))
+    }
+
+    /// Mounts `persist` under a warm-loaded engine: times its appends,
+    /// and restores the revision graph, reading each chain's root from
+    /// its record (which the hash-v1 chain check needs).
+    fn mount(self, mut persist: Store, warm: WarmLoad) -> Engine {
+        let append_us = self.metrics.append_us.clone();
+        persist.observe_appends(move |d| append_us.record(d.as_micros() as u64));
+        let mut engine = Engine {
             persist: Some(persist),
-            warm,
-            ..engine
-        })
+            ..self
+        };
+        // An undecodable root is restored without its instance: a
+        // request that reaches it gets the read's error, and boot goes
+        // on.
+        let (kept, dropped) = engine
+            .delta
+            .restore(warm.edges, |h| engine.stored(h).ok().flatten());
+        engine.warm = WarmStart {
+            instances: warm.instances,
+            results: engine.results.stats().0 as u64,
+            lineage: kept as u64,
+            lineage_dropped: dropped as u64,
+        };
+        engine
     }
 
     /// What the warm start loaded (zeros for a memory-only engine).
@@ -284,33 +319,70 @@ impl Engine {
     }
 
     /// Fetches an instance by content hash: the instance store's entry,
-    /// else a delta revision rebuilt from the lineage graph
-    /// ([`DeltaCoordinator::rebuild`]) and then stored.
+    /// else its record on disk, else a delta revision rebuilt from the
+    /// lineage graph ([`DeltaCoordinator::rebuild`]); either of the
+    /// last two is then stored.
     pub fn fetch(&self, hash: u64) -> Result<Arc<Instance>, EngineError> {
         self.resolve(hash)?.ok_or_else(|| not_found(hash))
     }
 
     /// Where the event loop finds revision `hash`: a store lookup plus,
-    /// on a miss, whether the revision graph knows it. No replay runs.
+    /// on a miss, whether the persistent store's index or the revision
+    /// graph knows it. Nothing is read, decoded or replayed.
     pub fn lookup(&self, hash: u64) -> Lookup {
         match self.store.get(&hash) {
             Some(inst) => Lookup::Stored(inst),
-            None if self.delta.knows(hash) => Lookup::Rebuild,
+            None if self.on_disk(hash) || self.delta.knows(hash) => Lookup::Fetch,
             None => Lookup::Missing,
         }
     }
 
-    /// The instance of revision `hash`: the instance store's entry,
-    /// else a rebuild from the lineage graph
-    /// ([`DeltaCoordinator::rebuild`]), which is checked against the
-    /// hash and then stored at the cost `PUT` charges, so a repeat is a
-    /// store hit. A rebuilt revision is not persisted: its lineage
-    /// record is. `None` when neither knows the hash.
-    fn resolve(&self, hash: u64) -> Result<Option<Arc<Instance>>, EngineError> {
+    /// Whether the persistent store indexes an instance record under
+    /// `hash`.
+    fn on_disk(&self, hash: u64) -> bool {
+        self.persist.as_ref().is_some_and(|p| p.has_instance(hash))
+    }
+
+    /// The instance of `hash` from memory, else from its record on disk,
+    /// decoded and inserted at its heap cost (an instance too large for
+    /// its shard is still served, unstored). A record that fails to
+    /// read, verify or decode is `ERR INTERNAL` naming the key.
+    fn stored(&self, hash: u64) -> Result<Option<Arc<Instance>>, EngineError> {
         if let Some(inst) = self.store.get(&hash) {
             return Ok(Some(inst));
         }
-        let Some(inst) = self.delta.rebuild(hash, |h| self.store.get(&h))? else {
+        let Some(persist) = &self.persist else {
+            return Ok(None);
+        };
+        let inst = match persist.get_instance(hash) {
+            Ok(None) => return Ok(None),
+            Ok(Some(inst)) => inst,
+            Err(e) => {
+                self.metrics.reads_failed.inc();
+                return Err((
+                    ErrorCode::Internal,
+                    format!("instance record {} is unreadable: {e}", hash_hex(hash)),
+                ));
+            }
+        };
+        self.metrics.reads_ok.inc();
+        let cost = inst.heap_bytes() as u64;
+        let inst = Arc::new(inst);
+        self.store.insert(hash, Arc::clone(&inst), cost);
+        Ok(Some(inst))
+    }
+
+    /// The instance of revision `hash`: memory or its record on disk
+    /// ([`Engine::stored`]), else a rebuild from the lineage graph
+    /// ([`DeltaCoordinator::rebuild`]), which is checked against the
+    /// hash and then stored at the cost `PUT` charges, so a repeat is a
+    /// store hit. A rebuilt revision is not persisted: its lineage
+    /// record is. `None` when memory, disk and lineage all miss.
+    fn resolve(&self, hash: u64) -> Result<Option<Arc<Instance>>, EngineError> {
+        if let Some(inst) = self.stored(hash)? {
+            return Ok(Some(inst));
+        }
+        let Some(inst) = self.delta.rebuild(hash, |h| self.stored(h))? else {
             return Ok(None);
         };
         let cost = inst.heap_bytes() as u64;
@@ -371,9 +443,10 @@ impl Engine {
     }
 
     /// [`Engine::put_delta`] of a parsed delta. The base is resolved by
-    /// hash, like [`Engine::fetch`] (a rebuild when it is not stored),
-    /// so it is not re-hashed; the new revision is hashed once, and
-    /// stored exactly like a `PUT` of its text would be.
+    /// hash, like [`Engine::fetch`] (read from its record or rebuilt
+    /// when memory misses it), so it is not re-hashed; the new revision
+    /// is hashed once, and stored exactly like a `PUT` of its text
+    /// would be.
     pub fn register_delta(&self, delta: &Delta) -> Result<Lineage, EngineError> {
         let base = self.resolve(delta.base)?.ok_or_else(|| {
             (
@@ -446,7 +519,7 @@ impl Engine {
     /// constraint coefficients, against a base with a parked solver for
     /// `R`, checks that solver out for
     /// [`Engine::advance_inline`]. Anything else is registered like
-    /// `PUT_DELTA` — here when its base is stored, else on a worker —
+    /// `PUT_DELTA` — here when its base is in memory, else on a worker —
     /// and its revision is then served by the cache or
     /// [`Engine::solve_delta`].
     pub fn start_inline(&self, text: &str, big_r: usize) -> Result<InlineStart, EngineError> {
@@ -460,8 +533,8 @@ impl Engine {
                 })));
             }
         }
-        if let Lookup::Rebuild = self.lookup(delta.base) {
-            return Ok(InlineStart::Rebuild(delta));
+        if let Lookup::Fetch = self.lookup(delta.base) {
+            return Ok(InlineStart::Fetch(delta));
         }
         self.register_delta(&delta).map(InlineStart::Registered)
     }
@@ -523,7 +596,7 @@ impl Engine {
                 return Ok(keep(key, body));
             }
             InlineStart::Registered(lin) => lin,
-            InlineStart::Rebuild(delta) => self.register_delta(&delta)?,
+            InlineStart::Fetch(delta) => self.register_delta(&delta)?,
         };
         let key = CacheKey::new(lin.new, Op::SolveDelta, big_r, 1);
         if let Some(body) = self.cached(&key) {
@@ -543,7 +616,7 @@ impl Engine {
         big_r: usize,
         _threads: usize,
     ) -> Result<(String, DeltaSolveInfo), EngineError> {
-        self.delta.solve(revision, big_r, |h| self.store.get(&h))
+        self.delta.solve(revision, big_r, |h| self.stored(h))
     }
 
     /// `(lineage edges, parked solvers, parked solver bytes)`.
@@ -1051,17 +1124,162 @@ mod tests {
             e.put(&textfmt::write_instance(&base)).unwrap();
             inline_chain(&e, &base, 4)
         };
-        // A store budget too small to load the base: the chain's root
-        // comes from its instance record instead.
+        // A store budget too small to hold the base: the chain's root
+        // is read from its instance record, which the warm start
+        // indexed, and kept by the revision graph.
         let (store, _) = Store::open(&dir).unwrap();
         let e = Engine::with_store(1 << 20, 64, store).unwrap();
-        assert_eq!(e.warm_start().instances, 0);
+        assert_eq!(e.warm_start().instances, 1);
         assert_eq!(e.warm_start().lineage, 4);
+        assert_eq!(e.store_stats().0, 0, "too large for its shard");
         for (rev, inst, body) in &chain {
             assert_eq!(instance_hash(&e.fetch(*rev).unwrap()), *rev);
             assert_eq!(e.solve_delta(*rev, 3, 1).unwrap().0, *body);
             assert_eq!(execute(Op::Solve, inst, 3, 1).unwrap(), *body);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "mmlp-engine-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn family(name: &str, size: usize, seed: u64) -> Instance {
+        catalog()
+            .iter()
+            .find(|f| f.name == name)
+            .unwrap()
+            .instance(size, seed)
+    }
+
+    #[test]
+    fn an_evicted_instance_is_read_back_from_its_record() {
+        let dir = temp_dir("evicted");
+        let insts: Vec<Instance> = (0..300).map(|seed| family("bandwidth", 16, seed)).collect();
+        let max = insts.iter().map(|i| i.heap_bytes() as u64).max().unwrap();
+        let (store, _) = Store::open_with(&dir, StoreConfig { fsync: false }).unwrap();
+        // Room for about one instance per shard, 16 in all, against 300
+        // `PUT`s: most leave memory, none leaves the disk.
+        let e = Engine::with_store(1 << 20, SHARDS as u64 * (max + max / 2), store).unwrap();
+        let hashes: Vec<u64> = insts
+            .iter()
+            .map(|i| e.put(&textfmt::write_instance(i)).unwrap())
+            .collect();
+        let evicted: Vec<usize> = (0..hashes.len())
+            .filter(|&k| !e.store.contains(&hashes[k]))
+            .take(8)
+            .collect();
+        assert_eq!(evicted.len(), 8);
+        for &k in &evicted {
+            assert!(matches!(e.lookup(hashes[k]), Lookup::Fetch), "PUT {k}");
+            let got = e.fetch(hashes[k]).unwrap();
+            assert_eq!(
+                execute(Op::Solve, &got, 3, 1).unwrap(),
+                execute(Op::Solve, &insts[k], 3, 1).unwrap(),
+                "PUT {k}"
+            );
+        }
+        assert_eq!(e.metrics.reads_ok.get(), 8);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_restart_that_loads_no_instance_reads_each_from_its_record() {
+        let dir = temp_dir("restart-small");
+        let insts = [inst(), special_inst()];
+        let hashes: Vec<u64> = {
+            let (store, _) = Store::open(&dir).unwrap();
+            let e = Engine::with_store(1 << 20, 1 << 20, store).unwrap();
+            insts
+                .iter()
+                .map(|i| e.put(&textfmt::write_instance(i)).unwrap())
+                .collect()
+        };
+        // A budget too small for either instance: the boot indexes both
+        // records and decodes neither.
+        let (e, report) = Engine::open_store(1 << 20, 64, &dir, StoreMetrics::detached()).unwrap();
+        assert_eq!(report.instances, 2);
+        assert_eq!(e.warm_start().instances, 2);
+        assert_eq!(e.metrics.reads_ok.get(), 0);
+        assert_eq!(e.store_stats().0, 0);
+        for (h, i) in hashes.iter().zip(&insts) {
+            assert!(matches!(e.lookup(*h), Lookup::Fetch));
+            let got = e.fetch(*h).unwrap();
+            assert_eq!(
+                execute(Op::Solve, &got, 3, 1).unwrap(),
+                execute(Op::Solve, i, 3, 1).unwrap()
+            );
+        }
+        assert_eq!(e.metrics.reads_ok.get(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_evicted_put_delta_revision_boots_in_place_from_its_record() {
+        let dir = temp_dir("evicted-revision");
+        let base = special_inst();
+        let len = base.heap_bytes() as u64;
+        let (store, _) = Store::open_with(&dir, StoreConfig { fsync: false }).unwrap();
+        // About three instances per store shard.
+        let e = Engine::with_store(1 << 20, 3 * len * SHARDS as u64, store).unwrap();
+        e.put(&textfmt::write_instance(&base)).unwrap();
+        let text = bump_delta(&base);
+        let lin = e.put_delta(&text).unwrap();
+        let revision = Delta::parse_text(&text).unwrap().apply(&base).unwrap();
+        for seed in 0..200 {
+            let other = family("special-form", 16, 100 + seed);
+            e.put(&textfmt::write_instance(&other)).unwrap();
+        }
+        assert!(!e.store.contains(&lin.new) && !e.store.contains(&lin.base));
+        // `PUT_DELTA` persisted the revision: the boot reads it from its
+        // record and starts there, with nothing to replay.
+        let (body, info) = e.solve_delta(lin.new, 3, 1).unwrap();
+        assert_eq!((info.mode, info.replayed), (DeltaMode::Booted, 0));
+        assert_eq!(body, execute(Op::Solve, &revision, 3, 1).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_undecodable_instance_record_fails_its_requests_not_the_boot() {
+        use std::io::Write as _;
+        let dir = temp_dir("bad-record");
+        let bad = 0x0123_4567_89ab_cdef_u64;
+        drop(Store::open(&dir).unwrap());
+        // A checksummed record whose codec blob does not decode.
+        let record = mmlp_store::Record::Instance {
+            hash: bad,
+            blob: b"not a codec blob".to_vec(),
+        };
+        let shard = mmlp_store::store::shard_of(bad);
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join(format!("shard-{shard:02}.seg")))
+            .unwrap()
+            .write_all(&record.encode().unwrap())
+            .unwrap();
+
+        let (e, report) =
+            Engine::open_store(1 << 20, 1 << 20, &dir, StoreMetrics::detached()).unwrap();
+        assert_eq!((report.instances, report.corrupt), (1, 0));
+        assert_eq!(e.warm_start().instances, 1);
+        assert!(matches!(e.lookup(bad), Lookup::Fetch));
+        for _ in 0..2 {
+            let (code, msg) = e.fetch(bad).unwrap_err();
+            assert_eq!(code, ErrorCode::Internal);
+            assert!(msg.contains(&hash_hex(bad)), "{msg}");
+        }
+        assert_eq!(e.solve_delta(bad, 3, 1).unwrap_err().0, ErrorCode::Internal);
+        assert_eq!(e.metrics.reads_failed.get(), 3);
+        assert_eq!(e.metrics.reads_ok.get(), 0);
+        // The node keeps serving.
+        let h = e.put(&textfmt::write_instance(&inst())).unwrap();
+        assert_eq!(instance_hash(&e.fetch(h).unwrap()), h);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -241,13 +241,21 @@ impl Server {
             queue_cap: cfg.queue_cap,
             timeout: cfg.timeout,
         });
+        let metrics = ServeMetrics::new();
         let mut store_note = None;
         let engine = match &cfg.store_dir {
             None => Engine::new(cfg.cache_bytes, cfg.store_bytes),
             Some(dir) => {
-                let (store, report) = mmlp_store::Store::open(dir)?;
+                let t = Instant::now();
+                let (engine, report) = Engine::open_store(
+                    cfg.cache_bytes,
+                    cfg.store_bytes,
+                    dir,
+                    metrics.store.clone(),
+                )?;
+                metrics.warm_start_us.set(t.elapsed().as_micros() as u64);
                 store_note = Some(report.summary_line());
-                Engine::with_store(cfg.cache_bytes, cfg.store_bytes, store)?
+                engine
             }
         };
         let journal = match &cfg.journal_dir {
@@ -269,7 +277,6 @@ impl Server {
                 text: note,
             });
         }
-        let metrics = ServeMetrics::new();
         metrics
             .warm_lineage_dropped
             .set(engine.warm_start().lineage_dropped);
@@ -1040,10 +1047,11 @@ fn execute_command(
                     return finalize_inline(shared, conn, ctx, Reply::Err(code, msg), false)
                 }
             };
-            if let Lookup::Rebuild = shared.engine.lookup(delta.base) {
-                // The base is rebuilt from lineage first: on a worker,
-                // with this connection's later commands held until the
-                // new revision is registered, as for an inline delta.
+            if let Lookup::Fetch = shared.engine.lookup(delta.base) {
+                // The base is read from disk or rebuilt from lineage
+                // first: on a worker, with this connection's later
+                // commands held until the new revision is registered,
+                // as for an inline delta.
                 let worker_shared = Arc::clone(shared);
                 conn.hold_for = submit_pooled(shared, me, token, conn, ctx, None, move || {
                     let lin = worker_shared.engine.register_delta(&delta)?;
@@ -1089,11 +1097,12 @@ fn execute_command(
                 shared.metrics.cache_hit(op);
                 return finalize_inline(shared, conn, ctx, Reply::Ok(body.as_ref().clone()), false);
             }
-            // A revision the store does not hold is rebuilt from lineage
-            // on the worker, under the request timeout, before it runs.
+            // An instance memory does not hold is read from its record
+            // or rebuilt from lineage on the worker, under the request
+            // timeout, before it runs.
             let stored = match shared.engine.lookup(hash) {
                 Lookup::Stored(inst) => Some(inst),
-                Lookup::Rebuild => None,
+                Lookup::Fetch => None,
                 Lookup::Missing => {
                     let (code, msg) = engine::not_found(hash);
                     return finalize_inline(shared, conn, ctx, Reply::Err(code, msg), false);
@@ -1155,7 +1164,7 @@ fn solve_delta(
                     shared.metrics.delta_puts.inc();
                     lin.new
                 }
-                Ok(InlineStart::Rebuild(delta)) => {
+                Ok(InlineStart::Fetch(delta)) => {
                     return register_pooled(shared, me, token, conn, ctx, delta, big_r)
                 }
                 Err((code, msg)) => {
@@ -1193,11 +1202,11 @@ fn solve_delta(
     );
 }
 
-/// `SOLVE_DELTA inline:` of a delta whose base must be rebuilt from
-/// lineage: a pool worker registers it, as `PUT_DELTA` would, then
-/// serves the new revision from the cache or an incremental solve. The
-/// connection's later commands are held until then: they may name the
-/// new revision.
+/// `SOLVE_DELTA inline:` of a delta whose base must be read from its
+/// record or rebuilt from lineage: a pool worker registers it, as
+/// `PUT_DELTA` would, then serves the new revision from the cache or an
+/// incremental solve. The connection's later commands are held until
+/// then: they may name the new revision.
 fn register_pooled(
     shared: &Arc<Shared>,
     me: &Arc<LoopHandle>,

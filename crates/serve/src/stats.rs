@@ -103,6 +103,53 @@ pub struct ServeMetrics {
     /// Lineage edges the warm start dropped: chains whose root
     /// instance does not hash to the key they were recorded under.
     pub warm_lineage_dropped: Gauge,
+    /// Store open plus warm start at bind, microseconds (set once).
+    pub warm_start_us: Gauge,
+    /// The persistent store's instruments, which the engine updates.
+    pub store: StoreMetrics,
+}
+
+/// The persistent store's instruments, held by the
+/// [`Engine`](crate::engine::Engine): instance records decoded on a
+/// read-through, by outcome, and the latency of each append.
+#[derive(Clone)]
+pub struct StoreMetrics {
+    /// Instance records a read-through decoded.
+    pub reads_ok: Counter,
+    /// Read-throughs whose record failed to read, verify or decode.
+    pub reads_failed: Counter,
+    /// One store append, its `fsync` included, microseconds.
+    pub append_us: HistogramHandle,
+}
+
+impl StoreMetrics {
+    /// Instruments that count but render nowhere: an engine outside a
+    /// server.
+    pub fn detached() -> Self {
+        StoreMetrics {
+            reads_ok: Counter::detached(),
+            reads_failed: Counter::detached(),
+            append_us: HistogramHandle::detached(),
+        }
+    }
+
+    fn register(reg: &Registry) -> Self {
+        let reads = |outcome| {
+            reg.counter_with(
+                "mmlp_serve_store_reads_total",
+                &[("outcome", outcome)],
+                "Instance records decoded on a read-through, by outcome",
+            )
+        };
+        StoreMetrics {
+            reads_ok: reads("ok"),
+            reads_failed: reads("error"),
+            append_us: reg.histogram(
+                "mmlp_serve_store_append_us",
+                "One store append, fsync included, microseconds",
+            ),
+        }
+    }
 }
 
 const OPS: [Op; 5] = [Op::Solve, Op::Optimum, Op::Safe, Op::Info, Op::SolveDelta];
@@ -270,6 +317,11 @@ impl ServeMetrics {
                 "mmlp_serve_warm_lineage_dropped",
                 "Lineage edges dropped at warm start: their chain's root does not hash to its key",
             ),
+            warm_start_us: reg.gauge(
+                "mmlp_serve_warm_start_us",
+                "Store open plus warm start at bind, microseconds",
+            ),
+            store: StoreMetrics::register(&reg),
             registry: reg,
         }
     }

@@ -15,7 +15,8 @@
 //!   parsing) — see the `store_codec` bench.
 //! * [`segment`] — the append-only record framing inside a shard's
 //!   segment file, and the scanner that classifies damage (framing
-//!   damage ⇒ truncate, payload damage ⇒ skip).
+//!   damage ⇒ truncate, payload damage ⇒ skip). Scanned records borrow
+//!   their payloads from the buffer they were read into.
 //! * [`store`] — the [`Store`]: 16 shard files keyed by the low bits
 //!   of the instance content hash, an in-memory index rebuilt by
 //!   scanning at open, torn-tail repair, last-wins duplicates, `gc`
@@ -23,8 +24,9 @@
 //!   (full checksum sweep).
 //!
 //! `mmlp-serve` mounts a store behind `--store-dir` to persist `PUT`
-//! instances and solved results across restarts (warm-starting its
-//! LRUs at boot); `mmlp-lab` spills campaign results into one; the
+//! instances and solved results across restarts (loading result bodies
+//! from the open scan at boot, and instances from their records when a
+//! request names them); `mmlp-lab` spills campaign results into one; the
 //! CLI exposes `store import|export|convert|ls|gc|verify`. The byte
 //! layouts are specified normatively in `specs/STORAGE.md`.
 //!
@@ -59,12 +61,12 @@ pub mod segment;
 pub mod store;
 pub mod varint;
 
-pub use segment::{Record, ResultKey};
+pub use segment::{Record, RecordRef, ResultKey};
 pub use store::{GcReport, OpenReport, Store, StoreConfig, VerifyReport, N_SHARDS};
 
 /// One-stop imports for the CLI, the server and tests.
 pub mod prelude {
     pub use crate::codec::{decode_instance, decode_solution, encode_instance, encode_solution};
-    pub use crate::segment::{Record, ResultKey};
+    pub use crate::segment::{Record, RecordRef, ResultKey};
     pub use crate::store::{GcReport, OpenReport, Store, StoreConfig, VerifyReport};
 }

@@ -127,34 +127,80 @@ impl Record {
         out.extend_from_slice(&payload);
         Ok(out)
     }
+}
 
-    /// Parses a checksum-verified payload back into a record.
-    pub fn decode_payload(kind: u8, payload: &[u8]) -> Option<Record> {
+/// One record's payload, borrowed from the bytes it was read from. The
+/// scanner and the single-record reader hand these out, so nothing is
+/// copied that the caller does not keep.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecordRef<'a> {
+    /// An instance blob keyed by its canonical content hash.
+    Instance {
+        /// `mmlp_instance::hash::instance_hash` of the blob's content.
+        hash: u64,
+        /// Binary-codec bytes ([`crate::codec`]).
+        blob: &'a [u8],
+    },
+    /// A solved-result body.
+    Result {
+        /// The result's identity.
+        key: ResultKey,
+        /// Opaque UTF-8 reply body.
+        body: &'a [u8],
+    },
+}
+
+impl<'a> RecordRef<'a> {
+    /// Parses a checksum-verified payload, borrowing its blob or body.
+    pub fn decode_payload(kind: u8, payload: &'a [u8]) -> Option<RecordRef<'a>> {
         match kind {
             KIND_INSTANCE => {
                 if payload.len() < 8 {
                     return None;
                 }
-                Some(Record::Instance {
+                Some(RecordRef::Instance {
                     hash: u64::from_le_bytes(payload[..8].try_into().ok()?),
-                    blob: payload[8..].to_vec(),
+                    blob: &payload[8..],
                 })
             }
             KIND_RESULT => {
                 if payload.len() < 17 {
                     return None;
                 }
-                Some(Record::Result {
+                Some(RecordRef::Result {
                     key: ResultKey {
                         instance: u64::from_le_bytes(payload[..8].try_into().ok()?),
                         op: payload[8],
                         big_r: u32::from_le_bytes(payload[9..13].try_into().ok()?),
                         threads: u32::from_le_bytes(payload[13..17].try_into().ok()?),
                     },
-                    body: payload[17..].to_vec(),
+                    body: &payload[17..],
                 })
             }
             _ => None,
+        }
+    }
+
+    /// An owned copy.
+    pub fn to_record(self) -> Record {
+        match self {
+            RecordRef::Instance { hash, blob } => Record::Instance {
+                hash,
+                blob: blob.to_vec(),
+            },
+            RecordRef::Result { key, body } => Record::Result {
+                key,
+                body: body.to_vec(),
+            },
+        }
+    }
+}
+
+impl<'a> From<&'a Record> for RecordRef<'a> {
+    fn from(record: &'a Record) -> RecordRef<'a> {
+        match record {
+            Record::Instance { hash, blob } => RecordRef::Instance { hash: *hash, blob },
+            Record::Result { key, body } => RecordRef::Result { key: *key, body },
         }
     }
 }
@@ -169,14 +215,14 @@ pub fn segment_header(shard: u16) -> [u8; SEG_HEADER_LEN] {
 }
 
 /// One scanned record with its position in the segment.
-#[derive(Clone, Debug)]
-pub struct ScannedRecord {
+#[derive(Clone, Copy, Debug)]
+pub struct ScannedRecord<'a> {
     /// Byte offset of the record header within the segment file.
     pub offset: u64,
     /// Total framed length (header + payload).
     pub len: u32,
-    /// The decoded record.
-    pub record: Record,
+    /// The decoded record, borrowed from the scanned buffer.
+    pub record: RecordRef<'a>,
 }
 
 /// Outcome of scanning one segment buffer.
@@ -190,11 +236,59 @@ pub struct ScanReport {
     pub corrupt_at: Vec<u64>,
 }
 
+/// What the framed record opening a buffer turned out to be.
+enum Framed<'a> {
+    /// A verified record and its framed length.
+    Live(RecordRef<'a>, usize),
+    /// Intact framing around a damaged payload, of this framed length.
+    Corrupt(usize),
+    /// Framing damage: nothing from here on can be read.
+    Torn,
+}
+
+/// Reads the framed record at the start of `rest`, verifying its
+/// checksum in place.
+fn frame(rest: &[u8]) -> Framed<'_> {
+    if rest.len() < REC_HEADER_LEN {
+        return Framed::Torn;
+    }
+    let kind = rest[0];
+    if kind != KIND_INSTANCE && kind != KIND_RESULT {
+        return Framed::Torn;
+    }
+    let len = u32::from_le_bytes(rest[1..5].try_into().expect("4 bytes")) as usize;
+    if len > (u32::MAX as usize) - REC_HEADER_LEN {
+        // A length the writer could never have framed: damage.
+        return Framed::Torn;
+    }
+    let Some(payload) = rest.get(REC_HEADER_LEN..REC_HEADER_LEN + len) else {
+        return Framed::Torn;
+    };
+    let want = u64::from_le_bytes(rest[5..13].try_into().expect("8 bytes"));
+    let framed_len = REC_HEADER_LEN + len;
+    if fnv1a64_words(payload) != want {
+        return Framed::Corrupt(framed_len);
+    }
+    match RecordRef::decode_payload(kind, payload) {
+        Some(record) => Framed::Live(record, framed_len),
+        None => Framed::Corrupt(framed_len),
+    }
+}
+
+/// Verifies one framed record (header + payload) that fills `framed`
+/// exactly, in place: `None` on any damage or trailing bytes.
+pub fn read_framed(framed: &[u8]) -> Option<RecordRef<'_>> {
+    match frame(framed) {
+        Framed::Live(record, len) if len == framed.len() => Some(record),
+        _ => None,
+    }
+}
+
 /// Scans a full segment buffer (header included). Returns the live
-/// records plus the damage report. A missing or damaged *segment
-/// header* reads as torn at offset 0 (the whole file is rewritten on
-/// the next append).
-pub fn scan_segment(buf: &[u8]) -> (Vec<ScannedRecord>, ScanReport) {
+/// records, borrowed from `buf`, plus the damage report. A missing or
+/// damaged *segment header* reads as torn at offset 0 (the whole file
+/// is rewritten on the next append).
+pub fn scan_segment(buf: &[u8]) -> (Vec<ScannedRecord<'_>>, ScanReport) {
     let mut records = Vec::new();
     let mut report = ScanReport::default();
     if buf.len() < SEG_HEADER_LEN
@@ -206,41 +300,25 @@ pub fn scan_segment(buf: &[u8]) -> (Vec<ScannedRecord>, ScanReport) {
     }
     let mut pos = SEG_HEADER_LEN;
     while pos < buf.len() {
-        let rest = &buf[pos..];
-        if rest.len() < REC_HEADER_LEN {
-            report.torn_at = Some(pos as u64);
-            break;
-        }
-        let kind = rest[0];
-        if kind != KIND_INSTANCE && kind != KIND_RESULT {
-            report.torn_at = Some(pos as u64);
-            break;
-        }
-        let len = u32::from_le_bytes(rest[1..5].try_into().expect("4 bytes")) as usize;
-        if len > (u32::MAX as usize) - REC_HEADER_LEN {
-            // A length the writer could never have framed: damage.
-            report.torn_at = Some(pos as u64);
-            break;
-        }
-        let Some(payload) = rest.get(REC_HEADER_LEN..REC_HEADER_LEN + len) else {
-            report.torn_at = Some(pos as u64);
-            break;
-        };
-        let want = u64::from_le_bytes(rest[5..13].try_into().expect("8 bytes"));
-        let framed_len = (REC_HEADER_LEN + len) as u32;
-        if fnv1a64_words(payload) != want {
-            report.corrupt_at.push(pos as u64);
-        } else {
-            match Record::decode_payload(kind, payload) {
-                Some(record) => records.push(ScannedRecord {
+        let len = match frame(&buf[pos..]) {
+            Framed::Live(record, len) => {
+                records.push(ScannedRecord {
                     offset: pos as u64,
-                    len: framed_len,
+                    len: len as u32,
                     record,
-                }),
-                None => report.corrupt_at.push(pos as u64),
+                });
+                len
             }
-        }
-        pos += framed_len as usize;
+            Framed::Corrupt(len) => {
+                report.corrupt_at.push(pos as u64);
+                len
+            }
+            Framed::Torn => {
+                report.torn_at = Some(pos as u64);
+                break;
+            }
+        };
+        pos += len;
     }
     (records, report)
 }
@@ -283,7 +361,10 @@ mod tests {
         assert!(report.torn_at.is_none());
         assert!(report.corrupt_at.is_empty());
         assert_eq!(
-            scanned.iter().map(|s| s.record.clone()).collect::<Vec<_>>(),
+            scanned
+                .iter()
+                .map(|s| s.record.to_record())
+                .collect::<Vec<_>>(),
             recs
         );
         // Offsets tile the file exactly.
@@ -324,7 +405,11 @@ mod tests {
         buf[victim] ^= 0xff;
         let (scanned, report) = scan_segment(&buf);
         assert_eq!(scanned.len(), 1);
-        assert_eq!(scanned[0].record, recs[1], "second record survives");
+        assert_eq!(
+            scanned[0].record.to_record(),
+            recs[1],
+            "second record survives"
+        );
         assert_eq!(report.corrupt_at, vec![SEG_HEADER_LEN as u64]);
         assert!(report.torn_at.is_none());
     }
@@ -358,5 +443,23 @@ mod tests {
         let (scanned, report) = scan_segment(&buf);
         assert!(scanned.is_empty());
         assert!(report.torn_at.is_none());
+    }
+
+    #[test]
+    fn one_framed_record_is_verified_in_place() {
+        for rec in sample_records() {
+            let framed = rec.encode().unwrap();
+            let got = read_framed(&framed).expect("verifies");
+            assert_eq!(got.to_record(), rec);
+            // A flipped payload byte, a trailing byte or a short read
+            // all fail.
+            let mut flipped = framed.clone();
+            *flipped.last_mut().unwrap() ^= 1;
+            assert!(read_framed(&flipped).is_none());
+            let mut longer = framed.clone();
+            longer.push(0);
+            assert!(read_framed(&longer).is_none());
+            assert!(read_framed(&framed[..framed.len() - 1]).is_none());
+        }
     }
 }

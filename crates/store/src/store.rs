@@ -18,10 +18,15 @@
 //!   temp-file + `fsync` + atomic `rename`, reclaiming superseded and
 //!   corrupt space;
 //! * [`Store::verify`] re-scans every segment from disk and reports.
+//!
+//! The scan at open verifies every record once. [`Store::open_visit`]
+//! hands each live record, borrowed from the shard bytes it was just
+//! read from, to a caller that loads records at boot (the server's warm
+//! start), so nothing is read, checksummed or copied twice.
 
 use crate::codec;
 use crate::segment::{
-    scan_segment, segment_header, Record, ResultKey, ScannedRecord, SEG_HEADER_LEN,
+    read_framed, scan_segment, segment_header, Record, RecordRef, ResultKey, SEG_HEADER_LEN,
 };
 use mmlp_instance::hash::{hash_hex, instance_hash};
 use mmlp_instance::Instance;
@@ -30,6 +35,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Number of shard segment files per store directory.
 pub const N_SHARDS: usize = 16;
@@ -146,16 +152,16 @@ enum Key {
 }
 
 impl Key {
-    fn of(record: &Record) -> (Key, u64) {
+    fn of(record: RecordRef<'_>) -> (Key, u64) {
         match record {
-            Record::Instance { hash, .. } => (Key::Instance(*hash), *hash),
-            Record::Result { key, .. } => (Key::Result(*key), key.instance),
+            RecordRef::Instance { hash, .. } => (Key::Instance(hash), hash),
+            RecordRef::Result { key, .. } => (Key::Result(key), key.instance),
         }
     }
 }
 
 /// Where a live record lives on disk.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Loc {
     shard: u8,
     offset: u64,
@@ -177,6 +183,7 @@ pub struct Store {
     dir: PathBuf,
     fsync: bool,
     inner: Mutex<Inner>,
+    on_append: Option<Box<dyn Fn(Duration) + Send + Sync>>,
 }
 
 /// The shard a given instance hash belongs to.
@@ -192,6 +199,19 @@ fn io_err(kind: std::io::ErrorKind, msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(kind, msg.into())
 }
 
+/// The record `framed` (read from `loc`) holds, verified in place.
+fn verified(framed: &[u8], loc: Loc) -> std::io::Result<RecordRef<'_>> {
+    read_framed(framed).ok_or_else(|| {
+        io_err(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "record at shard {} offset {} failed verification on read",
+                loc.shard, loc.offset
+            ),
+        )
+    })
+}
+
 impl Store {
     /// Opens (or creates) a store with default configuration.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<(Store, OpenReport)> {
@@ -205,11 +225,24 @@ impl Store {
         dir: impl Into<PathBuf>,
         cfg: StoreConfig,
     ) -> std::io::Result<(Store, OpenReport)> {
+        Store::open_visit(dir, cfg, |_| {})
+    }
+
+    /// [`Store::open_with`], handing each live record to `visit` as the
+    /// scan finds it, borrowed from the shard bytes it was just read and
+    /// verified from: each shard's live records once that shard's scan
+    /// has settled which they are.
+    pub fn open_visit(
+        dir: impl Into<PathBuf>,
+        cfg: StoreConfig,
+        mut visit: impl FnMut(RecordRef<'_>),
+    ) -> std::io::Result<(Store, OpenReport)> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let mut shards = Vec::with_capacity(N_SHARDS);
         let mut index: HashMap<Key, Loc> = HashMap::new();
         let mut report = OpenReport::default();
+        let mut buf = Vec::new();
 
         for s in 0..N_SHARDS {
             let path = shard_path(&dir, s);
@@ -218,7 +251,7 @@ impl Store {
                 .append(true)
                 .read(true)
                 .open(&path)?;
-            let mut buf = Vec::new();
+            buf.clear();
             file.seek(SeekFrom::Start(0))?;
             file.read_to_end(&mut buf)?;
 
@@ -250,21 +283,28 @@ impl Store {
                     }
                 }
                 report.corrupt += scan.corrupt_at.len();
-                for ScannedRecord {
-                    offset,
-                    len: rec_len,
-                    record,
-                } in records
-                {
-                    let (key, _) = Key::of(&record);
+                // Scanned in file order, a record supersedes its key's
+                // earlier one. A key's records all sit in its hash's
+                // shard, so what this shard leaves live stays live.
+                let mut superseded = vec![false; records.len()];
+                for r in &records {
                     let loc = Loc {
                         shard: s as u8,
-                        offset,
-                        len: rec_len,
+                        offset: r.offset,
+                        len: r.len,
                     };
-                    if index.insert(key, loc).is_some() {
-                        report.superseded += 1;
+                    let Some(old) = index.insert(Key::of(r.record).0, loc) else {
+                        continue;
+                    };
+                    report.superseded += 1;
+                    if usize::from(old.shard) == s {
+                        if let Ok(i) = records.binary_search_by_key(&old.offset, |r| r.offset) {
+                            superseded[i] = true;
+                        }
                     }
+                }
+                for (r, _) in records.iter().zip(&superseded).filter(|(_, &dead)| !dead) {
+                    visit(r.record);
                 }
             }
             shards.push(Shard { file, len });
@@ -281,6 +321,7 @@ impl Store {
                 dir,
                 fsync: cfg.fsync,
                 inner: Mutex::new(Inner { shards, index }),
+                on_append: None,
             },
             report,
         ))
@@ -306,28 +347,54 @@ impl Store {
 
     /// Content hashes of all live instance records, ascending.
     pub fn instance_hashes(&self) -> Vec<u64> {
-        self.instance_records()
-            .into_iter()
-            .map(|(h, _)| h)
-            .collect()
-    }
-
-    /// `(content hash, framed on-disk record length)` of all live
-    /// instance records, ascending by hash. The length comes straight
-    /// from the index — callers sizing caches by bytes (the server's
-    /// warm start) get it without decoding anything.
-    pub fn instance_records(&self) -> Vec<(u64, u32)> {
         let inner = self.inner.lock().expect("store lock");
-        let mut v: Vec<(u64, u32)> = inner
+        let mut v: Vec<u64> = inner
             .index
-            .iter()
-            .filter_map(|(k, loc)| match k {
-                Key::Instance(h) => Some((*h, loc.len)),
+            .keys()
+            .filter_map(|k| match k {
+                Key::Instance(h) => Some(*h),
                 Key::Result(_) => None,
             })
             .collect();
         v.sort_unstable();
         v
+    }
+
+    /// Whether a live instance record is indexed under `hash`: one
+    /// index probe, no I/O.
+    pub fn has_instance(&self, hash: u64) -> bool {
+        let inner = self.inner.lock().expect("store lock");
+        inner.index.contains_key(&Key::Instance(hash))
+    }
+
+    /// Hands each live record to `visit`, borrowed from one sequential
+    /// read of its shard file, verified: for a caller that loads the
+    /// records of a store it did not open itself. Appends wait until
+    /// the sweep is done.
+    pub fn visit_live(&self, mut visit: impl FnMut(RecordRef<'_>)) -> std::io::Result<()> {
+        let inner = self.inner.lock().expect("store lock");
+        let mut buf = Vec::new();
+        for s in 0..N_SHARDS {
+            buf.clear();
+            File::open(shard_path(&self.dir, s))?.read_to_end(&mut buf)?;
+            for r in scan_segment(&buf).0 {
+                let loc = Loc {
+                    shard: s as u8,
+                    offset: r.offset,
+                    len: r.len,
+                };
+                if inner.index.get(&Key::of(r.record).0) == Some(&loc) {
+                    visit(r.record);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Calls `observe` with the duration of every append from now on:
+    /// the write and, when configured, its `fsync`.
+    pub fn observe_appends(&mut self, observe: impl Fn(Duration) + Send + Sync + 'static) {
+        self.on_append = Some(Box::new(observe));
     }
 
     /// Keys of all live result records, in stable order.
@@ -353,14 +420,18 @@ impl Store {
     }
 
     fn append(&self, inner: &mut Inner, record: &Record) -> std::io::Result<()> {
-        let (key, instance_hash) = Key::of(record);
+        let (key, instance_hash) = Key::of(record.into());
         let shard_id = shard_of(instance_hash);
         let framed = record.encode()?;
         let shard = &mut inner.shards[shard_id as usize];
         let offset = shard.len;
+        let start = Instant::now();
         shard.file.write_all(&framed)?;
         if self.fsync {
             shard.file.sync_data()?;
+        }
+        if let Some(observe) = &self.on_append {
+            observe(start.elapsed());
         }
         shard.len += framed.len() as u64;
         inner.index.insert(
@@ -374,25 +445,25 @@ impl Store {
         Ok(())
     }
 
-    fn read_record(&self, inner: &mut Inner, loc: Loc) -> std::io::Result<Record> {
+    /// The framed bytes at `loc`, unverified ([`verified`] checks them
+    /// in place).
+    fn read_at(inner: &mut Inner, loc: Loc) -> std::io::Result<Vec<u8>> {
         let shard = &mut inner.shards[loc.shard as usize];
         let mut buf = vec![0u8; loc.len as usize];
         shard.file.seek(SeekFrom::Start(loc.offset))?;
         shard.file.read_exact(&mut buf)?;
-        // Re-scan the single framed record (header + checksum verify).
-        let mut seg = segment_header(u16::from(loc.shard)).to_vec();
-        seg.extend_from_slice(&buf);
-        let (mut records, report) = scan_segment(&seg);
-        if records.len() != 1 || report.torn_at.is_some() || !report.corrupt_at.is_empty() {
-            return Err(io_err(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "record at shard {} offset {} failed verification on read",
-                    loc.shard, loc.offset
-                ),
-            ));
-        }
-        Ok(records.pop().expect("one record").record)
+        Ok(buf)
+    }
+
+    /// The framed bytes of `key`'s live record and where they were. Only
+    /// the probe and the read hold the lock; callers verify and decode
+    /// after it is released.
+    fn read(&self, key: Key) -> std::io::Result<Option<(Vec<u8>, Loc)>> {
+        let mut inner = self.inner.lock().expect("store lock");
+        let Some(&loc) = inner.index.get(&key) else {
+            return Ok(None);
+        };
+        Store::read_at(&mut inner, loc).map(|framed| Some((framed, loc)))
     }
 
     /// Persists an instance under its canonical content hash; returns
@@ -414,13 +485,12 @@ impl Store {
 
     /// Fetches and decodes an instance by content hash.
     pub fn get_instance(&self, hash: u64) -> std::io::Result<Option<Instance>> {
-        let mut inner = self.inner.lock().expect("store lock");
-        let Some(&loc) = inner.index.get(&Key::Instance(hash)) else {
+        let Some((framed, loc)) = self.read(Key::Instance(hash))? else {
             return Ok(None);
         };
-        match self.read_record(&mut inner, loc)? {
-            Record::Instance { blob, .. } => {
-                let inst = codec::decode_instance(&blob).map_err(|e| {
+        match verified(&framed, loc)? {
+            RecordRef::Instance { blob, .. } => {
+                let inst = codec::decode_instance(blob).map_err(|e| {
                     io_err(
                         std::io::ErrorKind::InvalidData,
                         format!("instance {}: {e}", hash_hex(hash)),
@@ -428,7 +498,7 @@ impl Store {
                 })?;
                 Ok(Some(inst))
             }
-            Record::Result { .. } => Err(io_err(
+            RecordRef::Result { .. } => Err(io_err(
                 std::io::ErrorKind::InvalidData,
                 "index pointed an instance key at a result record",
             )),
@@ -451,15 +521,14 @@ impl Store {
 
     /// Fetches a solved-result body by key.
     pub fn get_result(&self, key: &ResultKey) -> std::io::Result<Option<String>> {
-        let mut inner = self.inner.lock().expect("store lock");
-        let Some(&loc) = inner.index.get(&Key::Result(*key)) else {
+        let Some((framed, loc)) = self.read(Key::Result(*key))? else {
             return Ok(None);
         };
-        match self.read_record(&mut inner, loc)? {
-            Record::Result { body, .. } => String::from_utf8(body)
+        match verified(&framed, loc)? {
+            RecordRef::Result { body, .. } => String::from_utf8(body.to_vec())
                 .map(Some)
                 .map_err(|_| io_err(std::io::ErrorKind::InvalidData, "non-UTF-8 result body")),
-            Record::Instance { .. } => Err(io_err(
+            RecordRef::Instance { .. } => Err(io_err(
                 std::io::ErrorKind::InvalidData,
                 "index pointed a result key at an instance record",
             )),
@@ -489,8 +558,10 @@ impl Store {
             let mut new_len = SEG_HEADER_LEN as u64;
             let mut moved: Vec<(Key, Loc)> = Vec::with_capacity(live.len());
             for (key, loc) in live {
-                let record = self.read_record(&mut inner, loc)?;
-                let framed = record.encode()?;
+                // A verified record is copied as framed: nothing to
+                // re-encode.
+                let framed = Store::read_at(&mut inner, loc)?;
+                verified(&framed, loc)?;
                 tmp.write_all(&framed)?;
                 moved.push((
                     key,
@@ -538,7 +609,7 @@ impl Store {
             report.corrupt += scan.corrupt_at.len();
             for r in &records {
                 report.records += 1;
-                let (key, _) = Key::of(&r.record);
+                let (key, _) = Key::of(r.record);
                 if !seen_keys.insert(key) {
                     report.superseded += 1;
                 }
@@ -801,6 +872,60 @@ mod tests {
         });
         assert_eq!(store.counts(), (64, 64));
         assert!(store.verify().unwrap().clean());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_visits_each_live_record_once() {
+        let dir = temp_dir("visit");
+        let (ha, hb);
+        {
+            let (store, _) = Store::open(&dir).unwrap();
+            ha = store.put_instance(&sample(0.5)).unwrap();
+            hb = store.put_instance(&sample(0.25)).unwrap();
+            store.put_result(rkey(ha, 1), "a\n").unwrap();
+        }
+        // Two bodies for one key: only the later is live.
+        let path = shard_path(&dir, shard_of(hb) as usize);
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        let body = |text: &str| Record::Result {
+            key: rkey(hb, 1),
+            body: text.as_bytes().to_vec(),
+        };
+        for text in ["old\n", "new\n"] {
+            f.write_all(&body(text).encode().unwrap()).unwrap();
+        }
+        drop(f);
+
+        let mut seen = Vec::new();
+        let (store, report) =
+            Store::open_visit(&dir, StoreConfig::default(), |r| seen.push(r.to_record())).unwrap();
+        assert_eq!(report.superseded, 1);
+        assert_eq!(seen.len(), report.instances + report.results);
+        assert!(seen.contains(&body("new\n")));
+        assert!(!seen.contains(&body("old\n")));
+        // A sweep of the open store hands over the same records.
+        let mut again = Vec::new();
+        store.visit_live(|r| again.push(r.to_record())).unwrap();
+        assert_eq!(again, seen);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_append_is_observed_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let dir = temp_dir("observe");
+        let (mut store, _) = Store::open_with(&dir, StoreConfig { fsync: false }).unwrap();
+        let appends = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&appends);
+        store.observe_appends(move |_| {
+            count.fetch_add(1, Ordering::Relaxed);
+        });
+        let h = store.put_instance(&sample(0.5)).unwrap();
+        store.put_instance(&sample(0.5)).unwrap(); // deduplicated
+        store.put_result(rkey(h, 1), "b\n").unwrap();
+        assert_eq!(appends.load(Ordering::Relaxed), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

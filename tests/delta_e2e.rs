@@ -628,13 +628,17 @@ fn named_inline_revisions_are_rebuilt_from_lineage() {
     c.shutdown().unwrap();
     assert_eq!(handle.join().unwrap().errors, 0);
 
-    // A restart on the same store: revision 3 was never stored, so it
-    // is rebuilt from the persisted base and lineage records.
+    // A restart on the same store: the boot decodes only the chain's
+    // root. Revision 3 was never stored, so it is rebuilt from lineage
+    // records, starting at revision 2, whose instance record the
+    // `SOLVE inline:` of its text persisted: the read-through stores
+    // revision 2, and the rebuild revision 3.
     let (addr, handle) = spawn_server(store_cfg());
     let mut c = Client::connect(&addr).unwrap();
     let before = store_entries(&mut c);
+    assert_eq!(before, 1, "the chain's root");
     let rev3 = solve_hash(&mut c, &revisions[3]);
-    assert_eq!(store_entries(&mut c), before + 1);
+    assert_eq!(store_entries(&mut c), before + 2);
     assert_eq!(rev3, scratch(&revisions[3]));
     assert_eq!(
         rev3.as_bytes(),

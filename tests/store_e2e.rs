@@ -344,3 +344,119 @@ fn a_store_keyed_by_hash_v1_serves_its_keys_and_drops_its_chains() {
     assert_eq!(handle.join().unwrap().errors, 2, "the two refusals");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The value of one unlabelled or labelled sample line of a `METRICS`
+/// scrape, e.g. `mmlp_serve_store_reads_total{outcome="ok"}`.
+fn metric(scrape: &str, series: &str) -> Option<u64> {
+    scrape.lines().find_map(|l| {
+        let v = l.strip_prefix(series)?.strip_prefix(' ')?;
+        v.trim().parse().ok()
+    })
+}
+
+#[test]
+fn a_restart_reads_a_persisted_instance_when_a_new_r_names_it() {
+    let dir = temp_dir("read-through");
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let text = instance_text();
+    let inst = textfmt::parse_instance(&text).unwrap();
+    let reads_ok = "mmlp_serve_store_reads_total{outcome=\"ok\"}";
+
+    // First life: PUT and one solve, each appended to the store.
+    let server = Server::bind(cfg.clone()).expect("bind 1");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run().expect("run 1"));
+    let mut c = Client::connect(&addr).unwrap();
+    let hash = c.put(&text).unwrap().unwrap();
+    c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
+    let scrape = c.metrics().unwrap();
+    assert_eq!(metric(&scrape, "mmlp_serve_store_append_us_count"), Some(2));
+    c.shutdown().unwrap();
+    handle.join().unwrap();
+
+    // Second life: the boot indexes the instance record and decodes
+    // nothing. `SOLVE hash:` at an R never solved misses the result
+    // cache; the instance is read from its record on a worker, once.
+    let server = Server::bind(cfg).expect("bind 2");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run().expect("run 2"));
+    let mut c = Client::connect(&addr).unwrap();
+    let scrape = c.metrics().unwrap();
+    assert_eq!(metric(&scrape, reads_ok), Some(0), "{scrape}");
+    assert!(metric(&scrape, "mmlp_serve_warm_start_us").is_some());
+    assert_eq!(stat(&c.stats().unwrap(), "warm_instances"), 1);
+    assert_eq!(stat(&c.stats().unwrap(), "store_entries"), 0);
+    for _ in 0..2 {
+        let body = c.run_hash(Op::Solve, &hash, 4).unwrap().into_ok().unwrap();
+        let scratch = maxmin_lp::serve::engine::execute(Op::Solve, &inst, 4, 1).unwrap();
+        assert_eq!(body.as_bytes(), scratch.as_bytes());
+    }
+    let scrape = c.metrics().unwrap();
+    assert_eq!(metric(&scrape, reads_ok), Some(1), "{scrape}");
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "cache_misses"), 1, "{stats:?}");
+    assert_eq!(stat(&stats, "store_entries"), 1, "{stats:?}");
+    c.shutdown().unwrap();
+    assert_eq!(handle.join().unwrap().errors, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_store_whose_only_instance_record_is_undecodable_boots_and_serves() {
+    use maxmin_lp::instance::hash_hex;
+    use maxmin_lp::serve::client::ClientReply;
+    use maxmin_lp::serve::protocol::ErrorCode;
+    use maxmin_lp::store::Record;
+
+    let dir = temp_dir("bad-record");
+    let bad = 0x0bad_0bad_0bad_0bad_u64;
+    // Checksummed, so the open keeps it; its codec blob does not decode.
+    append_records(
+        &dir,
+        &[Record::Instance {
+            hash: bad,
+            blob: b"not a codec blob".to_vec(),
+        }],
+    );
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("a bad record does not stop the boot");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run().expect("run"));
+    let mut c = Client::connect(&addr).unwrap();
+    assert_eq!(stat(&c.stats().unwrap(), "warm_instances"), 1);
+    match c.run_hash(Op::Solve, &hash_hex(bad), 3).unwrap() {
+        ClientReply::Err(code, msg) => {
+            assert_eq!(code, ErrorCode::Internal);
+            assert!(msg.contains(&hash_hex(bad)), "{msg}");
+        }
+        ClientReply::Ok(body) => panic!("expected INTERNAL, got {body}"),
+    }
+    let scrape = c.metrics().unwrap();
+    assert_eq!(
+        metric(&scrape, "mmlp_serve_store_reads_total{outcome=\"error\"}"),
+        Some(1),
+        "{scrape}"
+    );
+    // The node keeps serving.
+    let text = instance_text();
+    let hash = c.put(&text).unwrap().unwrap();
+    let body = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
+    let inst = textfmt::parse_instance(&text).unwrap();
+    assert_eq!(
+        body,
+        maxmin_lp::serve::engine::execute(Op::Solve, &inst, 3, 1).unwrap()
+    );
+    c.shutdown().unwrap();
+    assert_eq!(handle.join().unwrap().errors, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
