@@ -8,6 +8,12 @@
 //! exists for; a regression in "warm" (e.g. an accidental O(n) scan in
 //! the LRU) shows up here long before it shows up in p99.
 //!
+//! "hash_miss" (64 agents only) is a `SOLVE hash:` that misses the
+//! result cache: `Engine::fetch` of a stored instance, which decodes its
+//! codec record, then the same `execute`. `trajectory_gate` holds it to
+//! 1.25× "cold", measured in the same run, so an instance store whose
+//! entries cost a re-parse (or worse) to use fails.
+//!
 //! "Central" is the bare centralized solve of the same instance
 //! (`LocalSolver::solve`, no body rendering): the same-run reference
 //! `trajectory_gate` holds "cold" to, so a slower solver path on the
@@ -54,6 +60,17 @@ fn bench_serve_cache(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("cold_solve", size), &size, |b, _| {
             b.iter(|| std::hint::black_box(execute(Op::Solve, &inst, 3, 1).unwrap()));
         });
+
+        if size == 64 {
+            group.bench_with_input(BenchmarkId::new("hash_miss", size), &size, |b, _| {
+                let engine = Engine::new(64 << 20, 64 << 20);
+                engine.put(&textfmt::write_instance(&inst)).unwrap();
+                b.iter(|| {
+                    let stored = engine.fetch(hash).unwrap();
+                    std::hint::black_box(execute(Op::Solve, &stored, 3, 1).unwrap())
+                });
+            });
+        }
 
         group.bench_with_input(BenchmarkId::new("central_solve", size), &size, |b, _| {
             b.iter(|| std::hint::black_box(LocalSolver::new(3).solve(&inst)));

@@ -70,6 +70,14 @@
 //!     same run: the timeout is one watchdog thread per pool, not a
 //!     thread per task.
 //!
+//! 14. `serve_cache/hash_miss/64` ≤ 1.25 × `serve_cache/cold_solve/64`
+//!     — a `SOLVE hash:` that misses the result cache (`Engine::fetch`
+//!     of the stored instance, then `execute`) costs at most a quarter
+//!     more than the same solve of an instance in hand, measured in the
+//!     same run: the instance store holds codec records, and decoding
+//!     one costs a few µs against a 67–87 µs solve (about 1.05×). A
+//!     store of canonical texts, re-parsed per miss, reads about 1.4×.
+//!
 //! `BENCH_delta.json` (the §1.3 dynamic corollary, measured):
 //!
 //! 7. `delta-solve/edit-rR/n` < `delta-solve/scratch-rR/n` at every
@@ -289,6 +297,13 @@ fn gate_serve(g: &mut Gate) {
             2,
         );
     }
+    // A stored instance costs a decode, not a parse, to solve.
+    g.check_ratio(
+        "serve_cache/hash_miss/64",
+        "serve_cache/cold_solve/64",
+        5,
+        4,
+    );
     // §4 costs at most 1.5 × the text parse of the same instance, the
     // content hash at most 0.1 ×.
     for fam in mmlp_gen::catalog() {

@@ -24,7 +24,7 @@
 
 use crate::special::SpecialForm;
 use crate::tree_bound::TreeBound;
-use mmlp_instance::{AgentId, CommGraph, Solution};
+use mmlp_instance::{AgentId, Solution};
 use std::time::Instant;
 
 /// The `g±` tables: `g_plus[d][v]` and `g_minus[d][v]` for `d = 0..=r`.
@@ -39,30 +39,33 @@ pub struct GTables {
 /// Smooths the per-agent bounds: `s_v = min` of `t` over all agents at
 /// distance ≤ `4r+2` from `v` in the communication graph.
 ///
-/// Implemented as `4r+2` rounds of neighbour-min relaxation over *all*
-/// nodes (constraints and objectives relay with initial value +∞), which
-/// delivers values exactly one hop per round — identical to the
-/// distributed flooding phase, and equal to the universal-cover ball
-/// minimum because every walk in `G` lifts to the unfolding and every
-/// unfolding path projects back to a walk.
+/// `G` is bipartite between agents and rows, so two agents are two
+/// edges apart exactly when they share a constraint (`v`'s partners in
+/// [`SpecialForm::cons`]) or an objective ([`SpecialForm::others`]),
+/// and the agents within `4r+2` of `v` are those within `2r+1` such
+/// steps. The flood runs `2r+1` rounds of neighbour-min relaxation over
+/// that adjacency, which the special form already holds: `min` is
+/// exact, so this is bit-identical to `4r+2` rounds over every node of
+/// `G` (the distributed flooding phase), and equal to the
+/// universal-cover ball minimum because every walk in `G` lifts to the
+/// unfolding and every unfolding path projects back to a walk.
 pub fn smooth(sf: &SpecialForm, t: &[f64], r: usize) -> Vec<f64> {
     assert_eq!(t.len(), sf.n_agents());
-    let g = CommGraph::new(sf.instance());
-    let n = g.n_nodes();
-    let mut cur = vec![f64::INFINITY; n];
-    cur[..t.len()].copy_from_slice(t);
-    let mut next = vec![0.0f64; n];
-    for _ in 0..4 * r + 2 {
-        for x in 0..n as u32 {
-            let mut m = cur[x as usize];
-            for adj in g.neighbors(x) {
-                m = m.min(cur[adj.to as usize]);
+    let mut cur = t.to_vec();
+    let mut next = vec![0.0f64; t.len()];
+    for _ in 0..2 * r + 1 {
+        for v in sf.instance().agents() {
+            let mut m = cur[v.idx()];
+            for cv in sf.cons(v) {
+                m = m.min(cur[cv.partner.idx()]);
             }
-            next[x as usize] = m;
+            for w in sf.others(v) {
+                m = m.min(cur[w.idx()]);
+            }
+            next[v.idx()] = m;
         }
         std::mem::swap(&mut cur, &mut next);
     }
-    cur.truncate(sf.n_agents());
     cur
 }
 
@@ -261,6 +264,37 @@ mod tests {
         let s1 = smooth(&s, &t, 1);
         for v in 0..n {
             assert!(s1[v] <= s0[v] + 1e-15, "larger radius, smaller min");
+        }
+    }
+
+    #[test]
+    fn smoothing_is_the_min_over_the_g_ball_of_radius_4r_plus_2() {
+        // The module's definition, with `CommGraph` BFS as the oracle.
+        use mmlp_instance::CommGraph;
+        for seed in 0..4 {
+            let s = sf(seed);
+            let n = s.n_agents();
+            let g = CommGraph::new(s.instance());
+            // Distinct values in a scrambled order, so every ball's
+            // minimum sits at one agent.
+            let t: Vec<f64> = (0..n).map(|j| ((j * 7919) % 1009) as f64 + 0.5).collect();
+            for r in 0..3 {
+                let sm = smooth(&s, &t, r);
+                for v in s.instance().agents() {
+                    let dist = g.bfs(g.agent_index(v), (4 * r + 2) as u32);
+                    let expect = s
+                        .instance()
+                        .agents()
+                        .filter(|&u| dist[g.agent_index(u) as usize] != u32::MAX)
+                        .map(|u| t[u.idx()])
+                        .fold(f64::INFINITY, f64::min);
+                    assert_eq!(
+                        sm[v.idx()].to_bits(),
+                        expect.to_bits(),
+                        "seed {seed} r {r} {v}"
+                    );
+                }
+            }
         }
     }
 

@@ -35,13 +35,14 @@
 //! its base, in the revision graph. A request that names it by hash
 //! gets it from [`DeltaCoordinator::rebuild`].
 //!
-//! The graph is a forest, and it keeps each chain's root instance (the
-//! store's `Arc` while the store holds it), so every revision it knows
-//! can be rebuilt however the instance store's LRU churns. A revision
-//! keeps the first edge that reached it, and a root never gets one: an
-//! edit that reverts to an earlier revision adds no edge, so no walk
-//! can come round a cycle. Stores written before that rule can hold one;
-//! a walk that comes round stops there.
+//! The graph is a forest, and it keeps each chain's root instance as
+//! its codec record (the instance store's bytes, shared, while the
+//! store holds them), so every revision it knows can be rebuilt however
+//! the instance store's LRU churns. A revision keeps the first edge
+//! that reached it, and a root never gets one: an edit that reverts to
+//! an earlier revision adds no edge, so no walk can come round a cycle.
+//! Stores written before that rule can hold one; a walk that comes
+//! round stops there.
 //!
 //! In every case the rendered body is **bit-identical** to a `SOLVE` of
 //! the same revision: the dynamic solver's state is bitwise equal to a
@@ -51,8 +52,9 @@
 //! ([`crate::engine::write_solve_header`], [`crate::engine::write_x_line`]).
 
 use crate::cache::Lru;
-use crate::engine::{write_solve_header, write_x_line, EngineError};
+use crate::engine::{decode_record, write_solve_header, write_x_line, Decoded, EngineError};
 use crate::protocol::ErrorCode;
+use crate::stats::StoreMetrics;
 use mmlp_core::dynamic::{DynamicError, DynamicSolver, UpdateReport};
 use mmlp_core::special::SpecialForm;
 use mmlp_instance::delta::Delta;
@@ -132,11 +134,12 @@ const CHAIN_CAP: usize = 100_000;
 
 /// The revision graph: one edge per derived revision, and the chain
 /// roots — every revision an edge starts from but none leads to — with
-/// the instance each was recorded with, when one was at hand.
+/// the record of the instance each was recorded with, when one was at
+/// hand.
 #[derive(Default)]
 struct Graph {
     edges: HashMap<u64, LineageEdge>,
-    roots: HashMap<u64, Option<Arc<Instance>>>,
+    roots: HashMap<u64, Option<Arc<[u8]>>>,
 }
 
 /// Where a lineage walk stopped: what `stop` took there (`None` at the
@@ -153,8 +156,9 @@ struct Walk<T> {
 enum Origin {
     /// Copied from a parked solver.
     Parked(Instance),
-    /// The instance store's entry, or a root's kept instance.
-    Stored(Arc<Instance>),
+    /// The record of the revision: the instance store's entry, or a
+    /// root's kept record.
+    Stored(u64, Arc<[u8]>),
 }
 
 /// A solver parked (or checked out) at its current revision, with the
@@ -165,11 +169,11 @@ pub struct Parked {
     /// The body's `guarantee` line: a function of the degrees and `R`,
     /// which coefficient edits leave alone.
     guarantee: f64,
-    /// The stored instance the solver was booted from, while it still
-    /// sits there: its first inline edit makes that revision a chain's
-    /// root, and the graph keeps this instance for it even if the
-    /// store has evicted it by then.
-    origin: Option<Arc<Instance>>,
+    /// The record of the stored instance the solver was booted from,
+    /// while it still sits there: its first inline edit makes that
+    /// revision a chain's root, and the graph keeps this record for it
+    /// even if the store has evicted it by then.
+    origin: Option<Arc<[u8]>>,
 }
 
 /// The `x <agent> <value>` lines of a `SOLVE` body, one per agent, kept
@@ -252,9 +256,9 @@ impl Parked {
         &self.solver
     }
 
-    /// Takes the instance the solver was booted from, if it has not
-    /// moved since (see [`Parked`]'s `origin`).
-    pub(crate) fn take_origin(&mut self) -> Option<Arc<Instance>> {
+    /// Takes the record of the instance the solver was booted from, if
+    /// it has not moved since (see [`Parked`]'s `origin`).
+    pub(crate) fn take_origin(&mut self) -> Option<Arc<[u8]>> {
         self.origin.take()
     }
 
@@ -333,15 +337,19 @@ pub struct DeltaCoordinator {
     resolve: Mutex<()>,
     lineage: Mutex<Graph>,
     solvers: Mutex<Lru<SolverKey, Parked>>,
+    /// Where the records it decodes are counted.
+    metrics: StoreMetrics,
 }
 
 impl DeltaCoordinator {
-    /// An empty coordinator whose parked solvers share `budget` bytes.
-    pub fn new(budget: u64) -> Self {
+    /// An empty coordinator whose parked solvers share `budget` bytes,
+    /// counting the records it decodes in `metrics`.
+    pub fn new(budget: u64, metrics: StoreMetrics) -> Self {
         DeltaCoordinator {
             resolve: Mutex::new(()),
             lineage: Mutex::new(Graph::default()),
             solvers: Mutex::new(Lru::new(budget)),
+            metrics,
         }
     }
 
@@ -350,14 +358,15 @@ impl DeltaCoordinator {
     /// when `new` already has an edge (several deltas can produce one
     /// revision; it keeps the first), and when `new` is a chain's root
     /// (an edit that reverts to it). When `base` is new to the graph it
-    /// becomes a root, and `root` is asked for its instance, which the
-    /// graph keeps so the chain can be rebuilt after the store evicts it.
+    /// becomes a root, and `root` is asked for its instance's record,
+    /// which the graph keeps so the chain can be rebuilt after the store
+    /// evicts it.
     pub fn record(
         &self,
         new: u64,
         base: u64,
         delta_text: String,
-        root: impl FnOnce() -> Option<Arc<Instance>>,
+        root: impl FnOnce() -> Option<Arc<[u8]>>,
     ) -> bool {
         let mut graph = self.lineage.lock().expect("lineage lock");
         if new == base || graph.edges.contains_key(&new) || graph.roots.contains_key(&new) {
@@ -373,15 +382,16 @@ impl DeltaCoordinator {
     /// Loads persisted edges, one per revision, into an empty graph. A
     /// store lists them by segment, not in the order they were
     /// recorded, so the roots are found once all are in: every base
-    /// without an edge, with `root`'s instance for it. A chain whose
-    /// root instance does not hash to the root's key (one recorded
-    /// under another hash version) can never replay onto its recorded
-    /// revisions, so every edge of it is dropped. Returns the edges
-    /// kept and dropped; self-edges are dropped uncounted.
+    /// without an edge, with the record `root` gives for it and that
+    /// record's instance, decoded. A chain whose root instance does not
+    /// hash to the root's key (one recorded under another hash version)
+    /// can never replay onto its recorded revisions, so every edge of
+    /// it is dropped. Returns the edges kept and dropped; self-edges are
+    /// dropped uncounted.
     pub fn restore(
         &self,
         edges: Vec<(u64, LineageEdge)>,
-        root: impl Fn(u64) -> Option<Arc<Instance>>,
+        root: impl Fn(u64) -> Option<Decoded>,
     ) -> (usize, usize) {
         let mut graph = self.lineage.lock().expect("lineage lock");
         graph.edges = edges
@@ -392,11 +402,11 @@ impl DeltaCoordinator {
         let mut stale = Vec::new();
         let mut roots = HashMap::new();
         for b in bases.into_iter().filter(|b| !graph.edges.contains_key(b)) {
-            let inst = root(b);
-            if inst.as_ref().is_some_and(|i| instance_hash(i) != b) {
-                stale.push(b);
-            } else {
-                roots.insert(b, inst);
+            match root(b) {
+                Some((_, inst)) if instance_hash(&inst) != b => stale.push(b),
+                found => {
+                    roots.insert(b, found.map(|(record, _)| record));
+                }
             }
         }
         graph.roots = roots;
@@ -422,8 +432,8 @@ impl DeltaCoordinator {
     }
 
     /// Whether [`DeltaCoordinator::rebuild`] can start on `revision`: it
-    /// has an edge, is a root with a kept instance, or has a solver
-    /// parked at it.
+    /// has an edge, is a root with a kept record, or has a solver parked
+    /// at it.
     pub fn knows(&self, revision: u64) -> bool {
         let parked = self
             .solvers
@@ -438,8 +448,8 @@ impl DeltaCoordinator {
         }
     }
 
-    /// The instance the graph keeps for root `revision`, if any.
-    fn root_instance(&self, revision: u64) -> Option<Arc<Instance>> {
+    /// The record the graph keeps for root `revision`, if any.
+    fn root_record(&self, revision: u64) -> Option<Arc<[u8]>> {
         let graph = self.lineage.lock().expect("lineage lock");
         graph.roots.get(&revision).cloned().flatten()
     }
@@ -513,9 +523,10 @@ impl DeltaCoordinator {
     /// Resolves `revision` to a solver (warm / advanced / booted, see
     /// the module docs), renders the `SOLVE`-format body from its
     /// state, and re-parks it. `fetch` resolves a revision hash to its
-    /// stored instance (the engine's instance store, reading through to
+    /// stored record (the engine's instance store, reading through to
     /// disk); it is asked once per walked revision until one is stored,
-    /// and its error ends the walk.
+    /// and its error ends the walk. Only a record a boot starts from is
+    /// decoded.
     pub fn solve<F>(
         &self,
         revision: u64,
@@ -523,7 +534,7 @@ impl DeltaCoordinator {
         fetch: F,
     ) -> Result<(String, DeltaSolveInfo), EngineError>
     where
-        F: Fn(u64) -> Result<Option<Arc<Instance>>, EngineError>,
+        F: Fn(u64) -> Result<Option<Arc<[u8]>>, EngineError>,
     {
         let key = SolverKey { revision, big_r };
         // The gate guards no data, so a resolve that panicked leaves
@@ -550,7 +561,7 @@ impl DeltaCoordinator {
         let mut depth = 0;
         let walk = self.walk(revision, |at| {
             if nearest_stored.is_none() {
-                nearest_stored = fetch(at)?.map(|inst| (depth, at, inst));
+                nearest_stored = fetch(at)?.map(|record| (depth, at, record));
             }
             depth += 1;
             Ok(if at == revision {
@@ -565,15 +576,15 @@ impl DeltaCoordinator {
             None => {
                 // No parked solver on the chain: boot from the nearest
                 // stored revision, else from the chain's root and the
-                // instance the graph keeps for it.
-                let (at, inst) = match nearest_stored {
-                    Some((depth, at, inst)) => {
+                // record the graph keeps for it.
+                let (at, record) = match nearest_stored {
+                    Some((depth, at, record)) => {
                         pending.truncate(depth);
-                        (at, Some(inst))
+                        (at, Some(record))
                     }
-                    None => (walk.at, self.root_instance(walk.at)),
+                    None => (walk.at, self.root_record(walk.at)),
                 };
-                let inst = inst.ok_or_else(|| {
+                let record = record.ok_or_else(|| {
                     (
                         ErrorCode::NoBase,
                         format!(
@@ -582,7 +593,8 @@ impl DeltaCoordinator {
                         ),
                     )
                 })?;
-                let sf = SpecialForm::new((*inst).clone()).map_err(|e| {
+                let inst = decode_record(&self.metrics, at, &record)?;
+                let sf = SpecialForm::new(inst).map_err(|e| {
                     (
                         ErrorCode::BadDelta,
                         format!(
@@ -594,7 +606,7 @@ impl DeltaCoordinator {
                 })?;
                 let mut parked = Parked::new(DynamicSolver::new(sf, big_r, 1));
                 if pending.is_empty() {
-                    parked.origin = Some(inst);
+                    parked.origin = Some(record);
                 }
                 (parked, DeltaMode::Booted)
             }
@@ -696,19 +708,19 @@ impl DeltaCoordinator {
     /// Rebuilds the instance of `revision` from the revision graph,
     /// for a request that names a revision the instance store does not
     /// hold. The walk stops at the first revision with a solver parked
-    /// at it (for any `R`) or, below `revision`, a stored instance
+    /// at it (for any `R`) or, below `revision`, a stored record
     /// (`stored`, whose error ends the walk), else at the chain's root
-    /// and its kept instance; the rebuild copies that instance and
-    /// replays the walked deltas on it, oldest first, through
-    /// [`Delta::apply_unchecked`]. A replayed result must hash to
-    /// `revision`.
+    /// and its kept record; the rebuild copies that solver's instance or
+    /// decodes that record, and replays the walked deltas on it, oldest
+    /// first, through [`Delta::apply_unchecked`]. A replayed result must
+    /// hash to `revision`.
     ///
     /// Returns the instance, or `None` when the walk ends at a revision
     /// with no instance to start from. A replay failure or a hash
     /// mismatch is `ERR INTERNAL`.
     pub fn rebuild<F>(&self, revision: u64, stored: F) -> Result<Option<Instance>, EngineError>
     where
-        F: Fn(u64) -> Result<Option<Arc<Instance>>, EngineError>,
+        F: Fn(u64) -> Result<Option<Arc<[u8]>>, EngineError>,
     {
         let walk = self.walk(revision, |at| {
             if let Some(inst) = self.copy_parked(at) {
@@ -717,18 +729,19 @@ impl DeltaCoordinator {
             if at == revision {
                 return Ok(None);
             }
-            Ok(stored(at)?.map(Origin::Stored))
+            Ok(stored(at)?.map(|record| Origin::Stored(at, record)))
         })?;
-        let origin = walk
-            .found
-            .or_else(|| self.root_instance(walk.at).map(Origin::Stored));
+        let origin = walk.found.or_else(|| {
+            self.root_record(walk.at)
+                .map(|record| Origin::Stored(walk.at, record))
+        });
         let mut inst = match origin {
             None => return Ok(None),
             // A solver's maintained revision is the key it is parked
             // under: nothing to check.
             Some(Origin::Parked(inst)) if walk.pending.is_empty() => return Ok(Some(inst)),
             Some(Origin::Parked(inst)) => inst,
-            Some(Origin::Stored(inst)) => (*inst).clone(),
+            Some(Origin::Stored(at, record)) => decode_record(&self.metrics, at, &record)?,
         };
         for (expect, text) in walk.pending.iter().rev() {
             inst = Delta::parse_text(text)
@@ -762,17 +775,6 @@ impl DeltaCoordinator {
         let parked = solvers.find(|k| k.revision == revision)?;
         Some(parked.solver.special_form().instance().clone())
     }
-
-    /// Every lineage edge, for warm-start round-trip tests.
-    pub fn lineage_snapshot(&self) -> Vec<(u64, LineageEdge)> {
-        self.lineage
-            .lock()
-            .expect("lineage lock")
-            .edges
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
-    }
 }
 
 /// The guarantee `SOLVE` reports for the solver's instance and `R`.
@@ -789,6 +791,15 @@ mod tests {
     use mmlp_instance::delta::{Edit, RowKind};
     use mmlp_instance::hash::instance_hash;
     use mmlp_instance::textfmt;
+
+    fn coordinator() -> DeltaCoordinator {
+        DeltaCoordinator::new(1 << 20, StoreMetrics::detached())
+    }
+
+    /// The instance's record, as the instance store holds it.
+    fn record(inst: &Instance) -> Arc<[u8]> {
+        mmlp_store::codec::encode_instance(inst).into()
+    }
 
     fn special_instance(size: usize, seed: u64) -> Instance {
         mmlp_gen::catalog()
@@ -854,13 +865,13 @@ mod tests {
 
     #[test]
     fn warm_advanced_and_booted_all_agree_with_scratch() {
-        let coordinator = DeltaCoordinator::new(1 << 20);
+        let coordinator = coordinator();
         let v0 = special_instance(20, 3);
-        let store: Mutex<HashMap<u64, Arc<Instance>>> = Mutex::new(HashMap::new());
+        let store: Mutex<HashMap<u64, Arc<[u8]>>> = Mutex::new(HashMap::new());
         store
             .lock()
             .unwrap()
-            .insert(instance_hash(&v0), Arc::new(v0.clone()));
+            .insert(instance_hash(&v0), record(&v0));
         let fetch = |h: u64| Ok(store.lock().unwrap().get(&h).cloned());
 
         // Register a 3-edit chain v0 → v1 → v2 → v3.
@@ -901,11 +912,11 @@ mod tests {
     fn structural_replays_re_render_the_whole_body() {
         // A new constraint raises some agents' degree (and can change
         // the guarantee line); the parked x lines must follow.
-        let coordinator = DeltaCoordinator::new(1 << 20);
+        let coordinator = coordinator();
         let v0 = special_instance(20, 3);
         let h0 = instance_hash(&v0);
-        let v0 = Arc::new(v0);
-        let fetch = |h: u64| Ok((h == h0).then(|| Arc::clone(&v0)));
+        let rec = record(&v0);
+        let fetch = |h: u64| Ok((h == h0).then(|| Arc::clone(&rec)));
         coordinator.solve(h0, 3, fetch).unwrap();
         let d = Delta::single(
             h0,
@@ -932,7 +943,7 @@ mod tests {
 
     #[test]
     fn unknown_root_is_nobase_and_non_special_is_baddelta() {
-        let coordinator = DeltaCoordinator::new(1 << 20);
+        let coordinator = coordinator();
         let err = coordinator.solve(0xdead, 3, |_| Ok(None)).unwrap_err();
         assert_eq!(err.0, ErrorCode::NoBase);
 
@@ -943,21 +954,21 @@ mod tests {
             .unwrap()
             .instance(12, 0);
         let h = instance_hash(&general);
-        let general = Arc::new(general);
+        let rec = record(&general);
         let err = coordinator
-            .solve(h, 3, |q| Ok((q == h).then(|| Arc::clone(&general))))
+            .solve(h, 3, |q| Ok((q == h).then(|| Arc::clone(&rec))))
             .unwrap_err();
         assert_eq!(err.0, ErrorCode::BadDelta);
     }
 
     #[test]
     fn a_replayed_edge_must_land_on_the_revision_it_was_recorded_under() {
-        let coordinator = DeltaCoordinator::new(1 << 20);
+        let coordinator = coordinator();
         let v0 = special_instance(20, 3);
         let h0 = instance_hash(&v0);
         let d = coef_delta(&v0, 0, 1.5);
-        let v0 = Arc::new(v0);
-        let fetch = |h: u64| Ok((h == h0).then(|| Arc::clone(&v0)));
+        let rec = record(&v0);
+        let fetch = |h: u64| Ok((h == h0).then(|| Arc::clone(&rec)));
         // An edge whose key is not the content hash its delta replays
         // to: serving it would cache the wrong revision's body under it.
         let bogus = 0x0123_4567_89ab_cdef;
@@ -973,15 +984,15 @@ mod tests {
 
     #[test]
     fn rebuild_replays_coefficient_and_structural_edges() {
-        let coordinator = DeltaCoordinator::new(1 << 20);
+        let coordinator = coordinator();
         let v0 = special_instance(20, 3);
         let h0 = instance_hash(&v0);
-        let v0 = Arc::new(v0);
-        let stored = |h: u64| Ok((h == h0).then(|| Arc::clone(&v0)));
+        let rec = record(&v0);
+        let stored = |h: u64| Ok((h == h0).then(|| Arc::clone(&rec)));
         // v0 → v1 (coefficient) → v2 (new constraint) → v3
         // (coefficient), with only v0 stored and nothing parked.
         let mut revisions = Vec::new();
-        let mut cur = (*v0).clone();
+        let mut cur = v0.clone();
         for step in 0..3 {
             let d = if step == 1 {
                 Delta::single(
@@ -1029,15 +1040,14 @@ mod tests {
 
     #[test]
     fn the_graph_stays_a_forest_and_keeps_its_roots() {
-        let coordinator = DeltaCoordinator::new(1 << 20);
+        let coordinator = coordinator();
         let v0 = special_instance(20, 3);
         let h0 = instance_hash(&v0);
         let d = coef_delta(&v0, 0, 2.0);
         let (v1, lin) = d.apply_hashed(&v0).unwrap();
         let back = coef_delta(&v1, 0, 0.5);
-        let v0 = Arc::new(v0);
-        // v0 becomes the chain's root, and the graph keeps its instance.
-        assert!(coordinator.record(lin.new, h0, d.to_text(), || Some(Arc::clone(&v0))));
+        // v0 becomes the chain's root, and the graph keeps its record.
+        assert!(coordinator.record(lin.new, h0, d.to_text(), || Some(record(&v0))));
         // A second edge into v1 is refused, and so is the revert into
         // the root, which would close a cycle.
         assert!(!coordinator.record(lin.new, 0xdead, back.to_text(), || None));
@@ -1061,7 +1071,7 @@ mod tests {
         let back = coef_delta(&v1, 0, 0.5);
         // A store written before edges were kept first can hold a
         // revert's edge into the root: restored, the two edges cycle.
-        let coordinator = DeltaCoordinator::new(1 << 20);
+        let coordinator = coordinator();
         let edge = |base: u64, delta: &Delta| LineageEdge {
             base,
             delta_text: delta.to_text(),
@@ -1077,8 +1087,8 @@ mod tests {
             .unwrap()
             .is_none());
         // A rebuild stops at the stored revision before it comes round.
-        let v0 = Arc::new(v0);
-        let stored = |h: u64| Ok((h == h0).then(|| Arc::clone(&v0)));
+        let rec = record(&v0);
+        let stored = |h: u64| Ok((h == h0).then(|| Arc::clone(&rec)));
         let got = coordinator.rebuild(lin.new, stored).unwrap().unwrap();
         assert_eq!(textfmt::write_instance(&got), textfmt::write_instance(&v1));
     }
@@ -1102,9 +1112,8 @@ mod tests {
             (old_1, edge(old_root, d.to_text())),
             (old_2, edge(old_1, coef_delta(&v1, 1, 0.5).to_text())),
         ];
-        let v0 = Arc::new(v0);
-        let root = |h: u64| (h == h0 || h == old_root).then(|| Arc::clone(&v0));
-        let coordinator = DeltaCoordinator::new(1 << 20);
+        let root = |h: u64| (h == h0 || h == old_root).then(|| (record(&v0), v0.clone()));
+        let coordinator = coordinator();
         assert_eq!(coordinator.restore(edges, root), (1, 2));
         assert_eq!(coordinator.lineage_len(), 1);
         // The dropped revisions are unknown, not broken: a rebuild has
@@ -1140,12 +1149,12 @@ mod tests {
 
     #[test]
     fn inline_advance_registers_nothing_until_committed() {
-        let coordinator = DeltaCoordinator::new(1 << 20);
+        let coordinator = coordinator();
         let v0 = special_instance(20, 3);
         let h0 = instance_hash(&v0);
-        let v0 = Arc::new(v0);
+        let rec = record(&v0);
         let (_, info) = coordinator
-            .solve(h0, 3, |h| Ok((h == h0).then(|| Arc::clone(&v0))))
+            .solve(h0, 3, |h| Ok((h == h0).then(|| Arc::clone(&rec))))
             .unwrap();
         assert_eq!(info.mode, DeltaMode::Booted);
         let d = coef_delta(&v0, 2, 0.75);

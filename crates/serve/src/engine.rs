@@ -26,11 +26,13 @@ use mmlp_instance::delta::{Delta, Lineage};
 use mmlp_instance::hash::{fnv1a64, hash_hex, instance_hash};
 use mmlp_instance::{textfmt, DegreeStats, Instance};
 use mmlp_lp::solve_maxmin;
+use mmlp_store::codec::{decode_instance, encode_instance};
 use mmlp_store::{OpenReport, RecordRef, ResultKey, Store, StoreConfig};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The result-cache key: everything that determines a reply body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -74,6 +76,9 @@ impl CacheKey {
 /// A request failure, mapped onto a wire error code.
 pub type EngineError = (ErrorCode, String);
 
+/// An instance record and its instance, decoded.
+pub(crate) type Decoded = (Arc<[u8]>, Instance);
+
 /// How a `SOLVE_DELTA inline:` continues after [`Engine::start_inline`].
 pub enum InlineStart {
     /// A solver was parked at the delta's base and is checked out:
@@ -91,8 +96,9 @@ pub enum InlineStart {
 /// Where the event loop finds a revision named by hash
 /// ([`Engine::lookup`]).
 pub enum Lookup {
-    /// The instance store holds it.
-    Stored(Arc<Instance>),
+    /// The instance store holds its codec record: decode it on a pool
+    /// worker, never on the loop.
+    Stored(Arc<[u8]>),
     /// Its record on disk or the revision graph has it: [`Engine::fetch`]
     /// it on a pool worker, where the read and decode, or the walk and
     /// replays, run under the request timeout rather than on the loop.
@@ -124,11 +130,16 @@ pub struct WarmStart {
 /// fresh engine loads the result cache and the revision graph from the
 /// store's open scan, so a restart turns previously-solved requests
 /// back into bit-identical cache hits. The instance store is then a
-/// read-through cache over the persistent one: an instance is decoded
-/// from its record the first time a request names it.
+/// read-through cache over the persistent one.
+///
+/// An instance at rest is its codec record ([`mmlp_store::codec`]), the
+/// bytes an instance record carries on disk: the instance store holds
+/// records, charged their length, and the revision graph's chain roots
+/// and parked solvers' origins share them. A record is decoded on the
+/// pool worker of a request that needs its instance.
 pub struct Engine {
     results: ShardedLru<CacheKey, Arc<String>>,
-    store: ShardedLru<u64, Arc<Instance>>,
+    store: ShardedLru<u64, Arc<[u8]>>,
     delta: DeltaCoordinator,
     persist: Option<Store>,
     persist_errors: AtomicU64,
@@ -199,16 +210,21 @@ impl Engine {
     /// Creates a memory-only engine with the given result-cache and
     /// instance-store budgets, both in bytes.
     pub fn new(cache_bytes: u64, store_bytes: u64) -> Self {
+        Engine::with_metrics(cache_bytes, store_bytes, StoreMetrics::detached())
+    }
+
+    /// [`Engine::new`], updating `metrics` as it decodes records.
+    pub(crate) fn with_metrics(cache_bytes: u64, store_bytes: u64, metrics: StoreMetrics) -> Self {
         Engine {
             results: ShardedLru::new(cache_bytes),
             store: ShardedLru::new(store_bytes),
             // Parked delta solvers share the instance-store budget: both
             // hold O(instance) state, so one knob bounds both.
-            delta: DeltaCoordinator::new(store_bytes),
+            delta: DeltaCoordinator::new(store_bytes, metrics.clone()),
             persist: None,
             persist_errors: AtomicU64::new(0),
             warm: WarmStart::default(),
-            metrics: StoreMetrics::detached(),
+            metrics,
         }
     }
 
@@ -226,10 +242,7 @@ impl Engine {
         dir: &Path,
         metrics: StoreMetrics,
     ) -> std::io::Result<(Self, OpenReport)> {
-        let engine = Engine {
-            metrics,
-            ..Engine::new(cache_bytes, store_bytes)
-        };
+        let engine = Engine::with_metrics(cache_bytes, store_bytes, metrics);
         let mut warm = WarmLoad::default();
         let (persist, report) = Store::open_visit(dir, StoreConfig::default(), |record| {
             warm.load(&engine, record)
@@ -249,7 +262,7 @@ impl Engine {
 
     /// Mounts `persist` under a warm-loaded engine: times its appends,
     /// and restores the revision graph, reading each chain's root from
-    /// its record (which the hash-v1 chain check needs).
+    /// its record and decoding it (the hash-v1 chain check needs it).
     fn mount(self, mut persist: Store, warm: WarmLoad) -> Engine {
         let append_us = self.metrics.append_us.clone();
         persist.observe_appends(move |d| append_us.record(d.as_micros() as u64));
@@ -262,7 +275,7 @@ impl Engine {
         // on.
         let (kept, dropped) = engine
             .delta
-            .restore(warm.edges, |h| engine.stored(h).ok().flatten());
+            .restore(warm.edges, |h| engine.stored_decoded(h).ok().flatten());
         engine.warm = WarmStart {
             instances: warm.instances,
             results: engine.results.stats().0 as u64,
@@ -298,32 +311,64 @@ impl Engine {
     /// Parses and stores an instance; returns its canonical content
     /// hash, taken over the parsed structure. Semantically identical
     /// uploads (modulo comments, whitespace, line endings) dedupe onto
-    /// one entry. The store charges the instance's heap bytes.
+    /// one entry. The store holds the instance's codec record, charged
+    /// its length, and persists the same bytes.
     pub fn put(&self, text: &str) -> Result<u64, EngineError> {
+        self.upload(text).map(|(h, _)| h)
+    }
+
+    /// [`Engine::put`], also returning the parsed instance: `SOLVE
+    /// inline:` hands it to its worker, which then decodes nothing.
+    pub(crate) fn upload(&self, text: &str) -> Result<(u64, Instance), EngineError> {
         let inst = textfmt::parse_instance(text)
             .map_err(|e| (ErrorCode::BadReq, format!("parse: {e}")))?;
         let h = instance_hash(&inst);
-        let cost = inst.heap_bytes() as u64;
-        let inst = Arc::new(inst);
-        if self.store.get(&h).is_none() && !self.store.insert(h, Arc::clone(&inst), cost) {
-            return Err((
-                ErrorCode::BadReq,
-                format!("instance ({cost} bytes) exceeds the store budget"),
-            ));
-        }
-        // Persist outside the LRU lock; `put_instance` dedupes on hash.
-        if let Some(p) = &self.persist {
-            self.note_persist(p.put_instance(&inst));
-        }
-        Ok(h)
+        self.keep(h, &inst, "instance")?;
+        Ok((h, inst))
     }
 
-    /// Fetches an instance by content hash: the instance store's entry,
+    /// Stores `inst`, whose hash is `hash`, as its codec record unless
+    /// the store already holds one, and persists the record when a
+    /// store is mounted (the append dedupes on the hash). `what` names
+    /// an instance too large for its shard in the `BADREQ` that refuses
+    /// it.
+    fn keep(&self, hash: u64, inst: &Instance, what: &str) -> Result<(), EngineError> {
+        let record = match self.store.get(&hash) {
+            Some(record) => record,
+            None => {
+                let record: Arc<[u8]> = encode_instance(inst).into();
+                let cost = record.len() as u64;
+                if !self.store.insert(hash, Arc::clone(&record), cost) {
+                    return Err((
+                        ErrorCode::BadReq,
+                        format!("{what} ({cost} bytes) exceeds the store budget"),
+                    ));
+                }
+                record
+            }
+        };
+        // Persist outside the LRU lock.
+        if let Some(p) = &self.persist {
+            self.note_persist(p.put_instance_blob(hash, &record));
+        }
+        Ok(())
+    }
+
+    /// Decodes `record`, the instance record held under `hash`, counting
+    /// and timing the decode. A record that does not decode is `ERR
+    /// INTERNAL` naming the key.
+    pub(crate) fn decode(&self, hash: u64, record: &[u8]) -> Result<Instance, EngineError> {
+        decode_record(&self.metrics, hash, record)
+    }
+
+    /// Fetches an instance by content hash: the instance store's record,
     /// else its record on disk, else a delta revision rebuilt from the
-    /// lineage graph ([`DeltaCoordinator::rebuild`]); either of the
-    /// last two is then stored.
+    /// lineage graph ([`DeltaCoordinator::rebuild`]); either of the last
+    /// two is then stored.
     pub fn fetch(&self, hash: u64) -> Result<Arc<Instance>, EngineError> {
-        self.resolve(hash)?.ok_or_else(|| not_found(hash))
+        self.resolve(hash)?
+            .map(Arc::new)
+            .ok_or_else(|| not_found(hash))
     }
 
     /// Where the event loop finds revision `hash`: a store lookup plus,
@@ -331,7 +376,7 @@ impl Engine {
     /// graph knows it. Nothing is read, decoded or replayed.
     pub fn lookup(&self, hash: u64) -> Lookup {
         match self.store.get(&hash) {
-            Some(inst) => Lookup::Stored(inst),
+            Some(record) => Lookup::Stored(record),
             None if self.on_disk(hash) || self.delta.knows(hash) => Lookup::Fetch,
             None => Lookup::Missing,
         }
@@ -343,52 +388,68 @@ impl Engine {
         self.persist.as_ref().is_some_and(|p| p.has_instance(hash))
     }
 
-    /// The instance of `hash` from memory, else from its record on disk,
-    /// decoded and inserted at its heap cost (an instance too large for
-    /// its shard is still served, unstored). A record that fails to
-    /// read, verify or decode is `ERR INTERNAL` naming the key.
-    fn stored(&self, hash: u64) -> Result<Option<Arc<Instance>>, EngineError> {
-        if let Some(inst) = self.store.get(&hash) {
-            return Ok(Some(inst));
+    /// The record of `hash` from memory, else from disk
+    /// ([`Engine::read_through`]).
+    fn stored(&self, hash: u64) -> Result<Option<Arc<[u8]>>, EngineError> {
+        match self.store.get(&hash) {
+            Some(record) => Ok(Some(record)),
+            None => Ok(self.read_through(hash)?.map(|(record, _)| record)),
         }
+    }
+
+    /// [`Engine::stored`] with the record decoded.
+    fn stored_decoded(&self, hash: u64) -> Result<Option<Decoded>, EngineError> {
+        match self.store.get(&hash) {
+            Some(record) => {
+                let inst = self.decode(hash, &record)?;
+                Ok(Some((record, inst)))
+            }
+            None => self.read_through(hash),
+        }
+    }
+
+    /// The record of `hash` on disk and its instance. The record is
+    /// inserted as read once it has decoded (one too large for its
+    /// shard is still served, unstored); one that fails to read, verify
+    /// or decode is `ERR INTERNAL` naming the key, and stays out of
+    /// memory.
+    fn read_through(&self, hash: u64) -> Result<Option<Decoded>, EngineError> {
         let Some(persist) = &self.persist else {
             return Ok(None);
         };
-        let inst = match persist.get_instance(hash) {
+        let decoded = match persist.get_instance_blob(hash) {
             Ok(None) => return Ok(None),
-            Ok(Some(inst)) => inst,
-            Err(e) => {
-                self.metrics.reads_failed.inc();
-                return Err((
-                    ErrorCode::Internal,
-                    format!("instance record {} is unreadable: {e}", hash_hex(hash)),
-                ));
-            }
+            Ok(Some(blob)) => self.decode(hash, &blob).map(|inst| (blob, inst)),
+            Err(e) => Err((
+                ErrorCode::Internal,
+                format!("instance record {} is unreadable: {e}", hash_hex(hash)),
+            )),
         };
+        let (blob, inst) = decoded.inspect_err(|_| self.metrics.reads_failed.inc())?;
         self.metrics.reads_ok.inc();
-        let cost = inst.heap_bytes() as u64;
-        let inst = Arc::new(inst);
-        self.store.insert(hash, Arc::clone(&inst), cost);
-        Ok(Some(inst))
+        let record: Arc<[u8]> = blob.into();
+        self.store
+            .insert(hash, Arc::clone(&record), record.len() as u64);
+        Ok(Some((record, inst)))
     }
 
     /// The instance of revision `hash`: memory or its record on disk
-    /// ([`Engine::stored`]), else a rebuild from the lineage graph
-    /// ([`DeltaCoordinator::rebuild`]), which is checked against the
-    /// hash and then stored at the cost `PUT` charges, so a repeat is a
-    /// store hit. A rebuilt revision is not persisted: its lineage
-    /// record is. `None` when memory, disk and lineage all miss.
-    fn resolve(&self, hash: u64) -> Result<Option<Arc<Instance>>, EngineError> {
-        if let Some(inst) = self.stored(hash)? {
+    /// ([`Engine::stored_decoded`]), else a rebuild from the lineage
+    /// graph ([`DeltaCoordinator::rebuild`]), which is checked against
+    /// the hash and then stored as its record, charged like a `PUT`, so
+    /// a repeat is a store hit. A rebuilt revision is not persisted: its
+    /// lineage record is. `None` when memory, disk and lineage all miss.
+    fn resolve(&self, hash: u64) -> Result<Option<Instance>, EngineError> {
+        if let Some((_, inst)) = self.stored_decoded(hash)? {
             return Ok(Some(inst));
         }
         let Some(inst) = self.delta.rebuild(hash, |h| self.stored(h))? else {
             return Ok(None);
         };
-        let cost = inst.heap_bytes() as u64;
-        let inst = Arc::new(inst);
+        let record: Arc<[u8]> = encode_instance(&inst).into();
+        let cost = record.len() as u64;
         // A revision too large for its shard is still served, unstored.
-        self.store.insert(hash, Arc::clone(&inst), cost);
+        self.store.insert(hash, record, cost);
         Ok(Some(inst))
     }
 
@@ -443,10 +504,10 @@ impl Engine {
     }
 
     /// [`Engine::put_delta`] of a parsed delta. The base is resolved by
-    /// hash, like [`Engine::fetch`] (read from its record or rebuilt
-    /// when memory misses it), so it is not re-hashed; the new revision
-    /// is hashed once, and stored exactly like a `PUT` of its text
-    /// would be.
+    /// hash, like [`Engine::fetch`] (decoded from its record, read from
+    /// disk or rebuilt when memory misses it), so it is not re-hashed;
+    /// the new revision is hashed once, and stored exactly like a `PUT`
+    /// of its text would be.
     pub fn register_delta(&self, delta: &Delta) -> Result<Lineage, EngineError> {
         let base = self.resolve(delta.base)?.ok_or_else(|| {
             (
@@ -466,26 +527,12 @@ impl Engine {
             delta: fnv1a64(canonical_delta.as_bytes()),
             new: instance_hash(&new_inst),
         };
+        // A new root keeps the store's record, else one encoded here.
         self.record_lineage(lineage.base, lineage.new, canonical_delta, || {
-            Some(Arc::clone(&base))
+            let stored = self.store.get(&delta.base);
+            Some(stored.unwrap_or_else(|| encode_instance(&base).into()))
         });
-        let stored = match self.store.get(&lineage.new) {
-            Some(stored) => stored,
-            None => {
-                let cost = new_inst.heap_bytes() as u64;
-                let stored = Arc::new(new_inst);
-                if !self.store.insert(lineage.new, Arc::clone(&stored), cost) {
-                    return Err((
-                        ErrorCode::BadReq,
-                        format!("revision ({cost} bytes) exceeds the store budget"),
-                    ));
-                }
-                stored
-            }
-        };
-        if let Some(p) = &self.persist {
-            self.note_persist(p.put_instance(&stored));
-        }
+        self.keep(lineage.new, &new_inst, "revision")?;
         Ok(lineage)
     }
 
@@ -497,7 +544,7 @@ impl Engine {
         base: u64,
         new: u64,
         canonical_delta: String,
-        root: impl FnOnce() -> Option<Arc<Instance>>,
+        root: impl FnOnce() -> Option<Arc<[u8]>>,
     ) {
         if !self.delta.record(new, base, canonical_delta.clone(), root) {
             return;
@@ -715,6 +762,25 @@ pub fn write_solve_header(out: &mut String, utility: f64, guarantee: f64, upper_
 /// One `x <agent> <value>` line of a reply body.
 pub fn write_x_line(out: &mut String, agent: u32, value: f64) {
     let _ = writeln!(out, "x {agent} {value}");
+}
+
+/// Decodes an instance record held under `hash` ([`Engine::decode`]),
+/// counting and timing the decode in `metrics`.
+pub(crate) fn decode_record(
+    metrics: &StoreMetrics,
+    hash: u64,
+    record: &[u8],
+) -> Result<Instance, EngineError> {
+    let start = Instant::now();
+    let inst = decode_instance(record);
+    metrics.decodes.inc();
+    metrics.decode_us.record(start.elapsed().as_micros() as u64);
+    inst.map_err(|e| {
+        (
+            ErrorCode::Internal,
+            format!("instance record {} fails to decode: {e}", hash_hex(hash)),
+        )
+    })
 }
 
 /// Parses a delta text, mapping failures onto `BADDELTA`.
@@ -1150,6 +1216,11 @@ mod tests {
         dir
     }
 
+    /// What the instance store charges for `inst`: its record's length.
+    fn record_len(inst: &Instance) -> u64 {
+        encode_instance(inst).len() as u64
+    }
+
     fn family(name: &str, size: usize, seed: u64) -> Instance {
         catalog()
             .iter()
@@ -1162,7 +1233,7 @@ mod tests {
     fn an_evicted_instance_is_read_back_from_its_record() {
         let dir = temp_dir("evicted");
         let insts: Vec<Instance> = (0..300).map(|seed| family("bandwidth", 16, seed)).collect();
-        let max = insts.iter().map(|i| i.heap_bytes() as u64).max().unwrap();
+        let max = insts.iter().map(record_len).max().unwrap();
         let (store, _) = Store::open_with(&dir, StoreConfig { fsync: false }).unwrap();
         // Room for about one instance per shard, 16 in all, against 300
         // `PUT`s: most leave memory, none leaves the disk.
@@ -1224,7 +1295,7 @@ mod tests {
     fn an_evicted_put_delta_revision_boots_in_place_from_its_record() {
         let dir = temp_dir("evicted-revision");
         let base = special_inst();
-        let len = base.heap_bytes() as u64;
+        let len = record_len(&base);
         let (store, _) = Store::open_with(&dir, StoreConfig { fsync: false }).unwrap();
         // About three instances per store shard.
         let e = Engine::with_store(1 << 20, 3 * len * SHARDS as u64, store).unwrap();
@@ -1277,9 +1348,53 @@ mod tests {
         assert_eq!(e.solve_delta(bad, 3, 1).unwrap_err().0, ErrorCode::Internal);
         assert_eq!(e.metrics.reads_failed.get(), 3);
         assert_eq!(e.metrics.reads_ok.get(), 0);
+        // The bytes that failed to decode stayed out of memory.
+        assert_eq!(e.store_stats(), (0, 0));
+        assert!(matches!(e.lookup(bad), Lookup::Fetch));
         // The node keeps serving.
         let h = e.put(&textfmt::write_instance(&inst())).unwrap();
         assert_eq!(instance_hash(&e.fetch(h).unwrap()), h);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hash_solves_from_memory_and_from_disk_equal_solves_of_the_text() {
+        let dir = temp_dir("families");
+        let texts: Vec<String> = catalog()
+            .iter()
+            .map(|f| textfmt::write_instance(&f.instance(64, 1)))
+            .collect();
+        let parsed: Vec<Instance> = texts
+            .iter()
+            .map(|t| textfmt::parse_instance(t).unwrap())
+            .collect();
+        let solves = |inst: &Instance| [2, 3].map(|big_r| execute(Op::Solve, inst, big_r, 1));
+        let record_bytes: u64 = parsed.iter().map(record_len).sum();
+        let hashes: Vec<u64> = {
+            let (store, _) = Store::open_with(&dir, StoreConfig { fsync: false }).unwrap();
+            let e = Engine::with_store(1 << 20, 1 << 24, store).unwrap();
+            let hashes: Vec<u64> = texts.iter().map(|t| e.put(t).unwrap()).collect();
+            // The store charges each instance its record's length.
+            assert_eq!(e.store_stats(), (texts.len(), record_bytes));
+            for ((h, inst), text) in hashes.iter().zip(&parsed).zip(&texts) {
+                let Lookup::Stored(record) = e.lookup(*h) else {
+                    panic!("{text:.40}: stored in memory");
+                };
+                let decoded = e.decode(*h, &record).unwrap();
+                assert_eq!(solves(&decoded), solves(inst), "{text:.40}");
+            }
+            assert_eq!(e.metrics.decodes.get(), texts.len() as u64);
+            hashes
+        };
+        // A restart holds no instance in memory: each is read through
+        // from its record on disk.
+        let (e, _) = Engine::open_store(1 << 20, 1 << 24, &dir, StoreMetrics::detached()).unwrap();
+        for ((h, inst), text) in hashes.iter().zip(&parsed).zip(&texts) {
+            assert!(matches!(e.lookup(*h), Lookup::Fetch), "{text:.40}");
+            assert_eq!(solves(&e.fetch(*h).unwrap()), solves(inst), "{text:.40}");
+        }
+        assert_eq!(e.metrics.reads_ok.get(), texts.len() as u64);
+        assert_eq!(e.store_stats(), (texts.len(), record_bytes));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1320,7 +1435,7 @@ mod tests {
     fn inline_revisions_are_rebuilt_when_named_not_stored_per_edit() {
         let e = Engine::new(1 << 24, 1 << 24);
         let base = special_inst();
-        let base_len = base.heap_bytes() as u64;
+        let base_len = record_len(&base);
         e.put(&textfmt::write_instance(&base)).unwrap();
         let chain = inline_chain(&e, &base, 60);
         // Each edit's revision lives in the parked solver and the
@@ -1335,7 +1450,7 @@ mod tests {
             assert_eq!(instance_hash(&got), *rev, "{label}");
             assert_eq!(execute(Op::Solve, &got, 3, 1).unwrap(), *body, "{label}");
             // Stored at what `PUT` of its text would charge.
-            used += inst.heap_bytes() as u64;
+            used += record_len(inst);
             assert_eq!(e.store_stats().1, used, "{label}");
         }
         assert_eq!(e.store_stats().0, 4, "one entry per rebuilt revision");
@@ -1396,7 +1511,7 @@ mod tests {
     fn a_small_store_keeps_the_chain_root_and_rebuilds_old_revisions() {
         let base = special_inst();
         let base_hash = instance_hash(&base);
-        let len = base.heap_bytes() as u64;
+        let len = record_len(&base);
         // About three revisions per store shard. Had every edit stored
         // its revision, 200 of them would evict the chain's root, and
         // with it every way back to the early revisions.
@@ -1443,7 +1558,7 @@ mod tests {
     fn store_churn_between_inline_edits_loses_no_revision() {
         let base = special_inst();
         let base_hash = instance_hash(&base);
-        let len = base.heap_bytes() as u64;
+        let len = record_len(&base);
         // About three instances per store shard.
         let e = Engine::new(1 << 20, 3 * len * SHARDS as u64);
         let churn = |seeds: std::ops::Range<u64>| {

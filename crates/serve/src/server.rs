@@ -42,6 +42,7 @@ use crate::protocol::{
 use crate::stats::ServeMetrics;
 use mmlp_instance::delta::{Delta, Lineage};
 use mmlp_instance::hash::hash_hex;
+use mmlp_instance::Instance;
 use mmlp_lab::pool::{Outcome, SubmitError, TaskPool, TaskPoolConfig};
 use mmlp_obs::journal::{EV_BUSY, EV_CACHE, EV_DELTA, EV_SPAN, EV_STORE};
 use mmlp_obs::span::ROOT_SPAN;
@@ -244,7 +245,7 @@ impl Server {
         let metrics = ServeMetrics::new();
         let mut store_note = None;
         let engine = match &cfg.store_dir {
-            None => Engine::new(cfg.cache_bytes, cfg.store_bytes),
+            None => Engine::with_metrics(cfg.cache_bytes, cfg.store_bytes, metrics.store.clone()),
             Some(dir) => {
                 let t = Instant::now();
                 let (engine, report) = Engine::open_store(
@@ -1073,15 +1074,16 @@ fn execute_command(
             if op == Op::SolveDelta {
                 return solve_delta(shared, me, token, conn, ctx, src, big_r, body);
             }
-            let hash = match src {
-                Source::Hash(h) => h,
+            let (hash, parsed) = match src {
+                Source::Hash(h) => (h, None),
                 Source::Inline(_) => {
                     // Inline uploads land in the store too, so the
                     // result cache is shared across inline and hash
-                    // requests for the same content.
+                    // requests for the same content. The parsed
+                    // instance goes to the worker as it is.
                     let body = body.expect("inline body read by the state machine");
-                    match shared.engine.put(&body) {
-                        Ok(h) => h,
+                    match shared.engine.upload(&body) {
+                        Ok((h, inst)) => (h, Some(inst)),
                         Err((code, msg)) => {
                             return finalize_inline(shared, conn, ctx, Reply::Err(code, msg), false)
                         }
@@ -1097,16 +1099,20 @@ fn execute_command(
                 shared.metrics.cache_hit(op);
                 return finalize_inline(shared, conn, ctx, Reply::Ok(body.as_ref().clone()), false);
             }
-            // An instance memory does not hold is read from its record
-            // or rebuilt from lineage on the worker, under the request
-            // timeout, before it runs.
-            let stored = match shared.engine.lookup(hash) {
-                Lookup::Stored(inst) => Some(inst),
-                Lookup::Fetch => None,
-                Lookup::Missing => {
-                    let (code, msg) = engine::not_found(hash);
-                    return finalize_inline(shared, conn, ctx, Reply::Err(code, msg), false);
-                }
+            // A stored record is decoded on the worker; an instance
+            // memory does not hold is read from its record or rebuilt
+            // from lineage there, under the request timeout, before it
+            // runs.
+            let found = match parsed {
+                Some(inst) => Found::Parsed(inst),
+                None => match shared.engine.lookup(hash) {
+                    Lookup::Stored(record) => Found::Record(record),
+                    Lookup::Fetch => Found::Fetch,
+                    Lookup::Missing => {
+                        let (code, msg) = engine::not_found(hash);
+                        return finalize_inline(shared, conn, ctx, Reply::Err(code, msg), false);
+                    }
+                },
             };
             if let Some(rec) = &ctx.span {
                 rec.add(ROOT_SPAN, "cache:miss", probe, probe.elapsed());
@@ -1114,9 +1120,18 @@ fn execute_command(
             let worker_shared = Arc::clone(shared);
             let span_rec = ctx.span.clone();
             submit_pooled(shared, me, token, conn, ctx, Some((key, op)), move || {
-                let inst = match stored {
-                    Some(inst) => inst,
-                    None => worker_shared.engine.fetch(hash)?,
+                let engine = &worker_shared.engine;
+                let inst = match found {
+                    Found::Parsed(inst) => Arc::new(inst),
+                    Found::Record(record) => {
+                        let start = Instant::now();
+                        let decoded = engine.decode(hash, &record);
+                        if let Some(rec) = &span_rec {
+                            rec.add(rec.anchor(), "decode", start, start.elapsed());
+                        }
+                        Arc::new(decoded?)
+                    }
+                    Found::Fetch => engine.fetch(hash)?,
                 };
                 let metrics = &worker_shared.metrics;
                 let (body, phases) = engine::execute_traced(op, &inst, big_r)?;
@@ -1130,6 +1145,17 @@ fn execute_command(
             });
         }
     }
+}
+
+/// Where a `SOLVE`-family miss finds the instance it runs on.
+enum Found {
+    /// Parsed from the request's own inline body.
+    Parsed(Instance),
+    /// The instance store's record, decoded on the worker.
+    Record(Arc<[u8]>),
+    /// Read from disk or rebuilt from lineage on the worker
+    /// ([`Engine::fetch`]).
+    Fetch,
 }
 
 /// The `SOLVE_DELTA` half of the run path. `hash:` names a registered

@@ -98,22 +98,28 @@ pub struct ServeMetrics {
     cache_shard_evictions: [Gauge; SHARDS],
     /// Instance-store entries (scrape-time).
     pub store_entries: Gauge,
-    /// Instance-store resident bytes (scrape-time).
+    /// Instance-store resident bytes, the summed lengths of its records
+    /// (scrape-time).
     pub store_bytes: Gauge,
     /// Lineage edges the warm start dropped: chains whose root
     /// instance does not hash to the key they were recorded under.
     pub warm_lineage_dropped: Gauge,
     /// Store open plus warm start at bind, microseconds (set once).
     pub warm_start_us: Gauge,
-    /// The persistent store's instruments, which the engine updates.
+    /// The instance store's instruments, which the engine updates.
     pub store: StoreMetrics,
 }
 
-/// The persistent store's instruments, held by the
-/// [`Engine`](crate::engine::Engine): instance records decoded on a
-/// read-through, by outcome, and the latency of each append.
+/// The instance store's instruments, held by the
+/// [`Engine`](crate::engine::Engine): instance records decoded, and
+/// their decode time; read-throughs of records on disk, by outcome; and
+/// the latency of each append to the persistent store.
 #[derive(Clone)]
 pub struct StoreMetrics {
+    /// Instance records decoded, wherever they were held.
+    pub decodes: Counter,
+    /// One instance record decode, microseconds.
+    pub decode_us: HistogramHandle,
     /// Instance records a read-through decoded.
     pub reads_ok: Counter,
     /// Read-throughs whose record failed to read, verify or decode.
@@ -127,6 +133,8 @@ impl StoreMetrics {
     /// server.
     pub fn detached() -> Self {
         StoreMetrics {
+            decodes: Counter::detached(),
+            decode_us: HistogramHandle::detached(),
             reads_ok: Counter::detached(),
             reads_failed: Counter::detached(),
             append_us: HistogramHandle::detached(),
@@ -142,6 +150,14 @@ impl StoreMetrics {
             )
         };
         StoreMetrics {
+            decodes: reg.counter(
+                "mmlp_serve_instance_decodes_total",
+                "Instance records decoded from their codec bytes",
+            ),
+            decode_us: reg.histogram(
+                "mmlp_serve_instance_decode_us",
+                "One instance record decode, microseconds",
+            ),
             reads_ok: reads("ok"),
             reads_failed: reads("error"),
             append_us: reg.histogram(
@@ -312,7 +328,10 @@ impl ServeMetrics {
             cache_evictions: reg.gauge("mmlp_serve_cache_evictions", "Result-cache evictions"),
             cache_shard_evictions,
             store_entries: reg.gauge("mmlp_serve_store_entries", "Instance-store entries"),
-            store_bytes: reg.gauge("mmlp_serve_store_bytes", "Instance-store resident bytes"),
+            store_bytes: reg.gauge(
+                "mmlp_serve_store_bytes",
+                "Instance-store resident bytes: the summed lengths of its records",
+            ),
             warm_lineage_dropped: reg.gauge(
                 "mmlp_serve_warm_lineage_dropped",
                 "Lineage edges dropped at warm start: their chain's root does not hash to its key",

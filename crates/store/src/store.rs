@@ -397,11 +397,6 @@ impl Store {
         self.on_append = Some(Box::new(observe));
     }
 
-    /// Keys of all live result records, in stable order.
-    pub fn result_keys(&self) -> Vec<ResultKey> {
-        self.result_records().into_iter().map(|(k, _)| k).collect()
-    }
-
     /// `(key, framed on-disk record length)` of all live result
     /// records, in stable key order — read straight off the index, no
     /// record I/O.
@@ -471,33 +466,49 @@ impl Store {
     /// immutable under content addressing).
     pub fn put_instance(&self, inst: &Instance) -> std::io::Result<u64> {
         let hash = instance_hash(inst);
+        if !self.has_instance(hash) {
+            self.put_instance_blob(hash, &codec::encode_instance(inst))?;
+        }
+        Ok(hash)
+    }
+
+    /// Persists `blob`, the codec record of an instance whose
+    /// `instance_hash` is `hash`: a writer that already holds both
+    /// appends without hashing or encoding again. A hash already
+    /// present is not rewritten.
+    pub fn put_instance_blob(&self, hash: u64, blob: &[u8]) -> std::io::Result<()> {
         let mut inner = self.inner.lock().expect("store lock");
         if inner.index.contains_key(&Key::Instance(hash)) {
-            return Ok(hash);
+            return Ok(());
         }
         let record = Record::Instance {
             hash,
-            blob: codec::encode_instance(inst),
+            blob: blob.to_vec(),
         };
-        self.append(&mut inner, &record)?;
-        Ok(hash)
+        self.append(&mut inner, &record)
     }
 
     /// Fetches and decodes an instance by content hash.
     pub fn get_instance(&self, hash: u64) -> std::io::Result<Option<Instance>> {
+        let Some(blob) = self.get_instance_blob(hash)? else {
+            return Ok(None);
+        };
+        codec::decode_instance(&blob).map(Some).map_err(|e| {
+            io_err(
+                std::io::ErrorKind::InvalidData,
+                format!("instance {}: {e}", hash_hex(hash)),
+            )
+        })
+    }
+
+    /// The codec record stored under `hash`, its framing checksum
+    /// verified but not decoded.
+    pub fn get_instance_blob(&self, hash: u64) -> std::io::Result<Option<Vec<u8>>> {
         let Some((framed, loc)) = self.read(Key::Instance(hash))? else {
             return Ok(None);
         };
         match verified(&framed, loc)? {
-            RecordRef::Instance { blob, .. } => {
-                let inst = codec::decode_instance(blob).map_err(|e| {
-                    io_err(
-                        std::io::ErrorKind::InvalidData,
-                        format!("instance {}: {e}", hash_hex(hash)),
-                    )
-                })?;
-                Ok(Some(inst))
-            }
+            RecordRef::Instance { blob, .. } => Ok(Some(blob.to_vec())),
             RecordRef::Result { .. } => Err(io_err(
                 std::io::ErrorKind::InvalidData,
                 "index pointed an instance key at a result record",
@@ -685,6 +696,30 @@ mod tests {
         );
         assert_eq!(store.get_result(&rkey(hash, 2)).unwrap(), None);
         assert!(store.get_instance(hash ^ 1).unwrap().is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_instance_blob_round_trips_as_the_codec_record() {
+        let dir = temp_dir("blob");
+        let inst = sample(0.5);
+        let hash = instance_hash(&inst);
+        let blob = codec::encode_instance(&inst);
+        {
+            let (store, _) = Store::open(&dir).unwrap();
+            store.put_instance_blob(hash, &blob).unwrap();
+            // A `put_instance` of the same content dedupes onto it.
+            assert_eq!(store.put_instance(&inst).unwrap(), hash);
+            assert_eq!(store.counts(), (1, 0));
+        }
+        let (store, _) = Store::open(&dir).unwrap();
+        assert_eq!(store.get_instance_blob(hash).unwrap(), Some(blob));
+        let back = store.get_instance(hash).unwrap().unwrap();
+        assert_eq!(
+            textfmt::write_instance(&back),
+            textfmt::write_instance(&inst)
+        );
+        assert_eq!(store.get_instance_blob(hash ^ 1).unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -652,7 +652,8 @@ fn named_inline_revisions_are_rebuilt_from_lineage() {
 #[test]
 fn store_churn_between_inline_edits_loses_no_revision() {
     let base = base_instance();
-    let len = base.heap_bytes() as u64;
+    // What the instance store charges: the record's length.
+    let len = maxmin_lp::store::codec::encode_instance(&base).len() as u64;
     let shards = maxmin_lp::serve::cache::SHARDS as u64;
     // About three instances per store shard, so other clients' PUTs
     // evict the chain's base while its solver waits for edits.

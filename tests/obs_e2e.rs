@@ -3,7 +3,9 @@
 //! * the `METRICS` wire op returns well-formed Prometheus text whose
 //!   counters are monotone across requests,
 //! * a traced cold solve's span tree lands in the shutdown summary,
-//!   its three solver phases nested inside `execute` inside the total,
+//!   the decode of its stored record and its three solver phases
+//!   nested inside `execute` inside the total; an inline solve decodes
+//!   nothing,
 //! * the overhead guard: the traced flat and centralized solvers are
 //!   **bit-identical** to the untraced ones across the whole generator
 //!   catalogue (tracing may cost nanoseconds, never ULPs).
@@ -159,6 +161,9 @@ fn metrics_op_is_valid_prometheus_and_monotone_across_requests() {
     assert!(after["mmlp_serve_queue_wait_us_count"] >= 1.0);
     assert!(after["mmlp_serve_execute_us_count"] >= 1.0);
     assert_eq!(after["mmlp_serve_cache_misses_total{op=\"solve\"}"], 1.0);
+    // The miss decoded the stored record once; the hit decoded nothing.
+    assert_eq!(after["mmlp_serve_instance_decodes_total"], 1.0);
+    assert_eq!(after["mmlp_serve_instance_decode_us_count"], 1.0);
     assert!(after["mmlp_serve_cache_hits_total{op=\"solve\"}"] >= 1.0);
     let phase = |p: &str| after[&format!("mmlp_solver_phase_ns_total{{phase=\"{p}\"}}")];
     let phase_sum: f64 = ["t_eval", "flood", "g"].iter().map(|p| phase(p)).sum();
@@ -179,9 +184,9 @@ fn metrics_op_is_valid_prometheus_and_monotone_across_requests() {
 
     c.shutdown().unwrap();
     let summary = handle.join().unwrap();
-    // The cold solve's span tree is in the summary. Its phases are
-    // disjoint intervals inside `execute`, which lies inside the
-    // request, so the sums nest.
+    // The cold solve's span tree is in the summary. The decode of its
+    // stored record and its phases are disjoint intervals inside
+    // `execute`, which lies inside the request, so the sums nest.
     let tree = summary
         .slowest
         .iter()
@@ -191,7 +196,7 @@ fn metrics_op_is_valid_prometheus_and_monotone_across_requests() {
     let exec = tree.spans.iter().find(|s| s.name == "execute").unwrap();
     let phases: Vec<_> = tree.spans.iter().filter(|s| s.parent == exec.id).collect();
     let names: Vec<&str> = phases.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(names, ["t_eval", "flood", "g"]);
+    assert_eq!(names, ["decode", "t_eval", "flood", "g"]);
     let phase_sum: u64 = phases.iter().map(|s| s.dur_ns).sum();
     assert!(
         phase_sum <= exec.dur_ns,
@@ -203,6 +208,52 @@ fn metrics_op_is_valid_prometheus_and_monotone_across_requests() {
         "execute {} exceeds the request total {}",
         exec.dur_ns,
         tree.total_ns
+    );
+}
+
+#[test]
+fn an_inline_solve_hands_its_parsed_instance_to_the_worker() {
+    let (addr, handle) = spawn_server();
+    let mut c = Client::connect(&addr).unwrap();
+    let text = instance_text();
+    let cold_id = 0x0b5e_0000_0000_0002;
+    c.trace_next(cold_id);
+    let inline = c
+        .run_inline(Op::Solve, &text, 3)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    let decodes = |c: &mut Client| {
+        parse_prometheus(&c.metrics().unwrap())["mmlp_serve_instance_decodes_total"]
+    };
+    assert_eq!(
+        decodes(&mut c),
+        0.0,
+        "the inline solve decoded its own upload"
+    );
+    // The upload was stored: a solve of it by hash at another `R`
+    // decodes its record, and equals the inline solve at that `R`.
+    let hash = c.put(&text).unwrap().unwrap();
+    let by_hash = c.run_hash(Op::Solve, &hash, 2).unwrap().into_ok().unwrap();
+    assert_eq!(decodes(&mut c), 1.0);
+    let inline_r2 = c
+        .run_inline(Op::Solve, &text, 2)
+        .unwrap()
+        .into_ok()
+        .unwrap();
+    assert_eq!(by_hash, inline_r2);
+    assert_ne!(inline, inline_r2);
+    c.shutdown().unwrap();
+    let summary = handle.join().unwrap();
+    let tree = summary
+        .slowest
+        .iter()
+        .find(|t| t.trace_id == cold_id)
+        .unwrap_or_else(|| panic!("inline solve's tree missing: {:?}", summary.slowest));
+    assert!(
+        tree.spans.iter().all(|s| s.name != "decode"),
+        "{:?}",
+        tree.spans
     );
 }
 

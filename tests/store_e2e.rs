@@ -447,7 +447,10 @@ fn a_store_whose_only_instance_record_is_undecodable_boots_and_serves() {
         Some(1),
         "{scrape}"
     );
-    // The node keeps serving.
+    // The undecodable bytes stayed out of memory.
+    assert_eq!(metric(&scrape, "mmlp_serve_store_entries"), Some(0));
+    assert_eq!(stat(&c.stats().unwrap(), "store_entries"), 0);
+    // The node keeps serving, and holds the upload as its record.
     let text = instance_text();
     let hash = c.put(&text).unwrap().unwrap();
     let body = c.run_hash(Op::Solve, &hash, 3).unwrap().into_ok().unwrap();
@@ -456,6 +459,12 @@ fn a_store_whose_only_instance_record_is_undecodable_boots_and_serves() {
         body,
         maxmin_lp::serve::engine::execute(Op::Solve, &inst, 3, 1).unwrap()
     );
+    let record_len = maxmin_lp::store::codec::encode_instance(&inst).len() as u64;
+    let stats = c.stats().unwrap();
+    assert_eq!(stat(&stats, "store_entries"), 1, "{stats:?}");
+    assert_eq!(stat(&stats, "store_bytes"), record_len, "{stats:?}");
+    let scrape = c.metrics().unwrap();
+    assert_eq!(metric(&scrape, "mmlp_serve_store_bytes"), Some(record_len));
     c.shutdown().unwrap();
     assert_eq!(handle.join().unwrap().errors, 1);
     std::fs::remove_dir_all(&dir).ok();
