@@ -9,16 +9,16 @@
 //! within factor `ΔI` of the optimum. One communication round suffices:
 //! each constraint tells its agents its degree.
 
-use mmlp_instance::{Instance, NodeKind, Solution};
-use mmlp_net::{Network, NodeInfo, Protocol, RunResult};
+use mmlp_instance::{Instance, Solution};
 
 /// The safe solution in closed form.
 ///
 /// The per-agent minimum runs through [`mmlp_net::lanes::min_lanes`]
 /// (split accumulators over strictly positive finite values — order-
-/// independent at the bit level, so still bit-identical to
-/// [`SafeProtocol`]'s scalar fold; asserted in
-/// `distributed_matches_closed_form`).
+/// independent at the bit level, so bit-identical to the scalar fold
+/// of `1 / (a_iv · |Vi|)`; asserted in
+/// `closed_form_matches_scalar_fold_bitwise` and
+/// `lanes::min_lanes_matches_scalar_fold_bitwise`).
 pub fn safe_solution(inst: &Instance) -> Solution {
     let mut x = vec![0.0f64; inst.n_agents()];
     let mut recips = Vec::new();
@@ -42,74 +42,6 @@ pub fn safe_solution(inst: &Instance) -> Solution {
 /// The a-priori guarantee of the safe algorithm.
 pub fn safe_guarantee(delta_i: usize) -> f64 {
     delta_i as f64
-}
-
-/// The safe algorithm as a 1-round protocol (constraints announce their
-/// degrees; agents take minima) — the distributed form used by the
-/// round-count comparison experiment.
-pub struct SafeProtocol;
-
-/// Per-node state of [`SafeProtocol`]: agents end with `Some(x_v)`.
-#[derive(Clone, Debug, Default)]
-pub struct SafeState {
-    /// The output, for agent nodes.
-    pub x: Option<f64>,
-}
-
-impl Protocol for SafeProtocol {
-    type State = SafeState;
-    type Message = f64;
-
-    fn rounds(&self) -> usize {
-        1
-    }
-
-    fn init(&self, _node: &NodeInfo) -> SafeState {
-        SafeState::default()
-    }
-
-    fn round(
-        &self,
-        _state: &mut SafeState,
-        node: &NodeInfo,
-        _round: usize,
-        _inbox: &mut [Option<f64>],
-        outbox: &mut [Option<f64>],
-    ) {
-        if node.kind == NodeKind::Constraint {
-            let degree = node.degree() as f64;
-            for slot in outbox.iter_mut() {
-                *slot = Some(degree);
-            }
-        }
-    }
-
-    fn finish(&self, state: &mut SafeState, node: &NodeInfo, inbox: &mut [Option<f64>]) {
-        if node.kind != NodeKind::Agent {
-            return;
-        }
-        let mut x = f64::INFINITY;
-        for (port, msg) in inbox.iter().enumerate() {
-            if let Some(degree) = msg {
-                let a = node.ports[port]
-                    .coef
-                    .expect("agents know their coefficients");
-                x = x.min(1.0 / (a * degree));
-            }
-        }
-        state.x = Some(if x.is_finite() { x } else { 0.0 });
-    }
-}
-
-/// Runs [`SafeProtocol`] and extracts the solution.
-pub fn safe_distributed(inst: &Instance) -> (Solution, mmlp_net::RunStats) {
-    let net = Network::new(inst);
-    let RunResult { states, stats } = mmlp_net::engine::run(&net, &SafeProtocol);
-    let x: Vec<f64> = states[..inst.n_agents()]
-        .iter()
-        .map(|s| s.x.expect("agent produced output"))
-        .collect();
-    (Solution::from_vec(x), stats)
 }
 
 #[cfg(test)]
@@ -164,16 +96,20 @@ mod tests {
     }
 
     #[test]
-    fn distributed_matches_closed_form() {
+    fn closed_form_matches_scalar_fold_bitwise() {
         for seed in 0..5 {
             let inst = random_general(&RandomConfig::default(), seed);
-            let reference = safe_solution(&inst);
-            let (dist, stats) = safe_distributed(&inst);
-            assert_eq!(stats.rounds, 1);
+            let x = safe_solution(&inst);
             for v in inst.agents() {
+                let fold = inst
+                    .agent_constraints(v)
+                    .iter()
+                    .map(|e| 1.0 / (e.coef * inst.constraint_row(e.cons).len() as f64))
+                    .fold(f64::INFINITY, f64::min);
+                let want = if fold.is_finite() { fold } else { 0.0 };
                 assert_eq!(
-                    dist.value(v).to_bits(),
-                    reference.value(v).to_bits(),
+                    x.value(v).to_bits(),
+                    want.to_bits(),
                     "seed {seed} agent {v}"
                 );
             }

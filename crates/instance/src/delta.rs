@@ -7,26 +7,21 @@
 //! the serve layer's `PUT_DELTA`/`SOLVE_DELTA` ops and persisted through
 //! `mmlp-store` so a restarted node can replay its revision graph.
 //!
-//! Two canonical encodings are provided, mirroring the instance
-//! formats:
+//! A delta has one encoding, a line-oriented **text** form: the wire
+//! body and the persisted lineage record (liberal parser, canonical
+//! writer, `#` comments tolerated):
 //!
-//! * a line-oriented **text** form (the wire/body format — liberal
-//!   parser, canonical writer, `#` comments tolerated):
-//!
-//!   ```text
-//!   mmlpdelta 1
-//!   base 00112233aabbccdd
-//!   set c 3 7:1.5          # coefficient set: row kind, row id, agent:coef
-//!   addedge o 2 4:0.25     # new edge, appended as the row's last port
-//!   rmedge c 1 0           # remove the edge {row, agent}
-//!   addagent               # append one isolated agent
-//!   rmagent 5              # remove an isolated agent (ids above shift)
-//!   addrow c 0:1.0 2:2.0   # append a whole row
-//!   rmrow o 3              # remove a row (ids above shift)
-//!   ```
-//!
-//! * a length-framed **binary** form (the storage format), with a magic,
-//!   a version byte and little-endian fields.
+//! ```text
+//! mmlpdelta 1
+//! base 00112233aabbccdd
+//! set c 3 7:1.5          # coefficient set: row kind, row id, agent:coef
+//! addedge o 2 4:0.25     # new edge, appended as the row's last port
+//! rmedge c 1 0           # remove the edge {row, agent}
+//! addagent               # append one isolated agent
+//! rmagent 5              # remove an isolated agent (ids above shift)
+//! addrow c 0:1.0 2:2.0   # append a whole row
+//! rmrow o 3              # remove a row (ids above shift)
+//! ```
 //!
 //! The **delta hash** is FNV-1a over the canonical text, so a delta's
 //! identity survives comment/whitespace noise but changes with any
@@ -209,9 +204,9 @@ pub enum DeltaError {
         /// The still-connected agent.
         agent: u32,
     },
-    /// Text/binary decoding failed.
+    /// Text decoding failed.
     Parse {
-        /// 1-based line (text) or byte offset (binary); 0 when global.
+        /// 1-based line; 0 when global.
         at: usize,
         /// Human-readable description.
         message: String,
@@ -270,10 +265,6 @@ impl From<BuildError> for DeltaError {
         DeltaError::Build(e)
     }
 }
-
-/// Magic + version prefix of the binary encoding.
-const BIN_MAGIC: &[u8; 8] = b"MMLPDELT";
-const BIN_VERSION: u8 = 1;
 
 impl Delta {
     /// A delta holding one edit.
@@ -464,168 +455,6 @@ impl Delta {
             }
         }
         let base = base.ok_or_else(|| err(0, "no 'base' declaration found".into()))?;
-        Ok(Delta { base, edits })
-    }
-
-    /// Serialises to the binary storage form.
-    pub fn to_binary(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + 16 * self.edits.len());
-        out.extend_from_slice(BIN_MAGIC);
-        out.push(BIN_VERSION);
-        out.extend_from_slice(&self.base.to_le_bytes());
-        out.extend_from_slice(&(self.edits.len() as u32).to_le_bytes());
-        let kind_byte = |r: &RowKind| match r {
-            RowKind::Constraint => 0u8,
-            RowKind::Objective => 1u8,
-        };
-        for e in &self.edits {
-            match e {
-                Edit::SetCoef {
-                    row,
-                    row_id,
-                    agent,
-                    coef,
-                } => {
-                    out.push(1);
-                    out.push(kind_byte(row));
-                    out.extend_from_slice(&row_id.to_le_bytes());
-                    out.extend_from_slice(&agent.raw().to_le_bytes());
-                    out.extend_from_slice(&coef.to_bits().to_le_bytes());
-                }
-                Edit::AddEdge {
-                    row,
-                    row_id,
-                    agent,
-                    coef,
-                } => {
-                    out.push(2);
-                    out.push(kind_byte(row));
-                    out.extend_from_slice(&row_id.to_le_bytes());
-                    out.extend_from_slice(&agent.raw().to_le_bytes());
-                    out.extend_from_slice(&coef.to_bits().to_le_bytes());
-                }
-                Edit::RemoveEdge { row, row_id, agent } => {
-                    out.push(3);
-                    out.push(kind_byte(row));
-                    out.extend_from_slice(&row_id.to_le_bytes());
-                    out.extend_from_slice(&agent.raw().to_le_bytes());
-                }
-                Edit::AddAgent => out.push(4),
-                Edit::RemoveAgent { agent } => {
-                    out.push(5);
-                    out.extend_from_slice(&agent.raw().to_le_bytes());
-                }
-                Edit::AddRow { row, entries } => {
-                    out.push(6);
-                    out.push(kind_byte(row));
-                    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                    for (a, c) in entries {
-                        out.extend_from_slice(&a.raw().to_le_bytes());
-                        out.extend_from_slice(&c.to_bits().to_le_bytes());
-                    }
-                }
-                Edit::RemoveRow { row, row_id } => {
-                    out.push(7);
-                    out.push(kind_byte(row));
-                    out.extend_from_slice(&row_id.to_le_bytes());
-                }
-            }
-        }
-        out
-    }
-
-    /// Parses the binary storage form.
-    pub fn from_binary(bytes: &[u8]) -> Result<Delta, DeltaError> {
-        let mut pos = 0usize;
-        let err = |at: usize, message: String| DeltaError::Parse { at, message };
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], DeltaError> {
-            let end = pos
-                .checked_add(n)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| err(*pos, "truncated delta".into()))?;
-            let s = &bytes[*pos..end];
-            *pos = end;
-            Ok(s)
-        };
-        let magic = take(&mut pos, 8)?;
-        if magic != BIN_MAGIC {
-            return Err(err(0, "bad magic".into()));
-        }
-        let version = take(&mut pos, 1)?[0];
-        if version != BIN_VERSION {
-            return Err(err(8, format!("unsupported version {version}")));
-        }
-        let u32_at = |pos: &mut usize| -> Result<u32, DeltaError> {
-            Ok(u32::from_le_bytes(take(pos, 4)?.try_into().expect("4")))
-        };
-        let u64_at = |pos: &mut usize| -> Result<u64, DeltaError> {
-            Ok(u64::from_le_bytes(take(pos, 8)?.try_into().expect("8")))
-        };
-        let row_at = |pos: &mut usize| -> Result<RowKind, DeltaError> {
-            match take(pos, 1)?[0] {
-                0 => Ok(RowKind::Constraint),
-                1 => Ok(RowKind::Objective),
-                b => Err(err(*pos - 1, format!("bad row kind byte {b}"))),
-            }
-        };
-        let base = u64_at(&mut pos)?;
-        let n_edits = u32_at(&mut pos)?;
-        let mut edits = Vec::with_capacity(n_edits.min(1 << 20) as usize);
-        for _ in 0..n_edits {
-            let at = pos;
-            let op = take(&mut pos, 1)?[0];
-            edits.push(match op {
-                1 | 2 => {
-                    let row = row_at(&mut pos)?;
-                    let row_id = u32_at(&mut pos)?;
-                    let agent = AgentId::new(u32_at(&mut pos)?);
-                    let coef = f64::from_bits(u64_at(&mut pos)?);
-                    if op == 1 {
-                        Edit::SetCoef {
-                            row,
-                            row_id,
-                            agent,
-                            coef,
-                        }
-                    } else {
-                        Edit::AddEdge {
-                            row,
-                            row_id,
-                            agent,
-                            coef,
-                        }
-                    }
-                }
-                3 => Edit::RemoveEdge {
-                    row: row_at(&mut pos)?,
-                    row_id: u32_at(&mut pos)?,
-                    agent: AgentId::new(u32_at(&mut pos)?),
-                },
-                4 => Edit::AddAgent,
-                5 => Edit::RemoveAgent {
-                    agent: AgentId::new(u32_at(&mut pos)?),
-                },
-                6 => {
-                    let row = row_at(&mut pos)?;
-                    let n = u32_at(&mut pos)?;
-                    let mut entries = Vec::with_capacity(n.min(1 << 20) as usize);
-                    for _ in 0..n {
-                        let a = AgentId::new(u32_at(&mut pos)?);
-                        let c = f64::from_bits(u64_at(&mut pos)?);
-                        entries.push((a, c));
-                    }
-                    Edit::AddRow { row, entries }
-                }
-                7 => Edit::RemoveRow {
-                    row: row_at(&mut pos)?,
-                    row_id: u32_at(&mut pos)?,
-                },
-                b => return Err(err(at, format!("bad edit opcode {b}"))),
-            });
-        }
-        if pos != bytes.len() {
-            return Err(err(pos, "trailing bytes after the last edit".into()));
-        }
         Ok(Delta { base, edits })
     }
 
@@ -1090,7 +919,21 @@ mod tests {
                     agent: AgentId::new(1),
                     coef: 0.3333333333333333,
                 },
+                Edit::AddEdge {
+                    row: RowKind::Objective,
+                    row_id: 2,
+                    agent: AgentId::new(4),
+                    coef: 0.25,
+                },
+                Edit::RemoveEdge {
+                    row: RowKind::Constraint,
+                    row_id: 1,
+                    agent: AgentId::new(0),
+                },
                 Edit::AddAgent,
+                Edit::RemoveAgent {
+                    agent: AgentId::new(5),
+                },
                 Edit::AddRow {
                     row: RowKind::Objective,
                     entries: vec![(AgentId::new(3), 1.0e-300)],
@@ -1134,62 +977,6 @@ mod tests {
         ] {
             assert!(Delta::parse_text(bad).is_err(), "accepted: {bad:?}");
         }
-    }
-
-    #[test]
-    fn binary_round_trips_every_edit_kind() {
-        let d = Delta {
-            base: 0xdead_beef_0011_2233,
-            edits: vec![
-                Edit::SetCoef {
-                    row: RowKind::Constraint,
-                    row_id: 3,
-                    agent: AgentId::new(7),
-                    coef: 1.5,
-                },
-                Edit::AddEdge {
-                    row: RowKind::Objective,
-                    row_id: 2,
-                    agent: AgentId::new(4),
-                    coef: 0.25,
-                },
-                Edit::RemoveEdge {
-                    row: RowKind::Constraint,
-                    row_id: 1,
-                    agent: AgentId::new(0),
-                },
-                Edit::AddAgent,
-                Edit::RemoveAgent {
-                    agent: AgentId::new(5),
-                },
-                Edit::AddRow {
-                    row: RowKind::Constraint,
-                    entries: vec![(AgentId::new(0), 1.0), (AgentId::new(2), 2.0)],
-                },
-                Edit::RemoveRow {
-                    row: RowKind::Objective,
-                    row_id: 3,
-                },
-            ],
-        };
-        let bin = d.to_binary();
-        assert_eq!(Delta::from_binary(&bin).unwrap(), d);
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let d = Delta::single(7, Edit::AddAgent);
-        let good = d.to_binary();
-        assert!(Delta::from_binary(&good[..good.len() - 1]).is_err());
-        let mut bad_magic = good.clone();
-        bad_magic[0] ^= 0xff;
-        assert!(Delta::from_binary(&bad_magic).is_err());
-        let mut bad_op = good.clone();
-        *bad_op.last_mut().unwrap() = 99;
-        assert!(Delta::from_binary(&bad_op).is_err());
-        let mut trailing = good;
-        trailing.push(0);
-        assert!(Delta::from_binary(&trailing).is_err());
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!   corresponding to the standing assumptions of §4 of the paper.
 //! * [`textfmt`] — a small line-oriented serialisation format.
 //! * [`delta`] — the versioned edit model: content-addressed [`Delta`]
-//!   batches of [`Edit`]s with canonical text/binary encodings and the
+//!   batches of [`Edit`]s with a canonical text encoding and the
 //!   revision [`Lineage`] `(base_hash, delta_hash) → new_hash` consumed
 //!   by the serve layer's `PUT_DELTA`/`SOLVE_DELTA` ops.
 //! * [`hash`] — stable FNV-1a hashing of bytes, and [`instance_hash`],

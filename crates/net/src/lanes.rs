@@ -21,7 +21,7 @@
 //!   ties: the minimum of the multiset is a unique bit pattern no
 //!   matter the association. These helpers are therefore used on paths
 //!   whose outputs are asserted bit-identical to the scalar reference
-//!   (`tests/flat_views.rs`, `safe::distributed_matches_closed_form`).
+//!   (`tests/flat_views.rs`, `safe::closed_form_matches_scalar_fold_bitwise`).
 //! * **`+` folds do NOT reassociate.** Floating-point addition is not
 //!   associative, and every sum in the `f±`/`t` evaluators feeds
 //!   outputs that the test-suite pins bit-for-bit against the

@@ -1,15 +1,17 @@
-//! Message and byte accounting for protocol runs.
+//! Message and byte accounting for simulated runs.
 
-/// Totals for one protocol execution.
+/// Totals for one simulated run: a view gather
+/// ([`crate::view::gather_views_flat`]), or a whole solve that starts
+/// with one and adds the rounds of its later phases.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunStats {
     /// Number of synchronous rounds executed.
     pub rounds: usize,
-    /// Total messages delivered (a `None` in an outbox slot is silence
-    /// and is not counted).
+    /// Total messages delivered (a node with nothing to send in a round
+    /// is silent, and silence is not counted).
     pub messages: u64,
-    /// Total payload bytes delivered, per [`crate::engine::Payload`]
-    /// accounting.
+    /// Total payload bytes delivered, each message at its logical
+    /// serialised size.
     pub bytes: u64,
     /// Messages delivered per round.
     pub messages_per_round: Vec<u64>,

@@ -2,9 +2,9 @@
 
 use mmlp_instance::{CommGraph, Instance, NodeKind};
 
-/// What a node knows about one of its ports — and nothing more. No node
-/// identifiers exist anywhere in this module's public surface: protocols
-/// can only address "my port `p`".
+/// What a node knows about one of its ports — and nothing more. A node's
+/// local input carries no node identifiers: it can only address "my
+/// port `p`".
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PortInfo {
     /// The class of the node on the other end (an agent can tell its
@@ -32,9 +32,8 @@ impl NodeInfo {
     }
 }
 
-/// The simulated network: graph structure (used only by the engine for
-/// message delivery — never exposed to protocols) plus per-node local
-/// inputs.
+/// The simulated network: graph structure (simulator-side bookkeeping,
+/// never part of a node's local input) plus per-node local inputs.
 #[derive(Clone, Debug)]
 pub struct Network {
     graph: CommGraph,
@@ -93,16 +92,16 @@ impl Network {
         self.graph.n_agents()
     }
 
-    /// The local input of a node (by flat index; the index is engine-side
-    /// bookkeeping, not visible to protocols).
+    /// The local input of a node (by flat index; the index is
+    /// simulator-side bookkeeping, not part of the node's input).
     pub fn info(&self, flat: u32) -> &NodeInfo {
         &self.infos[flat as usize]
     }
 
-    /// The underlying communication graph — engine-side bookkeeping for
-    /// message delivery and for building flat views directly from the
-    /// topology (`mmlp-core`'s view interner). Protocols never see it:
-    /// they are limited to [`NodeInfo`].
+    /// The underlying communication graph — simulator-side bookkeeping
+    /// for message delivery in [`crate::view::gather_views_flat`] and for
+    /// building flat views directly from the topology (`mmlp-core`'s view
+    /// interner). A node's local input is only its [`NodeInfo`].
     pub fn graph(&self) -> &CommGraph {
         &self.graph
     }

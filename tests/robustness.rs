@@ -4,8 +4,145 @@
 
 use maxmin_lp::gen::catalog;
 use maxmin_lp::gen::random::{random_general, RandomConfig};
-use maxmin_lp::instance::{textfmt, CommGraph};
+use maxmin_lp::instance::{textfmt, CommGraph, Delta, DeltaError};
 use proptest::prelude::*;
+
+/// Valid tokens of the delta text's fields.
+const DELTA_DIRECTIVES: [&str; 7] = [
+    "set", "addedge", "rmedge", "addagent", "rmagent", "addrow", "rmrow",
+];
+const DELTA_KINDS: [&str; 2] = ["c", "o"];
+const DELTA_NUMBERS: [&str; 3] = ["0", "3", "4294967295"];
+const DELTA_HASHES: [&str; 2] = ["00112233aabbccdd", "ffffffffffffffff"];
+const DELTA_PAIRS: [&str; 7] = [
+    "0:1", "3:0.25", "2:1e-300", "1:-2", "0:NaN", "5:1e400", "4:-0",
+];
+/// Near misses a drawn line may carry in place of one token or after
+/// its last one (the empty one drops a token).
+const DELTA_NEAR_MISSES: [&str; 12] = [
+    "",
+    "q",
+    "frobnicate",
+    "mmlpdelta",
+    "2",
+    "4294967296",
+    "-1",
+    "0011",
+    "+0112233aabbccdd",
+    "x:1",
+    "1:",
+    "0:1:2",
+];
+const DELTA_EOLS: [&str; 3] = ["\n", "\r\n", "\r"];
+
+/// How a drawn line is damaged and ended: the token a near miss
+/// replaces (one past the last token appends it, further leaves the
+/// line intact), which near miss, whether a `#` comment follows, and
+/// which line ending.
+type LineEnd = (usize, usize, usize, usize);
+
+fn line_end() -> impl Strategy<Value = LineEnd> {
+    (
+        0usize..12,
+        0usize..DELTA_NEAR_MISSES.len(),
+        0usize..2,
+        0usize..3,
+    )
+}
+
+/// An edit line's tokens: a directive and the fields it takes.
+fn edit_tokens(
+    (directive, kind, id, agent): (usize, usize, usize, usize),
+    pairs: &[usize],
+) -> Vec<&'static str> {
+    let d = DELTA_DIRECTIVES[directive];
+    let (k, n, a) = (DELTA_KINDS[kind], DELTA_NUMBERS[id], DELTA_NUMBERS[agent]);
+    let pairs = pairs.iter().map(|&p| DELTA_PAIRS[p]);
+    match d {
+        "set" | "addedge" => [d, k, n].into_iter().chain(pairs.take(1)).collect(),
+        "rmedge" => vec![d, k, n, a],
+        "rmagent" => vec![d, a],
+        "addrow" => [d, k].into_iter().chain(pairs).collect(),
+        "rmrow" => vec![d, k, n],
+        _ => vec![d],
+    }
+}
+
+/// Appends one line: `tokens` with the drawn damage, comment and
+/// ending. Text ending 3 mixes the three, each line keeping its own.
+fn push_line(
+    text: &mut String,
+    mut tokens: Vec<&str>,
+    (at, miss, comment, eol): LineEnd,
+    ending: usize,
+) {
+    let miss = DELTA_NEAR_MISSES[miss];
+    if at < tokens.len() {
+        tokens[at] = miss;
+    } else if at == tokens.len() {
+        tokens.push(miss);
+    }
+    text.push_str(&tokens.join(" "));
+    if comment == 1 {
+        text.push_str("  # note: 1:2");
+    }
+    text.push_str(DELTA_EOLS[if ending < 3 { ending } else { eol }]);
+}
+
+/// `Delta::parse_text` on `text`: a rejection is a parse error that
+/// names a line of the input, and an accepted text's canonical form
+/// re-parses to the same canonical form.
+fn check_delta_text(text: &str) {
+    match Delta::parse_text(text) {
+        Ok(delta) => {
+            let canonical = delta.to_text();
+            let back = Delta::parse_text(&canonical)
+                .unwrap_or_else(|e| panic!("canonical text rejected ({e}):\n{canonical}"));
+            assert_eq!(back.to_text(), canonical, "input {text:?}");
+        }
+        Err(DeltaError::Parse { at, .. }) => {
+            assert!(
+                at <= text.split(['\n', '\r']).count(),
+                "error at line {at} of {text:?}"
+            );
+        }
+        Err(e) => panic!("parse_text gave a non-parse error {e:?} on {text:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The delta text parser, the one delta decoder, gives a typed error
+    /// (never a panic) on arbitrary input. Texts built from a header, a
+    /// base line and 0–4 edit lines of valid tokens and near misses,
+    /// with LF, CRLF, CR or mixed endings and `#` comments, parse to a
+    /// delta whose canonical text is a fixpoint of the parser.
+    #[test]
+    fn delta_parser_never_panics(
+        noise in ".{0,200}",
+        header in line_end(),
+        base in (0usize..2, line_end()),
+        edits in proptest::collection::vec(
+            (
+                (0usize..7, 0usize..2, 0usize..3, 0usize..3),
+                proptest::collection::vec(0usize..7, 1..3),
+                line_end(),
+            ),
+            0..5,
+        ),
+        ending in 0usize..4,
+    ) {
+        check_delta_text(&noise);
+        let mut text = String::new();
+        push_line(&mut text, vec!["mmlpdelta", "1"], header, ending);
+        push_line(&mut text, vec!["base", DELTA_HASHES[base.0]], base.1, ending);
+        for (fields, pairs, end) in &edits {
+            push_line(&mut text, edit_tokens(*fields, pairs), *end, ending);
+        }
+        check_delta_text(&text);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
